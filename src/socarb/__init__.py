@@ -45,7 +45,6 @@ from .reachability import (
     StoppingResult,
     TargetBand,
     action_probabilities,
-    brute_force_distribution,
     count_feasible_trajectories,
     kappa_prepolicy,
     mix_over_kappa,

@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +51,6 @@ class ExperimentConfig:
     synthetic_amplitude: float = 0.5
     cqr_epochs: int = 400
     cqr_band: TargetBand | None = None
-    workers: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -90,7 +87,6 @@ class ExperimentConfig:
             f"cqr.epochs = {self.cqr_epochs}",
             "cqr.band = "
             + (f"{self.cqr_band.lo!r}:{self.cqr_band.hi!r}" if self.cqr_band else ""),
-            f"workers = {self.workers}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -103,8 +99,21 @@ def _parse_band(text: str) -> TargetBand:
     return TargetBand.from_interval(lo, hi)
 
 
+CONFIG_KEYS = frozenset(
+    {
+        "battery.e_min", "battery.e_max", "battery.rate", "battery.e0", "battery.horizon",
+        "bands", "e0_sweep", "start_steps", "epsilon", "k_grid", "threshold_mode",
+        "bounds_mode", "post_stop", "seed", "data.day_matrix", "synthetic.n_days",
+        "synthetic.mu", "synthetic.sigma", "synthetic.amplitude", "cqr.epochs", "cqr.band",
+    }
+)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value config format (# starts a comment)."""
+    """Parse the flat key = value config format (# starts a comment).
+
+    Keys outside :data:`CONFIG_KEYS` are rejected with their line number.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -112,8 +121,10 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in stripped:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        raw[key] = value
 
     def get(key, default=None):
         return raw.get(key, default)
@@ -158,7 +169,6 @@ def parse_config(text: str) -> ExperimentConfig:
         synthetic_amplitude=float(get("synthetic.amplitude", 0.5)),
         cqr_epochs=int(get("cqr.epochs", 400)),
         cqr_band=_parse_band(cqr_band_text) if cqr_band_text else None,
-        workers=int(get("workers", 0)),
     )
 
 
@@ -246,8 +256,8 @@ def _cell_result(config, train_days, test_days, e0, band, n_steps):
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute the full experiment grid and assemble the report.
 
-    Cells run on a thread pool; per-cell failures are recorded in place of the
-    cell body rather than aborting the run.  Identical configs and seeds
+    Cells run one after another; per-cell failures are recorded in place of
+    the cell body rather than aborting the run.  Identical configs and seeds
     reproduce identical reports except for the timestamp.
     """
     if config.data_path:
@@ -266,24 +276,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
     split = split_dataset(days, (0.6, 0.2, 0.2), seed=config.seed, shuffled=False)
     train_days, calib_days, test_days = list(split.train), list(split.calib), list(split.test)
 
-    grid = [
-        (e0, band, n)
-        for e0 in config.e0_sweep
-        for band in config.bands
-        for n in config.start_steps
-    ]
-
-    def run_cell(args):
-        e0, band, n = args
-        key = f"e0={e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
-        try:
-            return key, _cell_result(config, train_days, test_days, e0, band, n)
-        except Exception as exc:  # recorded, not fatal
-            return key, {"error": f"{type(exc).__name__}: {exc}"}
-
-    workers = config.workers or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = dict(pool.map(run_cell, grid))
+    cells = {}
+    for e0 in config.e0_sweep:
+        for band in config.bands:
+            for n in config.start_steps:
+                key = f"e0={e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
+                try:
+                    cells[key] = _cell_result(config, train_days, test_days, e0, band, n)
+                except Exception as exc:  # recorded, not fatal
+                    cells[key] = {"error": f"{type(exc).__name__}: {exc}"}
 
     payload = {
         "version": __version__,
@@ -351,7 +352,6 @@ def _cqr_block(config, train_days, calib_days, test_days, band):
                 config.epsilon,
                 config.threshold_mode,
                 epochs=config.cqr_epochs,
-                seed=config.seed,
             )
             report = evaluate_coverage(
                 model, test_days, params, bounds, k_ch, k_dis, band, config.threshold_mode

@@ -85,9 +85,7 @@ def cmd_thresholds(args) -> int:
         for i, l in enumerate(th.static_discharge_thresholds(args.lmin, omega, args.kdis), 1):
             lines.append(f"{i},discharge,{l!r}")
     _write(args, "\n".join(lines) + "\n")
-    sys.stderr.write(
-        json.dumps({"alpha": alpha, "omega": omega, "mode": args.mode}, sort_keys=True) + "\n"
-    )
+    sys.stderr.write(json.dumps({"alpha": alpha, "omega": omega}, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -186,7 +184,6 @@ def cmd_cqr(args) -> int:
             args.epsilon,
             args.mode,
             epochs=args.epochs,
-            seed=args.seed,
         )
         _write(args, model.to_json() + "\n")
         return EXIT_OK
@@ -213,7 +210,7 @@ def cmd_cqr(args) -> int:
         days = list(split.test)
         lines = ["day_id,lo,hi"]
         for day in days:
-            interval = cf.predict_interval(model, cf.day_features(day, params.e0))
+            interval = cf.predict_interval(model, cf.day_features(day))
             lo = max(interval.lo, params.e_min) if args.clip else interval.lo
             hi = min(interval.hi, params.e_max) if args.clip else interval.hi
             lines.append(f"{day.day_id},{lo!r},{hi!r}")
@@ -274,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kdis", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None, help="override charge-side ratio")
     p.add_argument("--omega", type=float, default=None, help="override discharge-side ratio")
-    p.add_argument("--mode", choices=["static", "timedep", "feas"], default="static")
     p.add_argument("--out")
     p.set_defaults(func=cmd_thresholds)
 

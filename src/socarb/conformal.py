@@ -55,9 +55,14 @@ class FeatureScaler:
         return (arr[:, list(self.keep)] - means) / scales
 
 
-def day_features(day: DayPrices, e0: float) -> np.ndarray:
-    """Raw feature vector: the day's hourly prices followed by the initial SoC."""
-    return np.array(list(day.values) + [e0], dtype=float)
+def day_features(day: DayPrices) -> np.ndarray:
+    """Raw feature vector: the day's hourly prices.
+
+    The initial SoC is not a feature: it is the same for every day of a fit.
+    Models saved when it was appended as a last column still predict, because
+    their scaler never kept that constant column.
+    """
+    return np.array(day.values, dtype=float)
 
 
 def label_days(
@@ -73,7 +78,7 @@ def label_days(
     labels = []
     for day in days:
         traj = run_policy(day, params, k_ch, k_dis, threshold_mode, bounds)
-        feats.append(day_features(day, params.e0))
+        feats.append(day_features(day))
         labels.append(traj.soc_path[-1])
     return np.array(feats), np.array(labels)
 
@@ -84,7 +89,6 @@ def train_quantile_model(
     theta: float,
     epochs: int = 600,
     step0: float | None = None,
-    seed: int = 0,
     return_history: bool = False,
 ):
     """Linear quantile predictor fit by deterministic subgradient descent.
@@ -93,8 +97,7 @@ def train_quantile_model(
     step halves whenever a full-batch move would raise the epoch loss, which
     keeps the loss non-increasing.  Returns weights with the intercept last
     (plus the per-epoch loss trace when ``return_history``).  Features must
-    already be standardized.  ``seed`` is accepted for interface stability;
-    full-batch training is deterministic without it.
+    already be standardized.  Full-batch training is deterministic.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -246,7 +249,6 @@ def fit_conformal(
     epsilon: float,
     threshold_mode: str = "static",
     epochs: int = 600,
-    seed: int = 0,
 ) -> ConformalModel:
     """Train both quantile predictors and calibrate the conformal width."""
     rho_low = epsilon / 2.0
@@ -254,8 +256,8 @@ def fit_conformal(
     x_train, y_train = label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)
     scaler = FeatureScaler.fit(x_train)
     x_std = scaler.transform(x_train)
-    low_w = train_quantile_model(x_std, y_train, rho_low, epochs=epochs, seed=seed)
-    high_w = train_quantile_model(x_std, y_train, rho_high, epochs=epochs, seed=seed)
+    low_w = train_quantile_model(x_std, y_train, rho_low, epochs=epochs)
+    high_w = train_quantile_model(x_std, y_train, rho_high, epochs=epochs)
     x_cal, y_cal = label_days(calib_days, params, bounds, k_ch, k_dis, threshold_mode)
     scores = nonconformity_scores(low_w, high_w, scaler, x_cal, y_cal)
     delta_hat = conformal_quantile(scores, epsilon)

@@ -206,6 +206,33 @@ def competitive_ratio(
     return 0.5 * (lo + hi)
 
 
+def search_ratios(
+    bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
+    alpha: float | None = None,
+    omega: float | None = None,
+) -> tuple[float, float]:
+    """(alpha, omega) for the charge and discharge sides of an envelope.
+
+    A side whose ratio is not given solves its k-search equation (min-search
+    for charging, max-search for discharging); a side with budget 0 gets 1.0.
+    """
+    if alpha is None:
+        alpha = (
+            competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_ch, "min-search")
+            if k_ch >= 1
+            else 1.0
+        )
+    if omega is None:
+        omega = (
+            competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
+            if k_dis >= 1
+            else 1.0
+        )
+    return alpha, omega
+
+
 def static_charge_thresholds(lambda_max: float, alpha: float, k_ch: int) -> list[float]:
     """u_j = lambda_max * [1 - (1 - 1/alpha)(1 + 1/(alpha*k))^(j-1)], j = 1..k."""
     if alpha < 1.0:
@@ -239,16 +266,7 @@ def build_schedule(
     omega: float | None = None,
 ) -> ThresholdSchedule:
     """Static schedule for both sides from a price envelope."""
-    alpha = alpha if alpha is not None else (
-        competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_ch, "min-search")
-        if k_ch >= 1
-        else 1.0
-    )
-    omega = omega if omega is not None else (
-        competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
-        if k_dis >= 1
-        else 1.0
-    )
+    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
     u = static_charge_thresholds(bounds.lambda_max, alpha, k_ch) if k_ch >= 1 else []
     l = static_discharge_thresholds(bounds.lambda_min, omega, k_dis) if k_dis >= 1 else []
     return ThresholdSchedule(tuple(u), tuple(l), alpha, omega)
@@ -383,8 +401,9 @@ def step_policy(
     """One policy step on the revealed price; charge is checked first.
 
     Ties at exact threshold equality trigger the action.  A crossed threshold
-    whose capacity check fails is treated as idle and the counter is not
-    advanced.
+    whose capacity check fails does not act and its counter is not advanced;
+    a blocked charge falls through to the discharge check, which with
+    overlapping books (u >= l) can fire on the same price.
     """
     can_charge = (
         state.j_next <= state.k_ch
@@ -468,16 +487,7 @@ def run_policy(
             f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
             f"spans 1..{params.horizon}"
         )
-    alpha = alpha if alpha is not None else (
-        competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_ch, "min-search")
-        if k_ch >= 1
-        else 1.0
-    )
-    omega = omega if omega is not None else (
-        competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
-        if k_dis >= 1
-        else 1.0
-    )
+    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
     schedule = None
     if threshold_mode == "static":
         schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
@@ -725,11 +735,7 @@ def run_with_discharge_reduction(
         schedule2 = schedule
     else:
         k_rem = state.k_dis
-        omega2 = (
-            competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_rem, "max-search")
-            if k_rem >= 1
-            else 1.0
-        )
+        _, omega2 = search_ratios(bounds, 0, k_rem)
         schedule2 = (
             static_discharge_thresholds(bounds.lambda_min, omega2, k_rem) if k_rem >= 1 else []
         )

@@ -25,7 +25,6 @@ from socarb.market_data import compute_bounds, fit_distribution
 from socarb.reachability import (
     ActionProbs,
     TargetBand,
-    brute_force_distribution,
     count_feasible_trajectories,
     propagate,
     stopping_time,
@@ -45,6 +44,8 @@ from socarb.thresholds import (
     PolicyState,
 )
 from socarb.market_data import DayPrices
+
+from oracles import brute_force_distribution
 
 LMIN, LMAX = 5.0, 45.0
 
@@ -464,7 +465,7 @@ def test_criterion_7_cqr_validity():
     days = synthetic_day_matrix(500, 24, seed=777)
     bounds = compute_bounds(days, 1)
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, 24)
-    feats = np.array([day_features(d, params.e0) for d in days])
+    feats = np.array([day_features(d) for d in days])
     labels = np.array(
         [run_policy(d, params, 3, 3, "static", bounds).soc_path[-1] for d in days]
     )
@@ -483,7 +484,7 @@ def test_criterion_7_cqr_validity():
     per_e0_cert = {}
     for e0 in (1.0, 3.0, 5.0):
         p = BatteryParams(0.0, 10.0, 2.0, e0, 24)
-        f_e0 = np.array([day_features(d, e0) for d in days])
+        f_e0 = np.array([day_features(d) for d in days])
         y_e0 = np.array(
             [run_policy(d, p, 3, 3, "static", bounds).soc_path[-1] for d in days]
         )

@@ -72,6 +72,18 @@ class TestConfig:
             parse_config("battery.e_min = 0\nnot a key value\n")
 
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: unknown key 'k_gird'"):
+            parse_config("battery.e_min = 0\nk_gird = 3:3\n")
+        with pytest.raises(ValueError, match=r"line 1: unknown key 'workers'"):
+            parse_config("workers = 0\n")
+
+    def test_unknown_key_exits_with_validation_error(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(SMALL_CONFIG + "workers = 4\n")
+        assert main(["backtest", "--config", str(config_path)]) == 1
+        assert "unknown key 'workers'" in capsys.readouterr().err
+
 class TestSynthetic:
     def test_deterministic(self):
         a = synthetic_day_matrix(5, 24, seed=7)

@@ -57,7 +57,7 @@ class TestLabelDays:
         bounds = compute_bounds(days, 1)
         feats, labels = label_days(days, self.params, bounds, 0, 0)
         assert np.all(labels == 4.0)
-        assert feats.shape == (5, 9)
+        assert feats.shape == (5, 8)
 
     def test_labels_deterministic(self):
         days = synthetic_days(6)
@@ -212,9 +212,7 @@ class TestPipeline:
         train, calib, test = days[:70], days[70:100], days[100:]
         params = BatteryParams(0, 10, 2, 4, 8)
         bounds = compute_bounds(train, 1)
-        model = fit_conformal(
-            train, calib, params, bounds, 2, 2, epsilon, epochs=200, seed=seed
-        )
+        model = fit_conformal(train, calib, params, bounds, 2, 2, epsilon, epochs=200)
         return model, test, params, bounds
 
     def test_model_json_round_trip(self):
@@ -268,5 +266,23 @@ class TestPipeline:
 
 def test_day_features_layout():
     day = DayPrices("d", (1.0, 2.0, 3.0))
-    feats = day_features(day, 5.0)
-    assert feats.tolist() == [1.0, 2.0, 3.0, 5.0]
+    feats = day_features(day)
+    assert feats.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_model_with_initial_soc_column_still_predicts():
+    # models saved with e0 appended as a last feature column: their scaler
+    # dropped that constant column, so price-only features give the same interval
+    days = synthetic_days(30)
+    prices = np.array([day_features(d) for d in days])
+    old_layout = np.column_stack([prices, np.full(len(days), 4.0)])
+    scaler = FeatureScaler.fit(old_layout)
+    assert len(scaler.means) == prices.shape[1] + 1
+    assert prices.shape[1] not in scaler.keep
+    weights = tuple(float(w) for w in np.linspace(-0.5, 0.5, len(scaler.keep) + 1))
+    model = ConformalModel.from_json(
+        ConformalModel(weights, weights, 0.05, 0.95, 0.25, scaler).to_json()
+    )
+    old = predict_interval(model, old_layout[0])
+    new = predict_interval(model, day_features(days[0]))
+    assert (new.lo, new.hi) == (old.lo, old.hi)

@@ -13,7 +13,6 @@ from socarb.reachability import (
     KappaPolicy,
     TargetBand,
     action_probabilities,
-    brute_force_distribution,
     count_feasible_trajectories,
     kappa_prepolicy,
     mix_over_kappa,
@@ -23,6 +22,8 @@ from socarb.reachability import (
     terminal_band_probability,
 )
 from socarb.thresholds import BatteryParams
+
+from oracles import brute_force_distribution
 
 
 class UniformCdf:
@@ -173,6 +174,15 @@ class TestTerminalBand:
         params = BatteryParams(0, 10, 2, 5, 3)
         dist = propagate(params, uniform_probs(3), 3, 3)
         assert terminal_band_probability(dist, band(0, 10)) == pytest.approx(1.0)
+
+    def test_whole_lattice_band_never_exceeds_one(self):
+        # float sums of the terminal masses can round to 1 + 2**-52
+        rng = np.random.default_rng(0)
+        params = BatteryParams(0, 10, 2, 5, 7)
+        for _ in range(40):
+            dist = propagate(params, random_probs(rng, 7), 7, 7)
+            p_band = terminal_band_probability(dist, band(0, 10))
+            assert 1.0 - 1e-12 <= p_band <= 1.0
 
     def test_enumerated_band_mass(self):
         params = BatteryParams(0, 10, 2, 5, 2)

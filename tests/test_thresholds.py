@@ -28,6 +28,7 @@ from socarb.thresholds import (
     reduce_k,
     run_policy,
     run_with_discharge_reduction,
+    search_ratios,
     static_charge_thresholds,
     static_discharge_thresholds,
     step_policy,
@@ -135,6 +136,20 @@ class TestCompetitiveRatio:
             r_min = competitive_ratio(5.0, 45.0, k, "min-search")
             r_max = competitive_ratio(5.0, 45.0, k, "max-search")
             assert r_min > r_max
+
+
+class TestSearchRatios:
+    def test_solves_each_side(self):
+        bounds = const_bounds(5.0, 45.0, 4)
+        assert search_ratios(bounds, 2, 3) == (
+            competitive_ratio(5.0, 45.0, 2, "min-search"),
+            competitive_ratio(5.0, 45.0, 3, "max-search"),
+        )
+
+    def test_given_values_and_empty_sides(self):
+        bounds = const_bounds(5.0, 45.0, 4)
+        assert search_ratios(bounds, 2, 3, alpha=1.5, omega=2.5) == (1.5, 2.5)
+        assert search_ratios(bounds, 0, 0) == (1.0, 1.0)
 
 
 class TestStaticThresholds:
