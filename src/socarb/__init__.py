@@ -33,6 +33,7 @@ from .thresholds import (
     offline_opt,
     reduce_k,
     run_policy,
+    run_policy_days,
     static_charge_thresholds,
     static_discharge_thresholds,
     step_policy,

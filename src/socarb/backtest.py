@@ -27,7 +27,7 @@ from .reachability import (
     stopping_time,
     terminal_band_probability,
 )
-from .thresholds import BatteryParams, run_policy
+from .thresholds import BatteryParams, run_policy_days
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,10 @@ def _cell_result(config, train_days, test_days, e0, band, n_steps):
             p_band = terminal_band_probability(soc_dist, band)
             stop = stopping_time(params, probs, band, config.epsilon, config.post_stop_mode)
             profits = [
-                run_policy(day, params, k_ch, k_dis, config.threshold_mode, bounds).profit
-                for day in test_w
+                traj.profit
+                for traj in run_policy_days(
+                    test_w, params, k_ch, k_dis, config.threshold_mode, bounds
+                )
             ]
             policies[f"k={k_ch}x{k_dis}"] = {
                 "p_band": p_band,

@@ -91,6 +91,8 @@ def cmd_thresholds(args) -> int:
 
 def cmd_simulate(args) -> int:
     days = md.load_day_matrix(args.day)
+    if not 0 <= args.index < len(days):
+        raise ValueError(f"--index {args.index} outside 0..{len(days) - 1}")
     day = days[args.index]
     params = _battery(args)
     if params.horizon != len(day.values):

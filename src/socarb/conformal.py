@@ -16,7 +16,7 @@ import numpy as np
 
 from .market_data import DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, run_policy
+from .thresholds import BatteryParams, run_policy_days
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +50,13 @@ class FeatureScaler:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         arr = np.atleast_2d(np.asarray(features, dtype=float))
+        # fewer columns than fitted are fine while every kept one is present:
+        # older models carry a constant trailing e0 column they never kept
+        width, fitted = arr.shape[1], len(self.means)
+        if not max(self.keep, default=-1) < width <= fitted:
+            raise ValueError(
+                f"features have {width} columns but the model was fitted on {fitted}"
+            )
         means = np.array(self.means)[list(self.keep)]
         scales = np.array(self.scales)[list(self.keep)]
         return (arr[:, list(self.keep)] - means) / scales
@@ -74,12 +81,9 @@ def label_days(
     threshold_mode: str = "static",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the policy on each day and pair features with the terminal SoC."""
-    feats = []
-    labels = []
-    for day in days:
-        traj = run_policy(day, params, k_ch, k_dis, threshold_mode, bounds)
-        feats.append(day_features(day))
-        labels.append(traj.soc_path[-1])
+    trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
+    feats = [day_features(day) for day in days]
+    labels = [traj.soc_path[-1] for traj in trajs]
     return np.array(feats), np.array(labels)
 
 

@@ -189,8 +189,9 @@ class DatasetSplit:
 def load_price_csv(path) -> PriceSeries:
     """Read a two-column (timestamp, price) CSV into a validated PriceSeries.
 
-    Rows are sorted by timestamp before validation; duplicate timestamps and
-    non-hourly gaps are rejected with the offending row reported.
+    Rows are sorted by timestamp before validation; duplicate timestamps,
+    non-hourly gaps and a mix of naive and offset-aware timestamps are rejected
+    with the offending row reported.
     """
     path = Path(path)
     if not path.exists():
@@ -213,6 +214,11 @@ def load_price_csv(path) -> PriceSeries:
                 raise ValueError(f"line {lineno}: unparsable row {raw!r}") from None
             if not math.isfinite(price):
                 raise ValueError(f"line {lineno}: non-finite price {price_text!r}")
+            if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):
+                raise ValueError(
+                    f"line {lineno}: timestamp {ts_text!r} mixes naive and offset-aware "
+                    "timestamps"
+                )
             rows.append((ts, price))
     if not rows:
         raise ValueError(f"{path}: no data rows")

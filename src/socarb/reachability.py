@@ -16,7 +16,7 @@ import numpy as np
 
 from . import thresholds as th
 from .market_data import PriceBounds, PriceDistribution
-from .thresholds import BatteryParams, run_policy
+from .thresholds import BatteryParams, run_policy_days
 
 MASS_TOL = 1e-12
 BAND_EPS = 1e-9
@@ -318,9 +318,8 @@ def kappa_prepolicy(
     sim_days = [dist.sample_day(rng, day_id=f"sim{i}") for i in range(n_sims)]
     survivors = []
     for k_ch, k_dis in pairs:
-        total = 0.0
-        for day in sim_days:
-            total += run_policy(day, params, k_ch, k_dis, threshold_mode, bounds).profit
+        trajs = run_policy_days(sim_days, params, k_ch, k_dis, threshold_mode, bounds)
+        total = sum(traj.profit for traj in trajs)
         if total / n_sims > 0.0:
             survivors.append((k_ch, k_dis))
     if not survivors:

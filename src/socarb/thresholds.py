@@ -391,6 +391,38 @@ def feasibility_aware_thresholds(
     return u_next, l_next
 
 
+def _step(
+    params: BatteryParams,
+    e: float,
+    charge_open: bool,
+    discharge_open: bool,
+    lam: float,
+    u: float | None,
+    l: float | None,
+) -> tuple[int, float]:
+    """The policy's decision at SoC ``e``: (action, SoC after the step).
+
+    ``charge_open`` / ``discharge_open`` say whether that side still has
+    budget.  Charge is checked first; a blocked charge falls through to the
+    discharge check.
+    """
+    if (
+        charge_open
+        and u is not None
+        and lam <= u
+        and e + params.rate <= params.e_max + FEAS_EPS
+    ):
+        return CHARGE, min(e + params.rate, params.e_max)
+    if (
+        discharge_open
+        and l is not None
+        and lam >= l
+        and e - params.rate >= params.e_min - FEAS_EPS
+    ):
+        return DISCHARGE, max(e - params.rate, params.e_min)
+    return IDLE, e
+
+
 def step_policy(
     state: PolicyState,
     params: BatteryParams,
@@ -405,36 +437,31 @@ def step_policy(
     a blocked charge falls through to the discharge check, which with
     overlapping books (u >= l) can fire on the same price.
     """
-    can_charge = (
-        state.j_next <= state.k_ch
-        and u_next is not None
-        and lambda_t <= u_next
-        and state.e + params.rate <= params.e_max + FEAS_EPS
+    action, e = _step(
+        params,
+        state.e,
+        state.j_next <= state.k_ch,
+        state.i_next <= state.k_dis,
+        lambda_t,
+        u_next,
+        l_next,
     )
-    if can_charge:
-        new = replace(
+    if action == CHARGE:
+        return CHARGE, replace(
             state,
             t=state.t + 1,
-            e=min(state.e + params.rate, params.e_max),
+            e=e,
             j_next=state.j_next + 1,
             activated_ch=state.activated_ch + ((u_next, state.t),),
         )
-        return CHARGE, new
-    can_discharge = (
-        state.i_next <= state.k_dis
-        and l_next is not None
-        and lambda_t >= l_next
-        and state.e - params.rate >= params.e_min - FEAS_EPS
-    )
-    if can_discharge:
-        new = replace(
+    if action == DISCHARGE:
+        return DISCHARGE, replace(
             state,
             t=state.t + 1,
-            e=max(state.e - params.rate, params.e_min),
+            e=e,
             i_next=state.i_next + 1,
             activated_dis=state.activated_dis + ((l_next, state.t),),
         )
-        return DISCHARGE, new
     return IDLE, replace(state, t=state.t + 1)
 
 
@@ -458,6 +485,79 @@ def _thresholds_for(
     raise ValueError(f"unknown threshold mode {mode!r}")
 
 
+def run_policy_days(
+    days: list[DayPrices],
+    params: BatteryParams,
+    k_ch: int,
+    k_dis: int,
+    threshold_mode: str,
+    bounds: PriceBounds,
+    alpha: float | None = None,
+    omega: float | None = None,
+) -> list[Trajectory]:
+    """Execute the online policy on each realized price day, one trajectory each.
+
+    The ratios and, in static mode, the schedule depend only on ``bounds`` and
+    the budgets, so they are solved once for the whole batch.  Ratios default
+    to the k-search equations on the envelope in ``bounds``; pass
+    ``alpha``/``omega`` to override.  The trajectories never force trades;
+    end-of-horizon behavior belongs to the reachability layer.
+    """
+    for day in days:
+        if len(day.values) != params.horizon:
+            raise ValueError(
+                f"day has {len(day.values)} slots but params.horizon={params.horizon}"
+            )
+    if k_ch < 0 or k_dis < 0:
+        raise ValueError("budgets must be non-negative")
+    if threshold_mode in ("timedep", "feasibility") and (
+        bounds.t_start > 1 or bounds.horizon < params.horizon
+    ):
+        raise ValueError(
+            f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
+            f"spans 1..{params.horizon}"
+        )
+    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
+    static = threshold_mode == "static"
+    if static:
+        schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
+        u_book, l_book = schedule.charge, schedule.discharge
+    elif threshold_mode not in ("timedep", "feasibility"):
+        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+
+    rate = params.rate
+    trajectories = []
+    for day in days:
+        e = params.e0
+        j = i = 1  # next charge / discharge threshold index
+        activated_ch: list[tuple[float, int]] = []
+        activated_dis: list[tuple[float, int]] = []
+        actions: list[int] = []
+        soc = [e]
+        cash: list[float] = []
+        for t, lam in enumerate(day.values, start=1):
+            if static:
+                u = u_book[j - 1] if j <= k_ch else None
+                l = l_book[i - 1] if i <= k_dis else None
+            else:
+                state = PolicyState(
+                    t, e, j, i, k_ch, k_dis, tuple(activated_ch), tuple(activated_dis)
+                )
+                u, l = _thresholds_for(state, params, threshold_mode, bounds, None, alpha, omega)
+            action, e = _step(params, e, j <= k_ch, i <= k_dis, lam, u, l)
+            if action == CHARGE:
+                activated_ch.append((u, t))
+                j += 1
+            elif action == DISCHARGE:
+                activated_dis.append((l, t))
+                i += 1
+            actions.append(action)
+            soc.append(e)
+            cash.append(-action * lam * rate)
+        trajectories.append(Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash)))
+    return trajectories
+
+
 def run_policy(
     day: DayPrices,
     params: BatteryParams,
@@ -470,39 +570,9 @@ def run_policy(
 ) -> Trajectory:
     """Execute the online policy on one realized price day.
 
-    Ratios default to the k-search equations on the envelope in ``bounds``;
-    pass ``alpha``/``omega`` to override.  The trajectory never forces trades;
-    end-of-horizon behavior belongs to the reachability layer.
+    The one-day case of :func:`run_policy_days`, with the same arguments.
     """
-    if len(day.values) != params.horizon:
-        raise ValueError(
-            f"day has {len(day.values)} slots but params.horizon={params.horizon}"
-        )
-    if k_ch < 0 or k_dis < 0:
-        raise ValueError("budgets must be non-negative")
-    if threshold_mode in ("timedep", "feasibility") and (
-        bounds.t_start > 1 or bounds.horizon < params.horizon
-    ):
-        raise ValueError(
-            f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
-            f"spans 1..{params.horizon}"
-        )
-    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
-    schedule = None
-    if threshold_mode == "static":
-        schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
-
-    state = initial_state(params, k_ch, k_dis)
-    actions: list[int] = []
-    soc = [params.e0]
-    cash: list[float] = []
-    for lam in day.values:
-        u, l = _thresholds_for(state, params, threshold_mode, bounds, schedule, alpha, omega)
-        action, state = step_policy(state, params, lam, u, l)
-        actions.append(action)
-        soc.append(state.e)
-        cash.append(-action * lam * params.rate)
-    return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+    return run_policy_days([day], params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)[0]
 
 
 def reduce_k(state: PolicyState, new_k: int, side: str) -> PolicyState:

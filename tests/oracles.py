@@ -1,7 +1,21 @@
 """Slow reference implementations that the tests compare the library against."""
 
+import math
+from dataclasses import replace
+
 from socarb.reachability import ActionProbs, SocDistribution
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import (
+    CHARGE,
+    DISCHARGE,
+    FEAS_EPS,
+    IDLE,
+    BatteryParams,
+    Trajectory,
+    _thresholds_for,
+    build_schedule,
+    initial_state,
+    search_ratios,
+)
 
 
 def brute_force_distribution(
@@ -45,3 +59,64 @@ def brute_force_distribution(
 
     walk(0, 0, 0, 0, 1.0)
     return SocDistribution(params, k_ch, k_dis, "augmented", tuple(steps))
+
+
+def reference_step_policy(state, params, lambda_t, u_next, l_next):
+    """The per-step rule on a frozen ``PolicyState``, advanced by ``replace``."""
+    can_charge = (
+        state.j_next <= state.k_ch
+        and u_next is not None
+        and lambda_t <= u_next
+        and state.e + params.rate <= params.e_max + FEAS_EPS
+    )
+    if can_charge:
+        new = replace(
+            state,
+            t=state.t + 1,
+            e=min(state.e + params.rate, params.e_max),
+            j_next=state.j_next + 1,
+            activated_ch=state.activated_ch + ((u_next, state.t),),
+        )
+        return CHARGE, new
+    can_discharge = (
+        state.i_next <= state.k_dis
+        and l_next is not None
+        and lambda_t >= l_next
+        and state.e - params.rate >= params.e_min - FEAS_EPS
+    )
+    if can_discharge:
+        new = replace(
+            state,
+            t=state.t + 1,
+            e=max(state.e - params.rate, params.e_min),
+            i_next=state.i_next + 1,
+            activated_dis=state.activated_dis + ((l_next, state.t),),
+        )
+        return DISCHARGE, new
+    return IDLE, replace(state, t=state.t + 1)
+
+
+def reference_run_policy(
+    day, params, k_ch, k_dis, threshold_mode, bounds, alpha=None, omega=None
+) -> Trajectory:
+    """One day of the online policy, re-solving ratios and schedule per call.
+
+    Oracle for :func:`socarb.thresholds.run_policy_days`: it carries the full
+    ``PolicyState`` through every step.
+    """
+    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
+    schedule = None
+    if threshold_mode == "static":
+        schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
+
+    state = initial_state(params, k_ch, k_dis)
+    actions: list[int] = []
+    soc = [params.e0]
+    cash: list[float] = []
+    for lam in day.values:
+        u, l = _thresholds_for(state, params, threshold_mode, bounds, schedule, alpha, omega)
+        action, state = reference_step_policy(state, params, lam, u, l)
+        actions.append(action)
+        soc.append(state.e)
+        cash.append(-action * lam * params.rate)
+    return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))

@@ -243,6 +243,25 @@ class TestCli:
         assert lines[0] == "t,price,action,soc,cashflow"
         assert len(lines) == 25
 
+    def test_ingest_mixed_timezones_exits_with_validation_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text(
+            "timestamp,price\n2016-05-01T00:00:00+02:00,10\n2016-05-01T01:00:00,11\n"
+        )
+        assert main(["ingest", str(csv_path), "--out", str(tmp_path / "d.csv")]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["3", "99", "-1"])
+    def test_simulate_index_out_of_range(self, tmp_path, capsys, index):
+        csv_path = tmp_path / "prices.csv"
+        write_price_csv(csv_path)
+        days_path = tmp_path / "days.csv"
+        assert main(["ingest", str(csv_path), "--out", str(days_path)]) == 0
+        capsys.readouterr()
+        code = main(["simulate", "--day", str(days_path), "--index", index])
+        assert code == 1
+        assert f"--index {index} outside 0..2" in capsys.readouterr().err
+
     def test_thresholds_csv(self, capsys):
         assert main(
             ["thresholds", "--lmin", "10", "--lmax", "100", "--kch", "2", "--kdis", "2"]
@@ -309,6 +328,22 @@ class TestCli:
             "epsilon", "n_test", "marginal_coverage", "band",
             "band_certificate_rate", "mean_interval_width",
         }
+
+    @pytest.mark.parametrize("trained, used", [("8", "6"), ("6", "8")])
+    @pytest.mark.parametrize("cmd", ["predict", "evaluate"])
+    def test_cqr_model_from_another_horizon_rejected(self, tmp_path, capsys, trained, used, cmd):
+        model_path = tmp_path / "model.json"
+        assert main(
+            ["cqr", "train", "--synthetic", "60", "--horizon", trained, "--e0", "4",
+             "--epochs", "50", "--out", str(model_path)]
+        ) == 0
+        code = main(
+            ["cqr", cmd, "--synthetic", "60", "--horizon", used, "--e0", "4",
+             "--model", str(model_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"features have {used} columns but the model was fitted on {trained}" in err
 
     def test_cqr_recalibrate_updates_width(self, tmp_path):
         model_path = tmp_path / "model.json"

@@ -74,6 +74,18 @@ class TestLoadPriceCsv:
         with pytest.raises(FileNotFoundError):
             load_price_csv(tmp_path / "absent.csv")
 
+    def test_mixed_naive_and_aware_timestamps_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "timestamp,price\n"
+            "2015-03-02T00:00:00,10\n"
+            "2015-03-02T01:00:00,11\n"
+            "2015-03-02T02:00:00+00:00,12\n"
+            "2015-03-02T03:00:00,13\n"
+        )
+        with pytest.raises(ValueError, match="line 4: .*naive and offset-aware"):
+            load_price_csv(path)
+
     def test_rows_sorted_before_validation(self, tmp_path):
         rows = hourly_rows(5)
         path = tmp_path / "p.csv"
