@@ -95,7 +95,10 @@ class ExperimentConfig:
 
 
 def _parse_band(text: str) -> TargetBand:
-    lo, hi = (float(p) for p in text.split(":"))
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"band must be 'lo:hi', got {text!r}")
+    lo, hi = (float(p) for p in parts)
     return TargetBand.from_interval(lo, hi)
 
 

@@ -39,7 +39,10 @@ def _battery(args) -> th.BatteryParams:
 
 
 def _band(text: str) -> rc.TargetBand:
-    lo, hi = (float(p) for p in text.split(","))
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"band must be 'lo,hi', got {text!r}")
+    lo, hi = (float(p) for p in parts)
     return rc.TargetBand.from_interval(lo, hi)
 
 

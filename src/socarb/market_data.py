@@ -190,7 +190,9 @@ def load_price_csv(path) -> PriceSeries:
     """Read a two-column (timestamp, price) CSV into a validated PriceSeries.
 
     Rows are sorted by timestamp before validation; duplicate timestamps,
-    non-hourly gaps and a mix of naive and offset-aware timestamps are rejected
+    non-hourly gaps, a mix of naive and offset-aware timestamps and a UTC
+    offset that differs from the first row's (a series crossing a DST switch,
+    which :func:`slice_days` would cut at the wrong local hour) are rejected
     with the offending row reported.
     """
     path = Path(path)
@@ -218,6 +220,12 @@ def load_price_csv(path) -> PriceSeries:
                 raise ValueError(
                     f"line {lineno}: timestamp {ts_text!r} mixes naive and offset-aware "
                     "timestamps"
+                )
+            if rows and ts.utcoffset() != rows[0][0].utcoffset():
+                raise ValueError(
+                    f"line {lineno}: timestamp {ts_text!r} has UTC offset {ts.utcoffset()}, "
+                    f"the first row has {rows[0][0].utcoffset()}; a series that crosses a DST "
+                    "switch cannot be cut into days"
                 )
             rows.append((ts, price))
     if not rows:

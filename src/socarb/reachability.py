@@ -51,6 +51,8 @@ class TargetBand:
 
     @classmethod
     def from_interval(cls, lo: float, hi: float) -> "TargetBand":
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"band edges must be finite, got {lo!r}, {hi!r}")
         if hi < lo:
             raise ValueError("band upper edge below lower edge")
         return cls(0.5 * (lo + hi), 0.5 * (hi - lo))

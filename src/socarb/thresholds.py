@@ -623,6 +623,13 @@ def offline_opt(
     action counts are capped at (k_ch, k_dis).  Ties break toward fewer
     actions, then earlier discharges.
 
+    A side's action counter is tracked only when its budget is below the
+    horizon: at step t every reachable count is at most t, so a budget of at
+    least the horizon never blocks a move.  States per step are therefore the
+    m range times (k_ch + 1) for a binding charge budget and times
+    (k_dis + 1) for a binding discharge budget; without ``fixed_k`` the DP
+    runs over m alone.
+
     ``terminal`` picks the benchmark convention: ``cyclic`` (default) requires
     the schedule to end at the initial SoC, so profit measures captured spread
     rather than liquidation of stored energy; ``free`` leaves the terminal SoC
@@ -636,6 +643,9 @@ def offline_opt(
     m_hi = params.max_charges(params.e0)
     k_ch = fixed_k[0] if fixed_k else horizon
     k_dis = fixed_k[1] if fixed_k else horizon
+    # a side whose budget cannot bind keeps its counter at 0
+    dc = 1 if k_ch < horizon else 0
+    dd = 1 if k_dis < horizon else 0
 
     def moves(state, lam, table):
         """Candidate (value, action) pairs from ``state`` against ``table``.
@@ -647,18 +657,18 @@ def offline_opt(
         m, c, d = state
         yield table[(m, c, d)], IDLE
         if d < k_dis and m - 1 >= m_lo:
-            down = table[(m - 1, c, d + 1)]
+            down = table[(m - 1, c, d + dd)]
             yield (down[0] + lam * rate, down[1] - 1), DISCHARGE
         if c < k_ch and m + 1 <= m_hi:
-            up = table[(m + 1, c + 1, d)]
+            up = table[(m + 1, c + dc, d)]
             yield (up[0] - lam * rate, up[1] - 1), CHARGE
 
     infeasible = (-math.inf, 0)
     terminal_table = {
         (m, c, d): (0.0, 0) if (terminal == "free" or m == 0) else infeasible
         for m in range(m_lo, m_hi + 1)
-        for c in range(k_ch + 1)
-        for d in range(k_dis + 1)
+        for c in range(k_ch * dc + 1)
+        for d in range(k_dis * dd + 1)
     }
     tables = [terminal_table]
     for t in range(horizon - 1, -1, -1):
@@ -678,9 +688,9 @@ def offline_opt(
         ranked = sorted(moves((m, c, d), lam, tables[t + 1]), key=lambda va: va[1])
         chosen = next(a for v, a in ranked if v == target)
         if chosen == DISCHARGE:
-            m, d = m - 1, d + 1
+            m, d = m - 1, d + dd
         elif chosen == CHARGE:
-            m, c = m + 1, c + 1
+            m, c = m + 1, c + dc
         actions.append(chosen)
         soc.append(params.e0 + m * rate)
         cash.append(-chosen * lam * rate)

@@ -120,3 +120,82 @@ def reference_run_policy(
         soc.append(state.e)
         cash.append(-action * lam * params.rate)
     return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+
+
+def reference_offline_opt(
+    day,
+    params: BatteryParams,
+    fixed_k: tuple[int, int] | None = None,
+    terminal: str = "cyclic",
+) -> tuple[float, Trajectory]:
+    """Perfect-foresight optimum over (m, c, d) tables with both counters always tracked.
+
+    Oracle for :func:`socarb.thresholds.offline_opt`.
+
+    Maximizes total profit (discharge revenue positive); with ``fixed_k`` the
+    action counts are capped at (k_ch, k_dis).  Ties break toward fewer
+    actions, then earlier discharges.
+
+    ``terminal`` picks the benchmark convention: ``cyclic`` (default) requires
+    the schedule to end at the initial SoC, so profit measures captured spread
+    rather than liquidation of stored energy; ``free`` leaves the terminal SoC
+    unconstrained, which is the one-sided k-search benchmark.
+    """
+    if terminal not in ("cyclic", "free"):
+        raise ValueError(f"unknown terminal convention {terminal!r}")
+    horizon = len(day.values)
+    rate = params.rate
+    m_lo = -params.max_discharges(params.e0)
+    m_hi = params.max_charges(params.e0)
+    k_ch = fixed_k[0] if fixed_k else horizon
+    k_dis = fixed_k[1] if fixed_k else horizon
+
+    def moves(state, lam, table):
+        """Candidate (value, action) pairs from ``state`` against ``table``.
+
+        Values are (profit, -actions) tuples compared lexicographically; the
+        same float expressions are reused in reconstruction so equality is
+        exact.
+        """
+        m, c, d = state
+        yield table[(m, c, d)], IDLE
+        if d < k_dis and m - 1 >= m_lo:
+            down = table[(m - 1, c, d + 1)]
+            yield (down[0] + lam * rate, down[1] - 1), DISCHARGE
+        if c < k_ch and m + 1 <= m_hi:
+            up = table[(m + 1, c + 1, d)]
+            yield (up[0] - lam * rate, up[1] - 1), CHARGE
+
+    infeasible = (-math.inf, 0)
+    terminal_table = {
+        (m, c, d): (0.0, 0) if (terminal == "free" or m == 0) else infeasible
+        for m in range(m_lo, m_hi + 1)
+        for c in range(k_ch + 1)
+        for d in range(k_dis + 1)
+    }
+    tables = [terminal_table]
+    for t in range(horizon - 1, -1, -1):
+        lam = day.values[t]
+        nxt = tables[-1]
+        tables.append({s: max(v for v, _ in moves(s, lam, nxt)) for s in nxt})
+    tables.reverse()  # tables[t] = value-to-go before acting at step t (0-based)
+
+    # forward reconstruction; prefer discharge, then idle, then charge
+    m, c, d = 0, 0, 0
+    actions = []
+    soc = [params.e0]
+    cash = []
+    for t in range(horizon):
+        lam = day.values[t]
+        target = tables[t][(m, c, d)]
+        ranked = sorted(moves((m, c, d), lam, tables[t + 1]), key=lambda va: va[1])
+        chosen = next(a for v, a in ranked if v == target)
+        if chosen == DISCHARGE:
+            m, d = m - 1, d + 1
+        elif chosen == CHARGE:
+            m, c = m + 1, c + 1
+        actions.append(chosen)
+        soc.append(params.e0 + m * rate)
+        cash.append(-chosen * lam * rate)
+    profit = math.fsum(cash)
+    return profit, Trajectory(tuple(actions), tuple(soc), tuple(cash), profit)

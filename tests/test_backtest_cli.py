@@ -78,6 +78,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"line 1: unknown key 'workers'"):
             parse_config("workers = 0\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bands = 3", "band must be 'lo:hi', got '3'"),
+            ("bands = 3:4:5", "band must be 'lo:hi', got '3:4:5'"),
+            ("cqr.band = 3", "band must be 'lo:hi', got '3'"),
+            ("bands = 3:nan", "band edges must be finite"),
+        ],
+    )
+    def test_malformed_band_rejected(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(line + "\n")
+
     def test_unknown_key_exits_with_validation_error(self, tmp_path, capsys):
         config_path = tmp_path / "exp.conf"
         config_path.write_text(SMALL_CONFIG + "workers = 4\n")
@@ -251,6 +264,15 @@ class TestCli:
         assert main(["ingest", str(csv_path), "--out", str(tmp_path / "d.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_ingest_dst_crossing_exits_with_validation_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "prices.csv"
+        csv_path.write_text(
+            "timestamp,price\n2024-03-31T00:00:00+01:00,10\n2024-03-31T01:00:00+01:00,11\n"
+            "2024-03-31T03:00:00+02:00,12\n"
+        )
+        assert main(["ingest", str(csv_path), "--out", str(tmp_path / "d.csv")]) == 1
+        assert "line 4" in capsys.readouterr().err
+
     @pytest.mark.parametrize("index", ["3", "99", "-1"])
     def test_simulate_index_out_of_range(self, tmp_path, capsys, index):
         csv_path = tmp_path / "prices.csv"
@@ -297,6 +319,25 @@ class TestCli:
         assert code == 0
         err = capsys.readouterr().err
         assert json.loads(err.strip().splitlines()[-1])["tau_star"] == 1
+
+    @pytest.mark.parametrize(
+        "band, message",
+        [
+            ("3,nan", "band edges must be finite"),
+            ("nan,5", "band edges must be finite"),
+            ("3", "band must be 'lo,hi', got '3'"),
+            ("3,4,5", "band must be 'lo,hi', got '3,4,5'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["reach", "--horizon", "4", "--synthetic", "10"], ["table1", "--steps", "2"]]
+    )
+    def test_malformed_band_exits_with_validation_error(
+        self, tmp_path, capsys, argv, band, message
+    ):
+        out = str(tmp_path / "o.csv")
+        assert main(argv + ["--band", band, "--out", out]) == 1
+        assert message in capsys.readouterr().err
 
     def test_table1_command(self, tmp_path):
         out = tmp_path / "t1.csv"

@@ -1,6 +1,6 @@
 """Ingestion, slicing, bounds, distributions, and splits."""
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -21,6 +21,18 @@ from socarb.market_data import (
 )
 
 T0 = datetime(2015, 3, 2, 0, 0)
+
+
+def berlin_spring_rows():
+    """120 hourly rows in Europe/Berlin local time across the 2024 spring DST switch."""
+    start = datetime(2024, 3, 28, 23, tzinfo=timezone.utc)
+    switch = datetime(2024, 3, 31, 1, tzinfo=timezone.utc)
+    rows = []
+    for i in range(120):
+        ts = start + timedelta(hours=i)
+        offset = timezone(timedelta(hours=2 if ts >= switch else 1))
+        rows.append((ts.astimezone(offset), 20.0 + i % 7))
+    return rows
 
 
 def write_csv(path, rows, header=None):
@@ -85,6 +97,23 @@ class TestLoadPriceCsv:
         )
         with pytest.raises(ValueError, match="line 4: .*naive and offset-aware"):
             load_price_csv(path)
+
+    def test_dst_crossing_series_rejected(self, tmp_path):
+        # Europe/Berlin, 2024-03-29..04-02: CET (+01:00) until 2024-03-31T01:00Z,
+        # CEST (+02:00) after; data rows start at line 2, the first CEST row is line 52
+        path = tmp_path / "p.csv"
+        write_csv(path, berlin_spring_rows(), header="timestamp,price")
+        with pytest.raises(ValueError, match=r"line 52: .*UTC offset 2:00:00.*1:00:00"):
+            load_price_csv(path)
+
+    def test_constant_offset_series_sliced_at_local_midnight(self, tmp_path):
+        cet = timezone(timedelta(hours=1))
+        path = tmp_path / "p.csv"
+        write_csv(path, [(ts.astimezone(cet), p) for ts, p in berlin_spring_rows()])
+        days = slice_days(load_price_csv(path), 24)
+        assert [d.day_id for d in days] == [
+            f"2024-{md}T00:00:00+01:00" for md in ("03-29", "03-30", "03-31", "04-01", "04-02")
+        ]
 
     def test_rows_sorted_before_validation(self, tmp_path):
         rows = hourly_rows(5)

@@ -170,6 +170,13 @@ class TestPropagate:
 
 
 class TestTerminalBand:
+    @pytest.mark.parametrize(
+        "lo, hi", [(3.0, math.nan), (math.nan, 5.0), (3.0, math.inf), (-math.inf, 5.0)]
+    )
+    def test_non_finite_edge_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="band edges must be finite"):
+            band(lo, hi)
+
     def test_whole_lattice_band(self):
         params = BatteryParams(0, 10, 2, 5, 3)
         dist = propagate(params, uniform_probs(3), 3, 3)
