@@ -10,7 +10,9 @@ feasible trajectories, and forms the budget-pair pre-policy.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,24 +75,63 @@ class TargetBand:
         return (self.lo - e0) / rate, (self.hi - e0) / rate
 
 
+class StepMasses(Mapping):
+    """One step's positive masses keyed by state: (m, n_ch, n_dis) or bare m.
+
+    A read-only view of the step's array.  ``len`` counts the positive
+    entries; the dict behind lookups and iteration is built on first use.
+    """
+
+    def __init__(self, masses: np.ndarray, m_first: int):
+        self._masses = masses
+        self._m_first = m_first  # m of index 0 in marginal mode
+        self._dict: dict | None = None
+
+    def _states(self) -> dict:
+        if self._dict is None:
+            index = np.nonzero(self._masses > 0.0)
+            values = self._masses[index].tolist()
+            if self._masses.ndim == 2:
+                keys = [(c - d, c, d) for c, d in zip(*(i.tolist() for i in index))]
+            else:
+                keys = [self._m_first + i for i in index[0].tolist()]
+            self._dict = dict(zip(keys, values))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._states()[key]
+
+    def __iter__(self):
+        return iter(self._states())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._masses > 0.0))
+
+
 @dataclass(frozen=True)
 class SocDistribution:
-    """Probability mass over augmented states (t, SoC offset, n_ch, n_dis).
+    """Probability mass over the SoC lattice e = e0 + m * rate, one array per step.
 
-    Offsets index the lattice e = e0 + m * rate.  ``per_step[t]`` maps state
-    keys to mass; keys are (m, n_ch, n_dis) in augmented mode and bare m in
-    marginal mode.  Step 0 is the deterministic initial state.
+    ``masses[t]`` holds step t; step 0 is the deterministic initial state.  In
+    augmented mode a step is a dense (n_ch, n_dis) array of shape
+    (min(k_ch, T)+1, min(k_dis, T)+1): every reachable state has
+    m = n_ch - n_dis, so m needs no axis of its own.  In marginal mode a step
+    is a vector over m = m_lo .. m_hi.
+
+    ``per_step[t]`` maps state keys, (m, n_ch, n_dis) or bare m, to their
+    positive masses, and ``marginal(t)`` maps SoC values to mass; both are
+    derived from the arrays when first read.
     """
 
     params: BatteryParams
     k_ch: int
     k_dis: int
     mode: str
-    per_step: tuple = field(repr=False)
+    masses: np.ndarray = field(repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
-        return len(self.per_step) - 1
+        return len(self.masses) - 1
 
     def energy(self, offset: int) -> float:
         return self.params.e0 + offset * self.params.rate
@@ -101,14 +142,24 @@ class SocDistribution:
         hi = self.params.max_charges(self.params.e0)
         return tuple(self.energy(m) for m in range(lo, hi + 1))
 
+    @cached_property
+    def per_step(self) -> tuple[StepMasses, ...]:
+        m_first = -self.params.max_discharges(self.params.e0)
+        return tuple(StepMasses(step, m_first) for step in self.masses)
+
     def marginal(self, t: int) -> dict[float, float]:
         """dist_t[e]: probability mass per SoC value at step t."""
-        out: dict[float, float] = {}
-        for key, mass in self.per_step[t].items():
-            m = key if self.mode == "marginal" else key[0]
-            e = self.energy(m)
-            out[e] = out.get(e, 0.0) + mass
-        return out
+        step = self.masses[t]
+        if self.mode == "augmented":
+            c, d = np.indices(step.shape)
+            n_dis = step.shape[1]
+            step = np.bincount((c - d + n_dis - 1).ravel(), weights=step.ravel())
+            m_first = 1 - n_dis
+        else:
+            m_first = -self.params.max_discharges(self.params.e0)
+        return {
+            self.energy(m_first + i): mass for i, mass in enumerate(step.tolist()) if mass > 0.0
+        }
 
     def terminal_marginal(self) -> dict[float, float]:
         return self.marginal(self.horizon)
@@ -118,12 +169,14 @@ class SocDistribution:
 class StoppingResult:
     """Stopping-time analysis output.
 
-    ``q_table[(t, e)]`` is the success probability from state (t, e) under the
-    chosen post-stop behavior; ``big_q[t-1]`` aggregates it against dist_t;
-    ``tau_star`` is the first step whose aggregate clears 1 - epsilon, if any.
+    ``q_table[t - 1, i]`` is the success probability from SoC
+    e = e0 + (m_lo + i) * rate at step t under the chosen post-stop behavior,
+    with m_lo = -max_discharges(e0); ``big_q[t-1]`` aggregates row t - 1
+    against dist_t; ``tau_star`` is the first step whose aggregate clears
+    1 - epsilon, if any.
     """
 
-    q_table: dict[tuple[int, float], float]
+    q_table: np.ndarray = field(repr=False, compare=False)
     big_q: tuple[float, ...]
     tau_star: int | None
     epsilon: float
@@ -177,6 +230,8 @@ def policy_action_probabilities(
     reaches the next unit, approximating the path-dependent threshold index by
     its expected progression.
     """
+    if k_ch < 0 or k_dis < 0:
+        raise ValueError("budgets must be non-negative")
     if dist.horizon != params.horizon:
         raise ValueError("distribution horizon must match params.horizon")
     alpha, omega = th.search_ratios(bounds, k_ch, k_dis, alpha, omega)
@@ -233,54 +288,51 @@ def propagate(
     """Forward-propagate the SoC probability mass with pruning.
 
     Whenever an action would leave capacity (or, in augmented mode, exceed its
-    budget), its probability mass folds into the idle branch.  Mass is
-    conserved exactly at every step.
+    budget), its probability mass folds into the idle branch.  Each step is a
+    few whole-array operations on the (n_ch, n_dis) lattice (augmented) or the
+    m vector (marginal): stay + shifted down + shifted up, with idle mass
+    (gamma + alpha * [up blocked]) + beta * [down blocked].
     """
     if mode not in ("augmented", "marginal"):
         raise ValueError(f"unknown propagation mode {mode!r}")
+    if k_ch < 0 or k_dis < 0:
+        raise ValueError("budgets must be non-negative")
+    horizon = len(probs_per_step)
     m_lo = -params.max_discharges(params.e0)
     m_hi = params.max_charges(params.e0)
-
     if mode == "augmented":
-        current: dict = {(0, 0, 0): 1.0}
+        c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
+        up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
+        down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
+        start = (0, 0)
+        # charge moves along n_ch, discharge along n_dis
+        up_from, up_to = np.index_exp[:-1, :], np.index_exp[1:, :]
+        down_from, down_to = np.index_exp[:, :-1], np.index_exp[:, 1:]
     else:
-        current = {0: 1.0}
-    steps = [dict(current)]
-    for ap in probs_per_step:
-        nxt: dict = {}
+        m = np.arange(m_lo, m_hi + 1)
+        up_ok = m + 1 <= m_hi
+        down_ok = m - 1 >= m_lo
+        start = (-m_lo,)
+        up_from, up_to = np.index_exp[:-1], np.index_exp[1:]
+        down_from, down_to = np.index_exp[1:], np.index_exp[:-1]
 
-        def add(key, mass):
-            if mass > 0.0:
-                nxt[key] = nxt.get(key, 0.0) + mass
+    # per-step probabilities broadcast against the lattice: (T, 1, 1) or (T, 1)
+    shape = (horizon,) + (1,) * up_ok.ndim
+    alpha, beta, gamma = (
+        np.array([getattr(ap, name) for ap in probs_per_step], dtype=float).reshape(shape)
+        for name in ("alpha", "beta", "gamma")
+    )
+    stay = (gamma + alpha * ~up_ok) + beta * ~down_ok
+    up = (alpha * up_ok)[(slice(None),) + up_from]
+    down = (beta * down_ok)[(slice(None),) + down_from]
 
-        for key, mass in current.items():
-            if mode == "augmented":
-                m, c, d = key
-                can_up = m + 1 <= m_hi and c < k_ch
-                can_down = m - 1 >= m_lo and d < k_dis
-                up_key = (m + 1, c + 1, d)
-                down_key = (m - 1, c, d + 1)
-                stay_key = key
-            else:
-                m = key
-                can_up = m + 1 <= m_hi
-                can_down = m - 1 >= m_lo
-                up_key = m + 1
-                down_key = m - 1
-                stay_key = m
-            idle_mass = ap.gamma
-            if can_up:
-                add(up_key, mass * ap.alpha)
-            else:
-                idle_mass += ap.alpha
-            if can_down:
-                add(down_key, mass * ap.beta)
-            else:
-                idle_mass += ap.beta
-            add(stay_key, mass * idle_mass)
-        current = nxt
-        steps.append(current)
-    return SocDistribution(params, k_ch, k_dis, mode, tuple(steps))
+    masses = np.zeros((horizon + 1,) + up_ok.shape)
+    masses[(0,) + start] = 1.0
+    for cur, nxt, stay_t, up_t, down_t in zip(masses, masses[1:], stay, up, down):
+        np.multiply(cur, stay_t, out=nxt)
+        nxt[down_to] += cur[down_from] * down_t
+        nxt[up_to] += cur[up_from] * up_t
+    return SocDistribution(params, k_ch, k_dis, mode, masses)
 
 
 def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:
@@ -330,19 +382,6 @@ def kappa_prepolicy(
     return KappaPolicy({pair: w for pair in survivors})
 
 
-def _reachable_in_band(
-    params: BatteryParams, e: float, steps_left: int, band: TargetBand
-) -> bool:
-    """Can any feasible deterministic action sequence reach the band?"""
-    down = params.max_discharges(e)
-    up = params.max_charges(e)
-    m_lo = -min(down, steps_left)
-    m_hi = min(up, steps_left)
-    lo_needed = math.ceil((band.lo - e) / params.rate - BAND_EPS)
-    hi_allowed = math.floor((band.hi - e) / params.rate + BAND_EPS)
-    return max(m_lo, lo_needed) <= min(m_hi, hi_allowed)
-
-
 def stopping_time(
     params: BatteryParams,
     probs_per_step: list[ActionProbs],
@@ -356,7 +395,8 @@ def stopping_time(
     post-stop behavior: ``idle`` holds the SoC, ``full-control`` asks whether
     any feasible action sequence reaches the band, and ``continue-policy``
     keeps following the action probabilities.  Q_t sums dist_t[e] * q_t(e);
-    tau_star is the first t with Q_t >= 1 - epsilon (None if never).
+    tau_star is the first t with Q_t >= 1 - epsilon (None if never).  q is one
+    T x n array over steps 1..T and the lattice offsets m_lo..m_hi.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -366,53 +406,42 @@ def stopping_time(
     dist = propagate(params, probs_per_step, k_ch=horizon, k_dis=horizon, mode="marginal")
     m_lo = -params.max_discharges(params.e0)
     m_hi = params.max_charges(params.e0)
-    offsets = range(m_lo, m_hi + 1)
+    e = np.array([params.e0 + m * params.rate for m in range(m_lo, m_hi + 1)], dtype=float)
+    lo, hi, rate = band.lo, band.hi, params.rate
+    in_band = (lo - BAND_EPS <= e) & (e <= hi + BAND_EPS)
 
-    # q[m] per step, built backward where needed
-    q_by_step: list[dict[int, float]] = [dict() for _ in range(horizon + 1)]
-    if post_stop_mode == "continue-policy":
-        q_by_step[horizon] = {
-            m: 1.0 if band.contains(params.e0 + m * params.rate) else 0.0 for m in offsets
-        }
+    if post_stop_mode == "idle":
+        q = np.tile(in_band, (horizon, 1))
+    elif post_stop_mode == "full-control":
+        # some feasible action sequence from e with steps_left = T - t steps
+        # lands in the band
+        steps_left = np.arange(horizon - 1, -1, -1)[:, None]
+        down = np.maximum(0, np.floor((e - params.e_min) / rate + th.FEAS_EPS))
+        up = np.maximum(0, np.floor((params.e_max - e) / rate + th.FEAS_EPS))
+        lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
+        hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
+        q = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
+            np.minimum(up, steps_left), hi_allowed
+        )
+    else:
+        # backward over the policy's moves; row t - 1 holds q_t
+        q = np.empty((horizon, len(e)))
+        q[-1:] = in_band  # no rows when there are no steps
+        up_blocked = np.arange(len(e)) == len(e) - 1
+        down_blocked = np.arange(len(e)) == 0
         for t in range(horizon - 1, 0, -1):
             ap = probs_per_step[t]  # action taken between step t and t+1
-            nxt = q_by_step[t + 1]
-            cur = {}
-            for m in offsets:
-                can_up = m + 1 <= m_hi
-                can_down = m - 1 >= m_lo
-                idle = ap.gamma + (0.0 if can_up else ap.alpha) + (0.0 if can_down else ap.beta)
-                val = idle * nxt[m]
-                if can_up:
-                    val += ap.alpha * nxt[m + 1]
-                if can_down:
-                    val += ap.beta * nxt[m - 1]
-                cur[m] = val
-            q_by_step[t] = cur
-    else:
-        for t in range(1, horizon + 1):
-            for m in offsets:
-                e = params.e0 + m * params.rate
-                if post_stop_mode == "idle":
-                    q_by_step[t][m] = 1.0 if band.contains(e) else 0.0
-                else:
-                    q_by_step[t][m] = (
-                        1.0 if _reachable_in_band(params, e, horizon - t, band) else 0.0
-                    )
+            nxt, cur = q[t], q[t - 1]
+            np.multiply((ap.gamma + ap.alpha * up_blocked) + ap.beta * down_blocked, nxt, out=cur)
+            cur[:-1] += ap.alpha * nxt[1:]
+            cur[1:] += ap.beta * nxt[:-1]
+    q = q.astype(float, copy=False)
 
-    q_table: dict[tuple[int, float], float] = {}
-    big_q = []
-    for t in range(1, horizon + 1):
-        terms = []
-        for key, mass in dist.per_step[t].items():
-            m = key
-            e = params.e0 + m * params.rate
-            q = q_by_step[t].get(m, 0.0)
-            q_table[(t, e)] = q
-            terms.append(mass * q)
-        big_q.append(min(1.0, max(0.0, math.fsum(terms))))
-    tau_star = next((t for t, q in enumerate(big_q, start=1) if q >= 1.0 - epsilon), None)
-    return StoppingResult(q_table, tuple(big_q), tau_star, epsilon, post_stop_mode)
+    big_q = tuple(
+        min(1.0, max(0.0, math.fsum(row))) for row in (dist.masses[1:] * q).tolist()
+    )
+    tau_star = next((t for t, q_t in enumerate(big_q, start=1) if q_t >= 1.0 - epsilon), None)
+    return StoppingResult(q, big_q, tau_star, epsilon, post_stop_mode)
 
 
 def count_feasible_trajectories(
@@ -422,22 +451,19 @@ def count_feasible_trajectories(
 
     Counting DP over the SoC lattice: all 3^n action sequences whose every
     intermediate state respects capacity.  Returns (in_band, total, percent).
+    Counts stay Python ints: they pass 2**63 within 48 steps.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     m_lo = -params.max_discharges(params.e0)
     m_hi = params.max_charges(params.e0)
-    counts = {0: 1}
+    counts = [0] * (m_hi - m_lo + 1)
+    counts[-m_lo] = 1
     for _ in range(steps):
-        nxt: dict[int, int] = {}
-        for m, c in counts.items():
-            for dm in (-1, 0, 1):
-                m2 = m + dm
-                if m_lo <= m2 <= m_hi:
-                    nxt[m2] = nxt.get(m2, 0) + c
-        counts = nxt
-    total = sum(counts.values())
+        # m is reached by charging from m - 1, idling at m or discharging from m + 1
+        counts = [a + b + c for a, b, c in zip([0] + counts[:-1], counts, counts[1:] + [0])]
+    total = sum(counts)
     in_band = sum(
-        c for m, c in counts.items() if band.contains(params.e0 + m * params.rate)
+        n for m, n in enumerate(counts, start=m_lo) if band.contains(params.e0 + m * params.rate)
     )
     return in_band, total, 100.0 * in_band / total

@@ -1,9 +1,9 @@
 """Slow reference implementations that the tests compare the library against."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
-from socarb.reachability import ActionProbs, SocDistribution
+from socarb.reachability import BAND_EPS, ActionProbs, StoppingResult, TargetBand
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -18,12 +18,44 @@ from socarb.thresholds import (
 )
 
 
+@dataclass(frozen=True)
+class DictDistribution:
+    """Probability mass over augmented states (t, SoC offset, n_ch, n_dis).
+
+    Offsets index the lattice e = e0 + m * rate.  ``per_step[t]`` maps state
+    keys to mass; keys are (m, n_ch, n_dis) in augmented mode and bare m in
+    marginal mode.  Step 0 is the deterministic initial state.
+    """
+
+    params: BatteryParams
+    k_ch: int
+    k_dis: int
+    mode: str
+    per_step: tuple = field(repr=False)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.per_step) - 1
+
+    def energy(self, offset: int) -> float:
+        return self.params.e0 + offset * self.params.rate
+
+    def marginal(self, t: int) -> dict[float, float]:
+        """dist_t[e]: probability mass per SoC value at step t."""
+        out: dict[float, float] = {}
+        for key, mass in self.per_step[t].items():
+            m = key if self.mode == "marginal" else key[0]
+            e = self.energy(m)
+            out[e] = out.get(e, 0.0) + mass
+        return out
+
+
 def brute_force_distribution(
     params: BatteryParams,
     probs_per_step: list[ActionProbs],
     k_ch: int,
     k_dis: int,
-) -> SocDistribution:
+) -> DictDistribution:
     """Enumerate all action sequences path-wise; oracle for :func:`propagate`.
 
     Applies the same fold-to-idle rule along each path.  Limited to horizons
@@ -58,7 +90,177 @@ def brute_force_distribution(
             walk(t + 1, m2, c2, d2, mass * p)
 
     walk(0, 0, 0, 0, 1.0)
-    return SocDistribution(params, k_ch, k_dis, "augmented", tuple(steps))
+    return DictDistribution(params, k_ch, k_dis, "augmented", tuple(steps))
+
+
+def reference_propagate(
+    params: BatteryParams,
+    probs_per_step: list[ActionProbs],
+    k_ch: int,
+    k_dis: int,
+    mode: str = "augmented",
+) -> DictDistribution:
+    """Forward-propagate the SoC probability mass with pruning, one dict per step.
+
+    Oracle for :func:`socarb.reachability.propagate`.  Whenever an action
+    would leave capacity (or, in augmented mode, exceed its budget), its
+    probability mass folds into the idle branch.
+    """
+    if mode not in ("augmented", "marginal"):
+        raise ValueError(f"unknown propagation mode {mode!r}")
+    m_lo = -params.max_discharges(params.e0)
+    m_hi = params.max_charges(params.e0)
+
+    if mode == "augmented":
+        current: dict = {(0, 0, 0): 1.0}
+    else:
+        current = {0: 1.0}
+    steps = [dict(current)]
+    for ap in probs_per_step:
+        nxt: dict = {}
+
+        def add(key, mass):
+            if mass > 0.0:
+                nxt[key] = nxt.get(key, 0.0) + mass
+
+        for key, mass in current.items():
+            if mode == "augmented":
+                m, c, d = key
+                can_up = m + 1 <= m_hi and c < k_ch
+                can_down = m - 1 >= m_lo and d < k_dis
+                up_key = (m + 1, c + 1, d)
+                down_key = (m - 1, c, d + 1)
+                stay_key = key
+            else:
+                m = key
+                can_up = m + 1 <= m_hi
+                can_down = m - 1 >= m_lo
+                up_key = m + 1
+                down_key = m - 1
+                stay_key = m
+            idle_mass = ap.gamma
+            if can_up:
+                add(up_key, mass * ap.alpha)
+            else:
+                idle_mass += ap.alpha
+            if can_down:
+                add(down_key, mass * ap.beta)
+            else:
+                idle_mass += ap.beta
+            add(stay_key, mass * idle_mass)
+        current = nxt
+        steps.append(current)
+    return DictDistribution(params, k_ch, k_dis, mode, tuple(steps))
+
+
+def _reachable_in_band(
+    params: BatteryParams, e: float, steps_left: int, band: TargetBand
+) -> bool:
+    """Can any feasible deterministic action sequence reach the band?"""
+    down = params.max_discharges(e)
+    up = params.max_charges(e)
+    m_lo = -min(down, steps_left)
+    m_hi = min(up, steps_left)
+    lo_needed = math.ceil((band.lo - e) / params.rate - BAND_EPS)
+    hi_allowed = math.floor((band.hi - e) / params.rate + BAND_EPS)
+    return max(m_lo, lo_needed) <= min(m_hi, hi_allowed)
+
+
+def reference_stopping_time(
+    params: BatteryParams,
+    probs_per_step: list[ActionProbs],
+    band: TargetBand,
+    epsilon: float,
+    post_stop_mode: str = "full-control",
+) -> StoppingResult:
+    """Minimum stopping time over per-step dicts; ``q_table`` maps (t, e) to q.
+
+    Oracle for :func:`socarb.reachability.stopping_time`.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if post_stop_mode not in ("idle", "full-control", "continue-policy"):
+        raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
+    horizon = len(probs_per_step)
+    dist = reference_propagate(
+        params, probs_per_step, k_ch=horizon, k_dis=horizon, mode="marginal"
+    )
+    m_lo = -params.max_discharges(params.e0)
+    m_hi = params.max_charges(params.e0)
+    offsets = range(m_lo, m_hi + 1)
+
+    # q[m] per step, built backward where needed
+    q_by_step: list[dict[int, float]] = [dict() for _ in range(horizon + 1)]
+    if post_stop_mode == "continue-policy":
+        q_by_step[horizon] = {
+            m: 1.0 if band.contains(params.e0 + m * params.rate) else 0.0 for m in offsets
+        }
+        for t in range(horizon - 1, 0, -1):
+            ap = probs_per_step[t]  # action taken between step t and t+1
+            nxt = q_by_step[t + 1]
+            cur = {}
+            for m in offsets:
+                can_up = m + 1 <= m_hi
+                can_down = m - 1 >= m_lo
+                idle = ap.gamma + (0.0 if can_up else ap.alpha) + (0.0 if can_down else ap.beta)
+                val = idle * nxt[m]
+                if can_up:
+                    val += ap.alpha * nxt[m + 1]
+                if can_down:
+                    val += ap.beta * nxt[m - 1]
+                cur[m] = val
+            q_by_step[t] = cur
+    else:
+        for t in range(1, horizon + 1):
+            for m in offsets:
+                e = params.e0 + m * params.rate
+                if post_stop_mode == "idle":
+                    q_by_step[t][m] = 1.0 if band.contains(e) else 0.0
+                else:
+                    q_by_step[t][m] = (
+                        1.0 if _reachable_in_band(params, e, horizon - t, band) else 0.0
+                    )
+
+    q_table: dict[tuple[int, float], float] = {}
+    big_q = []
+    for t in range(1, horizon + 1):
+        terms = []
+        for key, mass in dist.per_step[t].items():
+            m = key
+            e = params.e0 + m * params.rate
+            q = q_by_step[t].get(m, 0.0)
+            q_table[(t, e)] = q
+            terms.append(mass * q)
+        big_q.append(min(1.0, max(0.0, math.fsum(terms))))
+    tau_star = next((t for t, q in enumerate(big_q, start=1) if q >= 1.0 - epsilon), None)
+    return StoppingResult(q_table, tuple(big_q), tau_star, epsilon, post_stop_mode)
+
+
+def reference_count_feasible_trajectories(
+    params: BatteryParams, steps: int, band: TargetBand
+) -> tuple[int, int, float]:
+    """Counting DP over a dict of reachable offsets.
+
+    Oracle for :func:`socarb.reachability.count_feasible_trajectories`.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    m_lo = -params.max_discharges(params.e0)
+    m_hi = params.max_charges(params.e0)
+    counts = {0: 1}
+    for _ in range(steps):
+        nxt: dict[int, int] = {}
+        for m, c in counts.items():
+            for dm in (-1, 0, 1):
+                m2 = m + dm
+                if m_lo <= m2 <= m_hi:
+                    nxt[m2] = nxt.get(m2, 0) + c
+        counts = nxt
+    total = sum(counts.values())
+    in_band = sum(
+        c for m, c in counts.items() if band.contains(params.e0 + m * params.rate)
+    )
+    return in_band, total, 100.0 * in_band / total
 
 
 def reference_step_policy(state, params, lambda_t, u_next, l_next):

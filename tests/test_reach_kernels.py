@@ -1,0 +1,187 @@
+"""Array kernels of the reachability engine against the dict oracles they replaced."""
+
+import numpy as np
+import pytest
+
+from socarb.cli import main
+from socarb.market_data import DayPrices, compute_bounds, fit_distribution
+from socarb.reachability import (
+    ActionProbs,
+    TargetBand,
+    count_feasible_trajectories,
+    policy_action_probabilities,
+    propagate,
+    stopping_time,
+)
+from socarb.thresholds import BatteryParams
+
+from oracles import (
+    reference_count_feasible_trajectories,
+    reference_propagate,
+    reference_stopping_time,
+)
+
+TOL = 1e-14
+LATTICES = ((0.0, 10.0, 2.0), (0.0, 48.0, 1.0))  # (e_min, e_max, rate)
+MODES = ("idle", "full-control", "continue-policy")
+CONFIGS_PER_CASE = 36  # 2 lattices x 3 post-stop modes x 36 = 216 configurations
+
+
+def step_probs(rng, horizon):
+    """Random steps; about a fifth each have alpha = 0, beta = 0 or gamma = 0 exactly."""
+    out = []
+    for _ in range(horizon):
+        a, b, _ = (float(p) for p in rng.dirichlet([1.0, 1.0, 1.0]))
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            a = 0.0
+        elif kind == 1:
+            b = 0.0
+        elif kind == 2:
+            b = 1.0 - a  # overlapping books: no idle mass
+        out.append(ActionProbs(a, b, max(0.0, 1.0 - a - b)))
+    return out
+
+
+def budget(rng, horizon):
+    """0, 1, below the horizon, or at least the horizon."""
+    choice = rng.integers(0, 4)
+    if choice < 2:
+        return int(choice)
+    if choice == 2:
+        return int(rng.integers(0, horizon))
+    return horizon + int(rng.integers(0, 4))
+
+
+def configurations(lattice, seed):
+    e_min, e_max, rate = lattice
+    rng = np.random.default_rng(seed)
+    for i in range(CONFIGS_PER_CASE):
+        horizon = int(rng.integers(1, 49))
+        e0 = (e_min, 0.5 * (e_min + e_max), e_max)[i % 3]
+        params = BatteryParams(e_min, e_max, rate, e0, horizon)
+        lo = float(rng.integers(int(e_min), int(e_max)))
+        band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 5)))
+        yield params, step_probs(rng, horizon), budget(rng, horizon), budget(rng, horizon), band
+
+
+def assert_same_steps(fast, slow):
+    assert fast.horizon == slow.horizon
+    for t in range(slow.horizon + 1):
+        fast_t, slow_t = fast.per_step[t], slow.per_step[t]
+        assert set(fast_t) == set(slow_t), f"keys differ at t={t}"
+        assert len(fast_t) == len(slow_t)
+        for key, mass in slow_t.items():
+            assert abs(fast_t[key] - mass) <= TOL, (t, key)
+        fast_m, slow_m = fast.marginal(t), slow.marginal(t)
+        assert set(fast_m) == set(slow_m)
+        assert all(abs(fast_m[e] - slow_m[e]) <= TOL for e in slow_m)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lattice", LATTICES, ids=("0-10-rate2", "0-48-rate1"))
+def test_kernels_match_dict_oracles(lattice, mode):
+    seed = 1000 * LATTICES.index(lattice) + MODES.index(mode)
+    for params, probs, k_ch, k_dis, band in configurations(lattice, seed):
+        for dist_mode in ("augmented", "marginal"):
+            fast = propagate(params, probs, k_ch, k_dis, dist_mode)
+            slow = reference_propagate(params, probs, k_ch, k_dis, dist_mode)
+            assert_same_steps(fast, slow)
+        eps = 0.1
+        fast = stopping_time(params, probs, band, eps, mode)
+        slow = reference_stopping_time(params, probs, band, eps, mode)
+        assert len(fast.big_q) == len(slow.big_q)
+        assert all(abs(a - b) <= TOL for a, b in zip(fast.big_q, slow.big_q))
+        assert fast.tau_star == slow.tau_star
+        # q_table holds q_t over the whole lattice; the oracle's only at positive mass
+        m_lo = -params.max_discharges(params.e0)
+        assert fast.q_table.shape == (params.horizon, params.max_charges(params.e0) - m_lo + 1)
+        for (t, e), q in slow.q_table.items():
+            assert fast.q_table[t - 1, round((e - params.e0) / params.rate) - m_lo] == q
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_steps(mode):
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 1)
+    band = TargetBand.from_interval(3.0, 7.0)
+    assert propagate(params, [], 2, 2).per_step == ({(0, 0, 0): 1.0},)
+    result = stopping_time(params, [], band, 0.1, mode)
+    assert result.big_q == reference_stopping_time(params, [], band, 0.1, mode).big_q == ()
+    assert result.tau_star is None and result.q_table.shape == (0, 6)
+
+
+def test_augmented_lattice_is_capped_by_budget_and_horizon():
+    params = BatteryParams(0.0, 48.0, 1.0, 24.0, 6)
+    probs = [ActionProbs(0.3, 0.3, 0.4)] * 6
+    assert propagate(params, probs, 2, 40).masses.shape == (7, 3, 7)
+    assert propagate(params, probs, 0, 0).masses.shape == (7, 1, 1)
+    assert propagate(params, probs, 2, 40, "marginal").masses.shape == (7, 49)
+
+
+def test_step_len_counts_positive_masses_without_building_dicts():
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 5)
+    dist = propagate(params, [ActionProbs(0.5, 0.0, 0.5)] * 5, 2, 2)
+    assert [len(step) for step in dist.per_step] == [1, 2, 3, 3, 3, 3]
+    assert all(step._dict is None for step in dist.per_step)
+    assert dist.per_step[5] == {(0, 0, 0): 1 / 32, (1, 1, 0): 5 / 32, (2, 2, 0): 26 / 32}
+
+
+class TestNegativeBudgets:
+    @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
+    @pytest.mark.parametrize("mode", ["augmented", "marginal"])
+    def test_propagate_rejects(self, k_ch, k_dis, mode):
+        params = BatteryParams(0.0, 10.0, 2.0, 4.0, 3)
+        with pytest.raises(ValueError, match="budgets must be non-negative"):
+            propagate(params, [ActionProbs(0.3, 0.3, 0.4)] * 3, k_ch, k_dis, mode)
+
+    @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
+    def test_policy_action_probabilities_rejects(self, k_ch, k_dis):
+        rng = np.random.default_rng(0)
+        days = [
+            DayPrices(f"d{i}", tuple(float(v) for v in row))
+            for i, row in enumerate(np.exp(rng.normal(3.0, 0.5, size=(20, 4))))
+        ]
+        params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
+        with pytest.raises(ValueError, match="budgets must be non-negative"):
+            policy_action_probabilities(
+                params, fit_distribution(days), compute_bounds(days, 1), k_ch, k_dis
+            )
+
+    @pytest.mark.parametrize("command", ["reach", "stop-time"])
+    @pytest.mark.parametrize("flag", ["--kch", "--kdis"])
+    def test_cli_exits_with_validation_error(self, tmp_path, capsys, command, flag):
+        argv = [command, "--synthetic", "10", "--horizon", "4", "--band", "3,7",
+                flag, "-1", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert "budgets must be non-negative" in capsys.readouterr().err
+
+
+class TestCounting:
+    def test_counts_stay_python_ints_past_int64(self):
+        params = BatteryParams(0.0, 100.0, 1.0, 50.0, 48)
+        in_band, total, pct = count_feasible_trajectories(
+            params, 48, TargetBand.from_interval(0.0, 100.0)
+        )
+        assert total == 3**48 > 2**63
+        assert in_band == total and pct == 100.0
+        assert type(total) is int
+
+    def test_fine_lattice_totals_exceed_int64(self):
+        params = BatteryParams(0.0, 48.0, 1.0, 24.0, 48)
+        band = TargetBand.from_interval(12.0, 36.0)
+        counts = count_feasible_trajectories(params, 48, band)
+        assert counts[1] > 2**63
+        assert counts == reference_count_feasible_trajectories(params, 48, band)
+
+    @pytest.mark.parametrize("lattice", LATTICES, ids=("0-10-rate2", "0-48-rate1"))
+    def test_matches_dict_oracle(self, lattice):
+        e_min, e_max, rate = lattice
+        for e0 in (e_min, 0.5 * (e_min + e_max), e_max - rate, e_max):
+            for steps in (1, 2, 7, 24, 48):
+                params = BatteryParams(e_min, e_max, rate, e0, steps)
+                for lo, hi in ((e_min, e_max), (e0 - rate, e0 + 2 * rate), (e_max, e_max)):
+                    band = TargetBand.from_interval(lo, hi)
+                    assert count_feasible_trajectories(
+                        params, steps, band
+                    ) == reference_count_feasible_trajectories(params, steps, band)
+
