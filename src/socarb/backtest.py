@@ -61,6 +61,12 @@ class ExperimentConfig:
         for n in self.start_steps:
             if not 1 <= n <= self.battery.horizon:
                 raise ValueError(f"start step count {n} outside 1..{self.battery.horizon}")
+        for name in ("bands", "e0_sweep", "start_steps", "k_grid"):
+            values = getattr(self, name)
+            if not values and name != "k_grid":
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} lists an entry twice")
 
     def canonical_text(self) -> str:
         """Stable key = value rendering used for hashing and provenance."""
@@ -102,6 +108,13 @@ def _parse_band(text: str) -> TargetBand:
     return TargetBand.from_interval(lo, hi)
 
 
+def _parse_budgets(text: str) -> tuple[int, int]:
+    parts = [p.strip() for p in text.split(":")]
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        raise ValueError(f"k_grid entry {text!r} must be 'k_ch:k_dis'")
+    return int(parts[0]), int(parts[1])
+
+
 CONFIG_KEYS = frozenset(
     {
         "battery.e_min", "battery.e_max", "battery.rate", "battery.e0", "battery.horizon",
@@ -132,6 +145,9 @@ def parse_config(text: str) -> ExperimentConfig:
     def get(key, default=None):
         return raw.get(key, default)
 
+    def items(key, default, parse):
+        return tuple(parse(part.strip()) for part in get(key, default).split(",") if part.strip())
+
     battery = BatteryParams(
         e_min=float(get("battery.e_min", 0.0)),
         e_max=float(get("battery.e_max", 10.0)),
@@ -139,28 +155,14 @@ def parse_config(text: str) -> ExperimentConfig:
         e0=float(get("battery.e0", 5.0)),
         horizon=int(get("battery.horizon", 24)),
     )
-    bands = tuple(
-        _parse_band(part.strip())
-        for part in get("bands", "5:7, 3:8").split(",")
-        if part.strip()
-    )
-    k_grid = tuple(
-        tuple(int(x) for x in part.strip().split(":"))
-        for part in get("k_grid", "").split(",")
-        if part.strip()
-    )
     cqr_band_text = get("cqr.band", "")
     return ExperimentConfig(
         battery=battery,
-        bands=bands,
-        e0_sweep=tuple(
-            float(v) for v in get("e0_sweep", "1, 5, 9").split(",") if v.strip()
-        ),
-        start_steps=tuple(
-            int(v) for v in get("start_steps", "8, 6, 4, 2").split(",") if v.strip()
-        ),
+        bands=items("bands", "5:7, 3:8", _parse_band),
+        e0_sweep=items("e0_sweep", "1, 5, 9", float),
+        start_steps=items("start_steps", "8, 6, 4, 2", int),
         epsilon=float(get("epsilon", 0.1)),
-        k_grid=k_grid,
+        k_grid=items("k_grid", "", _parse_budgets),
         threshold_mode=get("threshold_mode", "static"),
         bounds_mode=get("bounds_mode", "per-hour"),
         post_stop_mode=get("post_stop", "full-control"),
@@ -219,42 +221,56 @@ def _window_days(days, n):
     return [DayPrices(d.day_id, d.values[-n:]) for d in days]
 
 
-def _cell_result(config, train_days, test_days, e0, band, n_steps):
-    battery = config.battery
-    params = BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, n_steps)
-    in_band, total, pct = count_feasible_trajectories(params, n_steps, band)
+def _fit_window(config, train_days, test_days, n_steps):
+    """Bounds and price distribution of the train days' last n_steps, and the test window."""
+    train_w = _window_days(train_days, n_steps)
+    bounds = compute_bounds(train_w, 1, config.bounds_mode)
+    return bounds, fit_distribution(train_w), _window_days(test_days, n_steps)
+
+
+def _policy(config, params, bounds, dist, k_ch, k_dis):
+    """Action probabilities and augmented SoC distribution of one budget pair."""
+    probs = policy_action_probabilities(params, dist, bounds, k_ch, k_dis, config.threshold_mode)
+    return probs, propagate(params, probs, k_ch, k_dis, mode="augmented")
+
+
+def _policy_runs(config, params, window):
+    """What a cell's policies do not take from its band, per budget pair."""
+    if isinstance(window, Exception):
+        raise window
+    runs = {}
+    for k_ch, k_dis in config.k_grid:
+        bounds, dist, test_w = window
+        probs, soc_dist = _policy(config, params, bounds, dist, k_ch, k_dis)
+        trajs = run_policy_days(test_w, params, k_ch, k_dis, config.threshold_mode, bounds)
+        profits = [traj.profit for traj in trajs]
+        profit = {
+            "mean": float(np.mean(profits)),
+            "min": float(np.min(profits)),
+            "max": float(np.max(profits)),
+        }
+        runs[f"k={k_ch}x{k_dis}"] = probs, soc_dist, profit
+    return runs
+
+
+def _cell_result(config, params, band, runs):
+    in_band, total, pct = count_feasible_trajectories(params, params.horizon, band)
     cell = {
         "counting": {"in_band": in_band, "total": total, "pct": pct},
     }
+    if isinstance(runs, Exception):
+        raise runs
     if config.k_grid:
-        train_w = _window_days(train_days, n_steps)
-        test_w = _window_days(test_days, n_steps)
-        bounds = compute_bounds(train_w, 1, config.bounds_mode)
-        dist = fit_distribution(train_w)
-        policies = {}
-        for k_ch, k_dis in config.k_grid:
-            probs = policy_action_probabilities(
-                params, dist, bounds, k_ch, k_dis, config.threshold_mode
-            )
-            soc_dist = propagate(params, probs, k_ch, k_dis, mode="augmented")
-            p_band = terminal_band_probability(soc_dist, band)
-            stop = stopping_time(params, probs, band, config.epsilon, config.post_stop_mode)
-            profits = [
-                traj.profit
-                for traj in run_policy_days(
-                    test_w, params, k_ch, k_dis, config.threshold_mode, bounds
-                )
-            ]
-            policies[f"k={k_ch}x{k_dis}"] = {
-                "p_band": p_band,
-                "tau_star": stop.tau_star,
-                "profit": {
-                    "mean": float(np.mean(profits)),
-                    "min": float(np.min(profits)),
-                    "max": float(np.max(profits)),
-                },
+        cell["policies"] = {
+            key: {
+                "p_band": terminal_band_probability(soc_dist, band),
+                "tau_star": stopping_time(
+                    soc_dist, probs, band, config.epsilon, config.post_stop_mode
+                ).tau_star,
+                "profit": dict(profit),
             }
-        cell["policies"] = policies
+            for key, (probs, soc_dist, profit) in runs.items()
+        }
     return cell
 
 
@@ -281,13 +297,25 @@ def run_experiment(config: ExperimentConfig) -> Report:
     split = split_dataset(days, (0.6, 0.2, 0.2), seed=config.seed, shuffled=False)
     train_days, calib_days, test_days = list(split.train), list(split.calib), list(split.test)
 
+    # each stage runs once for what it depends on; a failed stage is recorded
+    # in every cell that needs it
+    battery = config.battery
     cells = {}
-    for e0 in config.e0_sweep:
-        for band in config.bands:
-            for n in config.start_steps:
+    for n in config.start_steps:
+        try:
+            window = _fit_window(config, train_days, test_days, n) if config.k_grid else None
+        except Exception as exc:
+            window = exc
+        for e0 in config.e0_sweep:
+            params = BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, n)
+            try:
+                runs = _policy_runs(config, params, window)
+            except Exception as exc:
+                runs = exc
+            for band in config.bands:
                 key = f"e0={e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
                 try:
-                    cells[key] = _cell_result(config, train_days, test_days, e0, band, n)
+                    cells[key] = _cell_result(config, params, band, runs)
                 except Exception as exc:  # recorded, not fatal
                     cells[key] = {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -310,20 +338,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
 
 def _plot_blocks(config, train_days, cells):
-    battery = config.battery
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
-    bounds = compute_bounds(train_days, 1, config.bounds_mode)
-    dist = fit_distribution(train_days)
-    probs = policy_action_probabilities(
-        battery, dist, bounds, k_ch, k_dis, config.threshold_mode
-    )
-    soc_dist = propagate(battery, probs, k_ch, k_dis, mode="augmented")
+    bounds, dist, _ = _fit_window(config, train_days, [], config.battery.horizon)
+    probs, soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
     heatmap = []
     for t in range(soc_dist.horizon + 1):
         for e, mass in sorted(soc_dist.marginal(t).items()):
             heatmap.append([t, e, mass])
-    stop = stopping_time(battery, probs, band, config.epsilon, config.post_stop_mode)
+    stop = stopping_time(soc_dist, probs, band, config.epsilon, config.post_stop_mode)
     qt_rows = [[t, q] for t, q in enumerate(stop.big_q, start=1)]
     profit_rows = []
     for key in sorted(cells):

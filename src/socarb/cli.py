@@ -148,7 +148,8 @@ def cmd_stop_time(args) -> int:
         params, dist, bounds, args.kch, args.kdis, args.mode
     )
     mode = {"idle": "idle", "full": "full-control", "policy": "continue-policy"}[args.post_stop]
-    result = rc.stopping_time(params, probs, _band(args.band), args.epsilon, mode)
+    soc_dist = rc.propagate(params, probs, args.kch, args.kdis)
+    result = rc.stopping_time(soc_dist, probs, _band(args.band), args.epsilon, mode)
     lines = ["t,Q_t"] + [f"{t},{q!r}" for t, q in enumerate(result.big_q, start=1)]
     _write(args, "\n".join(lines) + "\n")
     sys.stderr.write(json.dumps({"tau_star": result.tau_star}, sort_keys=True) + "\n")

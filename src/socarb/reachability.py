@@ -67,8 +67,9 @@ class TargetBand:
     def hi(self) -> float:
         return self.e_target + self.delta
 
-    def contains(self, e: float) -> bool:
-        return self.lo - BAND_EPS <= e <= self.hi + BAND_EPS
+    def contains(self, e):
+        """Whether e lies in the band; elementwise when e is an array."""
+        return (self.lo - BAND_EPS <= e) & (e <= self.hi + BAND_EPS)
 
     def count_bounds(self, e0: float, rate: float) -> tuple[float, float]:
         """Bounds on net charges minus discharges that land in the band."""
@@ -118,8 +119,9 @@ class SocDistribution:
     m = n_ch - n_dis, so m needs no axis of its own.  In marginal mode a step
     is a vector over m = m_lo .. m_hi.
 
+    ``m_masses[t]`` is step t's mass per SoC offset m = m_lo .. m_hi,
     ``per_step[t]`` maps state keys, (m, n_ch, n_dis) or bare m, to their
-    positive masses, and ``marginal(t)`` maps SoC values to mass; both are
+    positive masses, and ``marginal(t)`` maps SoC values to mass; all are
     derived from the arrays when first read.
     """
 
@@ -133,33 +135,40 @@ class SocDistribution:
     def horizon(self) -> int:
         return len(self.masses) - 1
 
-    def energy(self, offset: int) -> float:
-        return self.params.e0 + offset * self.params.rate
-
     @property
     def grid(self) -> tuple[float, ...]:
         lo = -self.params.max_discharges(self.params.e0)
         hi = self.params.max_charges(self.params.e0)
-        return tuple(self.energy(m) for m in range(lo, hi + 1))
+        return tuple(self.params.e0 + m * self.params.rate for m in range(lo, hi + 1))
 
     @cached_property
     def per_step(self) -> tuple[StepMasses, ...]:
         m_first = -self.params.max_discharges(self.params.e0)
         return tuple(StepMasses(step, m_first) for step in self.masses)
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per lattice point: its column in m_masses (0 outside capacity), and if in capacity."""
+        m_lo = -self.params.max_discharges(self.params.e0)
+        n = self.params.max_charges(self.params.e0) - m_lo + 1
+        if self.mode == "marginal":
+            return np.arange(n), np.ones(n, dtype=bool)
+        c, d = np.indices(self.masses.shape[1:])
+        column = c - d - m_lo
+        inside = (0 <= column) & (column < n)
+        return np.where(inside, column, 0), inside
+
+    @cached_property
+    def m_masses(self) -> np.ndarray:
+        """(T+1, n) mass per SoC offset; the (n_ch, n_dis) diagonal sums in augmented mode."""
+        column, inside = self._columns()
+        steps, n = len(self.masses), len(self.grid)
+        bins = (np.arange(steps)[:, None] * n + column[inside]).ravel()
+        sums = np.bincount(bins, self.masses[:, inside].ravel(), minlength=steps * n)
+        return sums.reshape(steps, n)
+
     def marginal(self, t: int) -> dict[float, float]:
         """dist_t[e]: probability mass per SoC value at step t."""
-        step = self.masses[t]
-        if self.mode == "augmented":
-            c, d = np.indices(step.shape)
-            n_dis = step.shape[1]
-            step = np.bincount((c - d + n_dis - 1).ravel(), weights=step.ravel())
-            m_first = 1 - n_dis
-        else:
-            m_first = -self.params.max_discharges(self.params.e0)
-        return {
-            self.energy(m_first + i): mass for i, mass in enumerate(step.tolist()) if mass > 0.0
-        }
+        return {e: mass for e, mass in zip(self.grid, self.m_masses[t].tolist()) if mass > 0.0}
 
     def terminal_marginal(self) -> dict[float, float]:
         return self.marginal(self.horizon)
@@ -169,11 +178,11 @@ class SocDistribution:
 class StoppingResult:
     """Stopping-time analysis output.
 
-    ``q_table[t - 1, i]`` is the success probability from SoC
-    e = e0 + (m_lo + i) * rate at step t under the chosen post-stop behavior,
-    with m_lo = -max_discharges(e0); ``big_q[t-1]`` aggregates row t - 1
-    against dist_t; ``tau_star`` is the first step whose aggregate clears
-    1 - epsilon, if any.
+    ``q_table[t - 1]`` has the shape of the distribution's ``masses[t]``: the
+    success probability from each lattice point at step t under the chosen
+    post-stop behavior, 0 where the point lies outside capacity.
+    ``big_q[t-1]`` aggregates it against dist_t; ``tau_star`` is the first
+    step whose aggregate clears 1 - epsilon, if any.
     """
 
     q_table: np.ndarray = field(repr=False, compare=False)
@@ -278,20 +287,13 @@ def policy_action_probabilities(
     return probs
 
 
-def propagate(
-    params: BatteryParams,
-    probs_per_step: list[ActionProbs],
-    k_ch: int,
-    k_dis: int,
-    mode: str = "augmented",
-) -> SocDistribution:
-    """Forward-propagate the SoC probability mass with pruning.
+def _chain(
+    params: BatteryParams, probs_per_step: list[ActionProbs], k_ch: int, k_dis: int, mode: str
+):
+    """The chain that propagate steps forward and stopping_time backward.
 
-    Whenever an action would leave capacity (or, in augmented mode, exceed its
-    budget), its probability mass folds into the idle branch.  Each step is a
-    few whole-array operations on the (n_ch, n_dis) lattice (augmented) or the
-    m vector (marginal): stay + shifted down + shifted up, with idle mass
-    (gamma + alpha * [up blocked]) + beta * [down blocked].
+    Returns the start index, the per-step idle weights (blocked moves folded
+    in) and the moves (weight, from, to): discharge, then charge.
     """
     if mode not in ("augmented", "marginal"):
         raise ValueError(f"unknown propagation mode {mode!r}")
@@ -323,22 +325,46 @@ def propagate(
         for name in ("alpha", "beta", "gamma")
     )
     stay = (gamma + alpha * ~up_ok) + beta * ~down_ok
-    up = (alpha * up_ok)[(slice(None),) + up_from]
-    down = (beta * down_ok)[(slice(None),) + down_from]
+    moves = (
+        ((beta * down_ok)[(slice(None),) + down_from], down_from, down_to),
+        ((alpha * up_ok)[(slice(None),) + up_from], up_from, up_to),
+    )
+    return start, stay, moves
 
-    masses = np.zeros((horizon + 1,) + up_ok.shape)
+
+def propagate(
+    params: BatteryParams,
+    probs_per_step: list[ActionProbs],
+    k_ch: int,
+    k_dis: int,
+    mode: str = "augmented",
+) -> SocDistribution:
+    """Forward-propagate the SoC probability mass with pruning.
+
+    Whenever an action would leave capacity (or, in augmented mode, exceed its
+    budget), its probability mass folds into the idle branch.  Each step is a
+    few whole-array operations on the (n_ch, n_dis) lattice (augmented) or the
+    m vector (marginal): stay + shifted down + shifted up, with idle mass
+    (gamma + alpha * [up blocked]) + beta * [down blocked].
+    """
+    start, stay, moves = _chain(params, probs_per_step, k_ch, k_dis, mode)
+    masses = np.zeros((len(probs_per_step) + 1,) + stay.shape[1:])
     masses[(0,) + start] = 1.0
-    for cur, nxt, stay_t, up_t, down_t in zip(masses, masses[1:], stay, up, down):
-        np.multiply(cur, stay_t, out=nxt)
-        nxt[down_to] += cur[down_from] * down_t
-        nxt[up_to] += cur[up_from] * up_t
+    for t, (cur, nxt) in enumerate(zip(masses, masses[1:])):
+        np.multiply(cur, stay[t], out=nxt)
+        for weight, src, dst in moves:
+            nxt[dst] += cur[src] * weight[t]
     return SocDistribution(params, k_ch, k_dis, mode, masses)
+
+
+def _probabilities(rows: np.ndarray) -> tuple[float, ...]:
+    """Exactly rounded sum of each row, clamped to [0, 1]."""
+    return tuple(min(1.0, max(0.0, math.fsum(row.ravel().tolist()))) for row in rows)
 
 
 def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:
     """Probability that the terminal SoC lands inside the band, clamped to [0, 1]."""
-    p = math.fsum(mass for e, mass in dist.terminal_marginal().items() if band.contains(e))
-    return min(1.0, max(0.0, p))
+    return _probabilities(dist.m_masses[-1:] * band.contains(np.array(dist.grid)))[0]
 
 
 def mix_over_kappa(results: dict[tuple[int, int], float], kappa: KappaPolicy) -> float:
@@ -383,7 +409,7 @@ def kappa_prepolicy(
 
 
 def stopping_time(
-    params: BatteryParams,
+    soc_dist: SocDistribution,
     probs_per_step: list[ActionProbs],
     band: TargetBand,
     epsilon: float,
@@ -391,57 +417,61 @@ def stopping_time(
 ) -> StoppingResult:
     """Minimum stopping time for the terminal-band chance constraint.
 
-    q_t(e) is the probability of finishing in the band given e_t = e under the
-    post-stop behavior: ``idle`` holds the SoC, ``full-control`` asks whether
-    any feasible action sequence reaches the band, and ``continue-policy``
-    keeps following the action probabilities.  Q_t sums dist_t[e] * q_t(e);
-    tau_star is the first t with Q_t >= 1 - epsilon (None if never).  q is one
-    T x n array over steps 1..T and the lattice offsets m_lo..m_hi.
+    ``soc_dist`` is what ``propagate`` built from ``probs_per_step``: the one
+    distribution, budgets included, that ``terminal_band_probability`` reads.
+    q_t is the chance of finishing in the band from each state at step t:
+    ``idle`` holds the SoC (so idle Q_T is p_band), ``full-control`` asks
+    whether any feasible action sequence reaches the band, budget-free as the
+    operator takes over after the stop, and ``continue-policy`` runs the
+    adjoint of soc_dist's own chain (so every Q_t is p_band).  Q_t sums
+    dist_t * q_t; tau_star is the first t with Q_t >= 1 - epsilon, or None.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if post_stop_mode not in ("idle", "full-control", "continue-policy"):
         raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
-    horizon = len(probs_per_step)
-    dist = propagate(params, probs_per_step, k_ch=horizon, k_dis=horizon, mode="marginal")
-    m_lo = -params.max_discharges(params.e0)
-    m_hi = params.max_charges(params.e0)
-    e = np.array([params.e0 + m * params.rate for m in range(m_lo, m_hi + 1)], dtype=float)
-    lo, hi, rate = band.lo, band.hi, params.rate
-    in_band = (lo - BAND_EPS <= e) & (e <= hi + BAND_EPS)
+    horizon = soc_dist.horizon
+    if len(probs_per_step) != horizon:
+        raise ValueError(f"{len(probs_per_step)} action steps for a {horizon}-step distribution")
+    params = soc_dist.params
+    e = np.array(soc_dist.grid)
+    column, inside = soc_dist._columns()
 
-    if post_stop_mode == "idle":
-        q = np.tile(in_band, (horizon, 1))
-    elif post_stop_mode == "full-control":
-        # some feasible action sequence from e with steps_left = T - t steps
-        # lands in the band
-        steps_left = np.arange(horizon - 1, -1, -1)[:, None]
-        down = np.maximum(0, np.floor((e - params.e_min) / rate + th.FEAS_EPS))
-        up = np.maximum(0, np.floor((params.e_max - e) / rate + th.FEAS_EPS))
-        lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
-        hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
-        q = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
-            np.minimum(up, steps_left), hi_allowed
+    if post_stop_mode == "continue-policy":
+        # the adjoint of propagate's chain, backward; row t - 1 holds q_t
+        _, stay, moves = _chain(
+            params, probs_per_step, soc_dist.k_ch, soc_dist.k_dis, soc_dist.mode
         )
-    else:
-        # backward over the policy's moves; row t - 1 holds q_t
-        q = np.empty((horizon, len(e)))
-        q[-1:] = in_band  # no rows when there are no steps
-        up_blocked = np.arange(len(e)) == len(e) - 1
-        down_blocked = np.arange(len(e)) == 0
+        q = np.empty((horizon,) + column.shape)
+        q[-1:] = band.contains(e)[column]  # no rows when there are no steps
         for t in range(horizon - 1, 0, -1):
-            ap = probs_per_step[t]  # action taken between step t and t+1
-            nxt, cur = q[t], q[t - 1]
-            np.multiply((ap.gamma + ap.alpha * up_blocked) + ap.beta * down_blocked, nxt, out=cur)
-            cur[:-1] += ap.alpha * nxt[1:]
-            cur[1:] += ap.beta * nxt[:-1]
-    q = q.astype(float, copy=False)
-
-    big_q = tuple(
-        min(1.0, max(0.0, math.fsum(row))) for row in (dist.masses[1:] * q).tolist()
-    )
+            nxt, cur = q[t], q[t - 1]  # weights t: the action between step t and t+1
+            np.multiply(stay[t], nxt, out=cur)
+            # charge term first, as in the dict recursion of tests/oracles.py, so q matches it
+            # bit for bit
+            for weight, src, dst in reversed(moves):
+                cur[src] += weight[t] * nxt[dst]
+        q *= inside
+        big_q = _probabilities(soc_dist.masses[1:] * q)
+    else:
+        if post_stop_mode == "idle":
+            q_m = np.tile(band.contains(e), (horizon, 1))
+        else:
+            # some feasible action sequence from e with steps_left = T - t
+            # steps lands in the band
+            lo, hi, rate = band.lo, band.hi, params.rate
+            steps_left = np.arange(horizon - 1, -1, -1)[:, None]
+            down = np.maximum(0, np.floor((e - params.e_min) / rate + th.FEAS_EPS))
+            up = np.maximum(0, np.floor((params.e_max - e) / rate + th.FEAS_EPS))
+            lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
+            hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
+            q_m = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
+                np.minimum(up, steps_left), hi_allowed
+            )
+        big_q = _probabilities(soc_dist.m_masses[1:] * q_m)
+        q = q_m[:, column] & inside
     tau_star = next((t for t, q_t in enumerate(big_q, start=1) if q_t >= 1.0 - epsilon), None)
-    return StoppingResult(q, big_q, tau_star, epsilon, post_stop_mode)
+    return StoppingResult(q.astype(float, copy=False), big_q, tau_star, epsilon, post_stop_mode)
 
 
 def count_feasible_trajectories(

@@ -337,7 +337,9 @@ def test_criterion_5_stopping_time_contract():
         band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 4)))
         eps = float(rng.uniform(0.05, 0.5))
         mode = ("idle", "full-control", "continue-policy")[trial % 3]
-        result = stopping_time(params, probs, band, eps, mode)
+        result = stopping_time(
+            propagate(params, probs, horizon, horizon, "marginal"), probs, band, eps, mode
+        )
         thresh = 1.0 - eps
         if result.tau_star is not None:
             if result.big_q[result.tau_star - 1] < thresh:

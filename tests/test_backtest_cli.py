@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -38,6 +40,24 @@ seed = 11
 synthetic.n_days = 70
 cqr.epochs = 120
 """
+
+
+GRID_ERRORS = [
+    ("bands =", "bands must not be empty"),
+    ("bands = ,", "bands must not be empty"),
+    ("e0_sweep =", "e0_sweep must not be empty"),
+    ("start_steps =", "start_steps must not be empty"),
+    ("k_grid = 3", "k_grid entry '3' must be 'k_ch:k_dis'"),
+    ("k_grid = 2:2, 3:3:3", "k_grid entry '3:3:3' must be 'k_ch:k_dis'"),
+    ("k_grid = -1:2", "k_grid entry '-1:2' must be 'k_ch:k_dis'"),
+    ("k_grid = 2:x", "k_grid entry '2:x' must be 'k_ch:k_dis'"),
+    ("k_grid = 1.5:2", "k_grid entry '1.5:2' must be 'k_ch:k_dis'"),
+    ("bands = 5:7, 5:7", "bands lists an entry twice"),
+    ("bands = 5:7, 3:8, 5.0:7.0", "bands lists an entry twice"),
+    ("e0_sweep = 1, 5, 1.0", "e0_sweep lists an entry twice"),
+    ("start_steps = 4, 2, 4", "start_steps lists an entry twice"),
+    ("k_grid = 2:2, 3:3, 2 : 2", "k_grid lists an entry twice"),
+]
 
 
 class TestConfig:
@@ -90,6 +110,30 @@ class TestConfig:
     def test_malformed_band_rejected(self, line, message):
         with pytest.raises(ValueError, match=message):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("line, message", GRID_ERRORS)
+    def test_malformed_grid_rejected(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(SMALL_CONFIG + line + "\n")
+
+    @pytest.mark.parametrize("line, message", GRID_ERRORS)
+    def test_malformed_grid_exits_with_validation_error(self, tmp_path, capsys, line, message):
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(SMALL_CONFIG + line + "\n")
+        assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "Traceback" not in err
+
+    def test_config_object_rejects_empty_and_duplicate_grids(self):
+        config = parse_config(SMALL_CONFIG)
+        for name in ("bands", "e0_sweep", "start_steps"):
+            with pytest.raises(ValueError, match=f"{name} must not be empty"):
+                replace(config, **{name: ()})
+        for name in ("bands", "e0_sweep", "start_steps", "k_grid"):
+            values = getattr(config, name)
+            with pytest.raises(ValueError, match=f"{name} lists an entry twice"):
+                replace(config, **{name: values + values[:1]})
+        assert replace(config, k_grid=()).k_grid == ()
 
     def test_unknown_key_exits_with_validation_error(self, tmp_path, capsys):
         config_path = tmp_path / "exp.conf"

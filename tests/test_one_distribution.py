@@ -1,0 +1,142 @@
+"""p_band, Q_t and tau_star read one SoC distribution, and the grid runs each stage once."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import socarb.backtest as bt
+from socarb.backtest import parse_config, run_experiment
+from socarb.cli import main
+from socarb.reachability import (
+    ActionProbs,
+    TargetBand,
+    propagate,
+    stopping_time,
+    terminal_band_probability,
+)
+from socarb.thresholds import BatteryParams
+
+from test_reach_kernels import LATTICES, configurations
+
+# every budget lies below every window, so the budgets bind
+GRID = """
+battery.e_min = 0
+battery.e_max = 10
+battery.rate = 2
+battery.e0 = 5
+battery.horizon = 8
+bands = 5:7, 3:8
+e0_sweep = 1, 5, 9
+start_steps = 8, 6, 4
+k_grid = 1:1, 2:3
+seed = 5
+synthetic.n_days = 70
+cqr.epochs = 10
+"""
+
+
+@pytest.mark.parametrize("post_stop, tol", [("idle", 1e-15), ("continue-policy", 1e-12)])
+def test_report_q_matches_p_band_in_every_cell(monkeypatch, post_stop, tol):
+    """Idle Q_T, and continue-policy Q_t at every t, equal the cell's reported p_band."""
+    calls = []
+
+    def recorded(soc_dist, probs, band, epsilon, mode):
+        result = stopping_time(soc_dist, probs, band, epsilon, mode)
+        calls.append((soc_dist, probs, band, result))
+        return result
+
+    monkeypatch.setattr(bt, "stopping_time", recorded)
+    cells = run_experiment(parse_config(GRID + f"post_stop = {post_stop}\n")).payload["cells"]
+    checked = budgets_bind = 0
+    for soc_dist, probs, band, result in calls:
+        n = soc_dist.horizon
+        key = f"e0={soc_dist.params.e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
+        p_band = cells[key]["policies"][f"k={soc_dist.k_ch}x{soc_dist.k_dis}"]["p_band"]
+        assert p_band == terminal_band_probability(soc_dist, band)
+        q_checked = result.big_q[-1:] if post_stop == "idle" else result.big_q
+        assert len(q_checked) >= 1
+        assert all(abs(q - p_band) <= tol for q in q_checked), (key, result.big_q, p_band)
+        checked += 1
+        budget_free = propagate(soc_dist.params, probs, n, n, "marginal")
+        budgets_bind += abs(terminal_band_probability(budget_free, band) - p_band) > 1e-3
+    # every cell's policies, and the plot block's reference cell (e0=5, 5:7, 8 steps, 1x1) again
+    assert checked == sum(len(cell["policies"]) for cell in cells.values()) + 1 == 37
+    assert budgets_bind > 0
+
+
+def test_cli_idle_last_q_equals_reach_p_band(tmp_path, capsys):
+    for k_ch, k_dis in ((1, 2), (2, 1), (1, 1)):
+        args = ["--e0", "5", "--horizon", "6", "--synthetic", "30", "--band", "5,7",
+                "--kch", str(k_ch), "--kdis", str(k_dis)]
+        assert main(["reach", *args, "--out", str(tmp_path / "r.csv")]) == 0
+        p_band = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["p_band"]
+        out = tmp_path / "q.csv"
+        assert main(["stop-time", *args, "--post-stop", "idle", "--out", str(out)]) == 0
+        t, q_last = out.read_text().strip().splitlines()[-1].split(",")
+        assert t == "6"
+        assert abs(float(q_last) - p_band) <= 1e-15
+
+
+@pytest.mark.parametrize("dist_mode", ["augmented", "marginal"])
+@pytest.mark.parametrize("lattice", LATTICES, ids=("0-10-rate2", "0-48-rate1"))
+def test_continue_policy_q_is_p_band_at_every_step(lattice, dist_mode):
+    """The tower property: the recursion is the adjoint of the chain that propagate steps."""
+    seed = 2000 + 10 * LATTICES.index(lattice) + (dist_mode == "marginal")
+    for params, probs, k_ch, k_dis, band in configurations(lattice, seed):
+        soc_dist = propagate(params, probs, k_ch, k_dis, dist_mode)
+        p_band = terminal_band_probability(soc_dist, band)
+        result = stopping_time(soc_dist, probs, band, 0.1, "continue-policy")
+        assert result.q_table.shape == (params.horizon,) + soc_dist.masses.shape[1:]
+        assert all(abs(q - p_band) <= 1e-12 for q in result.big_q)
+        idle = stopping_time(soc_dist, probs, band, 0.1, "idle")
+        assert idle.big_q[-1] == p_band
+
+
+def test_q_table_is_zero_outside_capacity():
+    params = BatteryParams(0.0, 10.0, 2.0, 2.0, 5)  # m = -1 .. 4
+    probs = [ActionProbs(0.3, 0.4, 0.3)] * 5
+    soc_dist = propagate(params, probs, 1, 5)  # n_dis up to 5, so m = c - d down to -5
+    c, d = np.indices(soc_dist.masses.shape[1:])
+    inside = (-1 <= c - d) & (c - d <= 4)
+    assert not inside.all()
+    whole = TargetBand.from_interval(0.0, 10.0)
+    for mode in ("idle", "full-control", "continue-policy"):
+        q_table = stopping_time(soc_dist, probs, whole, 0.1, mode).q_table
+        assert (q_table[:, ~inside] == 0.0).all() and (q_table[:, inside] == 1.0).all()
+
+
+def test_steps_must_match_the_distribution():
+    params = BatteryParams(0.0, 10.0, 2.0, 2.0, 3)
+    probs = [ActionProbs(0.3, 0.4, 0.3)] * 3
+    with pytest.raises(ValueError, match="2 action steps for a 3-step distribution"):
+        stopping_time(propagate(params, probs, 3, 3), probs[:2], TargetBand(4.0, 1.0), 0.1)
+
+
+COUNTED = ("compute_bounds", "fit_distribution", "policy_action_probabilities", "propagate",
+           "run_policy_days")
+
+
+def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
+    counts = Counter()
+    for name in COUNTED:
+        def counted(*args, _name=name, _original=getattr(bt, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bt, name, counted)
+    per_bands = {}
+    for bands in ("5:7", "5:7, 3:8, 2:9"):
+        counts.clear()
+        run_experiment(parse_config(GRID + f"bands = {bands}\n"))
+        per_bands[bands] = dict(counts)
+    windows, e0s, budgets = 3, 3, 2
+    cells = windows * e0s * budgets
+    assert per_bands["5:7"] == per_bands["5:7, 3:8, 2:9"] == {
+        "compute_bounds": windows + 2,  # and once each for the plot and CQR blocks
+        "fit_distribution": windows + 1,  # and once for the plot block
+        "policy_action_probabilities": cells + 1,
+        "propagate": cells + 1,
+        "run_policy_days": cells,
+    }

@@ -1,5 +1,7 @@
 """Array kernels of the reachability engine against the dict oracles they replaced."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from socarb.reachability import (
 from socarb.thresholds import BatteryParams
 
 from oracles import (
+    _reachable_in_band,
+    brute_force_distribution,
     reference_count_feasible_trajectories,
     reference_propagate,
     reference_stopping_time,
@@ -88,7 +92,8 @@ def test_kernels_match_dict_oracles(lattice, mode):
             slow = reference_propagate(params, probs, k_ch, k_dis, dist_mode)
             assert_same_steps(fast, slow)
         eps = 0.1
-        fast = stopping_time(params, probs, band, eps, mode)
+        marginal = propagate(params, probs, params.horizon, params.horizon, "marginal")
+        fast = stopping_time(marginal, probs, band, eps, mode)
         slow = reference_stopping_time(params, probs, band, eps, mode)
         assert len(fast.big_q) == len(slow.big_q)
         assert all(abs(a - b) <= TOL for a, b in zip(fast.big_q, slow.big_q))
@@ -101,11 +106,45 @@ def test_kernels_match_dict_oracles(lattice, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_binding_budgets_match_path_enumeration(mode):
+    """Q_t of the budgeted distribution against every action path, budgets below T."""
+    rng = np.random.default_rng(3000 + MODES.index(mode))
+    budgets_bind = 0
+    for _ in range(60):
+        horizon = int(rng.integers(2, 8))
+        e_min, e_max, rate = ((0.0, 10.0, 2.0), (0.0, 6.0, 1.0))[int(rng.integers(0, 2))]
+        e0 = rate * float(rng.integers(0, int(e_max / rate) + 1))
+        params = BatteryParams(e_min, e_max, rate, e0, horizon)
+        probs = step_probs(rng, horizon)
+        k_ch, k_dis = (int(rng.integers(0, horizon)) for _ in range(2))
+        lo = float(rng.integers(0, int(e_max)))
+        band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 4)))
+        result = stopping_time(propagate(params, probs, k_ch, k_dis), probs, band, 0.1, mode)
+        oracle = brute_force_distribution(params, probs, k_ch, k_dis)
+
+        def mass_where(t, q):
+            return math.fsum(mass for e, mass in oracle.marginal(t).items() if q(e))
+
+        for t in range(1, horizon + 1):
+            if mode == "idle":
+                expected = mass_where(t, band.contains)
+            elif mode == "full-control":
+                steps_left = horizon - t
+                expected = mass_where(t, lambda e: _reachable_in_band(params, e, steps_left, band))
+            else:
+                expected = mass_where(horizon, band.contains)
+            assert abs(result.big_q[t - 1] - expected) <= TOL, (t, mode)
+        budget_free = reference_stopping_time(params, probs, band, 0.1, mode)
+        budgets_bind += max(abs(a - b) for a, b in zip(result.big_q, budget_free.big_q)) > 1e-3
+    assert budgets_bind > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_no_steps(mode):
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, 1)
     band = TargetBand.from_interval(3.0, 7.0)
     assert propagate(params, [], 2, 2).per_step == ({(0, 0, 0): 1.0},)
-    result = stopping_time(params, [], band, 0.1, mode)
+    result = stopping_time(propagate(params, [], 0, 0, "marginal"), [], band, 0.1, mode)
     assert result.big_q == reference_stopping_time(params, [], band, 0.1, mode).big_q == ()
     assert result.tau_star is None and result.q_table.shape == (0, 6)
 
