@@ -31,12 +31,10 @@ from .thresholds import (
     feasible_charge_count,
     feasible_discharge_count,
     offline_opt,
-    reduce_k,
     run_policy,
     run_policy_days,
     static_charge_thresholds,
     static_discharge_thresholds,
-    step_policy,
     timedep_thresholds,
 )
 from .reachability import (

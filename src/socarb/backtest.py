@@ -67,6 +67,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} lists an entry twice")
+        # report keys print values with :g, so distinct values must print apart
+        for name, label in (("e0_sweep", _e0_label), ("bands", _band_label)):
+            labels = [label(v) for v in getattr(self, name)]
+            for text in labels:
+                if labels.count(text) > 1:
+                    raise ValueError(f"{name} entries print alike as {text!r} in report keys")
 
     def canonical_text(self) -> str:
         """Stable key = value rendering used for hashing and provenance."""
@@ -100,6 +106,14 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+def _e0_label(e0: float) -> str:
+    return f"e0={e0:g}"
+
+
+def _band_label(band: TargetBand) -> str:
+    return f"band=[{band.lo:g},{band.hi:g}]"
+
+
 def _parse_band(text: str) -> TargetBand:
     parts = text.split(":")
     if len(parts) != 2:
@@ -114,6 +128,10 @@ def _parse_budgets(text: str) -> tuple[int, int]:
         raise ValueError(f"k_grid entry {text!r} must be 'k_ch:k_dis'")
     return int(parts[0]), int(parts[1])
 
+
+# the budget pair a config without k_grid runs, and the CQR block's pair when
+# k_grid is empty
+DEFAULT_BUDGETS = (3, 3)
 
 CONFIG_KEYS = frozenset(
     {
@@ -162,7 +180,7 @@ def parse_config(text: str) -> ExperimentConfig:
         e0_sweep=items("e0_sweep", "1, 5, 9", float),
         start_steps=items("start_steps", "8, 6, 4, 2", int),
         epsilon=float(get("epsilon", 0.1)),
-        k_grid=items("k_grid", "", _parse_budgets),
+        k_grid=items("k_grid", "{}:{}".format(*DEFAULT_BUDGETS), _parse_budgets),
         threshold_mode=get("threshold_mode", "static"),
         bounds_mode=get("bounds_mode", "per-hour"),
         post_stop_mode=get("post_stop", "full-control"),
@@ -313,7 +331,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             except Exception as exc:
                 runs = exc
             for band in config.bands:
-                key = f"e0={e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
+                key = f"{_e0_label(e0)}|{_band_label(band)}|steps={n}"
                 try:
                     cells[key] = _cell_result(config, params, band, runs)
                 except Exception as exc:  # recorded, not fatal
@@ -329,18 +347,20 @@ def run_experiment(config: ExperimentConfig) -> Report:
         "cells": {k: cells[k] for k in sorted(cells)},
     }
 
+    # full-horizon bounds of the train days, shared by the plot and CQR blocks
+    bounds = compute_bounds(train_days, 1, config.bounds_mode)
     if config.k_grid:
-        payload["plot_data"] = _plot_blocks(config, train_days, cells)
+        payload["plot_data"] = _plot_blocks(config, train_days, bounds, cells)
 
     cqr_band = config.cqr_band or config.bands[-1]
-    payload["cqr"] = _cqr_block(config, train_days, calib_days, test_days, cqr_band)
+    payload["cqr"] = _cqr_block(config, train_days, calib_days, test_days, bounds, cqr_band)
     return Report(payload)
 
 
-def _plot_blocks(config, train_days, cells):
+def _plot_blocks(config, train_days, bounds, cells):
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
-    bounds, dist, _ = _fit_window(config, train_days, [], config.battery.horizon)
+    dist = fit_distribution(train_days)
     probs, soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
     heatmap = []
     for t in range(soc_dist.horizon + 1):
@@ -361,12 +381,11 @@ def _plot_blocks(config, train_days, cells):
     }
 
 
-def _cqr_block(config, train_days, calib_days, test_days, band):
+def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
     battery = config.battery
-    k_ch, k_dis = config.k_grid[0] if config.k_grid else (3, 3)
+    k_ch, k_dis = config.k_grid[0] if config.k_grid else DEFAULT_BUDGETS
     rows = {}
     coverage_curve = []
-    bounds = compute_bounds(train_days, 1, config.bounds_mode)
     for e0 in config.e0_sweep:
         params = BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, battery.horizon)
         try:
@@ -384,7 +403,7 @@ def _cqr_block(config, train_days, calib_days, test_days, band):
             report = evaluate_coverage(
                 model, test_days, params, bounds, k_ch, k_dis, band, config.threshold_mode
             )
-            rows[f"e0={e0:g}"] = {
+            rows[_e0_label(e0)] = {
                 "delta_hat": model.delta_hat,
                 "marginal_coverage": report.marginal_coverage,
                 "band_certificate_rate": report.band_certificate_rate,
@@ -395,7 +414,7 @@ def _cqr_block(config, train_days, calib_days, test_days, band):
                 [e0, report.marginal_coverage, report.band_certificate_rate]
             )
         except Exception as exc:  # recorded, not fatal
-            rows[f"e0={e0:g}"] = {"error": f"{type(exc).__name__}: {exc}"}
+            rows[_e0_label(e0)] = {"error": f"{type(exc).__name__}: {exc}"}
     return {
         "epsilon": config.epsilon,
         "band": [band.lo, band.hi],
@@ -425,9 +444,13 @@ def emit_plot_data(report: Report, kind: str, path) -> None:
     if kind not in PLOT_HEADERS:
         raise ValueError(f"unknown plot kind {kind!r}; valid: {sorted(PLOT_HEADERS)}")
     outer, inner = _PLOT_BLOCKS[kind]
-    block = report.payload.get(outer, {}).get(inner)
+    doc = report.payload
+    section = doc.get(outer) if isinstance(doc, dict) else None
+    block = section.get(inner) if isinstance(section, dict) else None
     if block is None:
         raise ValueError(f"report is missing the {kind} block ({outer}.{inner})")
+    if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
+        raise ValueError(f"report block {outer}.{inner} must be a list of rows")
     lines = [",".join(PLOT_HEADERS[kind])]
     for row in block:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))

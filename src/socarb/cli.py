@@ -193,7 +193,10 @@ def cmd_cqr(args) -> int:
         )
         _write(args, model.to_json() + "\n")
         return EXIT_OK
-    model = cf.ConformalModel.from_json(Path(args.model).read_text())
+    try:
+        model = cf.ConformalModel.from_json(Path(args.model).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     if args.cqr_cmd == "calibrate":
         # refresh delta_hat for this calibration split (and possibly epsilon)
         x_cal, y_cal = cf.label_days(
@@ -252,8 +255,11 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    report = bt.Report(json.loads(Path(args.report).read_text()))
-    bt.emit_plot_data(report, args.kind, args.out or f"{args.kind}.csv")
+    try:
+        report = bt.Report(json.loads(Path(args.report).read_text()))
+        bt.emit_plot_data(report, args.kind, args.out or f"{args.kind}.csv")
+    except ValueError as exc:
+        raise ValueError(f"{args.report}: {exc}") from None
     return EXIT_OK
 
 

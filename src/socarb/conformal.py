@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,19 +177,27 @@ class ConformalModel:
     @classmethod
     def from_json(cls, text: str) -> "ConformalModel":
         doc = json.loads(text)
-        scaler = FeatureScaler(
-            tuple(doc["standardizer"]["means"]),
-            tuple(doc["standardizer"]["scales"]),
-            tuple(doc["standardizer"]["keep"]),
-        )
-        return cls(
-            tuple(doc["weights_low"]),
-            tuple(doc["weights_high"]),
-            doc["rho_low"],
-            doc["rho_high"],
-            doc["delta_hat"],
-            scaler,
-        )
+        if not isinstance(doc, dict):
+            raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
+        try:
+            std = doc["standardizer"]
+            scaler = FeatureScaler(
+                tuple(map(float, std["means"])),
+                tuple(map(float, std["scales"])),
+                tuple(map(operator.index, std["keep"])),
+            )
+            return cls(
+                tuple(map(float, doc["weights_low"])),
+                tuple(map(float, doc["weights_high"])),
+                float(doc["rho_low"]),
+                float(doc["rho_high"]),
+                float(doc["delta_hat"]),
+                scaler,
+            )
+        except KeyError as exc:
+            raise ValueError(f"model is missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed model: {exc}") from None
 
 
 @dataclass(frozen=True)

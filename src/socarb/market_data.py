@@ -186,6 +186,23 @@ class DatasetSplit:
     test: tuple[DayPrices, ...]
 
 
+def _csv_rows(fh, path):
+    """Rows of a CSV file; a row the csv module cannot read raises ValueError.
+
+    That covers a field over the module's size limit, which would otherwise
+    escape as ``_csv.Error``.
+    """
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+        yield row
+
+
 def load_price_csv(path) -> PriceSeries:
     """Read a two-column (timestamp, price) CSV into a validated PriceSeries.
 
@@ -200,8 +217,7 @@ def load_price_csv(path) -> PriceSeries:
         raise FileNotFoundError(f"price file not found: {path}")
     rows: list[tuple[datetime, float]] = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, raw in enumerate(reader, start=1):
+        for lineno, raw in enumerate(_csv_rows(fh, path), start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             if len(raw) < 2:
@@ -395,7 +411,7 @@ def load_day_matrix(path) -> list[DayPrices]:
     """Read a day matrix CSV produced by :func:`export_day_matrix`."""
     days = []
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty day matrix")

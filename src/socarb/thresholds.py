@@ -2,11 +2,13 @@
 
 Implements static reservation-price schedules, time-dependent thresholds that
 fold in previously activated thresholds plus remaining worst-case bounds,
-feasibility-aware thresholds conditioned on the current state of charge,
-mid-horizon budget reduction with its two-stage benchmark, and the
-perfect-foresight offline optimum used in competitive checks.
-"""
+feasibility-aware thresholds conditioned on the current state of charge, the
+perfect-foresight offline optimum used in competitive checks, and the
+mid-horizon discharge-budget reduction with its two-stage benchmark.
 
+Every policy trajectory, both stages of the reduction included, is stepped by
+:func:`run_policy_days` through the one decision rule in :func:`_step`.
+"""
 from __future__ import annotations
 
 import logging
@@ -94,11 +96,11 @@ class ThresholdSchedule:
 
 @dataclass(frozen=True)
 class PolicyState:
-    """Full state of the online policy: counters, budgets, SoC, activations.
+    """State of the online policy before step ``t``: counters, budgets, SoC, activations.
 
     ``activated_ch`` / ``activated_dis`` hold (threshold value, time) pairs in
-    activation order.  ``retired_*`` keep pre-reduction history for reporting
-    after :func:`reduce_k` restarts a side as a fresh search.
+    activation order.  The timedep and feasibility thresholds read it;
+    :func:`run_policy_days` builds one per step in those modes.
     """
 
     t: int
@@ -109,8 +111,6 @@ class PolicyState:
     k_dis: int
     activated_ch: tuple[tuple[float, int], ...] = ()
     activated_dis: tuple[tuple[float, int], ...] = ()
-    retired_ch: tuple[tuple[float, int], ...] = ()
-    retired_dis: tuple[tuple[float, int], ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.j_next <= self.k_ch + 1:
@@ -121,18 +121,6 @@ class PolicyState:
             raise ValueError("activated_ch length must equal j_next-1")
         if len(self.activated_dis) != self.i_next - 1:
             raise ValueError("activated_dis length must equal i_next-1")
-
-    @property
-    def charges_executed(self) -> int:
-        return self.j_next - 1
-
-    @property
-    def discharges_executed(self) -> int:
-        return self.i_next - 1
-
-
-def initial_state(params: BatteryParams, k_ch: int, k_dis: int) -> PolicyState:
-    return PolicyState(t=1, e=params.e0, j_next=1, i_next=1, k_ch=k_ch, k_dis=k_dis)
 
 
 @dataclass(frozen=True)
@@ -423,48 +411,6 @@ def _step(
     return IDLE, e
 
 
-def step_policy(
-    state: PolicyState,
-    params: BatteryParams,
-    lambda_t: float,
-    u_next: float | None,
-    l_next: float | None,
-) -> tuple[int, PolicyState]:
-    """One policy step on the revealed price; charge is checked first.
-
-    Ties at exact threshold equality trigger the action.  A crossed threshold
-    whose capacity check fails does not act and its counter is not advanced;
-    a blocked charge falls through to the discharge check, which with
-    overlapping books (u >= l) can fire on the same price.
-    """
-    action, e = _step(
-        params,
-        state.e,
-        state.j_next <= state.k_ch,
-        state.i_next <= state.k_dis,
-        lambda_t,
-        u_next,
-        l_next,
-    )
-    if action == CHARGE:
-        return CHARGE, replace(
-            state,
-            t=state.t + 1,
-            e=e,
-            j_next=state.j_next + 1,
-            activated_ch=state.activated_ch + ((u_next, state.t),),
-        )
-    if action == DISCHARGE:
-        return DISCHARGE, replace(
-            state,
-            t=state.t + 1,
-            e=e,
-            i_next=state.i_next + 1,
-            activated_dis=state.activated_dis + ((l_next, state.t),),
-        )
-    return IDLE, replace(state, t=state.t + 1)
-
-
 def _thresholds_for(
     state: PolicyState,
     params: BatteryParams,
@@ -573,42 +519,6 @@ def run_policy(
     The one-day case of :func:`run_policy_days`, with the same arguments.
     """
     return run_policy_days([day], params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)[0]
-
-
-def reduce_k(state: PolicyState, new_k: int, side: str) -> PolicyState:
-    """Shrink one side's budget mid-horizon.
-
-    ``new_k`` equal to the current budget is the identity.  A strict reduction
-    restarts that side as a fresh k-search with budget new_k minus the
-    activations already executed; executed activations move to the retired
-    history for reporting.
-    """
-    if side not in ("charge", "discharge"):
-        raise ValueError(f"unknown side {side!r}")
-    executed = state.charges_executed if side == "charge" else state.discharges_executed
-    old_k = state.k_ch if side == "charge" else state.k_dis
-    if new_k > old_k:
-        raise ValueError(f"new_k={new_k} exceeds current budget {old_k}")
-    if new_k < executed:
-        raise ValueError(f"new_k={new_k} below {executed} already-executed actions")
-    if new_k == old_k:
-        return state
-    k_rem = new_k - executed
-    if side == "charge":
-        return replace(
-            state,
-            k_ch=k_rem,
-            j_next=1,
-            activated_ch=(),
-            retired_ch=state.retired_ch + state.activated_ch,
-        )
-    return replace(
-        state,
-        k_dis=k_rem,
-        i_next=1,
-        activated_dis=(),
-        retired_dis=state.retired_dis + state.activated_dis,
-    )
 
 
 def offline_opt(
@@ -783,52 +693,56 @@ def run_with_discharge_reduction(
 ) -> TwoStageResult:
     """Run the sell-side policy, reducing the budget to ``k_bar`` at ``t_bar``.
 
-    Stage 1 runs the k_dis-search through step t_bar - 1; the reduced search
-    restarts fresh with budget k_bar minus executed sales.  The benchmark
-    matches stage-1 decisions and takes the offline optimum of the reduced
-    subproblem on the remaining steps, with compulsory sales at lambda_min.
-    Revenue times the stage-2 ratio must cover the benchmark.
+    Stage 1 runs the k_dis-search through step t_bar - 1.  The reduced search
+    then restarts fresh from stage 1's terminal SoC with budget k_bar minus
+    executed sales; ``k_bar == k_dis`` is the identity, where the original
+    search runs the whole day.  The benchmark matches stage-1 decisions and
+    takes the offline optimum of the reduced subproblem on the remaining
+    steps, with compulsory sales at lambda_min.  Revenue times the stage-2
+    ratio must cover the benchmark.
     """
     if not 1 <= t_bar <= params.horizon:
         raise ValueError("t_bar outside horizon")
+    if len(day.values) != params.horizon:
+        raise ValueError(f"day has {len(day.values)} slots but params.horizon={params.horizon}")
+    # competitive_ratio rejects k_dis < 1, which search_ratios would map to 1.0
     omega = competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
-    schedule = static_discharge_thresholds(bounds.lambda_min, omega, k_dis)
-    state = initial_state(params, 0, k_dis)
-    actions: list[int] = []
-    cash: list[float] = []
-    soc = [params.e0]
-    for t in range(1, t_bar):
-        lam = day.values[t - 1]
-        l = schedule[state.i_next - 1] if state.i_next <= state.k_dis else None
-        action, state = step_policy(state, params, lam, None, l)
-        actions.append(action)
-        soc.append(state.e)
-        cash.append(-action * lam * params.rate)
-    stage1_revenue = math.fsum(cash)
-    executed = state.discharges_executed
+    if k_bar > k_dis:
+        raise ValueError(f"k_bar={k_bar} exceeds the budget k_dis={k_dis}")
 
-    state = reduce_k(state, k_bar, "discharge")
+    def sell(values, e0, k, ratio):
+        stage = replace(params, e0=e0, horizon=len(values))
+        days = [DayPrices(day.day_id, values)]
+        return run_policy_days(days, stage, 0, k, "static", bounds, omega=ratio)[0]
+
+    n1 = t_bar - 1  # stage-1 steps
     if k_bar == k_dis:
-        # identity reduction: the original search continues untouched
-        k_rem = k_dis - executed
-        omega2 = omega
-        schedule2 = schedule
+        traj = sell(day.values, params.e0, k_dis, omega)
+        executed = traj.actions[:n1].count(DISCHARGE)
+        stage1_revenue = math.fsum(traj.cash_flows[:n1])
+        k_rem, omega2 = k_dis - executed, omega
+        stage2_executed = traj.discharges - executed
     else:
-        k_rem = state.k_dis
-        _, omega2 = search_ratios(bounds, 0, k_rem)
-        schedule2 = (
-            static_discharge_thresholds(bounds.lambda_min, omega2, k_rem) if k_rem >= 1 else []
+        stage1 = (
+            sell(day.values[:n1], params.e0, k_dis, omega)
+            if n1
+            else Trajectory((), (params.e0,), (), 0.0)
         )
-    for t in range(t_bar, params.horizon + 1):
-        lam = day.values[t - 1]
-        l = schedule2[state.i_next - 1] if state.i_next <= state.k_dis else None
-        action, state = step_policy(state, params, lam, None, l)
-        actions.append(action)
-        soc.append(state.e)
-        cash.append(-action * lam * params.rate)
-
-    stage2_executed = state.discharges_executed - (executed if k_bar == k_dis else 0)
-    traj = Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+        executed = stage1.discharges
+        if k_bar < executed:
+            raise ValueError(f"k_bar={k_bar} below {executed} already-executed sales")
+        k_rem = k_bar - executed
+        _, omega2 = search_ratios(bounds, 0, k_rem)
+        stage2 = sell(day.values[n1:], stage1.soc_path[-1], k_rem, omega2)
+        cash = stage1.cash_flows + stage2.cash_flows
+        traj = Trajectory(
+            stage1.actions + stage2.actions,
+            stage1.soc_path + stage2.soc_path[1:],
+            cash,
+            math.fsum(cash),
+        )
+        stage1_revenue = stage1.profit
+        stage2_executed = stage2.discharges
     revenue = traj.profit + (k_rem - stage2_executed) * bounds.lambda_min * params.rate
 
     remaining = sorted(day.values[t_bar - 1 :], reverse=True)[:k_rem]

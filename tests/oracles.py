@@ -10,11 +10,14 @@ from socarb.thresholds import (
     FEAS_EPS,
     IDLE,
     BatteryParams,
+    PolicyState,
     Trajectory,
+    TwoStageResult,
     _thresholds_for,
     build_schedule,
-    initial_state,
+    competitive_ratio,
     search_ratios,
+    static_discharge_thresholds,
 )
 
 
@@ -263,6 +266,10 @@ def reference_count_feasible_trajectories(
     return in_band, total, 100.0 * in_band / total
 
 
+def initial_state(params: BatteryParams, k_ch: int, k_dis: int) -> PolicyState:
+    return PolicyState(t=1, e=params.e0, j_next=1, i_next=1, k_ch=k_ch, k_dis=k_dis)
+
+
 def reference_step_policy(state, params, lambda_t, u_next, l_next):
     """The per-step rule on a frozen ``PolicyState``, advanced by ``replace``."""
     can_charge = (
@@ -322,6 +329,77 @@ def reference_run_policy(
         soc.append(state.e)
         cash.append(-action * lam * params.rate)
     return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+
+
+def reference_run_with_discharge_reduction(
+    day, params, k_dis, t_bar, k_bar, bounds
+) -> TwoStageResult:
+    """Two hand-written stage loops that carry a ``PolicyState`` through every step.
+
+    Oracle for :func:`socarb.thresholds.run_with_discharge_reduction`.  A strict
+    reduction restarts the sell side as a fresh search with budget k_bar minus
+    the sales already executed.
+    """
+    if not 1 <= t_bar <= params.horizon:
+        raise ValueError("t_bar outside horizon")
+    omega = competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
+    schedule = static_discharge_thresholds(bounds.lambda_min, omega, k_dis)
+    state = initial_state(params, 0, k_dis)
+    actions: list[int] = []
+    cash: list[float] = []
+    soc = [params.e0]
+    for t in range(1, t_bar):
+        lam = day.values[t - 1]
+        l = schedule[state.i_next - 1] if state.i_next <= state.k_dis else None
+        action, state = reference_step_policy(state, params, lam, None, l)
+        actions.append(action)
+        soc.append(state.e)
+        cash.append(-action * lam * params.rate)
+    stage1_revenue = math.fsum(cash)
+    executed = state.i_next - 1
+
+    if k_bar > k_dis:
+        raise ValueError(f"k_bar={k_bar} exceeds the budget k_dis={k_dis}")
+    if k_bar < executed:
+        raise ValueError(f"k_bar={k_bar} below {executed} already-executed sales")
+    if k_bar == k_dis:
+        # identity reduction: the original search continues untouched
+        k_rem = k_dis - executed
+        omega2 = omega
+        schedule2 = schedule
+    else:
+        k_rem = k_bar - executed
+        state = replace(state, k_dis=k_rem, i_next=1, activated_dis=())
+        _, omega2 = search_ratios(bounds, 0, k_rem)
+        schedule2 = (
+            static_discharge_thresholds(bounds.lambda_min, omega2, k_rem) if k_rem >= 1 else []
+        )
+    for t in range(t_bar, params.horizon + 1):
+        lam = day.values[t - 1]
+        l = schedule2[state.i_next - 1] if state.i_next <= state.k_dis else None
+        action, state = reference_step_policy(state, params, lam, None, l)
+        actions.append(action)
+        soc.append(state.e)
+        cash.append(-action * lam * params.rate)
+
+    stage2_executed = state.i_next - 1 - (executed if k_bar == k_dis else 0)
+    traj = Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+    revenue = traj.profit + (k_rem - stage2_executed) * bounds.lambda_min * params.rate
+
+    remaining = sorted(day.values[t_bar - 1 :], reverse=True)[:k_rem]
+    bench_stage2 = (
+        math.fsum(remaining) + max(0, k_rem - len(remaining)) * bounds.lambda_min
+    ) * params.rate
+    benchmark = stage1_revenue + bench_stage2
+    return TwoStageResult(
+        trajectory=traj,
+        revenue=revenue,
+        benchmark=benchmark,
+        stage2_ratio=omega2,
+        stage1_revenue=stage1_revenue,
+        executed_stage1=executed,
+        k_rem=k_rem,
+    )
 
 
 def reference_offline_opt(

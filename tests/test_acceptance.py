@@ -40,7 +40,6 @@ from socarb.thresholds import (
     static_charge_thresholds,
     static_discharge_thresholds,
     timedep_thresholds,
-    initial_state,
     PolicyState,
 )
 from socarb.market_data import DayPrices

@@ -9,6 +9,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from socarb.backtest import (
+    DEFAULT_BUDGETS,
     ExperimentConfig,
     Report,
     emit_plot_data,
@@ -59,6 +60,12 @@ GRID_ERRORS = [
     ("k_grid = 2:2, 3:3, 2 : 2", "k_grid lists an entry twice"),
 ]
 
+# report keys print e0 and band edges with :g (six significant digits)
+ALIKE_ERRORS = [
+    ("e0_sweep = 5, 5.0000001", "e0_sweep entries print alike as 'e0=5' in report keys"),
+    ("bands = 5:7, 5.0000001:7", "bands entries print alike as 'band=[5,7]' in report keys"),
+]
+
 
 class TestConfig:
     def test_parse_round_trip(self):
@@ -73,6 +80,7 @@ class TestConfig:
         config = parse_config("")
         assert config.battery.horizon == 24
         assert config.epsilon == 0.1
+        assert config.k_grid == (DEFAULT_BUDGETS,) == ((3, 3),)
 
     def test_hash_stable_under_comments(self):
         a = parse_config(SMALL_CONFIG)
@@ -118,6 +126,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("line, message", GRID_ERRORS)
     def test_malformed_grid_exits_with_validation_error(self, tmp_path, capsys, line, message):
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(SMALL_CONFIG + line + "\n")
+        assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", ALIKE_ERRORS)
+    def test_values_printing_alike_rejected(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(SMALL_CONFIG + line + "\n")
+
+    @pytest.mark.parametrize("line, message", ALIKE_ERRORS)
+    def test_values_printing_alike_exit_with_validation_error(self, tmp_path, capsys, line, message):
         config_path = tmp_path / "exp.conf"
         config_path.write_text(SMALL_CONFIG + line + "\n")
         assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
@@ -268,6 +289,15 @@ class TestRunExperiment:
         failed = [k for k, c in report.payload["cells"].items() if "error" in c]
         assert failed and all(k.startswith("e0=9") for k in failed)
         assert any("counting" in c for c in report.payload["cells"].values())
+
+
+MODEL_WITH_TEXT_DELTA = json.dumps(
+    {
+        "standardizer": {"means": [], "scales": [], "keep": []},
+        "weights_low": [], "weights_high": [], "rho_low": 0.05, "rho_high": 0.95,
+        "delta_hat": "x",
+    }
+)
 
 
 def write_price_csv(path, n_hours=72):
@@ -461,6 +491,61 @@ class TestCli:
              "--out", str(out_csv)]
         ) == 0
         assert out_csv.read_text().startswith("t,e,mass")
+
+    @pytest.mark.parametrize(
+        "argv", [["ingest"], ["simulate", "--day"], ["cqr", "train", "--days"]], ids=" ".join
+    )
+    def test_oversized_csv_field_exits_with_validation_error(self, tmp_path, capsys, argv):
+        # a field over the csv module's 131,072-character limit on line 3
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "timestamp,price\n2016-05-01T00:00:00,1.0\n"
+            f"2016-05-01T01:00:00,{'9' * 131_073}\n"
+        )
+        assert main(argv + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path} line 3: field larger than field limit" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "model is missing key 'standardizer'"),
+            ("[1]", "model must be a JSON object, got list"),
+            (MODEL_WITH_TEXT_DELTA, "could not convert string to float: 'x'"),
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["calibrate", "predict", "evaluate"])
+    def test_malformed_model_exits_with_validation_error(self, tmp_path, capsys, text, message, cmd):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        code = main(
+            ["cqr", cmd, "--synthetic", "20", "--horizon", "8", "--model", str(model_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {model_path}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "missing the Qt-curve block"),
+            ('{"plot_data": 3}', "missing the Qt-curve block"),
+            ('{"plot_data": {"qt_curve": [1, 2]}}', "must be a list of rows"),
+        ],
+    )
+    def test_malformed_report_exits_with_validation_error(self, tmp_path, capsys, text, message):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(text)
+        code = main(
+            ["plot-data", "--report", str(report_path), "--kind", "Qt-curve",
+             "--out", str(tmp_path / "qt.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {report_path}: " in err and message in err
+        assert "Traceback" not in err
 
     def test_exit_codes(self, tmp_path, capsys):
         # validation error: band above capacity is fine, bad epsilon is not

@@ -134,7 +134,7 @@ def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
     windows, e0s, budgets = 3, 3, 2
     cells = windows * e0s * budgets
     assert per_bands["5:7"] == per_bands["5:7, 3:8, 2:9"] == {
-        "compute_bounds": windows + 2,  # and once each for the plot and CQR blocks
+        "compute_bounds": windows + 1,  # and once for the plot and CQR blocks together
         "fit_distribution": windows + 1,  # and once for the plot block
         "policy_action_probabilities": cells + 1,
         "propagate": cells + 1,

@@ -16,6 +16,7 @@ from socarb.thresholds import (
     BatteryParams,
     PolicyState,
     Trajectory,
+    _step,
     build_schedule,
     competitive_check,
     competitive_ratio,
@@ -23,17 +24,16 @@ from socarb.thresholds import (
     feasibility_aware_thresholds,
     feasible_charge_count,
     feasible_discharge_count,
-    initial_state,
     offline_opt,
-    reduce_k,
     run_policy,
     run_with_discharge_reduction,
     search_ratios,
     static_charge_thresholds,
     static_discharge_thresholds,
-    step_policy,
     timedep_thresholds,
 )
+
+from oracles import initial_state, reference_run_with_discharge_reduction
 
 
 def const_bounds(lmin, lmax, horizon, t_start=1):
@@ -304,38 +304,23 @@ class TestStepPolicy:
     params = BatteryParams(0, 10, 2, 4, 8)
 
     def test_tie_triggers_charge(self):
-        state = initial_state(self.params, 1, 1)
-        action, new = step_policy(state, self.params, 30.0, 30.0, 60.0)
-        assert action == CHARGE
-        assert new.e == 6.0 and new.j_next == 2
-        assert new.activated_ch == ((30.0, 1),)
+        assert _step(self.params, 4.0, True, True, 30.0, 30.0, 60.0) == (CHARGE, 6.0)
 
     def test_between_thresholds_idles(self):
-        state = initial_state(self.params, 1, 1)
-        action, new = step_policy(state, self.params, 45.0, 30.0, 60.0)
-        assert action == IDLE
-        assert new.e == 4.0 and new.j_next == 1 and new.i_next == 1
+        assert _step(self.params, 4.0, True, True, 45.0, 30.0, 60.0) == (IDLE, 4.0)
 
     def test_capacity_blocked_discharge_keeps_counter(self):
         params = BatteryParams(0, 10, 2, 1, 8)  # e - P < e_min
-        state = initial_state(params, 0, 1)
-        action, new = step_policy(state, params, 99.0, None, 60.0)
-        assert action == IDLE
-        assert new.i_next == 1 and new.activated_dis == ()
+        # an idle action is what leaves the discharge counter unadvanced
+        assert _step(params, 1.0, False, True, 99.0, None, 60.0) == (IDLE, 1.0)
 
     def test_capacity_blocked_charge_falls_through_to_discharge(self):
         params = BatteryParams(0, 10, 2, 10, 8)  # full: charge infeasible
-        state = initial_state(params, 1, 1)
-        action, new = step_policy(state, params, 70.0, 80.0, 60.0)
-        assert action == DISCHARGE
-        assert new.e == 8.0
+        assert _step(params, 10.0, True, True, 70.0, 80.0, 60.0) == (DISCHARGE, 8.0)
 
     def test_budget_exhaustion(self):
-        state = PolicyState(
-            t=3, e=4.0, j_next=2, i_next=1, k_ch=1, k_dis=0, activated_ch=((30.0, 1),)
-        )
-        action, _ = step_policy(state, self.params, 1.0, None, None)
-        assert action == IDLE
+        # one charge of a k_ch = 1 budget already spent, no discharge budget
+        assert _step(self.params, 4.0, False, False, 1.0, None, None) == (IDLE, 4.0)
 
 
 class TestRunPolicy:
@@ -409,37 +394,6 @@ class TestRunPolicy:
         late = const_bounds(10.0, 100.0, 4, t_start=2)
         with pytest.raises(ValueError, match="bounds cover"):
             run_policy(day([20.0] * 4), params, 1, 1, "feasibility", late)
-
-
-class TestReduceK:
-    def make_state(self):
-        return PolicyState(
-            t=5, e=6.0, j_next=1, i_next=2, k_ch=0, k_dis=3,
-            activated_dis=((30.0, 2),),
-        )
-
-    def test_identity(self):
-        state = self.make_state()
-        assert reduce_k(state, 3, "discharge") is state
-
-    def test_reduction_restarts_side(self):
-        state = reduce_k(self.make_state(), 2, "discharge")
-        assert state.k_dis == 1  # 2 - 1 executed
-        assert state.i_next == 1
-        assert state.activated_dis == ()
-        assert state.retired_dis == ((30.0, 2),)
-
-    def test_below_executed_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_k(self.make_state(), 0, "discharge")
-
-    def test_fresh_one_search_threshold(self):
-        # remaining budget 1: fresh 1-search threshold is omega' * smallest bound
-        state = reduce_k(self.make_state(), 2, "discharge")
-        bounds = const_bounds(10.0, 90.0, 8)
-        omega1 = competitive_ratio(10.0, 90.0, 1, "max-search")
-        _, l = timedep_thresholds(state, bounds, 1.0, omega1)
-        assert l == pytest.approx(omega1 * 10.0)
 
 
 class TestOfflineOpt:
@@ -569,4 +523,45 @@ class TestTwoStageReduction:
         result = run_with_discharge_reduction(day(prices), params, 3, 3, 2, bounds)
         assert result.executed_stage1 == 1
         assert result.k_rem == 1
+        # the reduced side restarts as a fresh 1-search
+        assert result.stage2_ratio == competitive_ratio(5.0, 45.0, 1, "max-search")
         assert result.revenue * result.stage2_ratio >= result.benchmark - 1e-9
+
+    def test_budget_below_executed_sales_rejected(self):
+        params = BatteryParams(0, 20, 2, 12, 6)
+        bounds = const_bounds(5.0, 45.0, 6)
+        prices = [44.0, 6.0, 7.0, 30.0, 44.0, 6.0]
+        with pytest.raises(ValueError, match="below 1 already-executed sales"):
+            run_with_discharge_reduction(day(prices), params, 3, 3, 0, bounds)
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_day_length_must_match_horizon(self, length):
+        params = BatteryParams(0, 20, 2, 12, 6)
+        bounds = const_bounds(5.0, 45.0, 7)
+        with pytest.raises(ValueError, match=f"day has {length} slots"):
+            run_with_discharge_reduction(day([30.0] * length), params, 3, 3, 2, bounds)
+
+    def test_matches_reference_on_seeded_configs(self):
+        rng = np.random.default_rng(2024)
+        n_raised = 0
+        n_configs = 6000
+        for _ in range(n_configs):
+            k = int(rng.integers(0, 5))
+            horizon = int(rng.integers(k + 1, 16))
+            prices = [float(p) for p in rng.uniform(5.0, 45.0, size=horizon)]
+            e0 = float(rng.choice([0.0, 2.0 * k, 4.0 * horizon]))
+            params = BatteryParams(0.0, 4.0 * horizon, 2.0, e0, horizon)
+            t_bar = int(rng.integers(1, horizon + 1))
+            k_bar = int(rng.integers(-1, k + 2))
+            bounds = const_bounds(5.0, 45.0, horizon)
+            args = (day(prices), params, k, t_bar, k_bar, bounds)
+            try:
+                expected = reference_run_with_discharge_reduction(*args)
+            except ValueError:
+                n_raised += 1
+                with pytest.raises(ValueError):
+                    run_with_discharge_reduction(*args)
+                continue
+            assert run_with_discharge_reduction(*args) == expected, args
+        # both outcomes are exercised
+        assert 0 < n_raised < n_configs
