@@ -18,8 +18,16 @@ import numpy as np
 
 from . import __version__
 from .conformal import evaluate_coverage, fit_conformal
-from .market_data import DayPrices, compute_bounds, fit_distribution, load_day_matrix, split_dataset
+from .market_data import (
+    BOUNDS_MODES,
+    DayPrices,
+    compute_bounds,
+    fit_distribution,
+    load_day_matrix,
+    split_dataset,
+)
 from .reachability import (
+    POST_STOP_MODES,
     TargetBand,
     count_feasible_trajectories,
     policy_action_probabilities,
@@ -27,7 +35,7 @@ from .reachability import (
     stopping_time,
     terminal_band_probability,
 )
-from .thresholds import BatteryParams, run_policy_days
+from .thresholds import THRESHOLD_MODES, BatteryParams, run_policy_days
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        for key, value, valid in (
+            ("threshold_mode", self.threshold_mode, THRESHOLD_MODES),
+            ("bounds_mode", self.bounds_mode, BOUNDS_MODES),
+            ("post_stop", self.post_stop_mode, POST_STOP_MODES),
+        ):
+            if value not in valid:
+                raise ValueError(f"{key} = {value!r} is not one of {', '.join(valid)}")
         for e0 in self.e0_sweep:
             if not self.battery.e_min <= e0 <= self.battery.e_max:
                 raise ValueError(f"e0 sweep value {e0} outside capacity")

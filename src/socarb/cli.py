@@ -4,6 +4,12 @@ Subcommands: ingest, thresholds, simulate, reach, stop-time, table1,
 cqr {train, calibrate, predict, evaluate}, backtest, plot-data.  Output goes
 to stdout unless --out is given.  Exit codes: 0 success, 1 validation error,
 2 data error.  No environment variables are consulted.
+
+Each subcommand parses its flags and makes the library calls the backtest
+makes: ``reach`` and ``stop-time`` share one pipeline, whose SoC distribution
+is bounded by --kch/--kdis, and ``cqr calibrate`` is
+:func:`socarb.conformal.calibrate`.  The --mode, --bounds-mode and --post-stop
+choices are the library's own mode tuples.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DATA = 2
 
+# --post-stop short names for stopping_time's post-stop modes
+POST_STOP = dict(zip(("idle", "full", "policy"), rc.POST_STOP_MODES))
+
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -46,12 +55,26 @@ def _band(text: str) -> rc.TargetBand:
     return rc.TargetBand.from_interval(lo, hi)
 
 
-def _add_battery_args(p, horizon_default=24):
+def _add_battery_args(p):
     p.add_argument("--emin", type=float, default=0.0, help="minimum SoC [MWh]")
     p.add_argument("--emax", type=float, default=10.0, help="maximum SoC [MWh]")
     p.add_argument("--rate", type=float, default=2.0, help="fixed step rate P [MWh]")
     p.add_argument("--e0", type=float, default=5.0, help="initial SoC [MWh]")
-    p.add_argument("--horizon", type=int, default=horizon_default, help="steps T")
+    p.add_argument("--horizon", type=int, default=24, help="steps T")
+
+
+def _add_policy_args(p, data=True):
+    """Battery, day source (unless ``data`` is false), budget, mode and --out flags."""
+    _add_battery_args(p)
+    if data:
+        p.add_argument("--days", help="day matrix CSV")
+        p.add_argument("--synthetic", type=int, default=0, help="generate N synthetic days")
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kch", type=int, default=3)
+    p.add_argument("--kdis", type=int, default=3)
+    p.add_argument("--mode", choices=th.THRESHOLD_MODES, default="static")
+    p.add_argument("--bounds-mode", choices=md.BOUNDS_MODES, default="per-hour")
+    p.add_argument("--out")
 
 
 def _load_days(args) -> list[md.DayPrices]:
@@ -97,11 +120,7 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.index < len(days):
         raise ValueError(f"--index {args.index} outside 0..{len(days) - 1}")
     day = days[args.index]
-    params = _battery(args)
-    if params.horizon != len(day.values):
-        params = th.BatteryParams(
-            params.e_min, params.e_max, params.rate, params.e0, len(day.values)
-        )
+    params = replace(_battery(args), horizon=len(day.values))
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     traj = th.run_policy(day, params, args.kch, args.kdis, args.mode, bounds)
     lines = ["t,price,action,soc,cashflow"]
@@ -115,15 +134,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_reach(args) -> int:
+def _policy_distribution(args):
+    """Action probabilities and budgeted SoC distribution of the policy on the days."""
     params = _battery(args)
     days = _load_days(args)
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     dist = md.fit_distribution(days)
-    probs = rc.policy_action_probabilities(
-        params, dist, bounds, args.kch, args.kdis, args.mode
-    )
-    soc_dist = rc.propagate(params, probs, args.kch, args.kdis, mode=args.dist_mode)
+    probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
+    return probs, rc.propagate(params, probs, args.kch, args.kdis)
+
+
+def cmd_reach(args) -> int:
+    _, soc_dist = _policy_distribution(args)
     band = _band(args.band)
     lines = ["t,e,mass"]
     for t in range(soc_dist.horizon + 1):
@@ -133,22 +155,14 @@ def cmd_reach(args) -> int:
     summary = {
         "p_band": rc.terminal_band_probability(soc_dist, band),
         "grid": list(soc_dist.grid),
-        "mode": args.dist_mode,
     }
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_stop_time(args) -> int:
-    params = _battery(args)
-    days = _load_days(args)
-    bounds = md.compute_bounds(days, 1, args.bounds_mode)
-    dist = md.fit_distribution(days)
-    probs = rc.policy_action_probabilities(
-        params, dist, bounds, args.kch, args.kdis, args.mode
-    )
-    mode = {"idle": "idle", "full": "full-control", "policy": "continue-policy"}[args.post_stop]
-    soc_dist = rc.propagate(params, probs, args.kch, args.kdis)
+    probs, soc_dist = _policy_distribution(args)
+    mode = POST_STOP[args.post_stop]
     result = rc.stopping_time(soc_dist, probs, _band(args.band), args.epsilon, mode)
     lines = ["t,Q_t"] + [f"{t},{q!r}" for t, q in enumerate(result.big_q, start=1)]
     _write(args, "\n".join(lines) + "\n")
@@ -161,8 +175,7 @@ def cmd_table1(args) -> int:
     band = _band(args.band)
     lines = ["e0,band_lo,band_hi,steps,in_band,total,pct"]
     for n in args.steps:
-        cell_params = th.BatteryParams(params.e_min, params.e_max, params.rate, args.e0, n)
-        in_band, total, pct = rc.count_feasible_trajectories(cell_params, n, band)
+        in_band, total, pct = rc.count_feasible_trajectories(replace(params, horizon=n), n, band)
         lines.append(f"{args.e0!r},{band.lo!r},{band.hi!r},{n},{in_band},{total},{pct:.2f}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -198,20 +211,8 @@ def cmd_cqr(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from None
     if args.cqr_cmd == "calibrate":
-        # refresh delta_hat for this calibration split (and possibly epsilon)
-        x_cal, y_cal = cf.label_days(
-            list(split.calib), params, bounds, args.kch, args.kdis, args.mode
-        )
-        scores = cf.nonconformity_scores(
-            model.low_weights, model.high_weights, model.scaler, x_cal, y_cal
-        )
-        model = cf.ConformalModel(
-            model.low_weights,
-            model.high_weights,
-            args.epsilon / 2.0,
-            1.0 - args.epsilon / 2.0,
-            cf.conformal_quantile(scores, args.epsilon),
-            model.scaler,
+        model = cf.calibrate(
+            model, list(split.calib), params, bounds, args.kch, args.kdis, args.epsilon, args.mode
         )
         _write(args, model.to_json() + "\n")
         return EXIT_OK
@@ -243,10 +244,7 @@ def cmd_cqr(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    if args.config:
-        config = bt.load_config(args.config)
-    else:
-        config = bt.parse_config("")  # defaults
+    config = bt.load_config(args.config) if args.config else bt.parse_config("")
     if args.synthetic:
         config = replace(config, data_path=None, synthetic_days=args.synthetic)
     report = bt.run_experiment(config)
@@ -289,45 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the policy on one day")
     p.add_argument("--day", required=True, help="day matrix CSV")
     p.add_argument("--index", type=int, default=0, help="row to simulate")
-    _add_battery_args(p)
-    p.add_argument("--kch", type=int, default=3)
-    p.add_argument("--kdis", type=int, default=3)
-    p.add_argument("--mode", choices=["static", "timedep", "feasibility"], default="static")
-    p.add_argument("--bounds-mode", choices=["per-hour", "global"], default="per-hour")
-    p.add_argument("--out")
+    _add_policy_args(p, data=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reach", help="per-step SoC distribution and band probability")
-    _add_battery_args(p)
-    p.add_argument("--days", help="day matrix CSV")
-    p.add_argument("--synthetic", type=int, default=0, help="generate N synthetic days")
-    p.add_argument("--seed", type=int, default=0)
+    _add_policy_args(p)
     p.add_argument("--band", required=True, help="lo,hi")
-    p.add_argument("--kch", type=int, default=3)
-    p.add_argument("--kdis", type=int, default=3)
-    p.add_argument("--mode", choices=["static", "timedep", "feasibility"], default="static")
-    p.add_argument("--dist-mode", choices=["augmented", "marginal"], default="augmented")
-    p.add_argument("--bounds-mode", choices=["per-hour", "global"], default="per-hour")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("stop-time", help="Q_t curve and minimum stopping time")
-    _add_battery_args(p)
-    p.add_argument("--days")
-    p.add_argument("--synthetic", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_policy_args(p)
     p.add_argument("--band", required=True, help="lo,hi")
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--post-stop", choices=["idle", "full", "policy"], default="full")
-    p.add_argument("--kch", type=int, default=3)
-    p.add_argument("--kdis", type=int, default=3)
-    p.add_argument("--mode", choices=["static", "timedep", "feasibility"], default="static")
-    p.add_argument("--bounds-mode", choices=["per-hour", "global"], default="per-hour")
-    p.add_argument("--out")
+    p.add_argument("--post-stop", choices=POST_STOP, default="full")
     p.set_defaults(func=cmd_stop_time)
 
     p = sub.add_parser("table1", help="feasible-trajectory counting report")
-    _add_battery_args(p, horizon_default=24)
+    _add_battery_args(p)
     p.add_argument("--band", required=True, help="lo,hi")
     p.add_argument("--steps", type=int, nargs="+", required=True)
     p.add_argument("--out")
@@ -337,19 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     cqr_sub = p.add_subparsers(dest="cqr_cmd", required=True)
     for name in ("train", "calibrate", "predict", "evaluate"):
         q = cqr_sub.add_parser(name)
-        _add_battery_args(q)
-        q.add_argument("--days")
-        q.add_argument("--synthetic", type=int, default=0)
-        q.add_argument("--seed", type=int, default=0)
+        _add_policy_args(q)
         q.add_argument("--shuffle", action="store_true")
         q.add_argument("--epsilon", type=float, default=0.1)
         q.add_argument("--split", default="0.6,0.2,0.2", help="train,calib,test ratios")
-        q.add_argument("--kch", type=int, default=3)
-        q.add_argument("--kdis", type=int, default=3)
-        q.add_argument("--mode", choices=["static", "timedep", "feasibility"], default="static")
-        q.add_argument("--bounds-mode", choices=["per-hour", "global"], default="per-hour")
         q.add_argument("--epochs", type=int, default=400)
-        q.add_argument("--out")
         if name in ("calibrate", "predict", "evaluate"):
             q.add_argument("--model", required=True, help="model JSON path")
         if name == "predict":
@@ -366,11 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="extract plot CSVs from a report")
     p.add_argument("--report", required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=sorted(bt.PLOT_HEADERS),
-    )
+    p.add_argument("--kind", required=True, choices=sorted(bt.PLOT_HEADERS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_plot_data)
     return parser

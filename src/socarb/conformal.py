@@ -11,7 +11,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,6 +252,31 @@ def conformal_quantile(scores, epsilon: float) -> float:
     return float(arr[idx - 1])
 
 
+def calibrate(
+    model: ConformalModel,
+    calib_days: list[DayPrices],
+    params: BatteryParams,
+    bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
+    epsilon: float,
+    threshold_mode: str = "static",
+) -> ConformalModel:
+    """Refit the model's conformal width on calibration days at risk level epsilon.
+
+    The quantile predictors and the scaler are kept; ``rho_low``, ``rho_high``
+    and ``delta_hat`` are refit.
+    """
+    x_cal, y_cal = label_days(calib_days, params, bounds, k_ch, k_dis, threshold_mode)
+    scores = nonconformity_scores(model.low_weights, model.high_weights, model.scaler, x_cal, y_cal)
+    return replace(
+        model,
+        rho_low=epsilon / 2.0,
+        rho_high=1.0 - epsilon / 2.0,
+        delta_hat=conformal_quantile(scores, epsilon),
+    )
+
+
 def fit_conformal(
     train_days: list[DayPrices],
     calib_days: list[DayPrices],
@@ -263,7 +288,7 @@ def fit_conformal(
     threshold_mode: str = "static",
     epochs: int = 600,
 ) -> ConformalModel:
-    """Train both quantile predictors and calibrate the conformal width."""
+    """Train both quantile predictors, then :func:`calibrate` the conformal width."""
     rho_low = epsilon / 2.0
     rho_high = 1.0 - epsilon / 2.0
     x_train, y_train = label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)
@@ -271,17 +296,10 @@ def fit_conformal(
     x_std = scaler.transform(x_train)
     low_w = train_quantile_model(x_std, y_train, rho_low, epochs=epochs)
     high_w = train_quantile_model(x_std, y_train, rho_high, epochs=epochs)
-    x_cal, y_cal = label_days(calib_days, params, bounds, k_ch, k_dis, threshold_mode)
-    scores = nonconformity_scores(low_w, high_w, scaler, x_cal, y_cal)
-    delta_hat = conformal_quantile(scores, epsilon)
-    return ConformalModel(
-        tuple(float(v) for v in low_w),
-        tuple(float(v) for v in high_w),
-        rho_low,
-        rho_high,
-        delta_hat,
-        scaler,
-    )
+    low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
+    # delta_hat is calibrate's to set
+    model = ConformalModel(low, high, rho_low, rho_high, math.nan, scaler)
+    return calibrate(model, calib_days, params, bounds, k_ch, k_dis, epsilon, threshold_mode)
 
 
 def predict_interval(model: ConformalModel, features: np.ndarray) -> PredictionInterval:

@@ -26,6 +26,8 @@ HOUR = timedelta(hours=1)
 # minima at or below zero (negative LMPs) are clamped to this floor.
 DEFAULT_PRICE_FLOOR = 0.01
 
+BOUNDS_MODES = ("per-hour", "global")
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -305,7 +307,7 @@ def compute_bounds(
         raise ValueError("all days must share the same horizon")
     if not 1 <= t <= horizon:
         raise ValueError(f"t={t} outside 1..{horizon}")
-    if mode not in ("per-hour", "global"):
+    if mode not in BOUNDS_MODES:
         raise ValueError(f"unknown bounds mode {mode!r}")
 
     matrix = np.array([d.values for d in days], dtype=float)

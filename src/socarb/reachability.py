@@ -23,6 +23,8 @@ from .thresholds import BatteryParams, run_policy_days
 MASS_TOL = 1e-12
 BAND_EPS = 1e-9
 
+POST_STOP_MODES = ("idle", "full-control", "continue-policy")
+
 
 @dataclass(frozen=True)
 class ActionProbs:
@@ -428,7 +430,7 @@ def stopping_time(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if post_stop_mode not in ("idle", "full-control", "continue-policy"):
+    if post_stop_mode not in POST_STOP_MODES:
         raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
     horizon = soc_dist.horizon
     if len(probs_per_step) != horizon:

@@ -26,6 +26,8 @@ CHARGE = 1
 IDLE = 0
 DISCHARGE = -1
 
+THRESHOLD_MODES = ("static", "timedep", "feasibility")
+
 
 @dataclass(frozen=True)
 class BatteryParams:
@@ -38,6 +40,9 @@ class BatteryParams:
     horizon: int
 
     def __post_init__(self):
+        for name in ("e_min", "e_max", "rate", "e0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.e_max <= self.e_min:
             raise ValueError("e_max must exceed e_min")
         if not self.e_min <= self.e0 <= self.e_max:
@@ -56,6 +61,13 @@ class BatteryParams:
         return max(0, math.floor((self.e_max - e) / self.rate + FEAS_EPS))
 
 
+def _check_ratio(name: str, value: float) -> float:
+    """A competitive ratio given by the caller: a finite number >= 1."""
+    if not (math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must be a finite number >= 1, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ThresholdSchedule:
     """Static buy (charge) and sell (discharge) reservation prices."""
@@ -66,8 +78,8 @@ class ThresholdSchedule:
     omega: float
 
     def __post_init__(self):
-        if self.alpha < 1.0 or self.omega < 1.0:
-            raise ValueError("competitive ratios must be >= 1")
+        _check_ratio("alpha", self.alpha)
+        _check_ratio("omega", self.omega)
         # strictly monotone for ratios above 1; flat schedules are the
         # degenerate alpha == 1 / omega == 1 case
         strict_ch = self.alpha > 1.0
@@ -160,9 +172,7 @@ def competitive_ratio(
     the equation with a user-supplied ratio.
     """
     if override is not None:
-        if override < 1.0:
-            raise ValueError("ratio override must be >= 1")
-        return float(override)
+        return _check_ratio("ratio override", override)
     if not (math.isfinite(lambda_min) and math.isfinite(lambda_max)):
         raise ValueError("price bounds must be finite")
     if lambda_min <= 0:
@@ -203,32 +213,28 @@ def search_ratios(
 ) -> tuple[float, float]:
     """(alpha, omega) for the charge and discharge sides of an envelope.
 
-    A side whose ratio is not given solves its k-search equation (min-search
-    for charging, max-search for discharging); a side with budget 0 gets 1.0.
+    A given ratio passes the same check as a :func:`competitive_ratio`
+    override; a side without one solves its k-search equation (min-search for
+    charging, max-search for discharging), or gets 1.0 when its budget is 0.
     """
-    if alpha is None:
-        alpha = (
-            competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_ch, "min-search")
-            if k_ch >= 1
-            else 1.0
-        )
-    if omega is None:
-        omega = (
-            competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
-            if k_dis >= 1
-            else 1.0
-        )
-    return alpha, omega
+    if alpha is not None:
+        alpha = _check_ratio("alpha", alpha)
+    elif k_ch >= 1:
+        alpha = competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_ch, "min-search")
+    if omega is not None:
+        omega = _check_ratio("omega", omega)
+    elif k_dis >= 1:
+        omega = competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
+    return (1.0 if alpha is None else alpha), (1.0 if omega is None else omega)
 
 
 def static_charge_thresholds(lambda_max: float, alpha: float, k_ch: int) -> list[float]:
     """u_j = lambda_max * [1 - (1 - 1/alpha)(1 + 1/(alpha*k))^(j-1)], j = 1..k."""
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    _check_ratio("alpha", alpha)
     if k_ch < 1:
         raise ValueError("k_ch must be >= 1")
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     shrink = 1.0 - 1.0 / alpha
     growth = 1.0 + 1.0 / (alpha * k_ch)
     return [lambda_max * (1.0 - shrink * growth ** (j - 1)) for j in range(1, k_ch + 1)]
@@ -236,12 +242,11 @@ def static_charge_thresholds(lambda_max: float, alpha: float, k_ch: int) -> list
 
 def static_discharge_thresholds(lambda_min: float, omega: float, k_dis: int) -> list[float]:
     """l_i = lambda_min * [1 + (omega - 1)(1 + omega/k)^(i-1)], i = 1..k."""
-    if omega < 1.0:
-        raise ValueError("omega must be >= 1")
+    _check_ratio("omega", omega)
     if k_dis < 1:
         raise ValueError("k_dis must be >= 1")
-    if lambda_min <= 0:
-        raise ValueError("lambda_min must be positive")
+    if not (math.isfinite(lambda_min) and lambda_min > 0):
+        raise ValueError(f"lambda_min must be positive and finite, got {lambda_min}")
     growth = 1.0 + omega / k_dis
     return [lambda_min * (1.0 + (omega - 1.0) * growth ** (i - 1)) for i in range(1, k_dis + 1)]
 
@@ -468,7 +473,7 @@ def run_policy_days(
     if static:
         schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
         u_book, l_book = schedule.charge, schedule.discharge
-    elif threshold_mode not in ("timedep", "feasibility"):
+    elif threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
 
     rate = params.rate

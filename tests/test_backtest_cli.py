@@ -58,12 +58,24 @@ GRID_ERRORS = [
     ("e0_sweep = 1, 5, 1.0", "e0_sweep lists an entry twice"),
     ("start_steps = 4, 2, 4", "start_steps lists an entry twice"),
     ("k_grid = 2:2, 3:3, 2 : 2", "k_grid lists an entry twice"),
+    ("battery.e_max = inf", "e_max must be finite, got inf"),
+    ("battery.rate = inf", "rate must be finite, got inf"),
+    ("battery.rate = nan", "rate must be finite, got nan"),
+    ("battery.e0 = nan", "e0 must be finite, got nan"),
 ]
 
 # report keys print e0 and band edges with :g (six significant digits)
 ALIKE_ERRORS = [
     ("e0_sweep = 5, 5.0000001", "e0_sweep entries print alike as 'e0=5' in report keys"),
     ("bands = 5:7, 5.0000001:7", "bands entries print alike as 'band=[5,7]' in report keys"),
+]
+
+
+# each mode key of a config, a typo of it, and its valid values
+MODE_TYPOS = [
+    ("threshold_mode", "statc", "static, timedep, feasibility"),
+    ("bounds_mode", "per_hour", "per-hour, global"),
+    ("post_stop", "ful-control", "idle, full-control, continue-policy"),
 ]
 
 
@@ -155,6 +167,19 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{name} lists an entry twice"):
                 replace(config, **{name: values + values[:1]})
         assert replace(config, k_grid=()).k_grid == ()
+
+    @pytest.mark.parametrize("key, typo, valid", MODE_TYPOS)
+    def test_mode_typo_rejected(self, tmp_path, capsys, key, typo, valid):
+        # an empty k_grid runs no policy cell, so without the config check a typo exits 0
+        message = f"{key} = {typo!r} is not one of {valid}"
+        text = SMALL_CONFIG + f"{key} = {typo}\nk_grid =\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(text)
+        assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "Traceback" not in err
 
     def test_unknown_key_exits_with_validation_error(self, tmp_path, capsys):
         config_path = tmp_path / "exp.conf"
@@ -374,6 +399,39 @@ class TestCli:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[1] == "1,charge,50.0"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kdis", "2", "--omega", "inf"], "omega must be a finite number >= 1, got inf"),
+            (["--kdis", "2", "--omega", "nan"], "omega must be a finite number >= 1, got nan"),
+            (["--kch", "2", "--alpha", "nan"], "alpha must be a finite number >= 1, got nan"),
+            (["--kdis", "2", "--omega", "2", "--lmin", "nan"],
+             "lambda_min must be positive and finite, got nan"),
+            (["--kch", "2", "--alpha", "2", "--lmax", "inf"],
+             "lambda_max must be positive and finite, got inf"),
+        ],
+    )
+    def test_thresholds_non_finite_exits_with_validation_error(self, capsys, argv, message):
+        assert main(["thresholds", "--lmin", "10", "--lmax", "100"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"validation error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--emax=inf", "e_max"), ("--emin=-inf", "e_min"), ("--rate=inf", "rate"),
+         ("--rate=nan", "rate"), ("--e0=nan", "e0")],
+    )
+    def test_reach_non_finite_battery_exits_with_validation_error(
+        self, tmp_path, capsys, flag, field
+    ):
+        argv = ["reach", "--synthetic", "30", "--horizon", "6", "--band", "3,8", flag,
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {field} must be finite" in err and "Traceback" not in err
+
     def test_reach_and_stop_time(self, tmp_path, capsys):
         code = main(
             ["reach", "--e0", "5", "--horizon", "6", "--synthetic", "30",
@@ -383,6 +441,7 @@ class TestCli:
         assert code == 0
         err = capsys.readouterr().err
         summary = json.loads(err.strip().splitlines()[-1])
+        assert sorted(summary) == ["grid", "p_band"]
         assert 0.0 <= summary["p_band"] <= 1.0
 
         code = main(
@@ -477,6 +536,13 @@ class TestCli:
         assert recal["weights_low"] == original["weights_low"]
         assert recal["rho_low"] == 0.125
         assert recal["delta_hat"] <= original["delta_hat"] + 1e-12
+        # the training epsilon on the same split refits the width train fitted
+        same_path = tmp_path / "same.json"
+        main(
+            ["cqr", "calibrate", "--synthetic", "60", "--horizon", "8", "--e0", "4",
+             "--model", str(model_path), "--out", str(same_path)]
+        )
+        assert same_path.read_bytes() == model_path.read_bytes()
 
     def test_backtest_and_plot_data(self, tmp_path):
         config_path = tmp_path / "exp.conf"

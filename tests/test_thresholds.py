@@ -186,6 +186,41 @@ class TestStaticThresholds:
         assert all(a < b for a, b in zip(l, l[1:]))
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["e_min", "e_max", "rate", "e0"])
+    def test_battery_field_rejected(self, field, value):
+        kwargs = dict(e_min=0.0, e_max=10.0, rate=2.0, e0=5.0, horizon=4)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            BatteryParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.5])
+    def test_ratio_rejected_everywhere_it_is_given(self, value):
+        # nan fails every comparison, so a bare `< 1` check lets it through
+        bounds = const_bounds(5.0, 45.0, 4)
+        with pytest.raises(ValueError, match="ratio override must be a finite number >= 1"):
+            competitive_ratio(1.0, 9.0, 2, "max-search", override=value)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 1"):
+            search_ratios(bounds, 2, 3, alpha=value)
+        with pytest.raises(ValueError, match="omega must be a finite number >= 1"):
+            search_ratios(bounds, 2, 3, omega=value)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 1"):
+            static_charge_thresholds(100.0, value, 2)
+        with pytest.raises(ValueError, match="omega must be a finite number >= 1"):
+            static_discharge_thresholds(10.0, value, 2)
+        params = BatteryParams(0, 10, 2, 4, 4)
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 1"):
+            run_policy(day([20.0] * 4), params, 1, 1, "static", bounds, alpha=value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_price_bound_rejected(self, value):
+        with pytest.raises(ValueError, match="lambda_max must be positive and finite"):
+            static_charge_thresholds(value, 2.0, 2)
+        with pytest.raises(ValueError, match="lambda_min must be positive and finite"):
+            static_discharge_thresholds(value, 2.0, 2)
+
+
 class TestTimedepThresholds:
     def test_reduces_to_static_u1(self):
         state = initial_state(BatteryParams(0, 10, 2, 5, 4), 1, 0)
