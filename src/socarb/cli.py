@@ -2,8 +2,8 @@
 
 Subcommands: ingest, thresholds, simulate, reach, stop-time, table1,
 cqr {train, calibrate, predict, evaluate}, backtest, plot-data.  Output goes
-to stdout unless --out is given.  Exit codes: 0 success, 1 validation error,
-2 data error.  No environment variables are consulted.
+to stdout unless --out is given.  Exit codes: 0 success, 1 validation error
+(a malformed flag too), 2 data error.  No environment variables are consulted.
 
 Each subcommand parses its flags and makes the library calls the backtest
 makes: ``reach`` and ``stop-time`` share one pipeline, whose SoC distribution
@@ -261,8 +261,18 @@ def cmd_plot_data(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the validation-error code, not 2."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += " (join a value that starts with '-' to its flag, as in --emin=-inf)"
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socarb",
         description="Battery arbitrage threshold policies with terminal-SoC guarantees",
     )

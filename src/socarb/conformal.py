@@ -115,20 +115,22 @@ def train_quantile_model(
     b = float(np.quantile(y, theta))
     step = step0 if step0 is not None else max(float(y.std()), 1e-8)
 
-    def mean_loss(wv, bv):
-        diff = y - (x @ wv + bv)
-        return float(np.mean(np.maximum(theta * diff, (theta - 1.0) * diff)))
+    def mean_loss(diff):
+        # np.mean is this same sum divided by n
+        return float(np.add.reduce(np.maximum(theta * diff, (theta - 1.0) * diff))) / n
 
-    loss = mean_loss(w, b)
+    # the residual of the current (w, b): computed once per accepted move
+    resid = y - (x @ w + b)
+    loss = mean_loss(resid)
     history = [loss]
     for _ in range(epochs):
-        resid = y - (x @ w + b)
         grad = np.where(resid > 0, -theta, 1.0 - theta)
         w_new = w - step * (x.T @ grad) / n
-        b_new = b - step * float(grad.mean())
-        loss_new = mean_loss(w_new, b_new)
+        b_new = b - step * (float(np.add.reduce(grad)) / n)
+        resid_new = y - (x @ w_new + b_new)
+        loss_new = mean_loss(resid_new)
         if loss_new <= loss + 1e-15:
-            w, b, loss = w_new, b_new, loss_new
+            w, b, loss, resid = w_new, b_new, loss_new, resid_new
         else:
             step *= 0.5
         history.append(loss)
@@ -289,6 +291,8 @@ def fit_conformal(
     epochs: int = 600,
 ) -> ConformalModel:
     """Train both quantile predictors, then :func:`calibrate` the conformal width."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     rho_low = epsilon / 2.0
     rho_high = 1.0 - epsilon / 2.0
     x_train, y_train = label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)

@@ -373,6 +373,9 @@ def split_dataset(
     train.  Chronological order is kept unless ``shuffled``; shuffling is
     deterministic in ``seed``.
     """
+    for name, r in zip(("train", "calib", "test"), ratios):
+        if not math.isfinite(r):
+            raise ValueError(f"{name} ratio must be finite, got {r}")
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -7,7 +7,8 @@ perfect-foresight offline optimum used in competitive checks, and the
 mid-horizon discharge-budget reduction with its two-stage benchmark.
 
 Every policy trajectory, both stages of the reduction included, is stepped by
-:func:`run_policy_days` through the one decision rule in :func:`_step`.
+:func:`run_policy_days`, whose loop holds the one charge-first,
+fall-through-to-discharge decision rule.
 """
 from __future__ import annotations
 
@@ -384,38 +385,6 @@ def feasibility_aware_thresholds(
     return u_next, l_next
 
 
-def _step(
-    params: BatteryParams,
-    e: float,
-    charge_open: bool,
-    discharge_open: bool,
-    lam: float,
-    u: float | None,
-    l: float | None,
-) -> tuple[int, float]:
-    """The policy's decision at SoC ``e``: (action, SoC after the step).
-
-    ``charge_open`` / ``discharge_open`` say whether that side still has
-    budget.  Charge is checked first; a blocked charge falls through to the
-    discharge check.
-    """
-    if (
-        charge_open
-        and u is not None
-        and lam <= u
-        and e + params.rate <= params.e_max + FEAS_EPS
-    ):
-        return CHARGE, min(e + params.rate, params.e_max)
-    if (
-        discharge_open
-        and l is not None
-        and lam >= l
-        and e - params.rate >= params.e_min - FEAS_EPS
-    ):
-        return DISCHARGE, max(e - params.rate, params.e_min)
-    return IDLE, e
-
-
 def _thresholds_for(
     state: PolicyState,
     params: BatteryParams,
@@ -476,7 +445,8 @@ def run_policy_days(
     elif threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
 
-    rate = params.rate
+    rate, e_max, e_min = params.rate, params.e_max, params.e_min
+    charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
     trajectories = []
     for day in days:
         e = params.e0
@@ -495,16 +465,25 @@ def run_policy_days(
                     t, e, j, i, k_ch, k_dis, tuple(activated_ch), tuple(activated_dis)
                 )
                 u, l = _thresholds_for(state, params, threshold_mode, bounds, None, alpha, omega)
-            action, e = _step(params, e, j <= k_ch, i <= k_dis, lam, u, l)
-            if action == CHARGE:
+            # a side whose budget is spent has no threshold (None); charge is
+            # checked first, and a blocked charge falls through to discharge
+            if u is not None and lam <= u and e + rate <= charge_cap:
+                e = min(e + rate, e_max)
                 activated_ch.append((u, t))
                 j += 1
-            elif action == DISCHARGE:
+                actions.append(CHARGE)
+                cash.append(-1 * lam * rate)
+            elif l is not None and lam >= l and e - rate >= discharge_floor:
+                e = max(e - rate, e_min)
                 activated_dis.append((l, t))
                 i += 1
-            actions.append(action)
+                actions.append(DISCHARGE)
+                cash.append(1 * lam * rate)
+            else:
+                actions.append(IDLE)
+                # not 0.0: a negative price gives -0.0
+                cash.append(0 * lam * rate)
             soc.append(e)
-            cash.append(-action * lam * rate)
         trajectories.append(Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash)))
     return trajectories
 

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from socarb.reachability import BAND_EPS, ActionProbs, StoppingResult, TargetBand
 from socarb.thresholds import (
     CHARGE,
@@ -479,3 +481,46 @@ def reference_offline_opt(
         cash.append(-chosen * lam * rate)
     profit = math.fsum(cash)
     return profit, Trajectory(tuple(actions), tuple(soc), tuple(cash), profit)
+
+
+def reference_train_quantile_model(
+    features, labels, theta, epochs=600, step0=None, return_history=False
+):
+    """Pinball subgradient descent that recomputes the residual twice per epoch.
+
+    Oracle for :func:`socarb.conformal.train_quantile_model`: the same
+    step-halving descent, with ``np.mean`` and a ``mean_loss`` evaluated on
+    fresh weights.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ValueError("features and labels must be non-empty and aligned")
+    n, d = x.shape
+    w = np.zeros(d)
+    b = float(np.quantile(y, theta))
+    step = step0 if step0 is not None else max(float(y.std()), 1e-8)
+
+    def mean_loss(wv, bv):
+        diff = y - (x @ wv + bv)
+        return float(np.mean(np.maximum(theta * diff, (theta - 1.0) * diff)))
+
+    loss = mean_loss(w, b)
+    history = [loss]
+    for _ in range(epochs):
+        resid = y - (x @ w + b)
+        grad = np.where(resid > 0, -theta, 1.0 - theta)
+        w_new = w - step * (x.T @ grad) / n
+        b_new = b - step * float(grad.mean())
+        loss_new = mean_loss(w_new, b_new)
+        if loss_new <= loss + 1e-15:
+            w, b, loss = w_new, b_new, loss_new
+        else:
+            step *= 0.5
+        history.append(loss)
+    weights = np.append(w, b)
+    if return_history:
+        return weights, history
+    return weights

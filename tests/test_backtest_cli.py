@@ -432,6 +432,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"validation error: {field} must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--mode", "statc"], "argument --mode: invalid choice: 'statc'"),
+         # argparse reads -inf as a flag, so --emin gets no value
+         (["--emin", "-inf"], "argument --emin: expected one argument"),
+         (["--bogus"], "unrecognized arguments: --bogus")],
+    )
+    def test_usage_error_exits_with_validation_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["reach", "--synthetic", "30", "--horizon", "6", "--band", "3,8"] + argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert ("--emin=-inf" in captured.err) == ("expected one argument" in message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--split", "0.6,0.2,nan"], "test ratio must be finite, got nan"),
+         (["--split", "inf,0.2,0.2"], "train ratio must be finite, got inf"),
+         (["--epsilon", "nan"], "epsilon must lie in (0, 1)")],
+    )
+    def test_cqr_train_malformed_split_or_epsilon(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "m.json"
+        assert main(["cqr", "train", "--synthetic", "60", "--horizon", "6", "--out", str(out)]
+                    + argv) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_reach_and_stop_time(self, tmp_path, capsys):
         code = main(
             ["reach", "--e0", "5", "--horizon", "6", "--synthetic", "30",

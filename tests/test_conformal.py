@@ -1,8 +1,11 @@
 """Pinball training, conformal calibration, intervals, and coverage."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from oracles import reference_train_quantile_model
 from socarb.conformal import (
     ConformalModel,
     FeatureScaler,
@@ -114,6 +117,28 @@ class TestTrainQuantileModel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train_quantile_model(np.zeros((0, 3)), np.zeros(0), 0.5)
+
+    @pytest.mark.parametrize("n", [5, 27, 219])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 0.95])
+    def test_bitwise_equal_to_reference(self, n, theta):
+        halved = 0
+        # step0=None takes the label spread; a step of 50 overshoots, so moves
+        # are rejected and the step-halving branch runs
+        for seed, step0 in itertools.product(range(4), (None, 50.0)):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(n, 24))
+            y = x[:, 0] + rng.uniform(0.0, 10.0, n)
+            w, history = train_quantile_model(
+                x, y, theta, epochs=400, step0=step0, return_history=True
+            )
+            w_ref, history_ref = reference_train_quantile_model(
+                x, y, theta, epochs=400, step0=step0, return_history=True
+            )
+            assert np.array_equal(w, w_ref)
+            assert history == history_ref
+            # a rejected move appends the unchanged loss
+            halved += any(a == b for a, b in zip(history, history[1:]))
+        assert halved
 
 
 class TestScaler:

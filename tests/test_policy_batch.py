@@ -89,3 +89,20 @@ def test_ratios_solved_once_per_batch(market, monkeypatch, n_days, mode):
     monkeypatch.setattr(thresholds, "competitive_ratio", counting)
     run_policy_days(days[:n_days], params, 3, 3, mode, bounds)
     assert len(calls) <= 2
+
+
+def test_large_static_batch_equals_reference_bit_for_bit(market):
+    # prices below zero give idle steps a cash flow of -0.0, which == cannot
+    # tell from 0.0 but repr can
+    _, bounds = market
+    rng = np.random.default_rng(11)
+    days = [
+        DayPrices(f"b{n}", tuple(float(v) for v in rng.uniform(-5.0, 95.0, HORIZON)))
+        for n in range(4000)
+    ]
+    params = BatteryParams(0.0, 10.0, 2.0, 6.0, HORIZON)
+    batch = run_policy_days(days, params, 3, 3, "static", bounds)
+    assert len(batch) == len(days)
+    for day, traj in zip(days, batch):
+        ref = reference_run_policy(day, params, 3, 3, "static", bounds)
+        assert traj == ref and repr(traj) == repr(ref), day.day_id

@@ -16,7 +16,6 @@ from socarb.thresholds import (
     BatteryParams,
     PolicyState,
     Trajectory,
-    _step,
     build_schedule,
     competitive_check,
     competitive_ratio,
@@ -26,6 +25,7 @@ from socarb.thresholds import (
     feasible_discharge_count,
     offline_opt,
     run_policy,
+    run_policy_days,
     run_with_discharge_reduction,
     search_ratios,
     static_charge_thresholds,
@@ -336,26 +336,36 @@ class TestFeasibilityAwareThresholds:
 
 
 class TestStepPolicy:
-    params = BatteryParams(0, 10, 2, 4, 8)
+    """One step of ``run_policy_days`` from SoC ``e0`` against static books u_1, l_1."""
+
+    def step(self, e0, k_ch, k_dis, lam, u=30.0, l=60.0):
+        # with k = 1 and ratios 2: u_1 = lambda_max / 2 and l_1 = 2 * lambda_min
+        params = BatteryParams(0, 10, 2, e0, 1)
+        bounds = const_bounds(l / 2.0, 2.0 * u, 1)
+        schedule = build_schedule(bounds, k_ch, k_dis, alpha=2.0, omega=2.0)
+        assert schedule.charge == (u,) * k_ch and schedule.discharge == (l,) * k_dis
+        [traj] = run_policy_days(
+            [day([lam])], params, k_ch, k_dis, "static", bounds, alpha=2.0, omega=2.0
+        )
+        return traj.actions[0], traj.soc_path[1]
 
     def test_tie_triggers_charge(self):
-        assert _step(self.params, 4.0, True, True, 30.0, 30.0, 60.0) == (CHARGE, 6.0)
+        assert self.step(4.0, 1, 1, 30.0) == (CHARGE, 6.0)
 
     def test_between_thresholds_idles(self):
-        assert _step(self.params, 4.0, True, True, 45.0, 30.0, 60.0) == (IDLE, 4.0)
+        assert self.step(4.0, 1, 1, 45.0) == (IDLE, 4.0)
 
     def test_capacity_blocked_discharge_keeps_counter(self):
-        params = BatteryParams(0, 10, 2, 1, 8)  # e - P < e_min
-        # an idle action is what leaves the discharge counter unadvanced
-        assert _step(params, 1.0, False, True, 99.0, None, 60.0) == (IDLE, 1.0)
+        # e - P < e_min; an idle action is what leaves the discharge counter unadvanced
+        assert self.step(1.0, 0, 1, 99.0) == (IDLE, 1.0)
 
     def test_capacity_blocked_charge_falls_through_to_discharge(self):
-        params = BatteryParams(0, 10, 2, 10, 8)  # full: charge infeasible
-        assert _step(params, 10.0, True, True, 70.0, 80.0, 60.0) == (DISCHARGE, 8.0)
+        # full: charge infeasible
+        assert self.step(10.0, 1, 1, 70.0, u=80.0) == (DISCHARGE, 8.0)
 
     def test_budget_exhaustion(self):
-        # one charge of a k_ch = 1 budget already spent, no discharge budget
-        assert _step(self.params, 4.0, False, False, 1.0, None, None) == (IDLE, 4.0)
+        # no charge or discharge budget left
+        assert self.step(4.0, 0, 0, 1.0) == (IDLE, 4.0)
 
 
 class TestRunPolicy:
