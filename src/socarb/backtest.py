@@ -63,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.cqr_epochs < 0:
+            raise ValueError(f"cqr.epochs = {self.cqr_epochs} must be non-negative")
         for key, value, valid in (
             ("threshold_mode", self.threshold_mode, THRESHOLD_MODES),
             ("bounds_mode", self.bounds_mode, BOUNDS_MODES),

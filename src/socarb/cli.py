@@ -6,8 +6,9 @@ to stdout unless --out is given.  Exit codes: 0 success, 1 validation error
 (a malformed flag too), 2 data error.  No environment variables are consulted.
 
 Each subcommand parses its flags and makes the library calls the backtest
-makes: ``reach`` and ``stop-time`` share one pipeline, whose SoC distribution
-is bounded by --kch/--kdis, and ``cqr calibrate`` is
+makes: ``thresholds`` prints :func:`socarb.thresholds.build_schedule`'s
+books and ratios, ``reach`` and ``stop-time`` share one pipeline, whose SoC
+distribution is bounded by --kch/--kdis, and ``cqr calibrate`` is
 :func:`socarb.conformal.calibrate`.  The --mode, --bounds-mode and --post-stop
 choices are the library's own mode tuples.
 """
@@ -97,21 +98,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    alpha = args.alpha
-    omega = args.omega
-    if args.kch >= 1 and alpha is None:
-        alpha = th.competitive_ratio(args.lmin, args.lmax, args.kch, "min-search")
-    if args.kdis >= 1 and omega is None:
-        omega = th.competitive_ratio(args.lmin, args.lmax, args.kdis, "max-search")
+    # a static schedule reads only the envelope of its bounds
+    bounds = md.PriceBounds((), (), args.lmin, args.lmax, (), ())
+    schedule = th.build_schedule(bounds, args.kch, args.kdis, args.alpha, args.omega)
     lines = ["index,side,value"]
-    if args.kch >= 1:
-        for j, u in enumerate(th.static_charge_thresholds(args.lmax, alpha, args.kch), 1):
-            lines.append(f"{j},charge,{u!r}")
-    if args.kdis >= 1:
-        for i, l in enumerate(th.static_discharge_thresholds(args.lmin, omega, args.kdis), 1):
-            lines.append(f"{i},discharge,{l!r}")
+    lines += [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]
+    lines += [f"{i},discharge,{l!r}" for i, l in enumerate(schedule.discharge, 1)]
     _write(args, "\n".join(lines) + "\n")
-    sys.stderr.write(json.dumps({"alpha": alpha, "omega": omega}, sort_keys=True) + "\n")
+    summary = {"alpha": schedule.alpha, "omega": schedule.omega}
+    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK
 
 

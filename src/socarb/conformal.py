@@ -106,6 +106,8 @@ def train_quantile_model(
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:

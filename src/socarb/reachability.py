@@ -5,6 +5,11 @@ probabilities, forward-propagates the SoC probability mass with pruning
 (capacity-infeasible action mass folds into the idle branch), evaluates the
 terminal-band chance constraint, computes minimum stopping times, counts
 feasible trajectories, and forms the budget-pair pre-policy.
+
+The policy is read from one place each: the books from
+:func:`socarb.thresholds.build_schedule`, the decision rule on one step,
+overlapping books included, from :func:`action_probabilities`, and the SoC
+lattice m_lo..m_hi from :attr:`socarb.thresholds.BatteryParams.offsets`.
 """
 
 from __future__ import annotations
@@ -139,19 +144,17 @@ class SocDistribution:
 
     @property
     def grid(self) -> tuple[float, ...]:
-        lo = -self.params.max_discharges(self.params.e0)
-        hi = self.params.max_charges(self.params.e0)
-        return tuple(self.params.e0 + m * self.params.rate for m in range(lo, hi + 1))
+        return tuple(self.params.e0 + m * self.params.rate for m in self.params.offsets)
 
     @cached_property
     def per_step(self) -> tuple[StepMasses, ...]:
-        m_first = -self.params.max_discharges(self.params.e0)
+        m_first = self.params.offsets[0]
         return tuple(StepMasses(step, m_first) for step in self.masses)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per lattice point: its column in m_masses (0 outside capacity), and if in capacity."""
-        m_lo = -self.params.max_discharges(self.params.e0)
-        n = self.params.max_charges(self.params.e0) - m_lo + 1
+        offsets = self.params.offsets
+        m_lo, n = offsets[0], len(offsets)
         if self.mode == "marginal":
             return np.arange(n), np.ones(n, dtype=bool)
         c, d = np.indices(self.masses.shape[1:])
@@ -210,15 +213,17 @@ class KappaPolicy:
 
 
 def action_probabilities(u: float | None, l: float | None, cdf) -> ActionProbs:
-    """Charge/discharge/idle probabilities induced by thresholds under F_t.
+    """Charge/discharge/idle probabilities of the policy's one-step rule under F_t.
 
     Charge fires when the price falls to u or below, discharge when it rises
     to l or above (inclusive at equality, matching the policy); an inactive
-    side contributes zero.
+    side contributes zero.  Charging is checked first, so on overlapping books
+    (u >= l, normal for k >= 2 ratio-derived schedules) discharge fires
+    strictly above u: alpha = F(u), beta = 1 - alpha and nothing idles.
     """
-    if u is not None and l is not None and u >= l:
-        raise ValueError(f"active thresholds must satisfy u < l (got u={u}, l={l})")
     alpha = float(cdf.prob_le(u)) if u is not None else 0.0
+    if u is not None and l is not None and u >= l:
+        return ActionProbs(alpha, 1.0 - alpha, 0.0)
     beta = float(cdf.prob_ge(l)) if l is not None else 0.0
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0 or alpha + beta > 1.0 + 1e-12:
         raise ValueError(f"malformed CDF: alpha={alpha}, beta={beta}")
@@ -232,21 +237,17 @@ def policy_action_probabilities(
     k_ch: int,
     k_dis: int,
     threshold_mode: str = "static",
-    alpha: float | None = None,
-    omega: float | None = None,
 ) -> list[ActionProbs]:
     """Per-step action probabilities along the expected activation order.
 
     Thresholds advance when their side's cumulative firing probability mass
     reaches the next unit, approximating the path-dependent threshold index by
-    its expected progression.
+    its expected progression.  The schedule and its ratios come from one
+    :func:`~socarb.thresholds.build_schedule` call.
     """
-    if k_ch < 0 or k_dis < 0:
-        raise ValueError("budgets must be non-negative")
+    schedule = th.build_schedule(bounds, k_ch, k_dis)
     if dist.horizon != params.horizon:
         raise ValueError("distribution horizon must match params.horizon")
-    alpha, omega = th.search_ratios(bounds, k_ch, k_dis, alpha, omega)
-    schedule = th.build_schedule(bounds, k_ch, k_dis, alpha, omega)
     probs = []
     ch_mass = 0.0
     dis_mass = 0.0
@@ -267,16 +268,9 @@ def policy_action_probabilities(
             activated_dis=tuple(activated_dis),
         )
         u, l = th._thresholds_for(
-            state, params, threshold_mode, bounds, schedule, alpha, omega
+            state, params, threshold_mode, bounds, schedule, schedule.alpha, schedule.omega
         )
-        cdf = dist.cdf(t)
-        if u is not None and l is not None and u >= l:
-            # overlapping books (normal for k >= 2 ratio-derived schedules):
-            # charge wins at or below u, so discharge fires strictly above u
-            a = float(cdf.prob_le(u))
-            ap = ActionProbs(a, 1.0 - a, 0.0)
-        else:
-            ap = action_probabilities(u, l, cdf)
+        ap = action_probabilities(u, l, dist.cdf(t))
         probs.append(ap)
         # advance a side once its cumulative firing mass clears the next whole
         # unit, recording the threshold value it would have activated at
@@ -302,8 +296,8 @@ def _chain(
     if k_ch < 0 or k_dis < 0:
         raise ValueError("budgets must be non-negative")
     horizon = len(probs_per_step)
-    m_lo = -params.max_discharges(params.e0)
-    m_hi = params.max_charges(params.e0)
+    offsets = params.offsets
+    m_lo, m_hi = offsets[0], offsets[-1]
     if mode == "augmented":
         c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
         up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
@@ -313,7 +307,7 @@ def _chain(
         up_from, up_to = np.index_exp[:-1, :], np.index_exp[1:, :]
         down_from, down_to = np.index_exp[:, :-1], np.index_exp[:, 1:]
     else:
-        m = np.arange(m_lo, m_hi + 1)
+        m = np.array(offsets)
         up_ok = m + 1 <= m_hi
         down_ok = m - 1 >= m_lo
         start = (-m_lo,)
@@ -460,11 +454,12 @@ def stopping_time(
             q_m = np.tile(band.contains(e), (horizon, 1))
         else:
             # some feasible action sequence from e with steps_left = T - t
-            # steps lands in the band
+            # steps lands in the band; from offset m, m - m_lo discharges and
+            # m_hi - m charges fit, the masks _chain applies
             lo, hi, rate = band.lo, band.hi, params.rate
             steps_left = np.arange(horizon - 1, -1, -1)[:, None]
-            down = np.maximum(0, np.floor((e - params.e_min) / rate + th.FEAS_EPS))
-            up = np.maximum(0, np.floor((params.e_max - e) / rate + th.FEAS_EPS))
+            m = np.array(params.offsets)
+            down, up = m - m[0], m[-1] - m
             lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
             hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
             q_m = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
@@ -487,15 +482,14 @@ def count_feasible_trajectories(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    m_lo = -params.max_discharges(params.e0)
-    m_hi = params.max_charges(params.e0)
-    counts = [0] * (m_hi - m_lo + 1)
-    counts[-m_lo] = 1
+    offsets = params.offsets
+    counts = [0] * len(offsets)
+    counts[-offsets[0]] = 1
     for _ in range(steps):
         # m is reached by charging from m - 1, idling at m or discharging from m + 1
         counts = [a + b + c for a, b, c in zip([0] + counts[:-1], counts, counts[1:] + [0])]
     total = sum(counts)
     in_band = sum(
-        n for m, n in enumerate(counts, start=m_lo) if band.contains(params.e0 + m * params.rate)
+        n for m, n in zip(offsets, counts) if band.contains(params.e0 + m * params.rate)
     )
     return in_band, total, 100.0 * in_band / total

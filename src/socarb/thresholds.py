@@ -6,9 +6,11 @@ feasibility-aware thresholds conditioned on the current state of charge, the
 perfect-foresight offline optimum used in competitive checks, and the
 mid-horizon discharge-budget reduction with its two-stage benchmark.
 
-Every policy trajectory, both stages of the reduction included, is stepped by
-:func:`run_policy_days`, whose loop holds the one charge-first,
-fall-through-to-discharge decision rule.
+:func:`build_schedule` is the one solver of the books U[c] and L[d] (its
+:func:`search_ratios` checks the budgets) and :attr:`BatteryParams.offsets` the
+one SoC lattice m_lo..m_hi.  Every policy trajectory, both stages of the
+reduction included, is stepped by :func:`run_policy_days`, whose loop holds
+the one charge-first, fall-through-to-discharge decision rule.
 """
 from __future__ import annotations
 
@@ -61,6 +63,14 @@ class BatteryParams:
         """How many charge steps fit between e and e_max."""
         return max(0, math.floor((self.e_max - e) / self.rate + FEAS_EPS))
 
+    @property
+    def offsets(self) -> range:
+        """SoC lattice offsets m_lo..m_hi.
+
+        From e0 + m * rate, m - m_lo discharges and m_hi - m charges fit.
+        """
+        return range(-self.max_discharges(self.e0), self.max_charges(self.e0) + 1)
+
 
 def _check_ratio(name: str, value: float) -> float:
     """A competitive ratio given by the caller: a finite number >= 1."""
@@ -82,21 +92,13 @@ class ThresholdSchedule:
         _check_ratio("alpha", self.alpha)
         _check_ratio("omega", self.omega)
         # strictly monotone for ratios above 1; flat schedules are the
-        # degenerate alpha == 1 / omega == 1 case
-        strict_ch = self.alpha > 1.0
-        if any(
-            (self.charge[i] <= self.charge[i + 1]) if strict_ch
-            else (self.charge[i] < self.charge[i + 1])
-            for i in range(len(self.charge) - 1)
+        # degenerate alpha == 1 / omega == 1 case.  Both books read upward here.
+        for name, trend, book, ratio in (
+            ("charge", "decreasing", self.charge[::-1], self.alpha),
+            ("discharge", "increasing", self.discharge, self.omega),
         ):
-            raise ValueError("charge thresholds must be decreasing")
-        strict_dis = self.omega > 1.0
-        if any(
-            (self.discharge[i] >= self.discharge[i + 1]) if strict_dis
-            else (self.discharge[i] > self.discharge[i + 1])
-            for i in range(len(self.discharge) - 1)
-        ):
-            raise ValueError("discharge thresholds must be increasing")
+            if any(a >= b if ratio > 1.0 else a > b for a, b in zip(book, book[1:])):
+                raise ValueError(f"{name} thresholds must be {trend}")
         # overlapping books (u_1 >= l_1) are structural for ratio-derived
         # schedules with k >= 2; charging wins the overlap by policy order
         if self.charge and self.discharge and self.charge[0] >= self.discharge[0]:
@@ -169,7 +171,8 @@ def competitive_ratio(
 
     ``max-search`` solves (M-1)/(r-1) = (1 + r/k)^k and ``min-search`` solves
     (r-1)((1 + 1/(rk))^k - 1) = (M-r)/M for their unique roots r >= 1, with
-    M = lambda_max/lambda_min, by bisection to 1e-10.  ``override`` short-cuts
+    M = lambda_max/lambda_min, by bisection to 1e-10 (or to adjacent floats,
+    for roots too large to resolve that finely).  ``override`` short-cuts
     the equation with a user-supplied ratio.
     """
     if override is not None:
@@ -188,7 +191,10 @@ def competitive_ratio(
 
     if side == "max-search":
         def excess(r: float) -> float:
-            return (r - 1.0) * (1.0 + r / k) ** k - (big_m - 1.0)
+            try:
+                return (r - 1.0) * (1.0 + r / k) ** k - (big_m - 1.0)
+            except OverflowError:  # (1 + r/k)^k past the float range: far above the root
+                return math.inf
     elif side == "min-search":
         def excess(r: float) -> float:
             return (r - 1.0) * ((1.0 + 1.0 / (r * k)) ** k - 1.0) - (big_m - r) / big_m
@@ -198,9 +204,15 @@ def competitive_ratio(
     lo, hi = 1.0, big_m
     while hi - lo > RATIO_TOL:
         mid = 0.5 * (lo + hi)
+        # a midpoint equal to the end it replaces means lo and hi are adjacent
+        # floats, still wider apart than RATIO_TOL: no further halving moves
         if excess(mid) > 0.0:
+            if mid == hi:
+                break
             hi = mid
         else:
+            if mid == lo:
+                break
             lo = mid
     return 0.5 * (lo + hi)
 
@@ -214,10 +226,13 @@ def search_ratios(
 ) -> tuple[float, float]:
     """(alpha, omega) for the charge and discharge sides of an envelope.
 
-    A given ratio passes the same check as a :func:`competitive_ratio`
-    override; a side without one solves its k-search equation (min-search for
-    charging, max-search for discharging), or gets 1.0 when its budget is 0.
+    Budgets must be non-negative.  A given ratio passes the same check as a
+    :func:`competitive_ratio` override; a side without one solves its k-search
+    equation (min-search for charging, max-search for discharging), or gets
+    1.0 when its budget is 0.
     """
+    if k_ch < 0 or k_dis < 0:
+        raise ValueError("budgets must be non-negative")
     if alpha is not None:
         alpha = _check_ratio("alpha", alpha)
     elif k_ch >= 1:
@@ -249,7 +264,12 @@ def static_discharge_thresholds(lambda_min: float, omega: float, k_dis: int) -> 
     if not (math.isfinite(lambda_min) and lambda_min > 0):
         raise ValueError(f"lambda_min must be positive and finite, got {lambda_min}")
     growth = 1.0 + omega / k_dis
-    return [lambda_min * (1.0 + (omega - 1.0) * growth ** (i - 1)) for i in range(1, k_dis + 1)]
+    try:
+        return [
+            lambda_min * (1.0 + (omega - 1.0) * growth ** (i - 1)) for i in range(1, k_dis + 1)
+        ]
+    except OverflowError:
+        raise ValueError(f"omega={omega} overflows the discharge thresholds") from None
 
 
 def build_schedule(
@@ -259,7 +279,11 @@ def build_schedule(
     alpha: float | None = None,
     omega: float | None = None,
 ) -> ThresholdSchedule:
-    """Static schedule for both sides from a price envelope."""
+    """Static schedule for both sides from a price envelope.
+
+    The one solver of the books: ratios come from :func:`search_ratios`, which
+    also checks the budgets, and the schedule carries the ratios it used.
+    """
     alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
     u = static_charge_thresholds(bounds.lambda_max, alpha, k_ch) if k_ch >= 1 else []
     l = static_discharge_thresholds(bounds.lambda_min, omega, k_dis) if k_dis >= 1 else []
@@ -267,18 +291,15 @@ def build_schedule(
 
 
 def _timedep_side(
-    activated_sum: float,
+    activated: tuple[tuple[float, int], ...],
     n_needed: int,
     z_sorted: list[float],
-    pad_value: float | None,
+    envelope: float,
 ) -> float:
+    """Activated values plus the first n_needed bounds, padded with the envelope."""
     if len(z_sorted) < n_needed:
-        if pad_value is None:
-            raise ValueError(
-                f"insufficient bound entries: need {n_needed}, have {len(z_sorted)}"
-            )
-        z_sorted = z_sorted + [pad_value] * (n_needed - len(z_sorted))
-    return activated_sum + sum(z_sorted[:n_needed])
+        z_sorted = z_sorted + [envelope] * (n_needed - len(z_sorted))
+    return sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
 
 
 def timedep_thresholds(
@@ -286,34 +307,27 @@ def timedep_thresholds(
     bounds: PriceBounds,
     alpha: float,
     omega: float,
-    pad: bool = False,
 ) -> tuple[float | None, float | None]:
     """Time-dependent next thresholds from activations plus remaining bounds.
 
     u_next = (1/(alpha*k_ch)) * (sum of activated u* + top k_ch-(j-1) remaining
     upper bounds); l_next = (omega/k_dis) * (sum of activated l* + bottom
     k_dis-(i-1) remaining lower bounds).  A side with exhausted budget is
-    inactive (None).  With ``pad`` the bound lists are extended with the
-    global scalar envelope when the remaining horizon is shorter than the
-    remaining budget (the no-prediction fallback); otherwise that raises.
+    inactive (None).  When the remaining horizon is shorter than the remaining
+    budget, the bound lists are padded with the global scalar envelope (the
+    no-prediction fallback).
     """
     z_min_sorted, z_max_sorted = bounds.remaining(state.t)
     u_next = None
     l_next = None
     if state.k_ch >= 1 and state.j_next <= state.k_ch:
         total = _timedep_side(
-            sum(v for v, _ in state.activated_ch),
-            state.k_ch - (state.j_next - 1),
-            z_max_sorted,
-            bounds.lambda_max if pad else None,
+            state.activated_ch, state.k_ch - (state.j_next - 1), z_max_sorted, bounds.lambda_max
         )
         u_next = total / (alpha * state.k_ch)
     if state.k_dis >= 1 and state.i_next <= state.k_dis:
         total = _timedep_side(
-            sum(v for v, _ in state.activated_dis),
-            state.k_dis - (state.i_next - 1),
-            z_min_sorted,
-            bounds.lambda_min if pad else None,
+            state.activated_dis, state.k_dis - (state.i_next - 1), z_min_sorted, bounds.lambda_min
         )
         l_next = omega * total / state.k_dis
     return u_next, l_next
@@ -399,7 +413,7 @@ def _thresholds_for(
         l = schedule.discharge[state.i_next - 1] if state.i_next <= state.k_dis else None
         return u, l
     if mode == "timedep":
-        return timedep_thresholds(state, bounds, alpha, omega, pad=True)
+        return timedep_thresholds(state, bounds, alpha, omega)
     if mode == "feasibility":
         return feasibility_aware_thresholds(state, params, bounds, alpha, omega)
     raise ValueError(f"unknown threshold mode {mode!r}")
@@ -417,9 +431,9 @@ def run_policy_days(
 ) -> list[Trajectory]:
     """Execute the online policy on each realized price day, one trajectory each.
 
-    The ratios and, in static mode, the schedule depend only on ``bounds`` and
-    the budgets, so they are solved once for the whole batch.  Ratios default
-    to the k-search equations on the envelope in ``bounds``; pass
+    The schedule and its ratios depend only on ``bounds`` and the budgets, so
+    :func:`build_schedule` solves them once for the whole batch.  Ratios
+    default to the k-search equations on the envelope in ``bounds``; pass
     ``alpha``/``omega`` to override.  The trajectories never force trades;
     end-of-horizon behavior belongs to the reachability layer.
     """
@@ -428,8 +442,9 @@ def run_policy_days(
             raise ValueError(
                 f"day has {len(day.values)} slots but params.horizon={params.horizon}"
             )
-    if k_ch < 0 or k_dis < 0:
-        raise ValueError("budgets must be non-negative")
+    schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
+    alpha, omega = schedule.alpha, schedule.omega
+    u_book, l_book = schedule.charge, schedule.discharge
     if threshold_mode in ("timedep", "feasibility") and (
         bounds.t_start > 1 or bounds.horizon < params.horizon
     ):
@@ -437,12 +452,8 @@ def run_policy_days(
             f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
             f"spans 1..{params.horizon}"
         )
-    alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
     static = threshold_mode == "static"
-    if static:
-        schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
-        u_book, l_book = schedule.charge, schedule.discharge
-    elif threshold_mode not in THRESHOLD_MODES:
+    if threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
 
     rate, e_max, e_min = params.rate, params.e_max, params.e_min
@@ -533,8 +544,8 @@ def offline_opt(
         raise ValueError(f"unknown terminal convention {terminal!r}")
     horizon = len(day.values)
     rate = params.rate
-    m_lo = -params.max_discharges(params.e0)
-    m_hi = params.max_charges(params.e0)
+    offsets = params.offsets
+    m_lo, m_hi = offsets[0], offsets[-1]
     k_ch = fixed_k[0] if fixed_k else horizon
     k_dis = fixed_k[1] if fixed_k else horizon
     # a side whose budget cannot bind keeps its counter at 0
@@ -560,7 +571,7 @@ def offline_opt(
     infeasible = (-math.inf, 0)
     terminal_table = {
         (m, c, d): (0.0, 0) if (terminal == "free" or m == 0) else infeasible
-        for m in range(m_lo, m_hi + 1)
+        for m in offsets
         for c in range(k_ch * dc + 1)
         for d in range(k_dis * dd + 1)
     }

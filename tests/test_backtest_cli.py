@@ -1,12 +1,16 @@
 """Experiment orchestration, report determinism, plot data, and the CLI."""
 
+import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socarb.backtest import (
     DEFAULT_BUDGETS,
@@ -19,9 +23,9 @@ from socarb.backtest import (
     synthetic_day_matrix,
 )
 from socarb.cli import main
-from socarb.market_data import export_day_matrix
+from socarb.market_data import PriceBounds, export_day_matrix
 from socarb.reachability import TargetBand, count_feasible_trajectories
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import BatteryParams, build_schedule
 
 SMALL_CONFIG = """
 # desk-scale experiment
@@ -156,6 +160,19 @@ class TestConfig:
         assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
         err = capsys.readouterr().err
         assert f"validation error: {message}" in err and "Traceback" not in err
+
+    def test_negative_cqr_epochs_exit_before_any_stage(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(SMALL_CONFIG + "cqr.epochs = -5\n")
+        with pytest.raises(ValueError, match="cqr.epochs = -5 must be non-negative"):
+            load_config(config_path)
+        report_path = tmp_path / "r.json"
+        argv = ["backtest", "--config", str(config_path), "--synthetic", "20",
+                "--out", str(report_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: cqr.epochs = -5 must be non-negative" in err
+        assert not report_path.exists()
 
     def test_config_object_rejects_empty_and_duplicate_grids(self):
         config = parse_config(SMALL_CONFIG)
@@ -461,6 +478,15 @@ class TestCli:
         assert f"validation error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_cqr_train_negative_epochs_exits_with_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["cqr", "train", "--synthetic", "60", "--horizon", "6", "--epochs", "-5",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: epochs must be non-negative, got -5" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_reach_and_stop_time(self, tmp_path, capsys):
         code = main(
             ["reach", "--e0", "5", "--horizon", "6", "--synthetic", "30",
@@ -651,3 +677,47 @@ class TestCli:
         # data error: missing file
         assert main(["ingest", str(tmp_path / "nope.csv")]) == 2
         capsys.readouterr()
+
+
+# finite, zero, negative, infinite and nan flag values, plus a plausible price range
+FLAG_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1.0, -50.0, math.inf, -math.inf, math.nan]),
+    st.floats(0.5, 500.0),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"stderr summary holds the non-JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lmin=FLAG_FLOATS,
+    lmax=FLAG_FLOATS,
+    kch=st.integers(-3, 6),
+    kdis=st.integers(-3, 6),
+    alpha=st.none() | FLAG_FLOATS,
+    omega=st.none() | FLAG_FLOATS,
+)
+def test_thresholds_exit_code_contract(lmin, lmax, kch, kdis, alpha, omega):
+    argv = ["thresholds", f"--lmin={lmin!r}", f"--lmax={lmax!r}", f"--kch={kch}", f"--kdis={kdis}"]
+    argv += [f"--{name}={value!r}" for name, value in (("alpha", alpha), ("omega", omega))
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("validation error: ")
+        return
+    schedule = build_schedule(PriceBounds((), (), lmin, lmax, (), ()), kch, kdis, alpha, omega)
+    assert out.getvalue().splitlines() == (
+        ["index,side,value"]
+        + [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]
+        + [f"{i},discharge,{l!r}" for i, l in enumerate(schedule.discharge, 1)]
+    )
+    summary = json.loads(err.getvalue(), parse_constant=_reject_constant)
+    assert summary == {"alpha": schedule.alpha, "omega": schedule.omega}

@@ -85,6 +85,13 @@ class TestTrainQuantileModel:
         w = train_quantile_model(x, y, 0.5, epochs=10)
         assert w[-1] == pytest.approx(7.7)
 
+    def test_negative_epochs_rejected(self):
+        x, y = np.zeros((5, 1)), np.arange(5.0)
+        with pytest.raises(ValueError, match="epochs must be non-negative, got -5"):
+            train_quantile_model(x, y, 0.5, epochs=-5)
+        # zero epochs is the untrained start: no slope, intercept at the label quantile
+        assert train_quantile_model(x, y, 0.5, epochs=0).tolist() == [0.0, 2.0]
+
     def test_noiseless_linear_recovery(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(300, 10))

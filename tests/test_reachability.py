@@ -21,7 +21,14 @@ from socarb.reachability import (
     stopping_time,
     terminal_band_probability,
 )
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import (
+    CHARGE,
+    DISCHARGE,
+    IDLE,
+    BatteryParams,
+    build_schedule,
+    run_policy_days,
+)
 
 from oracles import brute_force_distribution
 
@@ -73,9 +80,28 @@ class TestActionProbabilities:
         assert ap.gamma == pytest.approx(0.0, abs=1e-10)
         assert ap.alpha + ap.beta == pytest.approx(1.0)
 
-    def test_overlapping_thresholds_rejected(self):
-        with pytest.raises(ValueError, match="u < l"):
-            action_probabilities(70.0, 30.0, UniformCdf(0, 100))
+    def test_one_step_rule_matches_run_policy_days(self):
+        # k = 1 books from ratio overrides: u = lambda_max / alpha, l = lambda_min * omega
+        bounds = PriceBounds((), (), 10.0, 100.0, (), ())
+        params = BatteryParams(0.0, 10.0, 2.0, 5.0, 1)  # room to charge and to discharge
+        rng = np.random.default_rng(5)
+        relations = set()
+        for alpha in (1.0, 2.0, 4.0, 5.0, 8.0):
+            for omega in (1.0, 2.0, 2.5, 4.0, 5.0, 6.0, 10.0):
+                schedule = build_schedule(bounds, 1, 1, alpha, omega)
+                u, l = schedule.charge[0], schedule.discharge[0]
+                relations.add((u > l) - (u < l))
+                # integer prices plus repeated atoms at both thresholds
+                prices = np.concatenate(
+                    [rng.integers(5, 106, size=int(rng.integers(5, 40))), [u] * 3, [l] * 2]
+                )
+                days = [DayPrices(f"d{i}", (float(x),)) for i, x in enumerate(prices)]
+                ap = action_probabilities(u, l, fit_distribution(days).cdf(1))
+                trajs = run_policy_days(days, params, 1, 1, "static", bounds, alpha, omega)
+                actions = [traj.actions[0] for traj in trajs]
+                for action, p in ((CHARGE, ap.alpha), (DISCHARGE, ap.beta), (IDLE, ap.gamma)):
+                    assert abs(p - actions.count(action) / len(days)) <= 1e-15, (u, l, action)
+        assert relations == {-1, 0, 1}  # u < l, u == l and u > l all occur
 
     def test_malformed_cdf_rejected(self):
         class Bad:

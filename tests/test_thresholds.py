@@ -100,6 +100,15 @@ class TestCompetitiveRatio:
         with pytest.raises(ValueError):
             competitive_ratio(1.0, 9.0, 1, "sideways")
 
+    def test_wide_envelopes_terminate(self):
+        # past about 1e12 the root's float spacing exceeds the 1e-10 tolerance
+        assert competitive_ratio(1.0, 1e20, 1, "max-search") == pytest.approx(1e10, rel=1e-12)
+        assert 1.0 <= competitive_ratio(1.0, 1e20, 1, "min-search") <= 1e20
+        # (1 + r/k)^k overflows for the first midpoints of this envelope
+        assert 1e40 < competitive_ratio(1.0, 1e300, 6, "max-search") < 1e50
+        with pytest.raises(ValueError, match="omega=1e[+]300 overflows"):
+            static_discharge_thresholds(1.0, 1e300, 3)
+
     def test_k1_guarantee_all_two_point_adversaries(self):
         # brute force over every two-point sequence on the grid {1..9}
         omega = competitive_ratio(1.0, 9.0, 1, "max-search")
@@ -248,14 +257,9 @@ class TestTimedepThresholds:
         _, l = timedep_thresholds(state, bounds, 1.0, 2.0)
         assert l == pytest.approx((2.0 / 2.0) * (10.0 + 40.0))
 
-    def test_insufficient_entries_raise(self):
-        state = initial_state(BatteryParams(0, 10, 2, 5, 1), 0, 3)
-        with pytest.raises(ValueError, match="insufficient bound entries"):
-            timedep_thresholds(state, const_bounds(10.0, 100.0, 1), 1.0, 2.0)
-
     def test_padding_uses_global_envelope(self):
         state = initial_state(BatteryParams(0, 10, 2, 5, 1), 0, 3)
-        _, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 1), 1.0, 2.0, pad=True)
+        _, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 1), 1.0, 2.0)
         assert l == pytest.approx((2.0 / 3.0) * (10.0 * 3))
 
     def test_static_recursive_consistency_sweep(self):
@@ -294,6 +298,23 @@ class TestFeasibilityCounts:
         params = BatteryParams(0, 10, 2, 10, 4)
         assert feasible_discharge_count(params, 10.0) == 5
         assert feasible_charge_count(params, 10.0) == 0
+
+    @pytest.mark.parametrize("rate", [0.1, 1.0 / 3.0, 2.5])
+    def test_offsets_match_feasible_counts(self, rate):
+        # stopping_time's full-control branch reads both counts off the lattice offsets
+        rng = np.random.default_rng(round(30 * rate))
+        for _ in range(400):
+            e_min = float(rng.uniform(-5.0, 5.0))
+            span = rate * int(rng.integers(1, 40)) if rng.random() < 0.5 else 0.0
+            e_max = e_min + (span or float(rng.uniform(rate, 12.0)))
+            e0 = float(rng.uniform(e_min, e_max))
+            params = BatteryParams(e_min, e_max, rate, e0, 1)
+            offsets = params.offsets
+            assert 0 in offsets
+            for m in offsets:
+                e = e0 + m * rate
+                assert params.max_discharges(e) == m - offsets[0], (params, m)
+                assert params.max_charges(e) == offsets[-1] - m, (params, m)
 
     def test_out_of_range_rejected(self):
         params = BatteryParams(0, 10, 2, 5, 4)
