@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ class PriceBounds:
     ``z_min`` / ``z_max`` are the sorted remaining per-slot bounds (ascending /
     descending).  ``per_slot_min`` / ``per_slot_max`` retain slot identity for
     slots ``t_start..horizon`` so downstream consumers can re-slice as time
-    advances.
+    advances.  The envelope must be finite with 0 < lambda_min <= lambda_max.
     """
 
     z_min: tuple[float, ...]
@@ -91,8 +92,14 @@ class PriceBounds:
     horizon: int = 0
 
     def __post_init__(self):
-        if self.lambda_min <= 0:
-            raise ValueError("lambda_min must be positive")
+        for name in ("lambda_min", "lambda_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.lambda_max < self.lambda_min:
+            raise ValueError(
+                f"lambda_max={self.lambda_max} must not fall below lambda_min={self.lambda_min}"
+            )
         if any(self.z_min[i] > self.z_min[i + 1] for i in range(len(self.z_min) - 1)):
             raise ValueError("z_min must be sorted non-decreasing")
         if any(self.z_max[i] < self.z_max[i + 1] for i in range(len(self.z_max) - 1)):
@@ -102,12 +109,30 @@ class PriceBounds:
         if self.z_max and self.lambda_max < max(self.z_max) - 1e-12:
             raise ValueError("lambda_max must not fall below z_max entries")
 
+    @cached_property
+    def _sorted_tails(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Ascending mins and descending maxes of slots t_start + off.., for off = 0..n.
+
+        Built on first use and kept with the object; the last entry of each
+        is the empty tail past the horizon.
+        """
+        mins, maxs = self.per_slot_min, self.per_slot_max
+        return (
+            tuple(tuple(sorted(mins[off:])) for off in range(len(mins) + 1)),
+            tuple(tuple(sorted(maxs[off:], reverse=True)) for off in range(len(maxs) + 1)),
+        )
+
     def remaining(self, t: int) -> tuple[list[float], list[float]]:
-        """Sorted (ascending mins, descending maxes) for slots t..horizon."""
+        """Sorted (ascending mins, descending maxes) for slots t..horizon.
+
+        Fresh lists, copied from the tails sorted once per object; both are
+        empty once t is past the horizon.
+        """
         if t < self.t_start:
             raise ValueError(f"t={t} precedes bound coverage starting at {self.t_start}")
         off = t - self.t_start
-        return sorted(self.per_slot_min[off:]), sorted(self.per_slot_max[off:], reverse=True)
+        mins, maxs = self._sorted_tails
+        return list(mins[min(off, len(mins) - 1)]), list(maxs[min(off, len(maxs) - 1)])
 
     def slot(self, t: int) -> tuple[float, float]:
         """(lower, upper) bound for absolute slot t."""

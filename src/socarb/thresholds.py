@@ -14,6 +14,7 @@ the one charge-first, fall-through-to-discharge decision rule.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -173,7 +174,8 @@ def competitive_ratio(
     (r-1)((1 + 1/(rk))^k - 1) = (M-r)/M for their unique roots r >= 1, with
     M = lambda_max/lambda_min, by bisection to 1e-10 (or to adjacent floats,
     for roots too large to resolve that finely).  ``override`` short-cuts
-    the equation with a user-supplied ratio.
+    the equation with a user-supplied ratio.  Roots are memoized per
+    (lambda_min, lambda_max, k, side), so an envelope is solved once.
     """
     if override is not None:
         return _check_ratio("ratio override", override)
@@ -185,6 +187,33 @@ def competitive_ratio(
         raise ValueError("lambda_max must be >= lambda_min")
     if k < 1:
         raise ValueError("k must be a positive integer")
+    return _k_search_root(lambda_min, lambda_max, k, side)
+
+
+def _min_search_gap(r: float, k: int) -> float:
+    """1 - (r-1)((1 + 1/(rk))^k - 1), summed from positive terms.
+
+    Expanding the binomial gives ((k+1)/k) * sum over i = 1..k of
+    C(k,i) * i/(i+1) * (rk)^-i.  Evaluated directly, the left side subtracts
+    two numbers near 1 once 1/(rk) nears the float epsilon, which puts the
+    k = 1 root 1.54 times above sqrt(M) at M = 1e16.  The terms fall faster
+    than 1/i!, so the sum stops at the first one too small to move it; the
+    ones after it could not move it either.
+    """
+    u = 1.0 / (r * k)
+    term, total = 1.0, 0.0
+    for i in range(1, k + 1):
+        term *= u * (k - i + 1) / i
+        step = term * i / (i + 1)
+        if total + step == total:
+            break
+        total += step
+    return (k + 1) / k * total
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _k_search_root(lambda_min: float, lambda_max: float, k: int, side: str) -> float:
+    """The bisection behind :func:`competitive_ratio`, on checked arguments."""
     big_m = lambda_max / lambda_min
     if big_m <= 1.0 + 1e-15:
         return 1.0
@@ -197,7 +226,8 @@ def competitive_ratio(
                 return math.inf
     elif side == "min-search":
         def excess(r: float) -> float:
-            return (r - 1.0) * ((1.0 + 1.0 / (r * k)) ** k - 1.0) - (big_m - r) / big_m
+            # (r-1)((1 + 1/(rk))^k - 1) - (M-r)/M, without the cancellation
+            return r / big_m - _min_search_gap(r, k)
     else:
         raise ValueError(f"unknown side {side!r}")
 
@@ -357,14 +387,24 @@ def feasibility_aware_thresholds(
     """Thresholds restricted to feasible SoC trajectories from (t, e).
 
     The effective budget on each side becomes K_rem = min(remaining budget,
-    capacity-limited action count, remaining horizon) and the bound lists keep
-    only slots that admit at least one feasible action of that type on some
-    feasible path.  K_rem = 0 marks the side inactive.
+    capacity-limited action count, remaining horizon); K_rem = 0 marks the
+    side inactive.  The bound lists are the whole remaining tail of slots
+    t..horizon: a side with K_rem >= 1 has at least one action of its type
+    feasible from e right now, and it stays feasible at every later slot
+    (idling keeps e), so no slot is out of reach.  The bounds must therefore
+    end at the battery's horizon.
     """
     t, e = state.t, state.e
+    for per_slot in (bounds.per_slot_min, bounds.per_slot_max):
+        if bounds.t_start + len(per_slot) - 1 != params.horizon:
+            raise ValueError(
+                f"bounds cover slots {bounds.t_start}..{bounds.t_start + len(per_slot) - 1} "
+                f"but the battery's horizon ends at {params.horizon}"
+            )
     slots_left = params.horizon - t + 1
     down = params.max_discharges(e)
     up = params.max_charges(e)
+    z_min_sorted, z_max_sorted = bounds.remaining(t)
 
     u_next = None
     l_next = None
@@ -372,29 +412,13 @@ def feasibility_aware_thresholds(
     if state.k_ch >= 1 and state.j_next <= state.k_ch:
         k_rem = min(state.k_ch - (state.j_next - 1), up, max(slots_left, 0))
         if k_rem >= 1:
-            feas_upper = [
-                bounds.slot(tau)[1]
-                for tau in range(t, params.horizon + 1)
-                if up + min(tau - t, down) >= 1
-            ]
-            feas_upper.sort(reverse=True)
-            if len(feas_upper) < k_rem:
-                raise ValueError("insufficient feasible bound entries on charge side")
-            total = sum(v for v, _ in state.activated_ch) + sum(feas_upper[:k_rem])
+            total = sum(v for v, _ in state.activated_ch) + sum(z_max_sorted[:k_rem])
             u_next = total / (alpha * k_rem)
 
     if state.k_dis >= 1 and state.i_next <= state.k_dis:
         k_rem = min(state.k_dis - (state.i_next - 1), down, max(slots_left, 0))
         if k_rem >= 1:
-            feas_lower = [
-                bounds.slot(tau)[0]
-                for tau in range(t, params.horizon + 1)
-                if down + min(tau - t, up) >= 1
-            ]
-            feas_lower.sort()
-            if len(feas_lower) < k_rem:
-                raise ValueError("insufficient feasible bound entries on discharge side")
-            total = sum(v for v, _ in state.activated_dis) + sum(feas_lower[:k_rem])
+            total = sum(v for v, _ in state.activated_dis) + sum(z_min_sorted[:k_rem])
             l_next = omega * total / k_rem
     return u_next, l_next
 

@@ -15,7 +15,6 @@ from socarb.thresholds import (
     PolicyState,
     Trajectory,
     TwoStageResult,
-    _thresholds_for,
     build_schedule,
     competitive_ratio,
     search_ratios,
@@ -307,13 +306,108 @@ def reference_step_policy(state, params, lambda_t, u_next, l_next):
     return IDLE, replace(state, t=state.t + 1)
 
 
+def reference_remaining(bounds, t):
+    """``PriceBounds.remaining`` sorting the slot lists afresh at every call."""
+    if t < bounds.t_start:
+        raise ValueError(f"t={t} precedes bound coverage starting at {bounds.t_start}")
+    off = t - bounds.t_start
+    return sorted(bounds.per_slot_min[off:]), sorted(bounds.per_slot_max[off:], reverse=True)
+
+
+def _reference_timedep_side(activated, n_needed, z_sorted, envelope):
+    """Activated values plus the first n_needed bounds, padded with the envelope."""
+    if len(z_sorted) < n_needed:
+        z_sorted = z_sorted + [envelope] * (n_needed - len(z_sorted))
+    return sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
+
+
+def reference_timedep_thresholds(state, bounds, alpha, omega):
+    """Time-dependent thresholds on bound lists sorted at every step.
+
+    Oracle for :func:`socarb.thresholds.timedep_thresholds`.
+    """
+    z_min_sorted, z_max_sorted = reference_remaining(bounds, state.t)
+    u_next = None
+    l_next = None
+    if state.k_ch >= 1 and state.j_next <= state.k_ch:
+        total = _reference_timedep_side(
+            state.activated_ch, state.k_ch - (state.j_next - 1), z_max_sorted, bounds.lambda_max
+        )
+        u_next = total / (alpha * state.k_ch)
+    if state.k_dis >= 1 and state.i_next <= state.k_dis:
+        total = _reference_timedep_side(
+            state.activated_dis, state.k_dis - (state.i_next - 1), z_min_sorted, bounds.lambda_min
+        )
+        l_next = omega * total / state.k_dis
+    return u_next, l_next
+
+
+def reference_feasible_bounds(params, bounds, t, e, side):
+    """Bounds of the slots t..horizon that admit one ``side`` action on some feasible path.
+
+    One ``slot()`` call per slot, sorted like ``remaining``: charge-side upper
+    bounds descending, discharge-side lower bounds ascending.
+    """
+    down = params.max_discharges(e)
+    up = params.max_charges(e)
+    if side == CHARGE:
+        feas_upper = [
+            bounds.slot(tau)[1]
+            for tau in range(t, params.horizon + 1)
+            if up + min(tau - t, down) >= 1
+        ]
+        feas_upper.sort(reverse=True)
+        return feas_upper
+    feas_lower = [
+        bounds.slot(tau)[0]
+        for tau in range(t, params.horizon + 1)
+        if down + min(tau - t, up) >= 1
+    ]
+    feas_lower.sort()
+    return feas_lower
+
+
+def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
+    """Feasibility thresholds over the filtered, per-step sorted bound lists.
+
+    Oracle for :func:`socarb.thresholds.feasibility_aware_thresholds`.
+    """
+    t, e = state.t, state.e
+    slots_left = params.horizon - t + 1
+    down = params.max_discharges(e)
+    up = params.max_charges(e)
+
+    u_next = None
+    l_next = None
+
+    if state.k_ch >= 1 and state.j_next <= state.k_ch:
+        k_rem = min(state.k_ch - (state.j_next - 1), up, max(slots_left, 0))
+        if k_rem >= 1:
+            feas_upper = reference_feasible_bounds(params, bounds, t, e, CHARGE)
+            if len(feas_upper) < k_rem:
+                raise ValueError("insufficient feasible bound entries on charge side")
+            total = sum(v for v, _ in state.activated_ch) + sum(feas_upper[:k_rem])
+            u_next = total / (alpha * k_rem)
+
+    if state.k_dis >= 1 and state.i_next <= state.k_dis:
+        k_rem = min(state.k_dis - (state.i_next - 1), down, max(slots_left, 0))
+        if k_rem >= 1:
+            feas_lower = reference_feasible_bounds(params, bounds, t, e, DISCHARGE)
+            if len(feas_lower) < k_rem:
+                raise ValueError("insufficient feasible bound entries on discharge side")
+            total = sum(v for v, _ in state.activated_dis) + sum(feas_lower[:k_rem])
+            l_next = omega * total / k_rem
+    return u_next, l_next
+
+
 def reference_run_policy(
     day, params, k_ch, k_dis, threshold_mode, bounds, alpha=None, omega=None
 ) -> Trajectory:
     """One day of the online policy, re-solving ratios and schedule per call.
 
     Oracle for :func:`socarb.thresholds.run_policy_days`: it carries the full
-    ``PolicyState`` through every step.
+    ``PolicyState`` through every step and takes the timedep and feasibility
+    thresholds from the references above, which sort the bounds at every step.
     """
     alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
     schedule = None
@@ -325,7 +419,15 @@ def reference_run_policy(
     soc = [params.e0]
     cash: list[float] = []
     for lam in day.values:
-        u, l = _thresholds_for(state, params, threshold_mode, bounds, schedule, alpha, omega)
+        if threshold_mode == "static":
+            u = schedule.charge[state.j_next - 1] if state.j_next <= state.k_ch else None
+            l = schedule.discharge[state.i_next - 1] if state.i_next <= state.k_dis else None
+        elif threshold_mode == "timedep":
+            u, l = reference_timedep_thresholds(state, bounds, alpha, omega)
+        elif threshold_mode == "feasibility":
+            u, l = reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega)
+        else:
+            raise ValueError(f"unknown threshold mode {threshold_mode!r}")
         action, state = reference_step_policy(state, params, lam, u, l)
         actions.append(action)
         soc.append(state.e)

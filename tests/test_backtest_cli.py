@@ -9,7 +9,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socarb.backtest import (
@@ -700,6 +700,10 @@ def _reject_constant(name):
     alpha=st.none() | FLAG_FLOATS,
     omega=st.none() | FLAG_FLOATS,
 )
+# an inverted envelope with given ratios, and a NaN lambda_max with no budgets,
+# never reach the k-search checks: PriceBounds itself rejects them
+@example(lmin=100.0, lmax=10.0, kch=1, kdis=1, alpha=2.0, omega=2.0)
+@example(lmin=10.0, lmax=math.nan, kch=0, kdis=0, alpha=None, omega=None)
 def test_thresholds_exit_code_contract(lmin, lmax, kch, kdis, alpha, omega):
     argv = ["thresholds", f"--lmin={lmin!r}", f"--lmax={lmax!r}", f"--kch={kch}", f"--kdis={kdis}"]
     argv += [f"--{name}={value!r}" for name, value in (("alpha", alpha), ("omega", omega))
@@ -709,6 +713,8 @@ def test_thresholds_exit_code_contract(lmin, lmax, kch, kdis, alpha, omega):
         code = main(argv)
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
+    if not (math.isfinite(lmin) and math.isfinite(lmax) and 0 < lmin <= lmax):
+        assert code == 1
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("validation error: ")

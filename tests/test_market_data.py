@@ -1,5 +1,7 @@
 """Ingestion, slicing, bounds, distributions, and splits."""
 
+import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from socarb.market_data import (
     DayPrices,
     EmpiricalCdf,
+    PriceBounds,
     PriceSeries,
     compute_bounds,
     export_day_matrix,
@@ -19,6 +22,8 @@ from socarb.market_data import (
     slice_days,
     split_dataset,
 )
+
+from oracles import reference_remaining
 
 T0 = datetime(2015, 3, 2, 0, 0)
 
@@ -220,6 +225,36 @@ class TestComputeBounds:
         b = compute_bounds(make_days([[10, 20, 5, 30]]), 1, "per-hour")
         z_min, z_max = b.remaining(3)
         assert z_min == [5, 30] and z_max == [30, 5]
+
+    @pytest.mark.parametrize("t_start", [1, 3])
+    def test_remaining_equals_fresh_sorted_slices(self, t_start):
+        # rounded prices give ties; t runs two slots past the horizon
+        rng = np.random.default_rng(t_start)
+        rows = np.round(rng.uniform(1.0, 9.0, (5, 8))).tolist()
+        b = compute_bounds(make_days(rows), t_start, "per-hour")
+        for t in range(t_start, b.horizon + 3):
+            z_min, z_max = b.remaining(t)
+            assert (z_min, z_max) == reference_remaining(b, t)
+            assert len(z_min) == len(z_max) == max(b.horizon - t + 1, 0)
+            z_min.append(-1.0)
+            z_max.clear()
+            assert b.remaining(t) == reference_remaining(b, t)
+        with pytest.raises(ValueError, match=f"t={t_start - 1} precedes bound coverage"):
+            b.remaining(t_start - 1)
+
+    @pytest.mark.parametrize(
+        "lmin, lmax, message",
+        [
+            (math.nan, 10.0, "lambda_min must be positive and finite, got nan"),
+            (-math.inf, 10.0, "lambda_min must be positive and finite, got -inf"),
+            (10.0, math.nan, "lambda_max must be positive and finite, got nan"),
+            (10.0, math.inf, "lambda_max must be positive and finite, got inf"),
+            (100.0, 10.0, "lambda_max=10.0 must not fall below lambda_min=100.0"),
+        ],
+    )
+    def test_envelope_rejected(self, lmin, lmax, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PriceBounds((), (), lmin, lmax, (), ())
 
     @given(
         st.lists(

@@ -32,8 +32,14 @@ from socarb.thresholds import (
     static_discharge_thresholds,
     timedep_thresholds,
 )
+from socarb.thresholds import _k_search_root
 
-from oracles import initial_state, reference_run_with_discharge_reduction
+from oracles import (
+    initial_state,
+    reference_feasibility_aware_thresholds,
+    reference_feasible_bounds,
+    reference_run_with_discharge_reduction,
+)
 
 
 def const_bounds(lmin, lmax, horizon, t_start=1):
@@ -108,6 +114,41 @@ class TestCompetitiveRatio:
         assert 1e40 < competitive_ratio(1.0, 1e300, 6, "max-search") < 1e50
         with pytest.raises(ValueError, match="omega=1e[+]300 overflows"):
             static_discharge_thresholds(1.0, 1e300, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(4.0, 20.0))
+    def test_k1_min_search_is_sqrt_m_on_wide_envelopes(self, log10_m):
+        # evaluated directly, 1 - (r - 1)((1 + 1/r) - 1) cancels to noise once
+        # 1/r nears the float epsilon, which gives 1.54 * sqrt(M) at M = 1e16
+        big_m = 10.0**log10_m
+        root = competitive_ratio(1.0, big_m, 1, "min-search")
+        assert abs(root / math.sqrt(big_m) - 1.0) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.01, 1e4), st.integers(1, 40))
+    def test_min_search_root_solves_its_equation(self, big_m, k):
+        r = competitive_ratio(1.0, big_m, k, "min-search")
+        lhs = (r - 1.0) * ((1.0 + 1.0 / (r * k)) ** k - 1.0)
+        assert lhs == pytest.approx((big_m - r) / big_m, abs=1e-9)
+
+    def test_memo_returns_the_uncached_root(self):
+        for args in (
+            (5.0, 45.0, 3, "min-search"),
+            (5.0, 45.0, 3, "max-search"),
+            (1.0, 1e16, 1, "min-search"),
+            (7.0, 7.0, 2, "max-search"),
+        ):
+            first = competitive_ratio(*args)
+            hits = _k_search_root.cache_info().hits
+            assert competitive_ratio(*args) == first == _k_search_root.__wrapped__(*args)
+            assert _k_search_root.cache_info().hits == hits + 1
+
+    def test_rejected_calls_raise_again(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown side 'sideways'"):
+                competitive_ratio(1.0, 9.0, 1, "sideways")
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                competitive_ratio(1.0, 9.0, 0, "max-search")
 
     def test_k1_guarantee_all_two_point_adversaries(self):
         # brute force over every two-point sequence on the grid {1..9}
@@ -354,6 +395,46 @@ class TestFeasibilityAwareThresholds:
         bounds = slot_bounds([10, 12, 14, 16, 18], [90, 90, 90, 90, 90])
         _, l = feasibility_aware_thresholds(state, params, bounds, 1.0, 2.0)
         assert l == pytest.approx(2.0 * 10.0)
+
+
+    def test_bounds_must_end_at_the_horizon(self):
+        params = BatteryParams(0, 10, 2, 4, 3)
+        state = initial_state(params, 1, 1)
+        for horizon in (2, 4):
+            with pytest.raises(ValueError, match=f"bounds cover slots 1..{horizon} but"):
+                feasibility_aware_thresholds(
+                    state, params, const_bounds(10.0, 100.0, horizon), 2.0, 2.0
+                )
+
+    def test_whole_tail_equals_filtered_list(self):
+        # the per-step oracle keeps the slots that admit one action of the
+        # side's type on some feasible path; with K_rem >= 1 that is all of them
+        rng = np.random.default_rng(17)
+        filter_bit = False
+        for horizon, rate in itertools.product(range(1, 9), (1.0, 2.0, 2.5, 4.0)):
+            per_min = [float(v) for v in rng.uniform(1.0, 50.0, horizon)]
+            per_max = [v + float(rng.uniform(0.0, 50.0)) for v in per_min]
+            bounds = slot_bounds(per_min, per_max)
+            socs = sorted({*np.arange(0.0, 10.0 + 1e-9, rate / 2), *rng.uniform(0.0, 10.0, 3)})
+            for e, t in itertools.product(socs, range(1, horizon + 2)):
+                params = BatteryParams(0.0, 10.0, rate, float(e), horizon)
+                up, down = params.max_charges(e), params.max_discharges(e)
+                z_min, z_max = bounds.remaining(t)
+                for k in range(5):
+                    state = PolicyState(t, float(e), 1, 1, k, k)
+                    k_rem = min(k, horizon - t + 1)
+                    if min(k_rem, up) >= 1:
+                        assert reference_feasible_bounds(params, bounds, t, e, CHARGE) == z_max
+                    if min(k_rem, down) >= 1:
+                        assert reference_feasible_bounds(params, bounds, t, e, DISCHARGE) == z_min
+                    assert feasibility_aware_thresholds(
+                        state, params, bounds, 1.7, 2.3
+                    ) == reference_feasibility_aware_thresholds(state, params, bounds, 1.7, 2.3)
+                if t <= horizon and up == 0 < down:
+                    # the filter does drop slot t from the charge side of a full battery
+                    filtered = reference_feasible_bounds(params, bounds, t, e, CHARGE)
+                    filter_bit |= len(filtered) < len(z_max)
+        assert filter_bit
 
 
 class TestStepPolicy:
