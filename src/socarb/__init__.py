@@ -28,8 +28,6 @@ from .thresholds import (
     competitive_check,
     competitive_ratio,
     feasibility_aware_thresholds,
-    feasible_charge_count,
-    feasible_discharge_count,
     offline_opt,
     run_policy,
     run_policy_days,
@@ -39,14 +37,11 @@ from .thresholds import (
 )
 from .reachability import (
     ActionProbs,
-    KappaPolicy,
     SocDistribution,
     StoppingResult,
     TargetBand,
     action_probabilities,
     count_feasible_trajectories,
-    kappa_prepolicy,
-    mix_over_kappa,
     propagate,
     stopping_time,
     terminal_band_probability,

@@ -40,25 +40,28 @@ from .thresholds import THRESHOLD_MODES, BatteryParams, run_policy_days
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, diff-friendly experiment description (key = value with dots)."""
+    """Flat, diff-friendly experiment description (key = value with dots).
+
+    :func:`parse_config` builds it and holds the one set of defaults.
+    """
 
     battery: BatteryParams
     bands: tuple[TargetBand, ...]
     e0_sweep: tuple[float, ...]
     start_steps: tuple[int, ...]
-    epsilon: float = 0.1
-    k_grid: tuple[tuple[int, int], ...] = ()
-    threshold_mode: str = "static"
-    bounds_mode: str = "per-hour"
-    post_stop_mode: str = "full-control"
-    seed: int = 0
-    data_path: str | None = None
-    synthetic_days: int = 120
-    synthetic_mu: float = math.log(30.0)
-    synthetic_sigma: float = 0.35
-    synthetic_amplitude: float = 0.5
-    cqr_epochs: int = 400
-    cqr_band: TargetBand | None = None
+    epsilon: float
+    k_grid: tuple[tuple[int, int], ...]
+    threshold_mode: str
+    bounds_mode: str
+    post_stop_mode: str
+    seed: int
+    data_path: str | None
+    synthetic_days: int
+    synthetic_mu: float
+    synthetic_sigma: float
+    synthetic_amplitude: float
+    cqr_epochs: int
+    cqr_band: TargetBand | None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:

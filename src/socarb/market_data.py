@@ -79,7 +79,8 @@ class PriceBounds:
     ``z_min`` / ``z_max`` are the sorted remaining per-slot bounds (ascending /
     descending).  ``per_slot_min`` / ``per_slot_max`` retain slot identity for
     slots ``t_start..horizon`` so downstream consumers can re-slice as time
-    advances.  The envelope must be finite with 0 < lambda_min <= lambda_max.
+    advances: both are empty (an envelope alone) or cover exactly those slots.
+    The envelope must be finite with 0 < lambda_min <= lambda_max.
     """
 
     z_min: tuple[float, ...]
@@ -108,6 +109,16 @@ class PriceBounds:
             raise ValueError("lambda_min must not exceed z_min entries")
         if self.z_max and self.lambda_max < max(self.z_max) - 1e-12:
             raise ValueError("lambda_max must not fall below z_max entries")
+        n = len(self.per_slot_min)
+        if len(self.per_slot_max) != n:
+            raise ValueError(
+                f"per_slot_min has {n} slots but per_slot_max has {len(self.per_slot_max)}"
+            )
+        if n and self.t_start + n - 1 != self.horizon:
+            raise ValueError(
+                f"per-slot bounds cover slots {self.t_start}..{self.t_start + n - 1}, "
+                f"not t_start..horizon {self.t_start}..{self.horizon}"
+            )
 
     @cached_property
     def _sorted_tails(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
@@ -134,13 +145,6 @@ class PriceBounds:
         mins, maxs = self._sorted_tails
         return list(mins[min(off, len(mins) - 1)]), list(maxs[min(off, len(maxs) - 1)])
 
-    def slot(self, t: int) -> tuple[float, float]:
-        """(lower, upper) bound for absolute slot t."""
-        off = t - self.t_start
-        if off < 0 or off >= len(self.per_slot_min):
-            raise ValueError(f"slot {t} outside bound coverage")
-        return self.per_slot_min[off], self.per_slot_max[off]
-
 
 class EmpiricalCdf:
     """Right-continuous empirical CDF with inclusive tail evaluators."""
@@ -163,28 +167,6 @@ class EmpiricalCdf:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.choice(self.samples))
-
-
-class LognormalCdf:
-    """Parametric lognormal alternative to the empirical CDF."""
-
-    def __init__(self, mu: float, sigma: float):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.mu = mu
-        self.sigma = sigma
-
-    def prob_le(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        z = (math.log(x) - self.mu) / (self.sigma * math.sqrt(2.0))
-        return 0.5 * (1.0 + math.erf(z))
-
-    def prob_ge(self, x: float) -> float:
-        return 1.0 - self.prob_le(x)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu, self.sigma))
 
 
 @dataclass(frozen=True)
@@ -305,7 +287,8 @@ def slice_days(series: PriceSeries, horizon: int) -> list[DayPrices]:
     return days
 
 
-def _clamp_floor(values, floor: float, label: str) -> list[float]:
+def _clamp_floor(values, label: str) -> list[float]:
+    floor = DEFAULT_PRICE_FLOOR
     clamped = [v if v > 0 else floor for v in values]
     n = sum(1 for v in values if v <= 0)
     if n:
@@ -313,17 +296,12 @@ def _clamp_floor(values, floor: float, label: str) -> list[float]:
     return clamped
 
 
-def compute_bounds(
-    days: list[DayPrices],
-    t: int,
-    mode: str = "per-hour",
-    floor: float = DEFAULT_PRICE_FLOOR,
-) -> PriceBounds:
+def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> PriceBounds:
     """Worst-case price bounds over the remaining slots t..T.
 
     ``per-hour`` keeps one (min, max) pair per remaining slot; ``global``
     repeats the scalar envelope.  Non-positive lower bounds are clamped to
-    ``floor`` so threshold ratio equations stay well posed.
+    :data:`DEFAULT_PRICE_FLOOR` so threshold ratio equations stay well posed.
     """
     if not days:
         raise ValueError("compute_bounds requires at least one day")
@@ -338,7 +316,7 @@ def compute_bounds(
     matrix = np.array([d.values for d in days], dtype=float)
     lam_min = float(matrix.min())
     lam_max = float(matrix.max())
-    lam_min = _clamp_floor([lam_min], floor, "global lower bound")[0]
+    lam_min = _clamp_floor([lam_min], "global lower bound")[0]
     lam_max = max(lam_max, lam_min)
 
     n_rem = horizon - t + 1
@@ -346,8 +324,8 @@ def compute_bounds(
         per_min = [lam_min] * n_rem
         per_max = [lam_max] * n_rem
     else:
-        per_min = _clamp_floor(matrix[:, t - 1 :].min(axis=0).tolist(), floor, "per-slot lower bound")
-        per_max = [max(v, floor) for v in matrix[:, t - 1 :].max(axis=0).tolist()]
+        per_min = _clamp_floor(matrix[:, t - 1 :].min(axis=0).tolist(), "per-slot lower bound")
+        per_max = [max(v, DEFAULT_PRICE_FLOOR) for v in matrix[:, t - 1 :].max(axis=0).tolist()]
     return PriceBounds(
         z_min=tuple(sorted(per_min)),
         z_max=tuple(sorted(per_max, reverse=True)),
@@ -360,30 +338,16 @@ def compute_bounds(
     )
 
 
-def fit_distribution(days: list[DayPrices], kind: str = "empirical") -> PriceDistribution:
-    """Fit per-hour price distributions across days.
-
-    ``empirical`` (default) builds hour-wise empirical CDFs; ``lognormal``
-    fits a lognormal per hour by moment matching on log prices.
-    """
+def fit_distribution(days: list[DayPrices]) -> PriceDistribution:
+    """Hour-wise empirical CDFs of the prices across days."""
     if not days:
         raise ValueError("fit_distribution requires at least one day")
     horizon = len(days[0].values)
     if any(len(d.values) != horizon for d in days):
         raise ValueError("all days must share the same horizon")
-    cdfs = []
-    for h in range(horizon):
-        samples = np.array([d.values[h] for d in days], dtype=float)
-        if kind == "empirical":
-            cdfs.append(EmpiricalCdf(samples))
-        elif kind == "lognormal":
-            pos = np.clip(samples, DEFAULT_PRICE_FLOOR, None)
-            logs = np.log(pos)
-            sigma = float(logs.std(ddof=0))
-            cdfs.append(LognormalCdf(float(logs.mean()), max(sigma, 1e-6)))
-        else:
-            raise ValueError(f"unknown distribution kind {kind!r}")
-    return PriceDistribution(tuple(cdfs))
+    return PriceDistribution(
+        tuple(EmpiricalCdf([d.values[h] for d in days]) for h in range(horizon))
+    )
 
 
 def split_dataset(

@@ -363,20 +363,6 @@ def timedep_thresholds(
     return u_next, l_next
 
 
-def feasible_discharge_count(params: BatteryParams, e: float) -> int:
-    """Maximum discharge actions feasible from SoC e: floor((e - e_min)/P)."""
-    if not params.e_min - FEAS_EPS <= e <= params.e_max + FEAS_EPS:
-        raise ValueError(f"SoC {e} outside capacity")
-    return params.max_discharges(e)
-
-
-def feasible_charge_count(params: BatteryParams, e: float) -> int:
-    """Mirror of :func:`feasible_discharge_count`: floor((e_max - e)/P)."""
-    if not params.e_min - FEAS_EPS <= e <= params.e_max + FEAS_EPS:
-        raise ValueError(f"SoC {e} outside capacity")
-    return params.max_charges(e)
-
-
 def feasibility_aware_thresholds(
     state: PolicyState,
     params: BatteryParams,
@@ -395,12 +381,13 @@ def feasibility_aware_thresholds(
     end at the battery's horizon.
     """
     t, e = state.t, state.e
-    for per_slot in (bounds.per_slot_min, bounds.per_slot_max):
-        if bounds.t_start + len(per_slot) - 1 != params.horizon:
-            raise ValueError(
-                f"bounds cover slots {bounds.t_start}..{bounds.t_start + len(per_slot) - 1} "
-                f"but the battery's horizon ends at {params.horizon}"
-            )
+    # PriceBounds holds both per-slot lists to one length; empty lists cover no slot
+    covered = bounds.t_start + len(bounds.per_slot_min) - 1
+    if covered != params.horizon:
+        raise ValueError(
+            f"bounds cover slots {bounds.t_start}..{covered} "
+            f"but the battery's horizon ends at {params.horizon}"
+        )
     slots_left = params.horizon - t + 1
     down = params.max_discharges(e)
     up = params.max_charges(e)
@@ -470,7 +457,7 @@ def run_policy_days(
     alpha, omega = schedule.alpha, schedule.omega
     u_book, l_book = schedule.charge, schedule.discharge
     if threshold_mode in ("timedep", "feasibility") and (
-        bounds.t_start > 1 or bounds.horizon < params.horizon
+        bounds.t_start != 1 or bounds.horizon != params.horizon
     ):
         raise ValueError(
             f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "

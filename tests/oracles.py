@@ -342,24 +342,32 @@ def reference_timedep_thresholds(state, bounds, alpha, omega):
     return u_next, l_next
 
 
+def reference_slot(bounds, t):
+    """(lower, upper) bound for absolute slot t."""
+    off = t - bounds.t_start
+    if off < 0 or off >= len(bounds.per_slot_min):
+        raise ValueError(f"slot {t} outside bound coverage")
+    return bounds.per_slot_min[off], bounds.per_slot_max[off]
+
+
 def reference_feasible_bounds(params, bounds, t, e, side):
     """Bounds of the slots t..horizon that admit one ``side`` action on some feasible path.
 
-    One ``slot()`` call per slot, sorted like ``remaining``: charge-side upper
-    bounds descending, discharge-side lower bounds ascending.
+    One ``reference_slot()`` call per slot, sorted like ``remaining``:
+    charge-side upper bounds descending, discharge-side lower bounds ascending.
     """
     down = params.max_discharges(e)
     up = params.max_charges(e)
     if side == CHARGE:
         feas_upper = [
-            bounds.slot(tau)[1]
+            reference_slot(bounds, tau)[1]
             for tau in range(t, params.horizon + 1)
             if up + min(tau - t, down) >= 1
         ]
         feas_upper.sort(reverse=True)
         return feas_upper
     feas_lower = [
-        bounds.slot(tau)[0]
+        reference_slot(bounds, tau)[0]
         for tau in range(t, params.horizon + 1)
         if down + min(tau - t, up) >= 1
     ]

@@ -256,6 +256,18 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match=re.escape(message)):
             PriceBounds((), (), lmin, lmax, (), ())
 
+    @pytest.mark.parametrize(
+        "per_min, per_max, horizon, message",
+        [
+            ((10.0, 12.0), (30.0,), 0, "per_slot_min has 2 slots but per_slot_max has 1"),
+            ((10.0, 12.0), (30.0, 30.0), 0, "cover slots 1..2, not t_start..horizon 1..0"),
+            ((10.0, 12.0), (30.0, 30.0), 3, "cover slots 1..2, not t_start..horizon 1..3"),
+        ],
+    )
+    def test_per_slot_coverage_rejected(self, per_min, per_max, horizon, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PriceBounds((10.0,), (30.0,), 10.0, 30.0, per_min, per_max, 1, horizon)
+
     @given(
         st.lists(
             st.lists(st.floats(1.0, 500.0), min_size=4, max_size=4),
@@ -293,13 +305,6 @@ class TestFitDistribution:
         cdf = EmpiricalCdf(samples)
         assert cdf.prob_le(x) == sum(1 for s in samples if s <= x) / len(samples)
         assert cdf.prob_ge(x) == sum(1 for s in samples if s >= x) / len(samples)
-
-    def test_lognormal_switch(self):
-        dist = fit_distribution(make_days([[10, 20], [12, 25], [14, 22]]), kind="lognormal")
-        cdf = dist.cdf(1)
-        assert cdf.prob_le(0.0) == 0.0
-        assert cdf.prob_le(1e9) == pytest.approx(1.0)
-        assert cdf.prob_le(12) <= cdf.prob_le(13)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

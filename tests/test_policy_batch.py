@@ -1,12 +1,14 @@
 """The batched policy runner against the per-step reference loop."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from oracles import reference_run_policy
 from socarb import thresholds
+from socarb.backtest import synthetic_day_matrix
 from socarb.market_data import DayPrices, compute_bounds
 from socarb.thresholds import DISCHARGE, BatteryParams, run_policy_days
 
@@ -72,6 +74,20 @@ def test_batch_validates_every_day(market):
     with pytest.raises(ValueError, match="unknown threshold mode"):
         run_policy_days(days, params, 1, 1, "sideways", bounds)
     assert run_policy_days([], params, 1, 1, "static", bounds) == []
+
+
+@pytest.mark.parametrize("mode", ["timedep", "feasibility"])
+def test_state_dependent_modes_need_bounds_of_the_day(mode):
+    # bounds of 8-slot days on the same days cut to 6 slots: their remaining
+    # tails would hold two slots the day does not have
+    long_days = synthetic_day_matrix(40, 8, 1)
+    days = [DayPrices(d.day_id, d.values[:6]) for d in long_days]
+    params = BatteryParams(0.0, 10.0, 2.0, 5.0, 6)
+    message = re.escape("bounds cover slots 1..8 but the day spans 1..6")
+    with pytest.raises(ValueError, match=message):
+        run_policy_days(days, params, 3, 3, mode, compute_bounds(long_days, 1, "per-hour"))
+    own = compute_bounds(days, 1, "per-hour")
+    assert len(run_policy_days(days, params, 3, 3, mode, own)) == len(days)
 
 
 @pytest.mark.parametrize("n_days", [1, 40])

@@ -21,8 +21,6 @@ from socarb.thresholds import (
     competitive_ratio,
     compulsory_value,
     feasibility_aware_thresholds,
-    feasible_charge_count,
-    feasible_discharge_count,
     offline_opt,
     run_policy,
     run_policy_days,
@@ -329,16 +327,16 @@ class TestTimedepThresholds:
 class TestFeasibilityCounts:
     def test_at_floor(self):
         params = BatteryParams(0, 10, 2, 0, 4)
-        assert feasible_discharge_count(params, 0.0) == 0
+        assert params.max_discharges(0.0) == 0
 
     def test_floor_formula(self):
         params = BatteryParams(0, 10, 2, 5, 4)
-        assert feasible_discharge_count(params, 5.0) == 2
+        assert params.max_discharges(5.0) == 2
 
     def test_full_battery(self):
         params = BatteryParams(0, 10, 2, 10, 4)
-        assert feasible_discharge_count(params, 10.0) == 5
-        assert feasible_charge_count(params, 10.0) == 0
+        assert params.max_discharges(10.0) == 5
+        assert params.max_charges(10.0) == 0
 
     @pytest.mark.parametrize("rate", [0.1, 1.0 / 3.0, 2.5])
     def test_offsets_match_feasible_counts(self, rate):
@@ -356,11 +354,6 @@ class TestFeasibilityCounts:
                 e = e0 + m * rate
                 assert params.max_discharges(e) == m - offsets[0], (params, m)
                 assert params.max_charges(e) == offsets[-1] - m, (params, m)
-
-    def test_out_of_range_rejected(self):
-        params = BatteryParams(0, 10, 2, 5, 4)
-        with pytest.raises(ValueError):
-            feasible_discharge_count(params, 11.0)
 
 
 class TestFeasibilityAwareThresholds:
@@ -405,6 +398,10 @@ class TestFeasibilityAwareThresholds:
                 feasibility_aware_thresholds(
                     state, params, const_bounds(10.0, 100.0, horizon), 2.0, 2.0
                 )
+        # an envelope alone covers no slot, whatever its horizon field says
+        envelope = PriceBounds((), (), 10.0, 100.0, (), (), 1, 3)
+        with pytest.raises(ValueError, match="bounds cover slots 1..0 but"):
+            feasibility_aware_thresholds(state, params, envelope, 2.0, 2.0)
 
     def test_whole_tail_equals_filtered_list(self):
         # the per-step oracle keeps the slots that admit one action of the
