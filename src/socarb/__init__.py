@@ -33,6 +33,7 @@ from .thresholds import (
     run_policy_days,
     static_charge_thresholds,
     static_discharge_thresholds,
+    threshold_rule,
     timedep_thresholds,
 )
 from .reachability import (

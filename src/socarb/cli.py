@@ -99,7 +99,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_thresholds(args) -> int:
     # a static schedule reads only the envelope of its bounds
-    bounds = md.PriceBounds((), (), args.lmin, args.lmax, (), ())
+    bounds = md.PriceBounds(args.lmin, args.lmax)
     schedule = th.build_schedule(bounds, args.kch, args.kdis, args.alpha, args.omega)
     lines = ["index,side,value"]
     lines += [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--kch", type=int, default=0)
     p.add_argument("--kdis", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None, help="override charge-side ratio")
-    p.add_argument("--omega", type=float, default=None, help="override discharge-side ratio")
+    p.add_argument("--alpha", type=float, default=None, help="charge ratio (default: solved)")
+    p.add_argument("--omega", type=float, default=None, help="discharge ratio (default: solved)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_thresholds)
 
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backtest", help="full experiment grid to a JSON report")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--synthetic", type=int, default=0, help="override: N synthetic days")
+    p.add_argument("--synthetic", type=int, default=0, help="use N synthetic days")
     p.add_argument("--out")
     p.set_defaults(func=cmd_backtest)
 

@@ -76,19 +76,18 @@ class DayPrices:
 class PriceBounds:
     """Worst-case price bounds for the remaining horizon at time ``t_start``.
 
-    ``z_min`` / ``z_max`` are the sorted remaining per-slot bounds (ascending /
-    descending).  ``per_slot_min`` / ``per_slot_max`` retain slot identity for
-    slots ``t_start..horizon`` so downstream consumers can re-slice as time
-    advances: both are empty (an envelope alone) or cover exactly those slots.
-    The envelope must be finite with 0 < lambda_min <= lambda_max.
+    ``per_slot_min`` / ``per_slot_max`` retain slot identity for slots
+    ``t_start..horizon`` so downstream consumers can re-slice as time
+    advances: both are empty (an envelope alone) or cover exactly those
+    slots, inside the envelope.  The envelope must be finite with
+    0 < lambda_min <= lambda_max.  :meth:`remaining` hands out the sorted
+    tails.
     """
 
-    z_min: tuple[float, ...]
-    z_max: tuple[float, ...]
     lambda_min: float
     lambda_max: float
-    per_slot_min: tuple[float, ...]
-    per_slot_max: tuple[float, ...]
+    per_slot_min: tuple[float, ...] = ()
+    per_slot_max: tuple[float, ...] = ()
     t_start: int = 1
     horizon: int = 0
 
@@ -101,14 +100,14 @@ class PriceBounds:
             raise ValueError(
                 f"lambda_max={self.lambda_max} must not fall below lambda_min={self.lambda_min}"
             )
-        if any(self.z_min[i] > self.z_min[i + 1] for i in range(len(self.z_min) - 1)):
-            raise ValueError("z_min must be sorted non-decreasing")
-        if any(self.z_max[i] < self.z_max[i + 1] for i in range(len(self.z_max) - 1)):
-            raise ValueError("z_max must be sorted non-increasing")
-        if self.z_min and self.lambda_min > min(self.z_min) + 1e-12:
-            raise ValueError("lambda_min must not exceed z_min entries")
-        if self.z_max and self.lambda_max < max(self.z_max) - 1e-12:
-            raise ValueError("lambda_max must not fall below z_max entries")
+        if self.per_slot_min and self.lambda_min > min(self.per_slot_min) + 1e-12:
+            raise ValueError(
+                f"per-slot min {min(self.per_slot_min)} falls below lambda_min={self.lambda_min}"
+            )
+        if self.per_slot_max and self.lambda_max < max(self.per_slot_max) - 1e-12:
+            raise ValueError(
+                f"per-slot max {max(self.per_slot_max)} exceeds lambda_max={self.lambda_max}"
+            )
         n = len(self.per_slot_min)
         if len(self.per_slot_max) != n:
             raise ValueError(
@@ -165,9 +164,6 @@ class EmpiricalCdf:
         """P(X >= x) = 1 - F(x-), computed as an exact sample fraction."""
         return (self.samples.size - bisect.bisect_left(self.samples, x)) / self.samples.size
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.samples))
-
 
 @dataclass(frozen=True)
 class PriceDistribution:
@@ -185,7 +181,8 @@ class PriceDistribution:
 
     def sample_day(self, rng: np.random.Generator, day_id: str = "sim") -> DayPrices:
         """Draw one synthetic day, each hour independently from its F_t."""
-        return DayPrices(day_id, tuple(c.sample(rng) for c in self.cdfs))
+        picks = rng.integers(0, [c.samples.size for c in self.cdfs])
+        return DayPrices(day_id, tuple(float(c.samples[i]) for c, i in zip(self.cdfs, picks)))
 
 
 @dataclass(frozen=True)
@@ -327,8 +324,6 @@ def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> Pri
         per_min = _clamp_floor(matrix[:, t - 1 :].min(axis=0).tolist(), "per-slot lower bound")
         per_max = [max(v, DEFAULT_PRICE_FLOOR) for v in matrix[:, t - 1 :].max(axis=0).tolist()]
     return PriceBounds(
-        z_min=tuple(sorted(per_min)),
-        z_max=tuple(sorted(per_max, reverse=True)),
         lambda_min=lam_min,
         lambda_max=lam_max,
         per_slot_min=tuple(per_min),

@@ -224,41 +224,33 @@ def policy_action_probabilities(
     synthetic days (k = 3:3, e0 = 1, 5, 9) the propagated terminal SoC is 0.38,
     0.51 and 0.95 in Kolmogorov distance from a simulation of run_policy_days
     (ROADMAP item 1).  The schedule and its ratios come from one
-    :func:`~socarb.thresholds.build_schedule` call.
+    :func:`~socarb.thresholds.build_schedule` call, and the thresholds at
+    each step from the executor's :func:`~socarb.thresholds.threshold_rule`.
     """
     schedule = th.build_schedule(bounds, k_ch, k_dis)
     if dist.horizon != params.horizon:
         raise ValueError("distribution horizon must match params.horizon")
+    rule = th.threshold_rule(threshold_mode, params, bounds, schedule, k_ch, k_dis)
     probs = []
     ch_mass = 0.0
     dis_mass = 0.0
-    activated_ch: list[tuple[float, int]] = []
-    activated_dis: list[tuple[float, int]] = []
+    c = d = 0  # thresholds advanced past on each side
+    s_ch = s_dis = 0.0  # and the sums of their values
     for t in range(1, params.horizon + 1):
         e_expected = min(
             max(params.e0 + (ch_mass - dis_mass) * params.rate, params.e_min), params.e_max
         )
-        state = th.PolicyState(
-            t=t,
-            e=e_expected,
-            j_next=len(activated_ch) + 1,
-            i_next=len(activated_dis) + 1,
-            k_ch=k_ch,
-            k_dis=k_dis,
-            activated_ch=tuple(activated_ch),
-            activated_dis=tuple(activated_dis),
-        )
-        u, l = th._thresholds_for(
-            state, params, threshold_mode, bounds, schedule, schedule.alpha, schedule.omega
-        )
+        u, l = rule(th.PolicyState(t, e_expected, c, d, s_ch, s_dis))
         ap = action_probabilities(u, l, dist.cdf(t))
         probs.append(ap)
         # advance a side once its cumulative firing mass clears the next whole
-        # unit, recording the threshold value it would have activated at
-        if u is not None and ch_mass + ap.alpha >= len(activated_ch) + 1:
-            activated_ch.append((u, t))
-        if l is not None and dis_mass + ap.beta >= len(activated_dis) + 1:
-            activated_dis.append((l, t))
+        # unit, adding the threshold value it would have activated at
+        if u is not None and ch_mass + ap.alpha >= c + 1:
+            c += 1
+            s_ch += u
+        if l is not None and dis_mass + ap.beta >= d + 1:
+            d += 1
+            s_dis += l
         ch_mass = min(ch_mass + ap.alpha, float(k_ch))
         dis_mass = min(dis_mass + ap.beta, float(k_dis))
     return probs

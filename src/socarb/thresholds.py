@@ -8,7 +8,10 @@ mid-horizon discharge-budget reduction with its two-stage benchmark.
 
 :func:`build_schedule` is the one solver of the books U[c] and L[d] (its
 :func:`search_ratios` checks the budgets) and :attr:`BatteryParams.offsets` the
-one SoC lattice m_lo..m_hi.  Every policy trajectory, both stages of the
+one SoC lattice m_lo..m_hi.  The policy's state is :class:`PolicyState`,
+(t, e, c, d, sum of activated u*, sum of activated l*); :func:`threshold_rule`
+binds a run's budgets, ratios and bounds once and maps that state to the
+next (u, l) in every mode.  Every policy trajectory, both stages of the
 reduction included, is stepped by :func:`run_policy_days`, whose loop holds
 the one charge-first, fall-through-to-discharge decision rule.
 """
@@ -17,7 +20,9 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .market_data import DayPrices, PriceBounds
 
@@ -110,33 +115,21 @@ class ThresholdSchedule:
             )
 
 
-@dataclass(frozen=True)
-class PolicyState:
-    """State of the online policy before step ``t``: counters, budgets, SoC, activations.
+class PolicyState(NamedTuple):
+    """State of the online policy before step ``t``.
 
-    ``activated_ch`` / ``activated_dis`` hold (threshold value, time) pairs in
-    activation order.  The timedep and feasibility thresholds read it;
-    :func:`run_policy_days` builds one per step in those modes.
+    ``c`` and ``d`` count the charges and discharges done so far, ``s_ch`` and
+    ``s_dis`` sum the thresholds they activated.  The timedep and feasibility
+    thresholds read the past only through these sums; the budgets, ratios
+    and bounds are fixed for a run and bound by :func:`threshold_rule`.
     """
 
     t: int
     e: float
-    j_next: int
-    i_next: int
-    k_ch: int
-    k_dis: int
-    activated_ch: tuple[tuple[float, int], ...] = ()
-    activated_dis: tuple[tuple[float, int], ...] = ()
-
-    def __post_init__(self):
-        if not 1 <= self.j_next <= self.k_ch + 1:
-            raise ValueError("j_next outside 1..k_ch+1")
-        if not 1 <= self.i_next <= self.k_dis + 1:
-            raise ValueError("i_next outside 1..k_dis+1")
-        if len(self.activated_ch) != self.j_next - 1:
-            raise ValueError("activated_ch length must equal j_next-1")
-        if len(self.activated_dis) != self.i_next - 1:
-            raise ValueError("activated_dis length must equal i_next-1")
+    c: int
+    d: int
+    s_ch: float
+    s_dis: float
 
 
 @dataclass(frozen=True)
@@ -161,24 +154,15 @@ class Trajectory:
         return sum(1 for a in self.actions if a == DISCHARGE)
 
 
-def competitive_ratio(
-    lambda_min: float,
-    lambda_max: float,
-    k: int,
-    side: str,
-    override: float | None = None,
-) -> float:
+def competitive_ratio(lambda_min: float, lambda_max: float, k: int, side: str) -> float:
     """Optimal k-search competitive ratio for the given price envelope.
 
     ``max-search`` solves (M-1)/(r-1) = (1 + r/k)^k and ``min-search`` solves
     (r-1)((1 + 1/(rk))^k - 1) = (M-r)/M for their unique roots r >= 1, with
     M = lambda_max/lambda_min, by bisection to 1e-10 (or to adjacent floats,
-    for roots too large to resolve that finely).  ``override`` short-cuts
-    the equation with a user-supplied ratio.  Roots are memoized per
+    for roots too large to resolve that finely).  Roots are memoized per
     (lambda_min, lambda_max, k, side), so an envelope is solved once.
     """
-    if override is not None:
-        return _check_ratio("ratio override", override)
     if not (math.isfinite(lambda_min) and math.isfinite(lambda_max)):
         raise ValueError("price bounds must be finite")
     if lambda_min <= 0:
@@ -256,10 +240,9 @@ def search_ratios(
 ) -> tuple[float, float]:
     """(alpha, omega) for the charge and discharge sides of an envelope.
 
-    Budgets must be non-negative.  A given ratio passes the same check as a
-    :func:`competitive_ratio` override; a side without one solves its k-search
-    equation (min-search for charging, max-search for discharging), or gets
-    1.0 when its budget is 0.
+    Budgets must be non-negative.  A given ratio must be a finite number
+    >= 1; a side without one solves its k-search equation (min-search for
+    charging, max-search for discharging), or gets 1.0 when its budget is 0.
     """
     if k_ch < 0 or k_dis < 0:
         raise ValueError("budgets must be non-negative")
@@ -320,46 +303,32 @@ def build_schedule(
     return ThresholdSchedule(tuple(u), tuple(l), alpha, omega)
 
 
-def _timedep_side(
-    activated: tuple[tuple[float, int], ...],
-    n_needed: int,
-    z_sorted: list[float],
-    envelope: float,
-) -> float:
-    """Activated values plus the first n_needed bounds, padded with the envelope."""
-    if len(z_sorted) < n_needed:
-        z_sorted = z_sorted + [envelope] * (n_needed - len(z_sorted))
-    return sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
-
-
 def timedep_thresholds(
     state: PolicyState,
     bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
     alpha: float,
     omega: float,
 ) -> tuple[float | None, float | None]:
     """Time-dependent next thresholds from activations plus remaining bounds.
 
-    u_next = (1/(alpha*k_ch)) * (sum of activated u* + top k_ch-(j-1) remaining
-    upper bounds); l_next = (omega/k_dis) * (sum of activated l* + bottom
-    k_dis-(i-1) remaining lower bounds).  A side with exhausted budget is
-    inactive (None).  When the remaining horizon is shorter than the remaining
-    budget, the bound lists are padded with the global scalar envelope (the
-    no-prediction fallback).
+    u_next = (1/(alpha*k_ch)) * (s_ch + top k_ch-c remaining upper bounds);
+    l_next = (omega/k_dis) * (s_dis + bottom k_dis-d remaining lower bounds).
+    A side with exhausted budget is inactive (None).  When the remaining
+    horizon is shorter than the remaining budget, the bound lists are padded
+    with the global scalar envelope (the no-prediction fallback).
     """
-    z_min_sorted, z_max_sorted = bounds.remaining(state.t)
+    t, _, c, d, s_ch, s_dis = state
+    lows, highs = bounds.remaining(t)
     u_next = None
     l_next = None
-    if state.k_ch >= 1 and state.j_next <= state.k_ch:
-        total = _timedep_side(
-            state.activated_ch, state.k_ch - (state.j_next - 1), z_max_sorted, bounds.lambda_max
-        )
-        u_next = total / (alpha * state.k_ch)
-    if state.k_dis >= 1 and state.i_next <= state.k_dis:
-        total = _timedep_side(
-            state.activated_dis, state.k_dis - (state.i_next - 1), z_min_sorted, bounds.lambda_min
-        )
-        l_next = omega * total / state.k_dis
+    if c < k_ch:
+        n = k_ch - c
+        u_next = (s_ch + sum(highs[:n] + [bounds.lambda_max] * (n - len(highs)))) / (alpha * k_ch)
+    if d < k_dis:
+        n = k_dis - d
+        l_next = omega * (s_dis + sum(lows[:n] + [bounds.lambda_min] * (n - len(lows)))) / k_dis
     return u_next, l_next
 
 
@@ -367,6 +336,8 @@ def feasibility_aware_thresholds(
     state: PolicyState,
     params: BatteryParams,
     bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
     alpha: float,
     omega: float,
 ) -> tuple[float | None, float | None]:
@@ -378,9 +349,53 @@ def feasibility_aware_thresholds(
     t..horizon: a side with K_rem >= 1 has at least one action of its type
     feasible from e right now, and it stays feasible at every later slot
     (idling keeps e), so no slot is out of reach.  The bounds must therefore
-    end at the battery's horizon.
+    end at the battery's horizon, which :func:`threshold_rule` checks.
     """
-    t, e = state.t, state.e
+    t, e, c, d, s_ch, s_dis = state
+    slots_left = max(params.horizon - t + 1, 0)
+    lows, highs = bounds.remaining(t)
+    u_next = None
+    l_next = None
+    k_rem = min(k_ch - c, params.max_charges(e), slots_left)
+    if k_rem >= 1:
+        u_next = (s_ch + sum(highs[:k_rem])) / (alpha * k_rem)
+    k_rem = min(k_dis - d, params.max_discharges(e), slots_left)
+    if k_rem >= 1:
+        l_next = omega * (s_dis + sum(lows[:k_rem])) / k_rem
+    return u_next, l_next
+
+
+def threshold_rule(
+    mode: str,
+    params: BatteryParams,
+    bounds: PriceBounds,
+    schedule: ThresholdSchedule,
+    k_ch: int,
+    k_dis: int,
+) -> Callable[[PolicyState], tuple[float | None, float | None]]:
+    """The policy's next (u, l) as a function of its state, for one run.
+
+    ``static`` reads the books of ``schedule``; ``timedep`` and
+    ``feasibility`` use its ratios and need bounds that cover exactly slots
+    1..horizon of the day, checked here once.  A side whose budget is spent
+    has no threshold (None).
+    """
+    if mode not in THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode {mode!r}")
+    if mode == "static":
+        u_book, l_book = schedule.charge, schedule.discharge
+        return lambda s: (
+            u_book[s.c] if s.c < k_ch else None,
+            l_book[s.d] if s.d < k_dis else None,
+        )
+    if bounds.t_start != 1 or bounds.horizon != params.horizon:
+        raise ValueError(
+            f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
+            f"spans 1..{params.horizon}"
+        )
+    alpha, omega = schedule.alpha, schedule.omega
+    if mode == "timedep":
+        return lambda s: timedep_thresholds(s, bounds, k_ch, k_dis, alpha, omega)
     # PriceBounds holds both per-slot lists to one length; empty lists cover no slot
     covered = bounds.t_start + len(bounds.per_slot_min) - 1
     if covered != params.horizon:
@@ -388,46 +403,7 @@ def feasibility_aware_thresholds(
             f"bounds cover slots {bounds.t_start}..{covered} "
             f"but the battery's horizon ends at {params.horizon}"
         )
-    slots_left = params.horizon - t + 1
-    down = params.max_discharges(e)
-    up = params.max_charges(e)
-    z_min_sorted, z_max_sorted = bounds.remaining(t)
-
-    u_next = None
-    l_next = None
-
-    if state.k_ch >= 1 and state.j_next <= state.k_ch:
-        k_rem = min(state.k_ch - (state.j_next - 1), up, max(slots_left, 0))
-        if k_rem >= 1:
-            total = sum(v for v, _ in state.activated_ch) + sum(z_max_sorted[:k_rem])
-            u_next = total / (alpha * k_rem)
-
-    if state.k_dis >= 1 and state.i_next <= state.k_dis:
-        k_rem = min(state.k_dis - (state.i_next - 1), down, max(slots_left, 0))
-        if k_rem >= 1:
-            total = sum(v for v, _ in state.activated_dis) + sum(z_min_sorted[:k_rem])
-            l_next = omega * total / k_rem
-    return u_next, l_next
-
-
-def _thresholds_for(
-    state: PolicyState,
-    params: BatteryParams,
-    mode: str,
-    bounds: PriceBounds,
-    schedule: ThresholdSchedule | None,
-    alpha: float,
-    omega: float,
-) -> tuple[float | None, float | None]:
-    if mode == "static":
-        u = schedule.charge[state.j_next - 1] if state.j_next <= state.k_ch else None
-        l = schedule.discharge[state.i_next - 1] if state.i_next <= state.k_dis else None
-        return u, l
-    if mode == "timedep":
-        return timedep_thresholds(state, bounds, alpha, omega)
-    if mode == "feasibility":
-        return feasibility_aware_thresholds(state, params, bounds, alpha, omega)
-    raise ValueError(f"unknown threshold mode {mode!r}")
+    return lambda s: feasibility_aware_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
 
 
 def run_policy_days(
@@ -445,7 +421,7 @@ def run_policy_days(
     The schedule and its ratios depend only on ``bounds`` and the budgets, so
     :func:`build_schedule` solves them once for the whole batch.  Ratios
     default to the k-search equations on the envelope in ``bounds``; pass
-    ``alpha``/``omega`` to override.  The trajectories never force trades;
+    ``alpha``/``omega`` to set them.  The trajectories never force trades;
     end-of-horizon behavior belongs to the reachability layer.
     """
     for day in days:
@@ -454,51 +430,38 @@ def run_policy_days(
                 f"day has {len(day.values)} slots but params.horizon={params.horizon}"
             )
     schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
-    alpha, omega = schedule.alpha, schedule.omega
+    rule = threshold_rule(threshold_mode, params, bounds, schedule, k_ch, k_dis)
     u_book, l_book = schedule.charge, schedule.discharge
-    if threshold_mode in ("timedep", "feasibility") and (
-        bounds.t_start != 1 or bounds.horizon != params.horizon
-    ):
-        raise ValueError(
-            f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
-            f"spans 1..{params.horizon}"
-        )
     static = threshold_mode == "static"
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
 
     rate, e_max, e_min = params.rate, params.e_max, params.e_min
     charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
     trajectories = []
     for day in days:
         e = params.e0
-        j = i = 1  # next charge / discharge threshold index
-        activated_ch: list[tuple[float, int]] = []
-        activated_dis: list[tuple[float, int]] = []
+        c = d = 0  # charges / discharges done
+        s_ch = s_dis = 0.0  # sums of the thresholds they activated
         actions: list[int] = []
         soc = [e]
         cash: list[float] = []
         for t, lam in enumerate(day.values, start=1):
             if static:
-                u = u_book[j - 1] if j <= k_ch else None
-                l = l_book[i - 1] if i <= k_dis else None
+                u = u_book[c] if c < k_ch else None
+                l = l_book[d] if d < k_dis else None
             else:
-                state = PolicyState(
-                    t, e, j, i, k_ch, k_dis, tuple(activated_ch), tuple(activated_dis)
-                )
-                u, l = _thresholds_for(state, params, threshold_mode, bounds, None, alpha, omega)
+                u, l = rule(PolicyState(t, e, c, d, s_ch, s_dis))
             # a side whose budget is spent has no threshold (None); charge is
             # checked first, and a blocked charge falls through to discharge
             if u is not None and lam <= u and e + rate <= charge_cap:
                 e = min(e + rate, e_max)
-                activated_ch.append((u, t))
-                j += 1
+                c += 1
+                s_ch += u
                 actions.append(CHARGE)
                 cash.append(-1 * lam * rate)
             elif l is not None and lam >= l and e - rate >= discharge_floor:
                 e = max(e - rate, e_min)
-                activated_dis.append((l, t))
-                i += 1
+                d += 1
+                s_dis += l
                 actions.append(DISCHARGE)
                 cash.append(1 * lam * rate)
             else:

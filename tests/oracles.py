@@ -267,12 +267,64 @@ def reference_count_feasible_trajectories(
     return in_band, total, 100.0 * in_band / total
 
 
-def initial_state(params: BatteryParams, k_ch: int, k_dis: int) -> PolicyState:
-    return PolicyState(t=1, e=params.e0, j_next=1, i_next=1, k_ch=k_ch, k_dis=k_dis)
+@dataclass(frozen=True)
+class HistoryState:
+    """The policy state as a full record: counters, budgets, SoC, activations.
+
+    ``activated_ch`` / ``activated_dis`` hold (threshold value, time) pairs in
+    activation order.  ``reference_step_policy`` carries one through every
+    step; :func:`policy_state` reduces it to the library's ``PolicyState``.
+    """
+
+    t: int
+    e: float
+    j_next: int
+    i_next: int
+    k_ch: int
+    k_dis: int
+    activated_ch: tuple[tuple[float, int], ...] = ()
+    activated_dis: tuple[tuple[float, int], ...] = ()
+
+    def __post_init__(self):
+        if not 1 <= self.j_next <= self.k_ch + 1:
+            raise ValueError("j_next outside 1..k_ch+1")
+        if not 1 <= self.i_next <= self.k_dis + 1:
+            raise ValueError("i_next outside 1..k_dis+1")
+        if len(self.activated_ch) != self.j_next - 1:
+            raise ValueError("activated_ch length must equal j_next-1")
+        if len(self.activated_dis) != self.i_next - 1:
+            raise ValueError("activated_dis length must equal i_next-1")
+
+
+def activated_sum(values):
+    """Threshold values added left to right, as the executor's ``+=`` does.
+
+    Not ``sum()``: from Python 3.12 it adds floats with compensation.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def policy_state(state: HistoryState) -> PolicyState:
+    """The library's (t, e, c, d, sum u*, sum l*) view of a full record."""
+    return PolicyState(
+        state.t,
+        state.e,
+        state.j_next - 1,
+        state.i_next - 1,
+        activated_sum(v for v, _ in state.activated_ch),
+        activated_sum(v for v, _ in state.activated_dis),
+    )
+
+
+def initial_state(params: BatteryParams, k_ch: int, k_dis: int) -> HistoryState:
+    return HistoryState(t=1, e=params.e0, j_next=1, i_next=1, k_ch=k_ch, k_dis=k_dis)
 
 
 def reference_step_policy(state, params, lambda_t, u_next, l_next):
-    """The per-step rule on a frozen ``PolicyState``, advanced by ``replace``."""
+    """The per-step rule on a frozen ``HistoryState``, advanced by ``replace``."""
     can_charge = (
         state.j_next <= state.k_ch
         and u_next is not None
@@ -318,13 +370,14 @@ def _reference_timedep_side(activated, n_needed, z_sorted, envelope):
     """Activated values plus the first n_needed bounds, padded with the envelope."""
     if len(z_sorted) < n_needed:
         z_sorted = z_sorted + [envelope] * (n_needed - len(z_sorted))
-    return sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
+    return activated_sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
 
 
 def reference_timedep_thresholds(state, bounds, alpha, omega):
     """Time-dependent thresholds on bound lists sorted at every step.
 
-    Oracle for :func:`socarb.thresholds.timedep_thresholds`.
+    Oracle for :func:`socarb.thresholds.timedep_thresholds`, read off a
+    ``HistoryState``.
     """
     z_min_sorted, z_max_sorted = reference_remaining(bounds, state.t)
     u_next = None
@@ -378,7 +431,8 @@ def reference_feasible_bounds(params, bounds, t, e, side):
 def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
     """Feasibility thresholds over the filtered, per-step sorted bound lists.
 
-    Oracle for :func:`socarb.thresholds.feasibility_aware_thresholds`.
+    Oracle for :func:`socarb.thresholds.feasibility_aware_thresholds`, read off
+    a ``HistoryState``.
     """
     t, e = state.t, state.e
     slots_left = params.horizon - t + 1
@@ -394,7 +448,7 @@ def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
             feas_upper = reference_feasible_bounds(params, bounds, t, e, CHARGE)
             if len(feas_upper) < k_rem:
                 raise ValueError("insufficient feasible bound entries on charge side")
-            total = sum(v for v, _ in state.activated_ch) + sum(feas_upper[:k_rem])
+            total = activated_sum(v for v, _ in state.activated_ch) + sum(feas_upper[:k_rem])
             u_next = total / (alpha * k_rem)
 
     if state.k_dis >= 1 and state.i_next <= state.k_dis:
@@ -403,7 +457,7 @@ def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
             feas_lower = reference_feasible_bounds(params, bounds, t, e, DISCHARGE)
             if len(feas_lower) < k_rem:
                 raise ValueError("insufficient feasible bound entries on discharge side")
-            total = sum(v for v, _ in state.activated_dis) + sum(feas_lower[:k_rem])
+            total = activated_sum(v for v, _ in state.activated_dis) + sum(feas_lower[:k_rem])
             l_next = omega * total / k_rem
     return u_next, l_next
 
@@ -413,8 +467,8 @@ def reference_run_policy(
 ) -> Trajectory:
     """One day of the online policy, re-solving ratios and schedule per call.
 
-    Oracle for :func:`socarb.thresholds.run_policy_days`: it carries the full
-    ``PolicyState`` through every step and takes the timedep and feasibility
+    Oracle for :func:`socarb.thresholds.run_policy_days`: it carries a full
+    ``HistoryState`` through every step and takes the timedep and feasibility
     thresholds from the references above, which sort the bounds at every step.
     """
     alpha, omega = search_ratios(bounds, k_ch, k_dis, alpha, omega)
@@ -446,7 +500,7 @@ def reference_run_policy(
 def reference_run_with_discharge_reduction(
     day, params, k_dis, t_bar, k_bar, bounds
 ) -> TwoStageResult:
-    """Two hand-written stage loops that carry a ``PolicyState`` through every step.
+    """Two hand-written stage loops that carry a ``HistoryState`` through every step.
 
     Oracle for :func:`socarb.thresholds.run_with_discharge_reduction`.  A strict
     reduction restarts the sell side as a fresh search with budget k_bar minus

@@ -44,7 +44,7 @@ from socarb.thresholds import (
 )
 from socarb.market_data import DayPrices
 
-from oracles import brute_force_distribution
+from oracles import activated_sum, brute_force_distribution
 
 LMIN, LMAX = 5.0, 45.0
 
@@ -56,8 +56,6 @@ def report_line(criterion: int, ok: bool, label: str):
 
 def const_bounds(lmin, lmax, horizon):
     return PriceBounds(
-        z_min=(lmin,) * horizon,
-        z_max=(lmax,) * horizon,
         lambda_min=lmin,
         lambda_max=lmax,
         per_slot_min=(lmin,) * horizon,
@@ -169,11 +167,11 @@ def test_criterion_3_threshold_identities():
         bounds = const_bounds(lmin, lmax, k + 1)
         for j in range(1, k + 1):
             state = PolicyState(
-                t=j, e=5.0, j_next=j, i_next=j, k_ch=k, k_dis=k,
-                activated_ch=tuple((u_static[m], m + 1) for m in range(j - 1)),
-                activated_dis=tuple((l_static[m], m + 1) for m in range(j - 1)),
+                t=j, e=5.0, c=j - 1, d=j - 1,
+                s_ch=activated_sum(u_static[: j - 1]),
+                s_dis=activated_sum(l_static[: j - 1]),
             )
-            u, l = timedep_thresholds(state, bounds, alpha, omega)
+            u, l = timedep_thresholds(state, bounds, k, k, alpha, omega)
             if abs(u - u_static[j - 1]) > 1e-9 * abs(u_static[j - 1]):
                 failures.append(f"timedep-u trial {trial} j {j}")
             if abs(l - l_static[j - 1]) > 1e-9 * abs(l_static[j - 1]):

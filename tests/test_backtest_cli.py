@@ -719,7 +719,7 @@ def test_thresholds_exit_code_contract(lmin, lmax, kch, kdis, alpha, omega):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("validation error: ")
         return
-    schedule = build_schedule(PriceBounds((), (), lmin, lmax, (), ()), kch, kdis, alpha, omega)
+    schedule = build_schedule(PriceBounds(lmin, lmax), kch, kdis, alpha, omega)
     assert out.getvalue().splitlines() == (
         ["index,side,value"]
         + [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]

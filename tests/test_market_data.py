@@ -190,31 +190,27 @@ class TestSliceDays:
 class TestComputeBounds:
     def test_single_day_t1(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 1, "per-hour")
-        assert b.z_min == (10, 20, 30)
-        assert b.z_max == (30, 20, 10)
+        assert b.remaining(b.t_start) == ([10, 20, 30], [30, 20, 10])
 
     def test_single_day_last_slot(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 3, "per-hour")
-        assert b.z_min == (30.0,)
-        assert b.z_max == (30.0,)
+        assert b.remaining(b.t_start) == ([30.0], [30.0])
 
     def test_two_days_per_slot_min_max(self):
         # per-slot mins {5, 20, 15} sorted, per-slot maxes {10, 25, 30} sorted desc
         b = compute_bounds(make_days([[10, 20, 30], [5, 25, 15]]), 1, "per-hour")
-        assert b.z_min == (5, 15, 20)
-        assert b.z_max == (30, 25, 10)
+        assert b.remaining(b.t_start) == ([5, 15, 20], [30, 25, 10])
         assert b.lambda_min == 5 and b.lambda_max == 30
 
     def test_global_mode_repeats_envelope(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 2, "global")
-        assert b.z_min == (10.0, 10.0)
-        assert b.z_max == (30.0, 30.0)
+        assert b.remaining(b.t_start) == ([10.0, 10.0], [30.0, 30.0])
 
     def test_negative_prices_clamped(self, caplog):
         with caplog.at_level("WARNING"):
             b = compute_bounds(make_days([[-4.0, 20.0]]), 1, "per-hour")
         assert b.lambda_min == pytest.approx(0.01)
-        assert b.z_min[0] == pytest.approx(0.01)
+        assert b.remaining(b.t_start)[0][0] == pytest.approx(0.01)
         assert "clamped" in caplog.text
 
     def test_empty_days_rejected(self):
@@ -254,7 +250,7 @@ class TestComputeBounds:
     )
     def test_envelope_rejected(self, lmin, lmax, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            PriceBounds((), (), lmin, lmax, (), ())
+            PriceBounds(lmin, lmax)
 
     @pytest.mark.parametrize(
         "per_min, per_max, horizon, message",
@@ -266,7 +262,20 @@ class TestComputeBounds:
     )
     def test_per_slot_coverage_rejected(self, per_min, per_max, horizon, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            PriceBounds((10.0,), (30.0,), 10.0, 30.0, per_min, per_max, 1, horizon)
+            PriceBounds(10.0, 30.0, per_min, per_max, 1, horizon)
+
+    @pytest.mark.parametrize(
+        "per_min, per_max, message",
+        [
+            ((11.0, 12.0), (40.0, 50.0), "per-slot max 50.0 exceeds lambda_max=30.0"),
+            ((5.0, 12.0), (20.0, 30.0), "per-slot min 5.0 falls below lambda_min=10.0"),
+        ],
+    )
+    def test_per_slot_outside_envelope_rejected(self, per_min, per_max, message):
+        # remaining() hands these lists to the thresholds, so they must lie
+        # inside the envelope the ratios are solved on
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PriceBounds(10.0, 30.0, per_min, per_max, 1, 2)
 
     @given(
         st.lists(
@@ -279,9 +288,10 @@ class TestComputeBounds:
     @settings(max_examples=100, deadline=None)
     def test_sortedness_invariant(self, rows, t):
         b = compute_bounds(make_days(rows), t, "per-hour")
-        assert all(b.z_min[i] <= b.z_min[i + 1] for i in range(len(b.z_min) - 1))
-        assert all(b.z_max[i] >= b.z_max[i + 1] for i in range(len(b.z_max) - 1))
-        assert b.lambda_min <= min(b.z_min) and max(b.z_max) <= b.lambda_max
+        z_min, z_max = b.remaining(b.t_start)
+        assert all(z_min[i] <= z_min[i + 1] for i in range(len(z_min) - 1))
+        assert all(z_max[i] >= z_max[i + 1] for i in range(len(z_max) - 1))
+        assert b.lambda_min <= min(z_min) and max(z_max) <= b.lambda_max
 
 
 class TestFitDistribution:

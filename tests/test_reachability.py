@@ -80,7 +80,7 @@ class TestActionProbabilities:
 
     def test_one_step_rule_matches_run_policy_days(self):
         # k = 1 books from ratio overrides: u = lambda_max / alpha, l = lambda_min * omega
-        bounds = PriceBounds((), (), 10.0, 100.0, (), ())
+        bounds = PriceBounds(10.0, 100.0)
         params = BatteryParams(0.0, 10.0, 2.0, 5.0, 1)  # room to charge and to discharge
         rng = np.random.default_rng(5)
         relations = set()

@@ -28,23 +28,25 @@ from socarb.thresholds import (
     search_ratios,
     static_charge_thresholds,
     static_discharge_thresholds,
+    threshold_rule,
     timedep_thresholds,
 )
 from socarb.thresholds import _k_search_root
 
 from oracles import (
-    initial_state,
+    HistoryState,
+    activated_sum,
+    policy_state,
     reference_feasibility_aware_thresholds,
     reference_feasible_bounds,
     reference_run_with_discharge_reduction,
+    reference_timedep_thresholds,
 )
 
 
 def const_bounds(lmin, lmax, horizon, t_start=1):
     n = horizon - t_start + 1
     return PriceBounds(
-        z_min=(lmin,) * n,
-        z_max=(lmax,) * n,
         lambda_min=lmin,
         lambda_max=lmax,
         per_slot_min=(lmin,) * n,
@@ -56,8 +58,6 @@ def const_bounds(lmin, lmax, horizon, t_start=1):
 
 def slot_bounds(per_min, per_max, t_start=1):
     return PriceBounds(
-        z_min=tuple(sorted(per_min)),
-        z_max=tuple(sorted(per_max, reverse=True)),
         lambda_min=min(per_min),
         lambda_max=max(per_max),
         per_slot_min=tuple(per_min),
@@ -69,6 +69,11 @@ def slot_bounds(per_min, per_max, t_start=1):
 
 def day(values):
     return DayPrices("d", tuple(float(v) for v in values))
+
+
+def fresh(params):
+    """The policy's state before its first step: nothing done, nothing activated."""
+    return PolicyState(t=1, e=params.e0, c=0, d=0, s_ch=0.0, s_dis=0.0)
 
 
 def run_kmax_search(prices, thresholds, k, lmin):
@@ -90,9 +95,6 @@ class TestCompetitiveRatio:
 
     def test_degenerate_envelope(self):
         assert competitive_ratio(7.0, 7.0, 3, "max-search") == 1.0
-
-    def test_override(self):
-        assert competitive_ratio(1.0, 9.0, 2, "max-search", override=2.0) == 2.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -247,8 +249,6 @@ class TestNonFiniteInputs:
     def test_ratio_rejected_everywhere_it_is_given(self, value):
         # nan fails every comparison, so a bare `< 1` check lets it through
         bounds = const_bounds(5.0, 45.0, 4)
-        with pytest.raises(ValueError, match="ratio override must be a finite number >= 1"):
-            competitive_ratio(1.0, 9.0, 2, "max-search", override=value)
         with pytest.raises(ValueError, match="alpha must be a finite number >= 1"):
             search_ratios(bounds, 2, 3, alpha=value)
         with pytest.raises(ValueError, match="omega must be a finite number >= 1"):
@@ -271,8 +271,8 @@ class TestNonFiniteInputs:
 
 class TestTimedepThresholds:
     def test_reduces_to_static_u1(self):
-        state = initial_state(BatteryParams(0, 10, 2, 5, 4), 1, 0)
-        u, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 4), 2.0, 1.0)
+        state = fresh(BatteryParams(0, 10, 2, 5, 4))
+        u, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 4), 1, 0, 2.0, 1.0)
         assert u == pytest.approx(100.0 / 2.0)
         assert l is None
 
@@ -280,25 +280,22 @@ class TestTimedepThresholds:
     def test_second_charge_threshold_identity(self, alpha):
         # after activating u_1 = lmax/alpha: u_2 = lmax*(alpha+1)/(2*alpha^2)
         lmax = 100.0
-        state = PolicyState(
-            t=2, e=5.0, j_next=2, i_next=1, k_ch=2, k_dis=0,
-            activated_ch=((lmax / alpha, 1),),
-        )
-        u, _ = timedep_thresholds(state, const_bounds(10.0, lmax, 8), alpha, 1.0)
+        state = PolicyState(t=2, e=5.0, c=1, d=0, s_ch=lmax / alpha, s_dis=0.0)
+        u, _ = timedep_thresholds(state, const_bounds(10.0, lmax, 8), 2, 0, alpha, 1.0)
         assert u == pytest.approx(lmax * (alpha + 1.0) / (2.0 * alpha**2), rel=1e-12)
         static_u2 = static_charge_thresholds(lmax, alpha, 2)[1]
         assert u == pytest.approx(static_u2, rel=1e-12)
 
     def test_discharge_example_sorted_ascending(self):
-        # z_min(t) = [10, 40], no activations, i=1, omega=2, k_dis=2
-        state = initial_state(BatteryParams(0, 10, 2, 5, 2), 0, 2)
+        # ascending lower bounds [10, 40], nothing activated, omega=2, k_dis=2
+        state = fresh(BatteryParams(0, 10, 2, 5, 2))
         bounds = slot_bounds([40.0, 10.0], [50.0, 50.0])
-        _, l = timedep_thresholds(state, bounds, 1.0, 2.0)
+        _, l = timedep_thresholds(state, bounds, 0, 2, 1.0, 2.0)
         assert l == pytest.approx((2.0 / 2.0) * (10.0 + 40.0))
 
     def test_padding_uses_global_envelope(self):
-        state = initial_state(BatteryParams(0, 10, 2, 5, 1), 0, 3)
-        _, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 1), 1.0, 2.0)
+        state = fresh(BatteryParams(0, 10, 2, 5, 1))
+        _, l = timedep_thresholds(state, const_bounds(10.0, 100.0, 1), 0, 3, 1.0, 2.0)
         assert l == pytest.approx((2.0 / 3.0) * (10.0 * 3))
 
     def test_static_recursive_consistency_sweep(self):
@@ -315,11 +312,11 @@ class TestTimedepThresholds:
             bounds = const_bounds(lmin, lmax, k + 2)
             for j in range(1, k + 1):
                 state = PolicyState(
-                    t=j, e=5.0, j_next=j, i_next=j, k_ch=k, k_dis=k,
-                    activated_ch=tuple((u_static[m], m + 1) for m in range(j - 1)),
-                    activated_dis=tuple((l_static[m], m + 1) for m in range(j - 1)),
+                    t=j, e=5.0, c=j - 1, d=j - 1,
+                    s_ch=activated_sum(u_static[: j - 1]),
+                    s_dis=activated_sum(l_static[: j - 1]),
                 )
-                u, l = timedep_thresholds(state, bounds, alpha, omega)
+                u, l = timedep_thresholds(state, bounds, k, k, alpha, omega)
                 assert abs(u - u_static[j - 1]) <= 1e-9 * abs(u_static[j - 1])
                 assert abs(l - l_static[j - 1]) <= 1e-9 * abs(l_static[j - 1])
 
@@ -359,49 +356,50 @@ class TestFeasibilityCounts:
 class TestFeasibilityAwareThresholds:
     def test_empty_battery_discharge_inactive(self):
         params = BatteryParams(0, 10, 2, 0, 6)
-        state = initial_state(params, 2, 2)
+        state = fresh(params)
         bounds = const_bounds(10.0, 100.0, 6)
-        u, l = feasibility_aware_thresholds(state, params, bounds, 2.0, 2.0)
+        u, l = feasibility_aware_thresholds(state, params, bounds, 2, 2, 2.0, 2.0)
         assert l is None
-        u_timedep, _ = timedep_thresholds(state, bounds, 2.0, 2.0)
+        u_timedep, _ = timedep_thresholds(state, bounds, 2, 2, 2.0, 2.0)
         assert u == pytest.approx(u_timedep)
 
     def test_k_rem_one_direct_evaluation(self):
         # K_rem = 1 via a single-unit budget; smallest feasible lower bound is 10
         params = BatteryParams(0, 10, 2, 6, 2)
-        state = initial_state(params, 0, 1)
+        state = fresh(params)
         bounds = slot_bounds([10.0, 40.0], [50.0, 50.0])
-        _, l = feasibility_aware_thresholds(state, params, bounds, 1.0, 2.0)
+        _, l = feasibility_aware_thresholds(state, params, bounds, 0, 1, 1.0, 2.0)
         assert l == pytest.approx(2.0 * 10.0)
 
     def test_no_remaining_horizon_both_inactive(self):
         params = BatteryParams(0, 10, 2, 10, 2)
-        state = PolicyState(t=3, e=10.0, j_next=1, i_next=1, k_ch=2, k_dis=2)
+        state = PolicyState(t=3, e=10.0, c=0, d=0, s_ch=0.0, s_dis=0.0)
         bounds = const_bounds(10.0, 100.0, 2)
-        u, l = feasibility_aware_thresholds(state, params, bounds, 2.0, 2.0)
+        u, l = feasibility_aware_thresholds(state, params, bounds, 2, 2, 2.0, 2.0)
         assert u is None and l is None
 
     def test_capacity_cap_shrinks_budget(self):
         # e=2, P=2 allows one discharge; K_rem = min(3, 1, horizon) = 1
         params = BatteryParams(0, 10, 2, 2, 5)
-        state = initial_state(params, 0, 3)
+        state = fresh(params)
         bounds = slot_bounds([10, 12, 14, 16, 18], [90, 90, 90, 90, 90])
-        _, l = feasibility_aware_thresholds(state, params, bounds, 1.0, 2.0)
+        _, l = feasibility_aware_thresholds(state, params, bounds, 0, 3, 1.0, 2.0)
         assert l == pytest.approx(2.0 * 10.0)
 
 
     def test_bounds_must_end_at_the_horizon(self):
+        # checked once, where the run's rule is built
         params = BatteryParams(0, 10, 2, 4, 3)
-        state = initial_state(params, 1, 1)
         for horizon in (2, 4):
+            bounds = const_bounds(10.0, 100.0, horizon)
+            schedule = build_schedule(bounds, 1, 1, 2.0, 2.0)
             with pytest.raises(ValueError, match=f"bounds cover slots 1..{horizon} but"):
-                feasibility_aware_thresholds(
-                    state, params, const_bounds(10.0, 100.0, horizon), 2.0, 2.0
-                )
+                threshold_rule("feasibility", params, bounds, schedule, 1, 1)
         # an envelope alone covers no slot, whatever its horizon field says
-        envelope = PriceBounds((), (), 10.0, 100.0, (), (), 1, 3)
+        envelope = PriceBounds(10.0, 100.0, (), (), 1, 3)
+        schedule = build_schedule(envelope, 1, 1, 2.0, 2.0)
         with pytest.raises(ValueError, match="bounds cover slots 1..0 but"):
-            feasibility_aware_thresholds(state, params, envelope, 2.0, 2.0)
+            threshold_rule("feasibility", params, envelope, schedule, 1, 1)
 
     def test_whole_tail_equals_filtered_list(self):
         # the per-step oracle keeps the slots that admit one action of the
@@ -418,20 +416,56 @@ class TestFeasibilityAwareThresholds:
                 up, down = params.max_charges(e), params.max_discharges(e)
                 z_min, z_max = bounds.remaining(t)
                 for k in range(5):
-                    state = PolicyState(t, float(e), 1, 1, k, k)
+                    state = PolicyState(t, float(e), 0, 0, 0.0, 0.0)
                     k_rem = min(k, horizon - t + 1)
                     if min(k_rem, up) >= 1:
                         assert reference_feasible_bounds(params, bounds, t, e, CHARGE) == z_max
                     if min(k_rem, down) >= 1:
                         assert reference_feasible_bounds(params, bounds, t, e, DISCHARGE) == z_min
+                    reference = HistoryState(t, float(e), 1, 1, k, k)
                     assert feasibility_aware_thresholds(
-                        state, params, bounds, 1.7, 2.3
-                    ) == reference_feasibility_aware_thresholds(state, params, bounds, 1.7, 2.3)
+                        state, params, bounds, k, k, 1.7, 2.3
+                    ) == reference_feasibility_aware_thresholds(reference, params, bounds, 1.7, 2.3)
                 if t <= horizon and up == 0 < down:
                     # the filter does drop slot t from the charge side of a full battery
                     filtered = reference_feasible_bounds(params, bounds, t, e, CHARGE)
                     filter_bit |= len(filtered) < len(z_max)
         assert filter_bit
+
+
+@pytest.mark.parametrize("mode", ["timedep", "feasibility"])
+def test_running_sums_give_the_history_thresholds(mode):
+    # the state (t, e, c, d, sum u*, sum l*) gives exactly the thresholds the
+    # oracle reads off a full activation history; budgets run past the
+    # remaining horizon, so timedep pads with the envelope
+    rng = np.random.default_rng(23)
+    padded = 0
+    for _ in range(400):
+        horizon = int(rng.integers(1, 9))
+        per_min = [float(v) for v in rng.uniform(1.0, 50.0, horizon)]
+        per_max = [v + float(rng.uniform(0.0, 50.0)) for v in per_min]
+        bounds = slot_bounds(per_min, per_max)
+        e = float(rng.uniform(0.0, 10.0))
+        params = BatteryParams(0.0, 10.0, float(rng.choice([1.0, 2.0, 2.5])), e, horizon)
+        k_ch, k_dis = (int(k) for k in rng.integers(1, horizon + 4, 2))
+        c, d = int(rng.integers(0, k_ch + 1)), int(rng.integers(0, k_dis + 1))
+        t = int(rng.integers(1, horizon + 2))
+        history = HistoryState(
+            t, e, c + 1, d + 1, k_ch, k_dis,
+            tuple((float(v), m + 1) for m, v in enumerate(rng.uniform(1.0, 100.0, c))),
+            tuple((float(v), m + 1) for m, v in enumerate(rng.uniform(1.0, 100.0, d))),
+        )
+        alpha, omega = float(rng.uniform(1.0, 4.0)), float(rng.uniform(1.0, 4.0))
+        state = policy_state(history)
+        if mode == "timedep":
+            got = timedep_thresholds(state, bounds, k_ch, k_dis, alpha, omega)
+            want = reference_timedep_thresholds(history, bounds, alpha, omega)
+        else:
+            got = feasibility_aware_thresholds(state, params, bounds, k_ch, k_dis, alpha, omega)
+            want = reference_feasibility_aware_thresholds(history, params, bounds, alpha, omega)
+        assert got == want
+        padded += got[0] is not None and state.s_ch > 0 and k_ch - c > horizon - t + 1
+    assert padded >= 20
 
 
 class TestStepPolicy:
