@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -134,18 +135,10 @@ def _band_label(band: TargetBand) -> str:
     return f"band=[{band.lo:g},{band.hi:g}]"
 
 
-def _parse_band(text: str) -> TargetBand:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"band must be 'lo:hi', got {text!r}")
-    lo, hi = (float(p) for p in parts)
-    return TargetBand.from_interval(lo, hi)
-
-
-def _parse_budgets(text: str) -> tuple[int, int]:
+def _parse_budgets(key: str, text: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(":")]
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise ValueError(f"k_grid entry {text!r} must be 'k_ch:k_dis'")
+        raise ValueError(f"{key} entry {text!r} must be 'k_ch:k_dis'")
     return int(parts[0]), int(parts[1])
 
 
@@ -168,7 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Keys outside :data:`CONFIG_KEYS` are rejected with their line number.
     """
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -178,40 +171,62 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        raw[key] = value
+        raw[key] = lineno, value
 
-    def get(key, default=None):
-        return raw.get(key, default)
+    def number(kind, key, text):
+        """text, read from key's line, as kind (float or int); a bad value names the line."""
+        try:
+            return kind(text)
+        except ValueError:
+            lineno, value = raw[key]
+            entry = "" if text == value else f": entry {text!r}"  # one entry of a list
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"config line {lineno}: {key} = {value!r}{entry} is not {noun}"
+            ) from None
+
+    def get(key, default=None, kind=None):
+        text = raw[key][1] if key in raw else default
+        return text if kind is None else number(kind, key, text)
+
+    def band(key, text):
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"band must be 'lo:hi', got {text!r}")
+        lo, hi = (number(float, key, part.strip()) for part in parts)
+        return TargetBand.from_interval(lo, hi)
 
     def items(key, default, parse):
-        return tuple(parse(part.strip()) for part in get(key, default).split(",") if part.strip())
+        """key's comma-separated entries, each through parse(key, entry)."""
+        entries = (part.strip() for part in get(key, default).split(","))
+        return tuple(parse(key, entry) for entry in entries if entry)
 
     battery = BatteryParams(
-        e_min=float(get("battery.e_min", 0.0)),
-        e_max=float(get("battery.e_max", 10.0)),
-        rate=float(get("battery.rate", 2.0)),
-        e0=float(get("battery.e0", 5.0)),
-        horizon=int(get("battery.horizon", 24)),
+        e_min=get("battery.e_min", 0.0, float),
+        e_max=get("battery.e_max", 10.0, float),
+        rate=get("battery.rate", 2.0, float),
+        e0=get("battery.e0", 5.0, float),
+        horizon=get("battery.horizon", 24, int),
     )
     cqr_band_text = get("cqr.band", "")
     return ExperimentConfig(
         battery=battery,
-        bands=items("bands", "5:7, 3:8", _parse_band),
-        e0_sweep=items("e0_sweep", "1, 5, 9", float),
-        start_steps=items("start_steps", "8, 6, 4, 2", int),
-        epsilon=float(get("epsilon", 0.1)),
+        bands=items("bands", "5:7, 3:8", band),
+        e0_sweep=items("e0_sweep", "1, 5, 9", partial(number, float)),
+        start_steps=items("start_steps", "8, 6, 4, 2", partial(number, int)),
+        epsilon=get("epsilon", 0.1, float),
         k_grid=items("k_grid", "{}:{}".format(*DEFAULT_BUDGETS), _parse_budgets),
         threshold_mode=get("threshold_mode", "static"),
         bounds_mode=get("bounds_mode", "per-hour"),
         post_stop_mode=get("post_stop", "full-control"),
-        seed=int(get("seed", 0)),
+        seed=get("seed", 0, int),
         data_path=get("data.day_matrix") or None,
-        synthetic_days=int(get("synthetic.n_days", 120)),
-        synthetic_mu=float(get("synthetic.mu", math.log(30.0))),
-        synthetic_sigma=float(get("synthetic.sigma", 0.35)),
-        synthetic_amplitude=float(get("synthetic.amplitude", 0.5)),
-        cqr_epochs=int(get("cqr.epochs", 400)),
-        cqr_band=_parse_band(cqr_band_text) if cqr_band_text else None,
+        synthetic_days=get("synthetic.n_days", 120, int),
+        synthetic_mu=get("synthetic.mu", math.log(30.0), float),
+        synthetic_sigma=get("synthetic.sigma", 0.35, float),
+        synthetic_amplitude=get("synthetic.amplitude", 0.5, float),
+        cqr_epochs=get("cqr.epochs", 400, int),
+        cqr_band=band("cqr.band", cqr_band_text) if cqr_band_text else None,
     )
 
 
@@ -230,6 +245,8 @@ def synthetic_day_matrix(
     """Seeded lognormal day matrix with a sinusoidal intraday level pattern."""
     if n_days < 1 or horizon < 1:
         raise ValueError("n_days and horizon must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     hours = np.arange(horizon)
     level = mu + amplitude * np.sin(2.0 * math.pi * (hours - 4.0) / max(horizon, 2))
@@ -267,19 +284,19 @@ def _fit_window(config, train_days, test_days, n_steps):
 
 
 def _policy(config, params, bounds, dist, k_ch, k_dis):
-    """Action probabilities and augmented SoC distribution of one budget pair."""
+    """SoC distribution of one budget pair's policy."""
     probs = policy_action_probabilities(params, dist, bounds, k_ch, k_dis, config.threshold_mode)
-    return probs, propagate(params, probs, k_ch, k_dis, mode="augmented")
+    return propagate(params, probs, k_ch, k_dis)
 
 
 def _policy_runs(config, params, window):
     """What a cell's policies do not take from its band, per budget pair."""
     if isinstance(window, Exception):
         raise window
+    bounds, dist, test_w = window
     runs = {}
     for k_ch, k_dis in config.k_grid:
-        bounds, dist, test_w = window
-        probs, soc_dist = _policy(config, params, bounds, dist, k_ch, k_dis)
+        soc_dist = _policy(config, params, bounds, dist, k_ch, k_dis)
         trajs = run_policy_days(test_w, params, k_ch, k_dis, config.threshold_mode, bounds)
         profits = [traj.profit for traj in trajs]
         profit = {
@@ -287,7 +304,7 @@ def _policy_runs(config, params, window):
             "min": float(np.min(profits)),
             "max": float(np.max(profits)),
         }
-        runs[f"k={k_ch}x{k_dis}"] = probs, soc_dist, profit
+        runs[f"k={k_ch}x{k_dis}"] = soc_dist, profit
     return runs
 
 
@@ -303,11 +320,11 @@ def _cell_result(config, params, band, runs):
             key: {
                 "p_band": terminal_band_probability(soc_dist, band),
                 "tau_star": stopping_time(
-                    soc_dist, probs, band, config.epsilon, config.post_stop_mode
+                    soc_dist, band, config.epsilon, config.post_stop_mode
                 ).tau_star,
                 "profit": dict(profit),
             }
-            for key, (probs, soc_dist, profit) in runs.items()
+            for key, (soc_dist, profit) in runs.items()
         }
     return cell
 
@@ -381,12 +398,12 @@ def _plot_blocks(config, train_days, bounds, cells):
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
     dist = fit_distribution(train_days)
-    probs, soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
+    soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
     heatmap = []
     for t in range(soc_dist.horizon + 1):
         for e, mass in sorted(soc_dist.marginal(t).items()):
             heatmap.append([t, e, mass])
-    stop = stopping_time(soc_dist, probs, band, config.epsilon, config.post_stop_mode)
+    stop = stopping_time(soc_dist, band, config.epsilon, config.post_stop_mode)
     qt_rows = [[t, q] for t, q in enumerate(stop.big_q, start=1)]
     profit_rows = []
     for key in sorted(cells):

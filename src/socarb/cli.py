@@ -130,17 +130,17 @@ def cmd_simulate(args) -> int:
 
 
 def _policy_distribution(args):
-    """Action probabilities and budgeted SoC distribution of the policy on the days."""
+    """Budgeted SoC distribution of the policy on the days."""
     params = _battery(args)
     days = _load_days(args)
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     dist = md.fit_distribution(days)
     probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
-    return probs, rc.propagate(params, probs, args.kch, args.kdis)
+    return rc.propagate(params, probs, args.kch, args.kdis)
 
 
 def cmd_reach(args) -> int:
-    _, soc_dist = _policy_distribution(args)
+    soc_dist = _policy_distribution(args)
     band = _band(args.band)
     lines = ["t,e,mass"]
     for t in range(soc_dist.horizon + 1):
@@ -156,9 +156,9 @@ def cmd_reach(args) -> int:
 
 
 def cmd_stop_time(args) -> int:
-    probs, soc_dist = _policy_distribution(args)
+    soc_dist = _policy_distribution(args)
     mode = POST_STOP[args.post_stop]
-    result = rc.stopping_time(soc_dist, probs, _band(args.band), args.epsilon, mode)
+    result = rc.stopping_time(soc_dist, _band(args.band), args.epsilon, mode)
     lines = ["t,Q_t"] + [f"{t},{q!r}" for t, q in enumerate(result.big_q, start=1)]
     _write(args, "\n".join(lines) + "\n")
     sys.stderr.write(json.dumps({"tau_star": result.tau_star}, sort_keys=True) + "\n")

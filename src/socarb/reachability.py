@@ -1,10 +1,12 @@
 """Exact state-of-charge distributions under the threshold policy.
 
 Converts thresholds plus a price distribution into per-step action
-probabilities, forward-propagates the SoC probability mass with pruning
-(capacity-infeasible action mass folds into the idle branch), evaluates the
-terminal-band chance constraint, computes minimum stopping times, and counts
-feasible trajectories.
+probabilities, forward-propagates the SoC probability mass over the budgeted
+(n_ch, n_dis) lattice with pruning (capacity- or budget-infeasible action mass
+folds into the idle branch), evaluates the terminal-band chance constraint,
+computes minimum stopping times, and counts feasible trajectories.  A
+:class:`SocDistribution` carries the per-step action probabilities it was
+built from, so the stopping time reads the same chain the masses came from.
 
 The policy is read from one place each: the books from
 :func:`socarb.thresholds.build_schedule`, the decision rule on one step,
@@ -80,26 +82,21 @@ class TargetBand:
 
 
 class StepMasses(Mapping):
-    """One step's positive masses keyed by state: (m, n_ch, n_dis) or bare m.
+    """One step's positive masses keyed by state (m, n_ch, n_dis).
 
     A read-only view of the step's array.  ``len`` counts the positive
     entries; the dict behind lookups and iteration is built on first use.
     """
 
-    def __init__(self, masses: np.ndarray, m_first: int):
+    def __init__(self, masses: np.ndarray):
         self._masses = masses
-        self._m_first = m_first  # m of index 0 in marginal mode
         self._dict: dict | None = None
 
     def _states(self) -> dict:
         if self._dict is None:
             index = np.nonzero(self._masses > 0.0)
-            values = self._masses[index].tolist()
-            if self._masses.ndim == 2:
-                keys = [(c - d, c, d) for c, d in zip(*(i.tolist() for i in index))]
-            else:
-                keys = [self._m_first + i for i in index[0].tolist()]
-            self._dict = dict(zip(keys, values))
+            keys = [(c - d, c, d) for c, d in zip(*(i.tolist() for i in index))]
+            self._dict = dict(zip(keys, self._masses[index].tolist()))
         return self._dict
 
     def __getitem__(self, key):
@@ -116,27 +113,29 @@ class StepMasses(Mapping):
 class SocDistribution:
     """Probability mass over the SoC lattice e = e0 + m * rate, one array per step.
 
-    ``masses[t]`` holds step t; step 0 is the deterministic initial state.  In
-    augmented mode a step is a dense (n_ch, n_dis) array of shape
+    ``probs[t - 1]`` are the action probabilities between steps t - 1 and t,
+    the chain's input: two distributions are equal when their battery,
+    budgets and probabilities are, as the masses follow from those.
+    ``masses[t]`` holds step t; step 0 is the deterministic initial state.  A
+    step is a dense (n_ch, n_dis) array of shape
     (min(k_ch, T)+1, min(k_dis, T)+1): every reachable state has
-    m = n_ch - n_dis, so m needs no axis of its own.  In marginal mode a step
-    is a vector over m = m_lo .. m_hi.
+    m = n_ch - n_dis, so m needs no axis of its own.
 
     ``m_masses[t]`` is step t's mass per SoC offset m = m_lo .. m_hi,
-    ``per_step[t]`` maps state keys, (m, n_ch, n_dis) or bare m, to their
-    positive masses, and ``marginal(t)`` maps SoC values to mass; all are
-    derived from the arrays when first read.
+    ``per_step[t]`` maps state keys (m, n_ch, n_dis) to their positive
+    masses, and ``marginal(t)`` maps SoC values to mass; all are derived from
+    the arrays when first read.
     """
 
     params: BatteryParams
     k_ch: int
     k_dis: int
-    mode: str
+    probs: tuple[ActionProbs, ...] = field(repr=False)
     masses: np.ndarray = field(repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
-        return len(self.masses) - 1
+        return len(self.probs)
 
     @property
     def grid(self) -> tuple[float, ...]:
@@ -144,23 +143,19 @@ class SocDistribution:
 
     @cached_property
     def per_step(self) -> tuple[StepMasses, ...]:
-        m_first = self.params.offsets[0]
-        return tuple(StepMasses(step, m_first) for step in self.masses)
+        return tuple(StepMasses(step) for step in self.masses)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per lattice point: its column in m_masses (0 outside capacity), and if in capacity."""
         offsets = self.params.offsets
-        m_lo, n = offsets[0], len(offsets)
-        if self.mode == "marginal":
-            return np.arange(n), np.ones(n, dtype=bool)
         c, d = np.indices(self.masses.shape[1:])
-        column = c - d - m_lo
-        inside = (0 <= column) & (column < n)
+        column = c - d - offsets[0]
+        inside = (0 <= column) & (column < len(offsets))
         return np.where(inside, column, 0), inside
 
     @cached_property
     def m_masses(self) -> np.ndarray:
-        """(T+1, n) mass per SoC offset; the (n_ch, n_dis) diagonal sums in augmented mode."""
+        """(T+1, n) mass per SoC offset: the sums along the (n_ch, n_dis) diagonals."""
         column, inside = self._columns()
         steps, n = len(self.masses), len(self.grid)
         bins = (np.arange(steps)[:, None] * n + column[inside]).ravel()
@@ -256,74 +251,57 @@ def policy_action_probabilities(
     return probs
 
 
-def _chain(
-    params: BatteryParams, probs_per_step: list[ActionProbs], k_ch: int, k_dis: int, mode: str
-):
+def _chain(params: BatteryParams, probs: tuple[ActionProbs, ...], k_ch: int, k_dis: int):
     """The chain that propagate steps forward and stopping_time backward.
 
-    Returns the start index, the per-step idle weights (blocked moves folded
-    in) and the moves (weight, from, to): discharge, then charge.
+    Returns the per-step idle weights on the (n_ch, n_dis) lattice (blocked
+    moves folded in) and the moves (weight, from, to): discharge, then charge.
     """
-    if mode not in ("augmented", "marginal"):
-        raise ValueError(f"unknown propagation mode {mode!r}")
     if k_ch < 0 or k_dis < 0:
         raise ValueError("budgets must be non-negative")
-    horizon = len(probs_per_step)
-    offsets = params.offsets
-    m_lo, m_hi = offsets[0], offsets[-1]
-    if mode == "augmented":
-        c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
-        up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
-        down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
-        start = (0, 0)
-        # charge moves along n_ch, discharge along n_dis
-        up_from, up_to = np.index_exp[:-1, :], np.index_exp[1:, :]
-        down_from, down_to = np.index_exp[:, :-1], np.index_exp[:, 1:]
-    else:
-        m = np.array(offsets)
-        up_ok = m + 1 <= m_hi
-        down_ok = m - 1 >= m_lo
-        start = (-m_lo,)
-        up_from, up_to = np.index_exp[:-1], np.index_exp[1:]
-        down_from, down_to = np.index_exp[1:], np.index_exp[:-1]
+    horizon = len(probs)
+    m_lo, m_hi = params.offsets[0], params.offsets[-1]
+    c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
+    up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
+    down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
 
-    # per-step probabilities broadcast against the lattice: (T, 1, 1) or (T, 1)
-    shape = (horizon,) + (1,) * up_ok.ndim
+    # per-step probabilities broadcast against the lattice as (T, 1, 1)
     alpha, beta, gamma = (
-        np.array([getattr(ap, name) for ap in probs_per_step], dtype=float).reshape(shape)
+        np.array([getattr(ap, name) for ap in probs], dtype=float).reshape(horizon, 1, 1)
         for name in ("alpha", "beta", "gamma")
     )
     stay = (gamma + alpha * ~up_ok) + beta * ~down_ok
+    # charge moves along n_ch, discharge along n_dis
+    down_from, down_to = np.index_exp[:, :-1], np.index_exp[:, 1:]
+    up_from, up_to = np.index_exp[:-1, :], np.index_exp[1:, :]
     moves = (
-        ((beta * down_ok)[(slice(None),) + down_from], down_from, down_to),
-        ((alpha * up_ok)[(slice(None),) + up_from], up_from, up_to),
+        ((beta * down_ok)[:, :, :-1], down_from, down_to),
+        ((alpha * up_ok)[:, :-1, :], up_from, up_to),
     )
-    return start, stay, moves
+    return stay, moves
 
 
 def propagate(
-    params: BatteryParams,
-    probs_per_step: list[ActionProbs],
-    k_ch: int,
-    k_dis: int,
-    mode: str = "augmented",
+    params: BatteryParams, probs: list[ActionProbs], k_ch: int, k_dis: int
 ) -> SocDistribution:
     """Forward-propagate the SoC probability mass with pruning.
 
-    Whenever an action would leave capacity (or, in augmented mode, exceed its
-    budget), its probability mass folds into the idle branch.  Each step is a
-    few whole-array operations on the (n_ch, n_dis) lattice (augmented) or the
-    m vector (marginal): stay + shifted down + shifted up, with idle mass
+    ``probs[t - 1]`` are the action probabilities between steps t - 1 and t;
+    the distribution keeps them.  Whenever an action would leave capacity or
+    exceed its budget, its probability mass folds into the idle branch.  Each
+    step is a few whole-array operations on the (n_ch, n_dis) lattice:
+    stay + shifted down + shifted up, with idle mass
     (gamma + alpha * [up blocked]) + beta * [down blocked].
     """
-    start, stay, moves = _chain(params, probs_per_step, k_ch, k_dis, mode)
-    masses = np.zeros((len(probs_per_step) + 1,) + stay.shape[1:])
-    masses[(0,) + start] = 1.0
+    probs = tuple(probs)
+    stay, moves = _chain(params, probs, k_ch, k_dis)
+    masses = np.zeros((len(probs) + 1,) + stay.shape[1:])
+    masses[0, 0, 0] = 1.0
     for t, (cur, nxt) in enumerate(zip(masses, masses[1:])):
         np.multiply(cur, stay[t], out=nxt)
         for weight, src, dst in moves:
             nxt[dst] += cur[src] * weight[t]
-    return SocDistribution(params, k_ch, k_dis, mode, masses)
+    return SocDistribution(params, k_ch, k_dis, probs, masses)
 
 
 def _probabilities(rows: np.ndarray) -> tuple[float, ...]:
@@ -338,20 +316,20 @@ def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:
 
 def stopping_time(
     soc_dist: SocDistribution,
-    probs_per_step: list[ActionProbs],
     band: TargetBand,
     epsilon: float,
     post_stop_mode: str = "full-control",
 ) -> StoppingResult:
     """Minimum stopping time for the terminal-band chance constraint.
 
-    ``soc_dist`` is what ``propagate`` built from ``probs_per_step``: the one
-    distribution, budgets included, that ``terminal_band_probability`` reads.
-    q_t is the chance of finishing in the band from each state at step t:
-    ``idle`` holds the SoC (so idle Q_T is p_band), ``full-control`` asks
-    whether any feasible action sequence reaches the band, budget-free as the
-    operator takes over after the stop, and ``continue-policy`` runs the
-    adjoint of soc_dist's own chain (so every Q_t is p_band).  Q_t sums
+    ``soc_dist`` is the one distribution, budgets included, that
+    ``terminal_band_probability`` reads; it carries the per-step action
+    probabilities it was built from.  q_t is the chance of finishing in the
+    band from each state at step t: ``idle`` holds the SoC (so idle Q_T is
+    p_band), ``full-control`` asks whether any feasible action sequence
+    reaches the band, budget-free as the operator takes over after the stop,
+    and ``continue-policy`` runs the adjoint of the chain in soc_dist.probs
+    (so every Q_t is p_band).  Q_t sums
     dist_t * q_t; tau_star is the first t with Q_t >= 1 - epsilon, or None.
     """
     if not 0.0 < epsilon < 1.0:
@@ -359,17 +337,13 @@ def stopping_time(
     if post_stop_mode not in POST_STOP_MODES:
         raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
     horizon = soc_dist.horizon
-    if len(probs_per_step) != horizon:
-        raise ValueError(f"{len(probs_per_step)} action steps for a {horizon}-step distribution")
     params = soc_dist.params
     e = np.array(soc_dist.grid)
     column, inside = soc_dist._columns()
 
     if post_stop_mode == "continue-policy":
         # the adjoint of propagate's chain, backward; row t - 1 holds q_t
-        _, stay, moves = _chain(
-            params, probs_per_step, soc_dist.k_ch, soc_dist.k_dis, soc_dist.mode
-        )
+        stay, moves = _chain(params, soc_dist.probs, soc_dist.k_ch, soc_dist.k_dis)
         q = np.empty((horizon,) + column.shape)
         q[-1:] = band.contains(e)[column]  # no rows when there are no steps
         for t in range(horizon - 1, 0, -1):

@@ -121,7 +121,7 @@ def test_criterion_2_propagation_oracle():
             probs.append(ActionProbs(float(a), float(b), 1.0 - float(a) - float(b)))
         k_ch = int(rng.integers(0, 5))
         k_dis = int(rng.integers(0, 5))
-        fast = propagate(params, probs, k_ch, k_dis, mode="augmented")
+        fast = propagate(params, probs, k_ch, k_dis)
         slow = brute_force_distribution(params, probs, k_ch, k_dis)
         for t in range(horizon + 1):
             keys = set(fast.per_step[t]) | set(slow.per_step[t])
@@ -334,9 +334,7 @@ def test_criterion_5_stopping_time_contract():
         band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 4)))
         eps = float(rng.uniform(0.05, 0.5))
         mode = ("idle", "full-control", "continue-policy")[trial % 3]
-        result = stopping_time(
-            propagate(params, probs, horizon, horizon, "marginal"), probs, band, eps, mode
-        )
+        result = stopping_time(propagate(params, probs, horizon, horizon), band, eps, mode)
         thresh = 1.0 - eps
         if result.tau_star is not None:
             if result.big_q[result.tau_star - 1] < thresh:
@@ -384,17 +382,15 @@ def test_criterion_6_conservation_feasibility():
             probs.append(ActionProbs(float(a), float(b), 1.0 - float(a) - float(b)))
         k_ch = int(rng.integers(0, 5))
         k_dis = int(rng.integers(0, 5))
-        for mode in ("augmented", "marginal"):
-            dist = propagate(params, probs, k_ch, k_dis, mode)
-            for t in range(horizon + 1):
-                if abs(math.fsum(dist.per_step[t].values()) - 1.0) > 1e-12:
-                    failures.append(f"trial {trial} {mode}: mass at t={t}")
-                for e in dist.marginal(t):
-                    if not e_min - 1e-9 <= e <= e_max + 1e-9:
-                        failures.append(f"trial {trial} {mode}: support at {e}")
-        aug = propagate(params, probs, k_ch, k_dis, "augmented")
+        dist = propagate(params, probs, k_ch, k_dis)
         for t in range(horizon + 1):
-            for (m, c, d), _ in aug.per_step[t].items():
+            if abs(math.fsum(dist.per_step[t].values()) - 1.0) > 1e-12:
+                failures.append(f"trial {trial}: mass at t={t}")
+            for e in dist.marginal(t):
+                if not e_min - 1e-9 <= e <= e_max + 1e-9:
+                    failures.append(f"trial {trial}: support at {e}")
+        for t in range(horizon + 1):
+            for (m, c, d), _ in dist.per_step[t].items():
                 if m != c - d or c > k_ch or d > k_dis:
                     failures.append(f"trial {trial}: lattice identity at t={t}")
     # mirror symmetry of counting, exact integer equality

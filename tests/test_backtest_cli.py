@@ -66,6 +66,13 @@ GRID_ERRORS = [
     ("battery.rate = inf", "rate must be finite, got inf"),
     ("battery.rate = nan", "rate must be finite, got nan"),
     ("battery.e0 = nan", "e0 must be finite, got nan"),
+    # a value float() or int() rejects names its key and line, the last of SMALL_CONFIG + 1
+    ("battery.rate = fast", "config line 18: battery.rate = 'fast' is not a number"),
+    ("battery.horizon = 2.5", "config line 18: battery.horizon = '2.5' is not an integer"),
+    ("cqr.epochs = 1.5", "config line 18: cqr.epochs = '1.5' is not an integer"),
+    ("start_steps = 4, 2.5",
+     "config line 18: start_steps = '4, 2.5': entry '2.5' is not an integer"),
+    ("bands = 5:7, 3:b", "config line 18: bands = '5:7, 3:b': entry 'b' is not a number"),
 ]
 
 # report keys print e0 and band edges with :g (six significant digits)
@@ -203,6 +210,15 @@ class TestConfig:
         config_path.write_text(SMALL_CONFIG + "workers = 4\n")
         assert main(["backtest", "--config", str(config_path)]) == 1
         assert "unknown key 'workers'" in capsys.readouterr().err
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(SMALL_CONFIG + "seed = -1\n")
+        assert main(["backtest", "--config", str(config_path), "--synthetic", "20"]) == 1
+        err = capsys.readouterr().err
+        assert "validation error: seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+
 
 class TestSynthetic:
     def test_deterministic(self):
@@ -477,6 +493,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"validation error: {message}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_negative_seed_exits_with_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["reach", "--synthetic", "30", "--horizon", "6", "--band", "3,8", "--seed", "-1",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: seed must be non-negative, got -1" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_cqr_train_negative_epochs_exits_with_validation_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"

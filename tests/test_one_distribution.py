@@ -42,15 +42,15 @@ def test_report_q_matches_p_band_in_every_cell(monkeypatch, post_stop, tol):
     """Idle Q_T, and continue-policy Q_t at every t, equal the cell's reported p_band."""
     calls = []
 
-    def recorded(soc_dist, probs, band, epsilon, mode):
-        result = stopping_time(soc_dist, probs, band, epsilon, mode)
-        calls.append((soc_dist, probs, band, result))
+    def recorded(soc_dist, band, epsilon, mode):
+        result = stopping_time(soc_dist, band, epsilon, mode)
+        calls.append((soc_dist, band, result))
         return result
 
     monkeypatch.setattr(bt, "stopping_time", recorded)
     cells = run_experiment(parse_config(GRID + f"post_stop = {post_stop}\n")).payload["cells"]
     checked = budgets_bind = 0
-    for soc_dist, probs, band, result in calls:
+    for soc_dist, band, result in calls:
         n = soc_dist.horizon
         key = f"e0={soc_dist.params.e0:g}|band=[{band.lo:g},{band.hi:g}]|steps={n}"
         p_band = cells[key]["policies"][f"k={soc_dist.k_ch}x{soc_dist.k_dis}"]["p_band"]
@@ -59,7 +59,7 @@ def test_report_q_matches_p_band_in_every_cell(monkeypatch, post_stop, tol):
         assert len(q_checked) >= 1
         assert all(abs(q - p_band) <= tol for q in q_checked), (key, result.big_q, p_band)
         checked += 1
-        budget_free = propagate(soc_dist.params, probs, n, n, "marginal")
+        budget_free = propagate(soc_dist.params, soc_dist.probs, n, n)
         budgets_bind += abs(terminal_band_probability(budget_free, band) - p_band) > 1e-3
     # every cell's policies, and the plot block's reference cell (e0=5, 5:7, 8 steps, 1x1) again
     assert checked == sum(len(cell["policies"]) for cell in cells.values()) + 1 == 37
@@ -79,18 +79,21 @@ def test_cli_idle_last_q_equals_reach_p_band(tmp_path, capsys):
         assert abs(float(q_last) - p_band) <= 1e-15
 
 
-@pytest.mark.parametrize("dist_mode", ["augmented", "marginal"])
+# "marginal": budgets at the horizon, whose SoC marginals are the budget-free chain's
+@pytest.mark.parametrize("budget_free", [False, True], ids=["augmented", "marginal"])
 @pytest.mark.parametrize("lattice", LATTICES, ids=("0-10-rate2", "0-48-rate1"))
-def test_continue_policy_q_is_p_band_at_every_step(lattice, dist_mode):
+def test_continue_policy_q_is_p_band_at_every_step(lattice, budget_free):
     """The tower property: the recursion is the adjoint of the chain that propagate steps."""
-    seed = 2000 + 10 * LATTICES.index(lattice) + (dist_mode == "marginal")
+    seed = 2000 + 10 * LATTICES.index(lattice) + budget_free
     for params, probs, k_ch, k_dis, band in configurations(lattice, seed):
-        soc_dist = propagate(params, probs, k_ch, k_dis, dist_mode)
+        if budget_free:
+            k_ch = k_dis = params.horizon
+        soc_dist = propagate(params, probs, k_ch, k_dis)
         p_band = terminal_band_probability(soc_dist, band)
-        result = stopping_time(soc_dist, probs, band, 0.1, "continue-policy")
+        result = stopping_time(soc_dist, band, 0.1, "continue-policy")
         assert result.q_table.shape == (params.horizon,) + soc_dist.masses.shape[1:]
         assert all(abs(q - p_band) <= 1e-12 for q in result.big_q)
-        idle = stopping_time(soc_dist, probs, band, 0.1, "idle")
+        idle = stopping_time(soc_dist, band, 0.1, "idle")
         assert idle.big_q[-1] == p_band
 
 
@@ -103,15 +106,19 @@ def test_q_table_is_zero_outside_capacity():
     assert not inside.all()
     whole = TargetBand.from_interval(0.0, 10.0)
     for mode in ("idle", "full-control", "continue-policy"):
-        q_table = stopping_time(soc_dist, probs, whole, 0.1, mode).q_table
+        q_table = stopping_time(soc_dist, whole, 0.1, mode).q_table
         assert (q_table[:, ~inside] == 0.0).all() and (q_table[:, inside] == 1.0).all()
 
 
-def test_steps_must_match_the_distribution():
+def test_distributions_from_different_probabilities_are_unequal():
+    """A distribution is identified by the chain it was built from, not only its budgets."""
     params = BatteryParams(0.0, 10.0, 2.0, 2.0, 3)
-    probs = [ActionProbs(0.3, 0.4, 0.3)] * 3
-    with pytest.raises(ValueError, match="2 action steps for a 3-step distribution"):
-        stopping_time(propagate(params, probs, 3, 3), probs[:2], TargetBand(4.0, 1.0), 0.1)
+    a = [ActionProbs(0.3, 0.4, 0.3)] * 3
+    b = [ActionProbs(0.4, 0.3, 0.3)] * 3
+    assert propagate(params, a, 3, 3) != propagate(params, b, 3, 3)
+    same = propagate(params, list(a), 3, 3)
+    assert propagate(params, a, 3, 3) == same and hash(propagate(params, a, 3, 3)) == hash(same)
+    assert same.probs == tuple(a) and same.horizon == 3
 
 
 COUNTED = ("compute_bounds", "fit_distribution", "policy_action_probabilities", "propagate",

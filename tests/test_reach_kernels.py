@@ -77,6 +77,11 @@ def assert_same_steps(fast, slow):
         assert len(fast_t) == len(slow_t)
         for key, mass in slow_t.items():
             assert abs(fast_t[key] - mass) <= TOL, (t, key)
+    assert_same_marginals(fast, slow)
+
+
+def assert_same_marginals(fast, slow):
+    for t in range(slow.horizon + 1):
         fast_m, slow_m = fast.marginal(t), slow.marginal(t)
         assert set(fast_m) == set(slow_m)
         assert all(abs(fast_m[e] - slow_m[e]) <= TOL for e in slow_m)
@@ -87,22 +92,26 @@ def assert_same_steps(fast, slow):
 def test_kernels_match_dict_oracles(lattice, mode):
     seed = 1000 * LATTICES.index(lattice) + MODES.index(mode)
     for params, probs, k_ch, k_dis, band in configurations(lattice, seed):
-        for dist_mode in ("augmented", "marginal"):
-            fast = propagate(params, probs, k_ch, k_dis, dist_mode)
-            slow = reference_propagate(params, probs, k_ch, k_dis, dist_mode)
-            assert_same_steps(fast, slow)
+        fast = propagate(params, probs, k_ch, k_dis)
+        assert_same_steps(fast, reference_propagate(params, probs, k_ch, k_dis, "augmented"))
+        # budgets of the horizon never bind: the oracle's budget-free marginal chain
+        budget_free = propagate(params, probs, params.horizon, params.horizon)
+        slow = reference_propagate(params, probs, params.horizon, params.horizon, "marginal")
+        assert_same_marginals(budget_free, slow)
         eps = 0.1
-        marginal = propagate(params, probs, params.horizon, params.horizon, "marginal")
-        fast = stopping_time(marginal, probs, band, eps, mode)
+        fast = stopping_time(budget_free, band, eps, mode)
         slow = reference_stopping_time(params, probs, band, eps, mode)
         assert len(fast.big_q) == len(slow.big_q)
         assert all(abs(a - b) <= TOL for a, b in zip(fast.big_q, slow.big_q))
         assert fast.tau_star == slow.tau_star
-        # q_table holds q_t over the whole lattice; the oracle's only at positive mass
-        m_lo = -params.max_discharges(params.e0)
-        assert fast.q_table.shape == (params.horizon, params.max_charges(params.e0) - m_lo + 1)
+        # q_table holds q_t over the whole (n_ch, n_dis) lattice; the oracle's,
+        # keyed by SoC, only at positive mass, where it must hold at every m = c - d
+        assert fast.q_table.shape == budget_free.masses[1:].shape
+        c, d = np.indices(fast.q_table.shape[1:])
         for (t, e), q in slow.q_table.items():
-            assert fast.q_table[t - 1, round((e - params.e0) / params.rate) - m_lo] == q
+            m = round((e - params.e0) / params.rate)
+            states = (c - d == m) & (budget_free.masses[t] > 0.0)
+            assert states.any() and (fast.q_table[t - 1][states] == q).all(), (t, e)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -119,7 +128,7 @@ def test_binding_budgets_match_path_enumeration(mode):
         k_ch, k_dis = (int(rng.integers(0, horizon)) for _ in range(2))
         lo = float(rng.integers(0, int(e_max)))
         band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 4)))
-        result = stopping_time(propagate(params, probs, k_ch, k_dis), probs, band, 0.1, mode)
+        result = stopping_time(propagate(params, probs, k_ch, k_dis), band, 0.1, mode)
         oracle = brute_force_distribution(params, probs, k_ch, k_dis)
 
         def mass_where(t, q):
@@ -144,9 +153,9 @@ def test_no_steps(mode):
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, 1)
     band = TargetBand.from_interval(3.0, 7.0)
     assert propagate(params, [], 2, 2).per_step == ({(0, 0, 0): 1.0},)
-    result = stopping_time(propagate(params, [], 0, 0, "marginal"), [], band, 0.1, mode)
+    result = stopping_time(propagate(params, [], 0, 0), band, 0.1, mode)
     assert result.big_q == reference_stopping_time(params, [], band, 0.1, mode).big_q == ()
-    assert result.tau_star is None and result.q_table.shape == (0, 6)
+    assert result.tau_star is None and result.q_table.shape == (0, 1, 1)
 
 
 def test_augmented_lattice_is_capped_by_budget_and_horizon():
@@ -154,7 +163,6 @@ def test_augmented_lattice_is_capped_by_budget_and_horizon():
     probs = [ActionProbs(0.3, 0.3, 0.4)] * 6
     assert propagate(params, probs, 2, 40).masses.shape == (7, 3, 7)
     assert propagate(params, probs, 0, 0).masses.shape == (7, 1, 1)
-    assert propagate(params, probs, 2, 40, "marginal").masses.shape == (7, 49)
 
 
 def test_step_len_counts_positive_masses_without_building_dicts():
@@ -167,11 +175,10 @@ def test_step_len_counts_positive_masses_without_building_dicts():
 
 class TestNegativeBudgets:
     @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
-    @pytest.mark.parametrize("mode", ["augmented", "marginal"])
-    def test_propagate_rejects(self, k_ch, k_dis, mode):
+    def test_propagate_rejects(self, k_ch, k_dis):
         params = BatteryParams(0.0, 10.0, 2.0, 4.0, 3)
         with pytest.raises(ValueError, match="budgets must be non-negative"):
-            propagate(params, [ActionProbs(0.3, 0.3, 0.4)] * 3, k_ch, k_dis, mode)
+            propagate(params, [ActionProbs(0.3, 0.3, 0.4)] * 3, k_ch, k_dis)
 
     @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
     def test_policy_action_probabilities_rejects(self, k_ch, k_dis):

@@ -149,10 +149,9 @@ class TestPropagate:
         e0 = float(rng.integers(0, 11))
         params = BatteryParams(0, 10, 2, e0, horizon)
         probs = random_probs(rng, horizon)
-        for mode in ("augmented", "marginal"):
-            dist = propagate(params, probs, int(rng.integers(0, 4)), int(rng.integers(0, 4)), mode)
-            for t in range(horizon + 1):
-                assert abs(math.fsum(dist.per_step[t].values()) - 1.0) <= 1e-12
+        dist = propagate(params, probs, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+        for t in range(horizon + 1):
+            assert abs(math.fsum(dist.per_step[t].values()) - 1.0) <= 1e-12
 
     def test_support_stays_inside_capacity(self):
         rng = np.random.default_rng(9)
@@ -254,8 +253,8 @@ class TestStoppingTime:
         params = BatteryParams(0, 10, 2, 5, 4)
         rng = np.random.default_rng(2)
         probs = random_probs(rng, 4)
-        dist = propagate(params, probs, 4, 4, "marginal")
-        result = stopping_time(dist, probs, band(3, 7), 0.1, "idle")
+        dist = propagate(params, probs, 4, 4)
+        result = stopping_time(dist, band(3, 7), 0.1, "idle")
         threshold = 1.0 - 0.1
         for t, q in enumerate(result.big_q, start=1):
             if result.tau_star is not None and t < result.tau_star:
@@ -266,8 +265,8 @@ class TestStoppingTime:
     def test_full_control_whole_range_stops_immediately(self):
         params = BatteryParams(0, 10, 2, 5, 4)
         probs = uniform_probs(4)
-        dist = propagate(params, probs, 4, 4, "marginal")
-        result = stopping_time(dist, probs, band(0, 10), 0.1, "full-control")
+        dist = propagate(params, probs, 4, 4)
+        result = stopping_time(dist, band(0, 10), 0.1, "full-control")
         assert all(q == 1.0 for q in result.big_q)
         assert result.tau_star == 1
 
@@ -275,16 +274,16 @@ class TestStoppingTime:
         # from t=1 every reachable state {3,5,7} can still reach [5,7] by T=2
         params = BatteryParams(0, 10, 2, 5, 2)
         probs = uniform_probs(2)
-        dist = propagate(params, probs, 2, 2, "marginal")
-        result = stopping_time(dist, probs, band(5, 7), 0.1, "full-control")
+        dist = propagate(params, probs, 2, 2)
+        result = stopping_time(dist, band(5, 7), 0.1, "full-control")
         assert result.big_q[0] == pytest.approx(1.0)
 
     def test_idle_mode_equals_marginal_band_mass(self):
         params = BatteryParams(0, 10, 2, 5, 5)
         rng = np.random.default_rng(8)
         probs = random_probs(rng, 5)
-        dist = propagate(params, probs, 5, 5, mode="marginal")
-        result = stopping_time(dist, probs, band(3, 7), 0.2, "idle")
+        dist = propagate(params, probs, 5, 5)
+        result = stopping_time(dist, band(3, 7), 0.2, "idle")
         for t in range(1, 6):
             direct = math.fsum(
                 mass for e, mass in dist.marginal(t).items() if 3 - 1e-9 <= e <= 7 + 1e-9
@@ -296,33 +295,33 @@ class TestStoppingTime:
         params = BatteryParams(0, 10, 2, 5, 6)
         rng = np.random.default_rng(14)
         probs = random_probs(rng, 6)
-        dist = propagate(params, probs, 6, 6, "marginal")
-        result = stopping_time(dist, probs, band(3, 7), 0.5, "continue-policy")
+        dist = propagate(params, probs, 6, 6)
+        result = stopping_time(dist, band(3, 7), 0.5, "continue-policy")
         assert max(result.big_q) - min(result.big_q) < 1e-12
 
     def test_band_widening_never_decreases_q(self):
         params = BatteryParams(0, 10, 2, 5, 5)
         rng = np.random.default_rng(3)
         probs = random_probs(rng, 5)
-        dist = propagate(params, probs, 5, 5, "marginal")
+        dist = propagate(params, probs, 5, 5)
         for mode in ("idle", "full-control"):
-            narrow = stopping_time(dist, probs, band(4, 6), 0.1, mode)
-            wide = stopping_time(dist, probs, band(3, 8), 0.1, mode)
+            narrow = stopping_time(dist, band(4, 6), 0.1, mode)
+            wide = stopping_time(dist, band(3, 8), 0.1, mode)
             assert all(w >= n - 1e-12 for n, w in zip(narrow.big_q, wide.big_q))
 
     def test_tau_star_none_is_valid(self):
         params = BatteryParams(0, 10, 2, 1, 2)
         probs = uniform_probs(2)
-        dist = propagate(params, probs, 2, 2, "marginal")
-        result = stopping_time(dist, probs, band(9, 10), 0.01, "idle")
+        dist = propagate(params, probs, 2, 2)
+        result = stopping_time(dist, band(9, 10), 0.01, "idle")
         assert result.tau_star is None
 
     def test_epsilon_validated(self):
         params = BatteryParams(0, 10, 2, 5, 2)
         probs = uniform_probs(2)
-        dist = propagate(params, probs, 2, 2, "marginal")
+        dist = propagate(params, probs, 2, 2)
         with pytest.raises(ValueError):
-            stopping_time(dist, probs, band(3, 7), 1.5, "idle")
+            stopping_time(dist, band(3, 7), 1.5, "idle")
 
 
 class TestCounting:
