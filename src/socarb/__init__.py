@@ -53,8 +53,11 @@ from .conformal import (
     conformal_quantile,
     evaluate_coverage,
     fit_conformal,
+    fit_conformal_models,
     nonconformity_scores,
     pinball_loss,
     predict_interval,
+    predict_intervals,
     train_quantile_model,
+    train_quantile_models,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import evaluate_coverage, fit_conformal
+from .conformal import evaluate_coverage, fit_conformal_models
 from .market_data import (
     BOUNDS_MODES,
     DayPrices,
@@ -372,7 +372,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 try:
                     cells[key] = _cell_result(config, params, band, runs)
                 except Exception as exc:  # recorded, not fatal
-                    cells[key] = {"error": f"{type(exc).__name__}: {exc}"}
+                    cells[key] = _error_row(exc)
 
     payload = {
         "version": __version__,
@@ -421,22 +421,29 @@ def _plot_blocks(config, train_days, bounds, cells):
 def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
     battery = config.battery
     k_ch, k_dis = config.k_grid[0] if config.k_grid else DEFAULT_BUDGETS
+    params_list = [
+        BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, battery.horizon)
+        for e0 in config.e0_sweep
+    ]
     rows = {}
     coverage_curve = []
-    for e0 in config.e0_sweep:
-        params = BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, battery.horizon)
+    try:
+        models = fit_conformal_models(
+            train_days,
+            calib_days,
+            params_list,
+            bounds,
+            k_ch,
+            k_dis,
+            config.epsilon,
+            config.threshold_mode,
+            epochs=config.cqr_epochs,
+        )
+    except Exception as exc:  # common to the sweep: recorded in every row, not fatal
+        rows = {_e0_label(e0): _error_row(exc) for e0 in config.e0_sweep}
+        models = []
+    for e0, params, model in zip(config.e0_sweep, params_list, models):
         try:
-            model = fit_conformal(
-                train_days,
-                calib_days,
-                params,
-                bounds,
-                k_ch,
-                k_dis,
-                config.epsilon,
-                config.threshold_mode,
-                epochs=config.cqr_epochs,
-            )
             report = evaluate_coverage(
                 model, test_days, params, bounds, k_ch, k_dis, band, config.threshold_mode
             )
@@ -451,7 +458,7 @@ def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
                 [e0, report.marginal_coverage, report.band_certificate_rate]
             )
         except Exception as exc:  # recorded, not fatal
-            rows[_e0_label(e0)] = {"error": f"{type(exc).__name__}: {exc}"}
+            rows[_e0_label(e0)] = _error_row(exc)
     return {
         "epsilon": config.epsilon,
         "band": [band.lo, band.hi],
@@ -459,6 +466,10 @@ def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
         "per_e0": rows,
         "coverage_curve": coverage_curve,
     }
+
+
+def _error_row(exc):
+    return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 PLOT_HEADERS = {

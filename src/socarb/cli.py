@@ -213,11 +213,11 @@ def cmd_cqr(args) -> int:
         return EXIT_OK
     if args.cqr_cmd == "predict":
         days = list(split.test)
+        los, his = cf.predict_intervals(model, [cf.day_features(day) for day in days])
         lines = ["day_id,lo,hi"]
-        for day in days:
-            interval = cf.predict_interval(model, cf.day_features(day))
-            lo = max(interval.lo, params.e_min) if args.clip else interval.lo
-            hi = min(interval.hi, params.e_max) if args.clip else interval.hi
+        for day, lo, hi in zip(days, los.tolist(), his.tolist()):
+            lo = max(lo, params.e_min) if args.clip else lo
+            hi = min(hi, params.e_max) if args.clip else hi
             lines.append(f"{day.day_id},{lo!r},{hi!r}")
         _write(args, "\n".join(lines) + "\n")
         return EXIT_OK

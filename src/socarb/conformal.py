@@ -88,6 +88,78 @@ def label_days(
     return np.array(feats), np.array(labels)
 
 
+def train_quantile_models(
+    features: np.ndarray,
+    labels: np.ndarray,
+    thetas,
+    epochs: int = 600,
+    step0: float | None = None,
+    return_history: bool = False,
+):
+    """k linear quantile predictors fit in lock-step over one feature matrix.
+
+    Row i of ``labels`` (k, n) is fit at level ``thetas[i]`` by deterministic
+    full-batch subgradient descent on the pinball loss.  Each intercept starts
+    at the empirical theta-quantile of its labels.  Each model keeps its own
+    step, which halves whenever a move would raise that model's epoch loss, so
+    every loss trace is non-increasing.  ``step0`` is the start step of every
+    model; None starts each at its own label spread.  Returns the
+    (k, d + 1) weights, intercept last, plus the k per-epoch loss traces when
+    ``return_history``.  Features must already be standardized.
+
+    Model i comes out bit for bit as if fit alone: every product is one
+    matrix-vector product per model over a broadcast view of the features
+    (a (n, d) @ (d, k) product rounds differently), and every per-model sum
+    reduces one row of a C-ordered (k, n) array.
+    """
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1 or not np.all((th > 0.0) & (th < 1.0)):
+        raise ValueError("theta must lie in (0, 1)")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    k = th.size
+    if x.ndim != 2 or x.shape[0] == 0 or y.shape != (k, x.shape[0]):
+        raise ValueError("features and labels must be non-empty and aligned")
+    n, d = x.shape
+    xs = np.broadcast_to(x, (k, n, d))
+    xts = np.broadcast_to(x.T, (k, d, n))
+    gain, cost = th[:, None], th[:, None] - 1.0
+    w = np.zeros((k, d))
+    b = np.array([np.quantile(row, theta) for row, theta in zip(y, th)])
+    step = np.array([step0 if step0 is not None else max(float(row.std()), 1e-8) for row in y])
+
+    def residual(w, b):
+        return y - (np.matmul(xs, w[:, :, None])[:, :, 0] + b[:, None])
+
+    def mean_loss(diff):
+        # np.mean is this same sum divided by n
+        return np.add.reduce(np.maximum(gain * diff, cost * diff), axis=1) / n
+
+    # the residuals of the current (w, b): computed once per accepted move
+    resid = residual(w, b)
+    loss = mean_loss(resid)
+    history = [loss]
+    for _ in range(epochs):
+        grad = np.where(resid > 0, -gain, 1.0 - gain)
+        w_new = w - step[:, None] * np.matmul(xts, grad[:, :, None])[:, :, 0] / n
+        b_new = b - step * (np.add.reduce(grad, axis=1) / n)
+        resid_new = residual(w_new, b_new)
+        loss_new = mean_loss(resid_new)
+        accept = loss_new <= loss + 1e-15
+        w = np.where(accept[:, None], w_new, w)
+        b = np.where(accept, b_new, b)
+        resid = np.where(accept[:, None], resid_new, resid)
+        loss = np.where(accept, loss_new, loss)
+        step = np.where(accept, step, step * 0.5)
+        history.append(loss)
+    weights = np.column_stack([w, b])
+    if return_history:
+        return weights, np.array(history).T.tolist()
+    return weights
+
+
 def train_quantile_model(
     features: np.ndarray,
     labels: np.ndarray,
@@ -96,50 +168,17 @@ def train_quantile_model(
     step0: float | None = None,
     return_history: bool = False,
 ):
-    """Linear quantile predictor fit by deterministic subgradient descent.
+    """One linear quantile predictor: :func:`train_quantile_models` with k = 1.
 
-    The intercept starts at the empirical theta-quantile of the labels and the
-    step halves whenever a full-batch move would raise the epoch loss, which
-    keeps the loss non-increasing.  Returns weights with the intercept last
-    (plus the per-epoch loss trace when ``return_history``).  Features must
-    already be standardized.  Full-batch training is deterministic.
+    Returns weights with the intercept last (plus the per-epoch loss trace
+    when ``return_history``).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("features and labels must be non-empty and aligned")
-    n, d = x.shape
-    w = np.zeros(d)
-    b = float(np.quantile(y, theta))
-    step = step0 if step0 is not None else max(float(y.std()), 1e-8)
-
-    def mean_loss(diff):
-        # np.mean is this same sum divided by n
-        return float(np.add.reduce(np.maximum(theta * diff, (theta - 1.0) * diff))) / n
-
-    # the residual of the current (w, b): computed once per accepted move
-    resid = y - (x @ w + b)
-    loss = mean_loss(resid)
-    history = [loss]
-    for _ in range(epochs):
-        grad = np.where(resid > 0, -theta, 1.0 - theta)
-        w_new = w - step * (x.T @ grad) / n
-        b_new = b - step * (float(np.add.reduce(grad)) / n)
-        resid_new = y - (x @ w_new + b_new)
-        loss_new = mean_loss(resid_new)
-        if loss_new <= loss + 1e-15:
-            w, b, loss, resid = w_new, b_new, loss_new, resid_new
-        else:
-            step *= 0.5
-        history.append(loss)
-    weights = np.append(w, b)
+    out = train_quantile_models(
+        features, np.asarray(labels, dtype=float)[None], [theta], epochs, step0, return_history
+    )
     if return_history:
-        return weights, history
-    return weights
+        return out[0][0], out[1][0]
+    return out[0]
 
 
 def _predict(weights: np.ndarray, x_std: np.ndarray) -> np.ndarray:
@@ -156,10 +195,6 @@ class ConformalModel:
     rho_high: float
     delta_hat: float
     scaler: FeatureScaler
-
-    def quantiles(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self.scaler.transform(features)
-        return _predict(np.array(self.low_weights), x), _predict(np.array(self.high_weights), x)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -180,6 +215,7 @@ class ConformalModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ConformalModel":
+        """Load a model file, rejecting any that the predictor cannot apply as written."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
@@ -190,7 +226,7 @@ class ConformalModel:
                 tuple(map(float, std["scales"])),
                 tuple(map(operator.index, std["keep"])),
             )
-            return cls(
+            model = cls(
                 tuple(map(float, doc["weights_low"])),
                 tuple(map(float, doc["weights_high"])),
                 float(doc["rho_low"]),
@@ -202,6 +238,50 @@ class ConformalModel:
             raise ValueError(f"model is missing key {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"malformed model: {exc}") from None
+        model._check()
+        return model
+
+    def _check(self) -> None:
+        """Raise ValueError naming the first field that makes the model unusable.
+
+        Columns the scaler does not keep are never read, so their statistics
+        go unchecked: older models carry a constant trailing e0 column there.
+        """
+        means, scales, keep = self.scaler.means, self.scaler.scales, self.scaler.keep
+        if len(means) != len(scales):
+            raise ValueError(
+                f"standardizer.means has {len(means)} entries but standardizer.scales "
+                f"has {len(scales)}"
+            )
+        if any(not 0 <= i < len(means) for i in keep) or any(
+            a >= b for a, b in zip(keep, keep[1:])
+        ):
+            raise ValueError(
+                f"standardizer.keep must list distinct column indices in [0, {len(means)}) "
+                f"in increasing order, got {list(keep)}"
+            )
+        for i in keep:
+            if not (math.isfinite(scales[i]) and scales[i] > 1e-12):
+                raise ValueError(
+                    f"standardizer.scales[{i}] = {scales[i]!r} is kept, so it must be "
+                    "finite and above 1e-12"
+                )
+            if not math.isfinite(means[i]):
+                raise ValueError(
+                    f"standardizer.means[{i}] = {means[i]!r} is kept, so it must be finite"
+                )
+        named = (("weights_low", self.low_weights), ("weights_high", self.high_weights))
+        for name, weights in named:
+            if len(weights) != len(keep) + 1:
+                raise ValueError(
+                    f"{name} has {len(weights)} entries; {len(keep)} kept columns "
+                    f"and an intercept need {len(keep) + 1}"
+                )
+            for i, w in enumerate(weights):
+                if not math.isfinite(w):
+                    raise ValueError(f"{name}[{i}] = {w!r} must be finite")
+        if not math.isfinite(self.delta_hat):
+            raise ValueError(f"delta_hat must be finite, got {self.delta_hat!r}")
 
 
 @dataclass(frozen=True)
@@ -212,10 +292,6 @@ class PredictionInterval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval lower edge above upper edge")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def nonconformity_scores(
@@ -281,6 +357,51 @@ def calibrate(
     )
 
 
+def fit_conformal_models(
+    train_days: list[DayPrices],
+    calib_days: list[DayPrices],
+    params_list: list[BatteryParams],
+    bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
+    epsilon: float,
+    threshold_mode: str = "static",
+    epochs: int = 600,
+) -> list[ConformalModel]:
+    """One calibrated model per battery in ``params_list``, fit on the same days.
+
+    Day features do not depend on the battery, so the scaler is fit once (its
+    zero-variance warning logs once per sweep, not once per battery), and the
+    2 × len(params_list) quantile predictors train in one
+    :func:`train_quantile_models` call.  Each model is then
+    :func:`calibrate`-d on its own labels, and equals bit for bit what
+    :func:`fit_conformal` gives for its battery.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    rho_low = epsilon / 2.0
+    rho_high = 1.0 - epsilon / 2.0
+    labelled = [
+        label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)
+        for params in params_list
+    ]
+    x_train = labelled[0][0]
+    scaler = FeatureScaler.fit(x_train)
+    # rows low, high per battery, in params_list order
+    labels = np.repeat([y for _, y in labelled], 2, axis=0)
+    thetas = [rho_low, rho_high] * len(params_list)
+    weights = train_quantile_models(scaler.transform(x_train), labels, thetas, epochs=epochs)
+    models = []
+    for params, low_w, high_w in zip(params_list, weights[::2], weights[1::2]):
+        low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
+        # delta_hat is calibrate's to set
+        model = ConformalModel(low, high, rho_low, rho_high, math.nan, scaler)
+        models.append(
+            calibrate(model, calib_days, params, bounds, k_ch, k_dis, epsilon, threshold_mode)
+        )
+    return models
+
+
 def fit_conformal(
     train_days: list[DayPrices],
     calib_days: list[DayPrices],
@@ -292,33 +413,42 @@ def fit_conformal(
     threshold_mode: str = "static",
     epochs: int = 600,
 ) -> ConformalModel:
-    """Train both quantile predictors, then :func:`calibrate` the conformal width."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    rho_low = epsilon / 2.0
-    rho_high = 1.0 - epsilon / 2.0
-    x_train, y_train = label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)
-    scaler = FeatureScaler.fit(x_train)
-    x_std = scaler.transform(x_train)
-    low_w = train_quantile_model(x_std, y_train, rho_low, epochs=epochs)
-    high_w = train_quantile_model(x_std, y_train, rho_high, epochs=epochs)
-    low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
-    # delta_hat is calibrate's to set
-    model = ConformalModel(low, high, rho_low, rho_high, math.nan, scaler)
-    return calibrate(model, calib_days, params, bounds, k_ch, k_dis, epsilon, threshold_mode)
+    """Train both quantile predictors, then :func:`calibrate` the conformal width.
+
+    The one-battery case of :func:`fit_conformal_models`.
+    """
+    return fit_conformal_models(
+        train_days, calib_days, [params], bounds, k_ch, k_dis, epsilon, threshold_mode, epochs
+    )[0]
+
+
+def predict_intervals(
+    model: ConformalModel, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conformalized intervals [q_low - delta_hat, q_high + delta_hat], one per row.
+
+    Returns the lower and upper edges.  Crossed raw quantiles are swapped
+    before widening.  Clipping to capacity is a reporting concern and never
+    happens here.  Each row is predicted as a one-row matrix of its own, so
+    its edges are bit for bit those of :func:`predict_interval` on that row.
+    """
+    # transform returns an F-ordered array, whose rows a stacked product
+    # would read with a stride and round differently
+    x = np.ascontiguousarray(model.scaler.transform(features))[:, None, :]
+    q_low = _predict(np.array(model.low_weights), x)[:, 0]
+    q_high = _predict(np.array(model.high_weights), x)[:, 0]
+    crossed = q_low > q_high
+    lo = np.where(crossed, q_high, q_low) - model.delta_hat
+    hi = np.where(crossed, q_low, q_high) + model.delta_hat
+    if np.any(lo > hi):
+        raise ValueError("interval lower edge above upper edge")
+    return lo, hi
 
 
 def predict_interval(model: ConformalModel, features: np.ndarray) -> PredictionInterval:
-    """Conformalized interval [q_low - delta_hat, q_high + delta_hat].
-
-    Crossed raw quantiles are swapped before widening.  Clipping to capacity is
-    a reporting concern and never happens here.
-    """
-    q_low, q_high = model.quantiles(features)
-    lo, hi = float(q_low[0]), float(q_high[0])
-    if lo > hi:
-        lo, hi = hi, lo
-    return PredictionInterval(lo - model.delta_hat, hi + model.delta_hat)
+    """One day's interval: the one-row case of :func:`predict_intervals`."""
+    lo, hi = predict_intervals(model, features)
+    return PredictionInterval(float(lo[0]), float(hi[0]))
 
 
 @dataclass(frozen=True)
@@ -348,20 +478,15 @@ def evaluate_coverage(
     if not test_days:
         raise ValueError("test set must be non-empty")
     x_test, y_test = label_days(test_days, params, bounds, k_ch, k_dis, threshold_mode)
-    covered = 0
+    lo, hi = predict_intervals(model, x_test)
+    covered = int(np.count_nonzero((lo - 1e-12 <= y_test) & (y_test <= hi + 1e-12)))
     certified = 0
-    widths = []
-    for feats, y in zip(x_test, y_test):
-        interval = predict_interval(model, feats)
-        widths.append(interval.width)
-        if interval.lo - 1e-12 <= y <= interval.hi + 1e-12:
-            covered += 1
-        if band is not None and interval.lo >= band.lo - 1e-12 and interval.hi <= band.hi + 1e-12:
-            certified += 1
+    if band is not None:
+        certified = int(np.count_nonzero((lo >= band.lo - 1e-12) & (hi <= band.hi + 1e-12)))
     n = len(test_days)
     return CoverageReport(
         marginal_coverage=covered / n,
         band_certificate_rate=(certified / n) if band is not None else 0.0,
-        mean_interval_width=float(np.mean(widths)),
+        mean_interval_width=float(np.mean(hi - lo)),
         n_test=n,
     )

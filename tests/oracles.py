@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from socarb.conformal import CoverageReport
 from socarb.reachability import BAND_EPS, ActionProbs, StoppingResult, TargetBand
 from socarb.thresholds import (
     CHARGE,
@@ -688,3 +689,43 @@ def reference_train_quantile_model(
     if return_history:
         return weights, history
     return weights
+
+
+def reference_predict_interval(model, features):
+    """One day's conformal interval (lo, hi), predicted on its own.
+
+    Oracle for :func:`socarb.conformal.predict_intervals`: the scaled day as
+    a one-row matrix, crossed quantiles swapped, then widened by delta_hat.
+    """
+    x = model.scaler.transform(features)
+    low, high = np.array(model.low_weights), np.array(model.high_weights)
+    lo = float((x @ low[:-1] + low[-1])[0])
+    hi = float((x @ high[:-1] + high[-1])[0])
+    if lo > hi:
+        lo, hi = hi, lo
+    return lo - model.delta_hat, hi + model.delta_hat
+
+
+def reference_evaluate_coverage(model, features, labels, band=None):
+    """Coverage of labelled days, one interval per day in a Python loop.
+
+    Oracle for :func:`socarb.conformal.evaluate_coverage` on the features and
+    labels that :func:`socarb.conformal.label_days` gives for the test days.
+    """
+    covered = 0
+    certified = 0
+    widths = []
+    for feats, y in zip(features, labels):
+        lo, hi = reference_predict_interval(model, feats)
+        widths.append(hi - lo)
+        if lo - 1e-12 <= y <= hi + 1e-12:
+            covered += 1
+        if band is not None and lo >= band.lo - 1e-12 and hi <= band.hi + 1e-12:
+            certified += 1
+    n = len(labels)
+    return CoverageReport(
+        marginal_coverage=covered / n,
+        band_certificate_rate=(certified / n) if band is not None else 0.0,
+        mean_interval_width=float(np.mean(widths)),
+        n_test=n,
+    )

@@ -22,8 +22,10 @@ from socarb.backtest import (
     run_experiment,
     synthetic_day_matrix,
 )
+from oracles import reference_predict_interval
 from socarb.cli import main
-from socarb.market_data import PriceBounds, export_day_matrix
+from socarb.conformal import ConformalModel, day_features
+from socarb.market_data import PriceBounds, export_day_matrix, split_dataset
 from socarb.reachability import TargetBand, count_feasible_trajectories
 from socarb.thresholds import BatteryParams, build_schedule
 
@@ -348,6 +350,17 @@ class TestRunExperiment:
         assert failed and all(k.startswith("e0=9") for k in failed)
         assert any("counting" in c for c in report.payload["cells"].values())
 
+    def test_cqr_fit_error_recorded_in_every_row(self):
+        # 20 days split 12/4/4: four calibration points are too few at epsilon 0.1
+        text = SMALL_CONFIG.replace("synthetic.n_days = 70", "synthetic.n_days = 20")
+        config = parse_config(text)
+        block = run_experiment(config).payload["cqr"]
+        message = (
+            "ValueError: calibration set of 4 too small for epsilon=0.1; need at least 9 points"
+        )
+        assert block["per_e0"] == {key: {"error": message} for key in ("e0=1", "e0=5", "e0=9")}
+        assert block["coverage_curve"] == []
+
 
 MODEL_WITH_TEXT_DELTA = json.dumps(
     {
@@ -356,6 +369,17 @@ MODEL_WITH_TEXT_DELTA = json.dumps(
         "delta_hat": "x",
     }
 )
+
+
+def two_column_model(keep=(0, 1), scales=(1.0, 1.0), weights_low=(0.0, 0.0, 0.0)):
+    """A model file over two kept columns, with one of these fields spoilt."""
+    return json.dumps(
+        {
+            "standardizer": {"means": [0.0, 0.0], "scales": list(scales), "keep": list(keep)},
+            "weights_low": list(weights_low), "weights_high": [0.0, 0.0, 0.0],
+            "rho_low": 0.05, "rho_high": 0.95, "delta_hat": 0.1,
+        }
+    )
 
 
 def write_price_csv(path, n_hours=72):
@@ -659,6 +683,9 @@ class TestCli:
             ("{}", "model is missing key 'standardizer'"),
             ("[1]", "model must be a JSON object, got list"),
             (MODEL_WITH_TEXT_DELTA, "could not convert string to float: 'x'"),
+            (two_column_model(keep=[-1, 1]), "standardizer.keep must list distinct column"),
+            (two_column_model(scales=[0.0, 0.0]), "standardizer.scales[0] = 0.0 is kept"),
+            (two_column_model(weights_low=[0.0]), "weights_low has 1 entries; 2 kept columns"),
         ],
     )
     @pytest.mark.parametrize("cmd", ["calibrate", "predict", "evaluate"])
@@ -672,6 +699,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"validation error: {model_path}: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.fixture
+    def trained_model(self, tmp_path):
+        model_path = tmp_path / "trained.json"
+        assert main(
+            ["cqr", "train", "--synthetic", "60", "--horizon", "6", "--out", str(model_path)]
+        ) == 0
+        return model_path
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_cqr_predict_writes_one_day_predictions(self, tmp_path, trained_model, clip):
+        out = tmp_path / "pred.csv"
+        argv = ["cqr", "predict", "--synthetic", "60", "--horizon", "6",
+                "--model", str(trained_model), "--out", str(out)]
+        assert main(argv + ["--clip"] * clip) == 0
+        model = ConformalModel.from_json(trained_model.read_text())
+        days = synthetic_day_matrix(60, 6, 0)
+        lines = ["day_id,lo,hi"]
+        for day in split_dataset(days, (0.6, 0.2, 0.2)).test:
+            lo, hi = reference_predict_interval(model, day_features(day))
+            if clip:
+                lo, hi = max(lo, 0.0), min(hi, 10.0)
+            lines.append(f"{day.day_id},{lo!r},{hi!r}")
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -1,11 +1,17 @@
 """Pinball training, conformal calibration, intervals, and coverage."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
-from oracles import reference_train_quantile_model
+from oracles import (
+    reference_evaluate_coverage,
+    reference_predict_interval,
+    reference_train_quantile_model,
+)
 from socarb.conformal import (
     ConformalModel,
     FeatureScaler,
@@ -13,11 +19,14 @@ from socarb.conformal import (
     day_features,
     evaluate_coverage,
     fit_conformal,
+    fit_conformal_models,
     label_days,
     nonconformity_scores,
     pinball_loss,
     predict_interval,
+    predict_intervals,
     train_quantile_model,
+    train_quantile_models,
 )
 from socarb.market_data import DayPrices, compute_bounds
 from socarb.reachability import TargetBand
@@ -146,6 +155,47 @@ class TestTrainQuantileModel:
             # a rejected move appends the unchanged loss
             halved += any(a == b for a, b in zip(history, history[1:]))
         assert halved
+
+
+class TestTrainQuantileModels:
+    # None starts each model at its own label spread; 50 overshoots and halves
+    @pytest.mark.parametrize("step0", [None, 50.0])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_lockstep_equals_separate_fits_bit_for_bit(self, k, order, step0):
+        # FeatureScaler.transform returns F-ordered arrays; label_days, C-ordered
+        rng = np.random.default_rng(k)
+        x = np.asarray(rng.normal(size=(219, 24)), order=order)
+        labels = np.array([x[:, i] + rng.uniform(0.0, 10.0, 219) for i in range(k)])
+        thetas = list(np.linspace(0.05, 0.95, k))
+        weights, histories = train_quantile_models(
+            x, labels, thetas, epochs=400, step0=step0, return_history=True
+        )
+        assert weights.shape == (k, 25) and len(histories) == k
+        rejected = set()
+        for i in range(k):
+            args = (x, labels[i], thetas[i])
+            kw = dict(epochs=400, step0=step0, return_history=True)
+            w, history = train_quantile_model(*args, **kw)
+            w_ref, history_ref = reference_train_quantile_model(*args, **kw)
+            assert np.array_equal(weights[i], w) and np.array_equal(w, w_ref)
+            assert histories[i] == history == history_ref
+            rejected.add(tuple(a == b for a, b in zip(history, history[1:])))
+        # the models accept and reject on different epochs
+        assert len(rejected) >= min(k, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.0, 0.0])
+    def test_theta_outside_unit_interval_rejected(self, bad):
+        x, y = np.zeros((5, 1)), np.arange(5.0)
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            train_quantile_models(x, np.array([y, y]), [0.5, bad], epochs=3)
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            train_quantile_model(x, y, bad, epochs=3)
+
+    def test_labels_must_have_one_row_per_theta(self):
+        x, y = np.zeros((5, 1)), np.arange(5.0)
+        with pytest.raises(ValueError, match="non-empty and aligned"):
+            train_quantile_models(x, np.array([y, y]), [0.5], epochs=3)
 
 
 class TestScaler:
@@ -294,6 +344,124 @@ class TestPipeline:
         )
         assert report.marginal_coverage == 1.0
         assert report.band_certificate_rate == 0.0
+
+    def dense_models(self):
+        """24-hour test days and models with dense slopes, one of them crossed.
+
+        A fitted model's slopes are nearly zero on these days, so only dense
+        ones show how each day's product is rounded.
+        """
+        days = synthetic_days(150, horizon=24, seed=6)
+        params = BatteryParams(0, 10, 2, 4, 24)
+        bounds = compute_bounds(days[:100], 1)
+        scaler = FeatureScaler.fit(np.array([day_features(d) for d in days[:100]]))
+        slopes = 0.3 * np.random.default_rng(6).normal(size=24)
+        low = tuple(np.append(slopes, 5.0))
+        high = tuple(np.append(slopes, 5.4))
+        # the mirrored slope crosses the raw quantiles on about half the days
+        mirrored = tuple(np.append(-slopes, 5.2))
+        models = [
+            ConformalModel(low, high, 0.05, 0.95, 0.3, scaler),
+            ConformalModel(low, mirrored, 0.05, 0.95, 0.3, scaler),
+        ]
+        x, y = label_days(days[100:], params, bounds, 3, 3)
+        n_crossed = int(np.count_nonzero(scaler.transform(x) @ slopes > 0.1))
+        assert 0 < n_crossed < len(y)
+        return models, days[100:], params, bounds, x, y
+
+    def test_coverage_equals_per_day_oracle(self):
+        models, test, params, bounds, x, y = self.dense_models()
+        for model, band in itertools.product(models, (None, TargetBand.from_interval(3, 8))):
+            report = evaluate_coverage(model, test, params, bounds, 3, 3, band)
+            assert report == reference_evaluate_coverage(model, x, y, band)
+            assert report == reference_evaluate_coverage(model, np.asfortranarray(x), y, band)
+
+    def test_intervals_equal_one_day_predictions(self):
+        models, _, _, _, x, _ = self.dense_models()
+        for model in models:
+            expected = [reference_predict_interval(model, row) for row in x]
+            for features in (x, np.asfortranarray(x)):
+                lo, hi = predict_intervals(model, features)
+                assert list(zip(lo.tolist(), hi.tolist())) == expected
+            for row, (lo, hi) in zip(x, expected):
+                interval = predict_interval(model, row)
+                assert (interval.lo, interval.hi) == (lo, hi)
+
+    def test_sweep_equals_one_fit_per_battery(self, caplog):
+        # hour 0 is constant, so the scaler drops it and warns
+        days = [
+            DayPrices(d.day_id, (20.0,) + d.values[1:]) for d in synthetic_days(100, seed=4)
+        ]
+        train, calib = days[:70], days[70:]
+        bounds = compute_bounds(train, 1)
+        params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (1, 4, 9)]
+        with caplog.at_level("WARNING"):
+            models = fit_conformal_models(train, calib, params_list, bounds, 2, 2, 0.1, epochs=150)
+        assert caplog.text.count("zero-variance") == 1
+        singles = [
+            fit_conformal(train, calib, p, bounds, 2, 2, 0.1, epochs=150) for p in params_list
+        ]
+        assert [m.to_json() for m in models] == [m.to_json() for m in singles]
+        assert len({m.to_json() for m in models}) == 3
+
+
+def _edit(path, change):
+    """A model-document edit: ``change`` maps the value at a dotted ``path``."""
+
+    def apply(doc):
+        *outer, key = path.split(".")
+        for name in outer:
+            doc = doc[name]
+        doc[key] = change(doc[key])
+
+    return apply
+
+
+# each edit of a trained model file, and the message that rejects it
+MODEL_DEFECTS = [
+    (_edit("standardizer.keep", lambda v: [-1] + v[1:]), "standardizer.keep must list distinct"),
+    (_edit("standardizer.keep", lambda v: v[:1] + v[:-1]), "standardizer.keep must list distinct"),
+    (_edit("standardizer.keep", lambda v: v[::-1]), "standardizer.keep must list distinct"),
+    (_edit("standardizer.keep", lambda v: v[:-1] + [8]), "standardizer.keep must list distinct"),
+    (_edit("standardizer.scales", lambda v: v[:-1]),
+     "standardizer.means has 8 entries but standardizer.scales has 7"),
+    (_edit("standardizer.scales", lambda v: [0.0] * len(v)),
+     "standardizer.scales[0] = 0.0 is kept, so it must be finite and above 1e-12"),
+    (_edit("standardizer.scales", lambda v: v[:2] + [1e-13] + v[3:]),
+     "standardizer.scales[2] = 1e-13 is kept"),
+    (_edit("standardizer.scales", lambda v: v[:-1] + [math.inf]),
+     "standardizer.scales[7] = inf is kept"),
+    (_edit("standardizer.means", lambda v: [math.nan] + v[1:]),
+     "standardizer.means[0] = nan is kept, so it must be finite"),
+    (_edit("weights_low", lambda v: v[:-2]),
+     "weights_low has 7 entries; 8 kept columns and an intercept need 9"),
+    (_edit("weights_high", lambda v: v + [0.0]), "weights_high has 10 entries"),
+    (_edit("weights_high", lambda v: v[:-1] + [math.inf]), "weights_high[8] = inf must be finite"),
+    (_edit("delta_hat", lambda v: math.nan), "delta_hat must be finite, got nan"),
+    (_edit("delta_hat", lambda v: -math.inf), "delta_hat must be finite, got -inf"),
+]
+
+
+class TestModelFile:
+    @pytest.fixture(scope="class")
+    def model_text(self):
+        days = synthetic_days(60, seed=2)
+        params = BatteryParams(0, 10, 2, 4, 8)
+        bounds = compute_bounds(days[:36], 1)
+        model = fit_conformal(days[:36], days[36:48], params, bounds, 2, 2, 0.1, epochs=50)
+        return model.to_json()
+
+    @pytest.mark.parametrize("edit, message", MODEL_DEFECTS)
+    def test_defect_rejected_naming_the_field(self, model_text, edit, message):
+        doc = json.loads(model_text)
+        assert doc["standardizer"]["keep"] == list(range(8))
+        edit(doc)
+        with pytest.raises(ValueError) as info:
+            ConformalModel.from_json(json.dumps(doc))
+        assert message in str(info.value)
+
+    def test_round_trip_unchanged(self, model_text):
+        assert ConformalModel.from_json(model_text).to_json() == model_text
 
 
 def test_day_features_layout():
