@@ -18,6 +18,7 @@ the one charge-first, fall-through-to-discharge decision rule.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from collections.abc import Callable
@@ -498,16 +499,18 @@ def offline_opt(
 ) -> tuple[float, Trajectory]:
     """Perfect-foresight optimum by dynamic programming over the SoC lattice.
 
-    Maximizes total profit (discharge revenue positive); with ``fixed_k`` the
-    action counts are capped at (k_ch, k_dis).  Ties break toward fewer
-    actions, then earlier discharges.
+    Maximizes total profit (discharge revenue positive) over a day of
+    ``params.horizon`` slots; with ``fixed_k`` the action counts are capped at
+    (k_ch, k_dis), both non-negative.  Ties break toward fewer actions, then
+    earlier discharges.
 
-    A side's action counter is tracked only when its budget is below the
-    horizon: at step t every reachable count is at most t, so a budget of at
-    least the horizon never blocks a move.  States per step are therefore the
-    m range times (k_ch + 1) for a binding charge budget and times
-    (k_dis + 1) for a binding discharge budget; without ``fixed_k`` the DP
-    runs over m alone.
+    The states (m, c, d) are numbered once, with each one's discharge and
+    charge successor (None where capacity or budget blocks it).  A side's
+    counter is tracked only when its budget is below the horizon, which is
+    the only case where it can block a move: the m range alone without
+    ``fixed_k``, times (k + 1) per binding side.  The value-to-go is two flat
+    lists, profit and -actions; each step scores idle, discharge, charge and
+    keeps a later move only when it is strictly better.
 
     ``terminal`` picks the benchmark convention: ``cyclic`` (default) requires
     the schedule to end at the initial SoC, so profit measures captured spread
@@ -516,62 +519,55 @@ def offline_opt(
     """
     if terminal not in ("cyclic", "free"):
         raise ValueError(f"unknown terminal convention {terminal!r}")
-    horizon = len(day.values)
+    values = day.values
+    horizon = len(values)
+    if horizon != params.horizon:
+        raise ValueError(f"day has {horizon} slots but params.horizon={params.horizon}")
+    k_ch, k_dis = fixed_k if fixed_k else (horizon, horizon)
+    if k_ch < 0 or k_dis < 0:
+        raise ValueError("budgets must be non-negative")
     rate = params.rate
-    offsets = params.offsets
-    m_lo, m_hi = offsets[0], offsets[-1]
-    k_ch = fixed_k[0] if fixed_k else horizon
-    k_dis = fixed_k[1] if fixed_k else horizon
     # a side whose budget cannot bind keeps its counter at 0
     dc = 1 if k_ch < horizon else 0
     dd = 1 if k_dis < horizon else 0
-
-    def moves(state, lam, table):
-        """Candidate (value, action) pairs from ``state`` against ``table``.
-
-        Values are (profit, -actions) tuples compared lexicographically; the
-        same float expressions are reused in reconstruction so equality is
-        exact.
-        """
-        m, c, d = state
-        yield table[(m, c, d)], IDLE
-        if d < k_dis and m - 1 >= m_lo:
-            down = table[(m - 1, c, d + dd)]
-            yield (down[0] + lam * rate, down[1] - 1), DISCHARGE
-        if c < k_ch and m + 1 <= m_hi:
-            up = table[(m + 1, c + dc, d)]
-            yield (up[0] - lam * rate, up[1] - 1), CHARGE
-
-    infeasible = (-math.inf, 0)
-    terminal_table = {
-        (m, c, d): (0.0, 0) if (terminal == "free" or m == 0) else infeasible
-        for m in offsets
-        for c in range(k_ch * dc + 1)
-        for d in range(k_dis * dd + 1)
-    }
-    tables = [terminal_table]
+    states = list(itertools.product(params.offsets, range(k_ch * dc + 1), range(k_dis * dd + 1)))
+    index = {s: i for i, s in enumerate(states)}
+    # (discharge successor, charge successor) per state; a key off the lattice has none
+    moves = [(index.get((m - 1, c, d + dd)), index.get((m + 1, c + dc, d))) for m, c, d in states]
+    free = terminal == "free"
+    tables = [([0.0 if free or m == 0 else -math.inf for m, _, _ in states], [0] * len(states))]
     for t in range(horizon - 1, -1, -1):
-        lam = day.values[t]
-        nxt = tables[-1]
-        tables.append({s: max(v for v, _ in moves(s, lam, nxt)) for s in nxt})
+        lam = values[t]
+        nxt_v, nxt_a = tables[-1]
+        val, act = nxt_v[:], nxt_a[:]  # idle
+        for i, (down, up) in enumerate(moves):
+            if down is not None:
+                v, a = nxt_v[down] + lam * rate, nxt_a[down] - 1
+                if v > val[i] or (v == val[i] and a > act[i]):
+                    val[i], act[i] = v, a
+            if up is not None:
+                v, a = nxt_v[up] - lam * rate, nxt_a[up] - 1
+                if v > val[i] or (v == val[i] and a > act[i]):
+                    val[i], act[i] = v, a
+        tables.append((val, act))
     tables.reverse()  # tables[t] = value-to-go before acting at step t (0-based)
 
-    # forward reconstruction; prefer discharge, then idle, then charge
-    m, c, d = 0, 0, 0
-    actions = []
-    soc = [params.e0]
-    cash = []
+    # forward reconstruction; prefer discharge, then idle, then charge (the
+    # table holds one of the three candidate values, so charge is what is left)
+    i = index[(0, 0, 0)]
+    actions, soc, cash = [], [params.e0], []
     for t in range(horizon):
-        lam = day.values[t]
-        target = tables[t][(m, c, d)]
-        ranked = sorted(moves((m, c, d), lam, tables[t + 1]), key=lambda va: va[1])
-        chosen = next(a for v, a in ranked if v == target)
-        if chosen == DISCHARGE:
-            m, d = m - 1, d + dd
-        elif chosen == CHARGE:
-            m, c = m + 1, c + dc
+        lam = values[t]
+        (val, act), (nxt_v, nxt_a) = tables[t], tables[t + 1]
+        down, up = moves[i]
+        if down is not None and (nxt_v[down] + lam * rate, nxt_a[down] - 1) == (val[i], act[i]):
+            chosen, i = DISCHARGE, down
+        elif (nxt_v[i], nxt_a[i]) == (val[i], act[i]):
+            chosen = IDLE
+        else:
+            chosen, i = CHARGE, up
         actions.append(chosen)
-        soc.append(params.e0 + m * rate)
+        soc.append(params.e0 + states[i][0] * rate)
         cash.append(-chosen * lam * rate)
     profit = math.fsum(cash)
     return profit, Trajectory(tuple(actions), tuple(soc), tuple(cash), profit)

@@ -19,31 +19,72 @@ def budgets(horizon, rng):
 
 
 def days(horizon, rng):
-    """Uniform prices, prices from three levels (many ties) and constant prices."""
+    """Uniform prices, prices from a few levels (many ties), constant prices and
+    negative prices, among them ties at zero and below."""
     out = [tuple(float(v) for v in rng.uniform(10.0, 90.0, horizon)) for _ in range(3)]
     out += [tuple(10.0 * float(v) for v in rng.integers(1, 4, horizon)) for _ in range(2)]
     out += [(25.0,) * horizon]
+    out += [tuple(float(v) for v in rng.uniform(-40.0, 40.0, horizon))]
+    out += [tuple(10.0 * float(v) for v in rng.integers(-2, 2, horizon))]
     return [DayPrices(f"d{i}", values) for i, values in enumerate(out)]
+
+
+def assert_matches_reference(day, params, fixed_k, terminal):
+    """Compared by repr, which tells an idle step's -0.0 cash at a negative price from 0.0."""
+    got = offline_opt(day, params, fixed_k=fixed_k, terminal=terminal)
+    ref = reference_offline_opt(day, params, fixed_k=fixed_k, terminal=terminal)
+    assert repr(got) == repr(ref), (params, day.values, fixed_k, terminal)
+
+
+def check_grid(rate, e0, terminal, seed):
+    """Every horizon, day and budget pair on a 0..10 battery; returns the case count."""
+    rng = np.random.default_rng(seed)
+    cases = 0
+    for horizon in HORIZONS:
+        params = BatteryParams(0.0, 10.0, rate, e0, horizon)
+        for d in days(horizon, rng):
+            for fixed_k in budgets(horizon, rng):
+                assert_matches_reference(d, params, fixed_k, terminal)
+                cases += 1
+    return cases
 
 
 @pytest.mark.parametrize("terminal", ["cyclic", "free"])
 @pytest.mark.parametrize("e0", [0.0, 4.0, 10.0])
 def test_offline_opt_equals_reference(terminal, e0):
-    rng = np.random.default_rng(17)
-    cases = 0
-    for horizon in HORIZONS:
-        params = BatteryParams(0.0, 10.0, 2.0, e0, horizon)
-        for d in days(horizon, rng):
-            for fixed_k in budgets(horizon, rng):
-                profit, traj = offline_opt(d, params, fixed_k=fixed_k, terminal=terminal)
-                ref_profit, ref = reference_offline_opt(
-                    d, params, fixed_k=fixed_k, terminal=terminal
-                )
-                case = (horizon, d.values, fixed_k)
-                assert profit == ref_profit, case
-                assert traj.actions == ref.actions, case
-                assert traj.soc_path == ref.soc_path, case
-                assert traj.cash_flows == ref.cash_flows, case
-                assert traj.profit == ref.profit, case
-                cases += 1
-    assert cases == len(HORIZONS) * 6 * 10
+    assert check_grid(2.0, e0, terminal, 17) == len(HORIZONS) * 8 * 10
+
+
+@pytest.mark.parametrize("terminal", ["cyclic", "free"])
+def test_offline_opt_off_rate_grid_equals_reference(terminal):
+    """e0 = 9.3 with rate 2.5: the lattice 1.8..9.3 reaches neither capacity edge."""
+    assert BatteryParams(0.0, 10.0, 2.5, 9.3, 1).offsets == range(-3, 1)
+    assert check_grid(2.5, 9.3, terminal, 23) == len(HORIZONS) * 8 * 10
+
+
+def test_offline_opt_hindsight_geometry_equals_reference():
+    """24-step days as the hindsight audit calls it: battery 0..10, rate 2, e0 5,
+    free terminal and no budget, so both of the reference's counters run to 24."""
+    rng = np.random.default_rng(29)
+    params = BatteryParams(0.0, 10.0, 2.0, 5.0, 24)
+    shape = 50.0 + 30.0 * np.sin(2.0 * np.pi * (np.arange(24) - 4.0) / 24.0)
+    out = [shape + rng.normal(0.0, 8.0, 24) for _ in range(2)]
+    out += [10.0 * rng.integers(-1, 4, 24), rng.uniform(-30.0, 60.0, 24)]
+    for i, values in enumerate(out):
+        day = DayPrices(f"h{i}", tuple(float(v) for v in values))
+        assert_matches_reference(day, params, None, "free")
+
+
+def test_offline_opt_rejects_day_of_other_length():
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
+    day = DayPrices("d", (10.0, 50.0, 20.0, 80.0, 30.0, 90.0))
+    with pytest.raises(ValueError, match=r"day has 6 slots but params\.horizon=4"):
+        offline_opt(day, params)
+
+
+@pytest.mark.parametrize("fixed_k", [(-1, 2), (2, -1)])
+def test_offline_opt_rejects_negative_budget(fixed_k):
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
+    day = DayPrices("d", (10.0, 50.0, 20.0, 80.0))
+    with pytest.raises(ValueError, match="budgets must be non-negative"):
+        offline_opt(day, params, fixed_k=fixed_k)
