@@ -29,6 +29,7 @@ from .thresholds import (
     competitive_ratio,
     feasibility_aware_thresholds,
     offline_opt,
+    policy_outcomes,
     run_policy,
     run_policy_days,
     static_charge_thresholds,

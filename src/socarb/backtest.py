@@ -36,7 +36,7 @@ from .reachability import (
     stopping_time,
     terminal_band_probability,
 )
-from .thresholds import THRESHOLD_MODES, BatteryParams, run_policy_days
+from .thresholds import THRESHOLD_MODES, BatteryParams, policy_outcomes
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,24 @@ def _window_days(days, n):
     return [DayPrices(d.day_id, d.values[-n:]) for d in days]
 
 
-def _fit_window(config, train_days, test_days, n_steps):
-    """Bounds and price distribution of the train days' last n_steps, and the test window."""
-    train_w = _window_days(train_days, n_steps)
+def _fit_window(config, train_days, test_days, batteries):
+    """One window's bounds and price distribution, and its policies' test-day profits.
+
+    Bounds and distribution come from the train days' last n steps.  The
+    profits of every (battery, budget pair, test day) come from one
+    :func:`policy_outcomes` batch, or are the failure that batch raised.
+    """
+    n = batteries[0].horizon
+    train_w = _window_days(train_days, n)
     bounds = compute_bounds(train_w, 1, config.bounds_mode)
-    return bounds, fit_distribution(train_w), _window_days(test_days, n_steps)
+    dist = fit_distribution(train_w)
+    try:
+        profits, _ = policy_outcomes(
+            _window_days(test_days, n), batteries, config.k_grid, config.threshold_mode, bounds
+        )
+    except Exception as exc:
+        profits = exc
+    return bounds, dist, profits
 
 
 def _policy(config, params, bounds, dist, k_ch, k_dis):
@@ -289,20 +302,27 @@ def _policy(config, params, bounds, dist, k_ch, k_dis):
     return propagate(params, probs, k_ch, k_dis)
 
 
-def _policy_runs(config, params, window):
-    """What a cell's policies do not take from its band, per budget pair."""
+def _policy_runs(config, params, window, index):
+    """What a cell's policies do not take from its band, per budget pair.
+
+    ``index`` is the battery's row in the window's profits; a failed batch
+    fails the battery where its first policy run would.
+    """
+    if window is None:
+        return {}
     if isinstance(window, Exception):
         raise window
-    bounds, dist, test_w = window
+    bounds, dist, profits = window
     runs = {}
-    for k_ch, k_dis in config.k_grid:
+    for j, (k_ch, k_dis) in enumerate(config.k_grid):
         soc_dist = _policy(config, params, bounds, dist, k_ch, k_dis)
-        trajs = run_policy_days(test_w, params, k_ch, k_dis, config.threshold_mode, bounds)
-        profits = [traj.profit for traj in trajs]
+        if isinstance(profits, Exception):
+            raise profits
+        day_profits = profits[index, j].tolist()
         profit = {
-            "mean": float(np.mean(profits)),
-            "min": float(np.min(profits)),
-            "max": float(np.max(profits)),
+            "mean": float(np.mean(day_profits)),
+            "min": float(np.min(day_profits)),
+            "max": float(np.max(day_profits)),
         }
         runs[f"k={k_ch}x{k_dis}"] = soc_dist, profit
     return runs
@@ -357,14 +377,19 @@ def run_experiment(config: ExperimentConfig) -> Report:
     battery = config.battery
     cells = {}
     for n in config.start_steps:
-        try:
-            window = _fit_window(config, train_days, test_days, n) if config.k_grid else None
-        except Exception as exc:
-            window = exc
-        for e0 in config.e0_sweep:
-            params = BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, n)
+        batteries = [
+            BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, n)
+            for e0 in config.e0_sweep
+        ]
+        window = None  # no budget pair, no policy to fit or run
+        if config.k_grid:
             try:
-                runs = _policy_runs(config, params, window)
+                window = _fit_window(config, train_days, test_days, batteries)
+            except Exception as exc:
+                window = exc
+        for index, (e0, params) in enumerate(zip(config.e0_sweep, batteries)):
+            try:
+                runs = _policy_runs(config, params, window, index)
             except Exception as exc:
                 runs = exc
             for band in config.bands:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .market_data import DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, run_policy_days
+from .thresholds import BatteryParams, policy_outcomes, run_policy_days
 
 log = logging.getLogger(__name__)
 
@@ -332,6 +332,26 @@ def conformal_quantile(scores, epsilon: float) -> float:
     return float(arr[idx - 1])
 
 
+def _calibrated(
+    model: ConformalModel, features: np.ndarray, labels: np.ndarray, epsilon: float
+) -> ConformalModel:
+    """The one calibration rule: the model with its conformal width refit at epsilon.
+
+    The quantile predictors and the scaler are kept; ``rho_low``, ``rho_high``
+    and ``delta_hat`` are refit from the calibration days' features and
+    terminal SoC labels.
+    """
+    scores = nonconformity_scores(
+        model.low_weights, model.high_weights, model.scaler, features, labels
+    )
+    return replace(
+        model,
+        rho_low=epsilon / 2.0,
+        rho_high=1.0 - epsilon / 2.0,
+        delta_hat=conformal_quantile(scores, epsilon),
+    )
+
+
 def calibrate(
     model: ConformalModel,
     calib_days: list[DayPrices],
@@ -348,13 +368,7 @@ def calibrate(
     and ``delta_hat`` are refit.
     """
     x_cal, y_cal = label_days(calib_days, params, bounds, k_ch, k_dis, threshold_mode)
-    scores = nonconformity_scores(model.low_weights, model.high_weights, model.scaler, x_cal, y_cal)
-    return replace(
-        model,
-        rho_low=epsilon / 2.0,
-        rho_high=1.0 - epsilon / 2.0,
-        delta_hat=conformal_quantile(scores, epsilon),
-    )
+    return _calibrated(model, x_cal, y_cal, epsilon)
 
 
 def fit_conformal_models(
@@ -370,35 +384,36 @@ def fit_conformal_models(
 ) -> list[ConformalModel]:
     """One calibrated model per battery in ``params_list``, fit on the same days.
 
-    Day features do not depend on the battery, so the scaler is fit once (its
-    zero-variance warning logs once per sweep, not once per battery), and the
-    2 × len(params_list) quantile predictors train in one
-    :func:`train_quantile_models` call.  Each model is then
-    :func:`calibrate`-d on its own labels, and equals bit for bit what
-    :func:`fit_conformal` gives for its battery.
+    The batteries may differ only in ``e0``.  Day features do not depend on
+    the battery, so the scaler is fit once (its zero-variance warning logs
+    once per sweep, not once per battery).  The train and the calibration
+    days of all batteries are labelled by one :func:`policy_outcomes` call
+    each, the 2 × len(params_list) quantile predictors train in one
+    :func:`train_quantile_models` call, and each model is calibrated by the
+    rule of :func:`calibrate`.  Each model equals bit for bit what
+    :func:`label_days`, :func:`train_quantile_model` and :func:`calibrate`
+    give for its battery alone.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     rho_low = epsilon / 2.0
     rho_high = 1.0 - epsilon / 2.0
-    labelled = [
-        label_days(train_days, params, bounds, k_ch, k_dis, threshold_mode)
-        for params in params_list
-    ]
-    x_train = labelled[0][0]
+    budgets = [(k_ch, k_dis)]
+    _, y_train = policy_outcomes(train_days, params_list, budgets, threshold_mode, bounds)
+    x_train = np.array([day_features(day) for day in train_days])
     scaler = FeatureScaler.fit(x_train)
     # rows low, high per battery, in params_list order
-    labels = np.repeat([y for _, y in labelled], 2, axis=0)
+    labels = np.repeat(y_train[:, 0], 2, axis=0)
     thetas = [rho_low, rho_high] * len(params_list)
     weights = train_quantile_models(scaler.transform(x_train), labels, thetas, epochs=epochs)
+    _, y_cal = policy_outcomes(calib_days, params_list, budgets, threshold_mode, bounds)
+    x_cal = np.array([day_features(day) for day in calib_days])
     models = []
-    for params, low_w, high_w in zip(params_list, weights[::2], weights[1::2]):
+    for low_w, high_w, y in zip(weights[::2], weights[1::2], y_cal[:, 0]):
         low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
-        # delta_hat is calibrate's to set
+        # delta_hat is the calibration rule's to set
         model = ConformalModel(low, high, rho_low, rho_high, math.nan, scaler)
-        models.append(
-            calibrate(model, calib_days, params, bounds, k_ch, k_dis, epsilon, threshold_mode)
-        )
+        models.append(_calibrated(model, x_cal, y, epsilon))
     return models
 
 

@@ -11,9 +11,23 @@ mid-horizon discharge-budget reduction with its two-stage benchmark.
 one SoC lattice m_lo..m_hi.  The policy's state is :class:`PolicyState`,
 (t, e, c, d, sum of activated u*, sum of activated l*); :func:`threshold_rule`
 binds a run's budgets, ratios and bounds once and maps that state to the
-next (u, l) in every mode.  Every policy trajectory, both stages of the
-reduction included, is stepped by :func:`run_policy_days`, whose loop holds
-the one charge-first, fall-through-to-discharge decision rule.
+next (u, l) in every mode.
+
+The one charge-first, fall-through-to-discharge decision rule has two
+executors.  :func:`run_policy_days` steps a loop, one trajectory at a time;
+everything that needs a trajectory or runs a single day uses it:
+:func:`run_policy`, ``socarb simulate``, both stages of the budget
+reduction, ``label_days`` and ``evaluate_coverage``.  :func:`policy_outcomes`
+returns only the profit and terminal SoC of every (battery, budget pair,
+day) lane, and in static mode steps all lanes of a batch at once in numpy;
+the backtest runs each window's whole e0 sweep × k_grid through one call,
+and ``fit_conformal_models`` labels its train and calibration days with one
+call each.  A numpy step costs the same for one lane as for a thousand, so
+single days stay on the loop: on a 2-vCPU VM (Python 3.11, numpy 2.4) one
+24-step day took 0.6 ms in lanes against 0.02 ms in the loop, 73 days
+0.7-0.8 ms against 0.65 ms, and 5 e0 × 3 budget pairs × 73 days 2.6-2.8 ms
+against 12.7-16 ms.  ``tests/test_policy_batch.py`` holds the two executors
+equal lane by lane.
 """
 from __future__ import annotations
 
@@ -24,6 +38,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
+
+import numpy as np
 
 from .market_data import DayPrices, PriceBounds
 
@@ -407,6 +423,12 @@ def threshold_rule(
     return lambda s: feasibility_aware_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
 
 
+def _check_days(days: list[DayPrices], horizon: int) -> None:
+    for day in days:
+        if len(day.values) != horizon:
+            raise ValueError(f"day has {len(day.values)} slots but params.horizon={horizon}")
+
+
 def run_policy_days(
     days: list[DayPrices],
     params: BatteryParams,
@@ -425,11 +447,7 @@ def run_policy_days(
     ``alpha``/``omega`` to set them.  The trajectories never force trades;
     end-of-horizon behavior belongs to the reachability layer.
     """
-    for day in days:
-        if len(day.values) != params.horizon:
-            raise ValueError(
-                f"day has {len(day.values)} slots but params.horizon={params.horizon}"
-            )
+    _check_days(days, params.horizon)
     schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
     rule = threshold_rule(threshold_mode, params, bounds, schedule, k_ch, k_dis)
     u_book, l_book = schedule.charge, schedule.discharge
@@ -489,6 +507,86 @@ def run_policy(
     The one-day case of :func:`run_policy_days`, with the same arguments.
     """
     return run_policy_days([day], params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)[0]
+
+
+def policy_outcomes(
+    days: list[DayPrices],
+    params_list: list[BatteryParams],
+    budgets: list[tuple[int, int]],
+    threshold_mode: str,
+    bounds: PriceBounds,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profit and terminal SoC of the policy for every battery, budget pair and day.
+
+    Returns two float64 arrays of shape (len(params_list), len(budgets),
+    len(days)); entry [i, j, n] is the ``profit`` and ``soc_path[-1]`` of
+    ``run_policy_days(days, params_list[i], *budgets[j], threshold_mode,
+    bounds)[n]``, bit for bit.  The batteries may differ only in ``e0``.
+
+    In static mode every (battery, budget pair, day) lane steps at once in
+    numpy.  The books sit in padded (len(budgets), k_max + 1) matrices where a
+    spent side reads -inf (charge) or +inf (discharge), which no finite price
+    crosses; each step applies the loop's charge-first,
+    fall-through-to-discharge rule and its ``FEAS_EPS`` capacity checks.  The
+    timedep and feasibility thresholds read (t, s_ch, s_dis) of each lane, so
+    those modes run :func:`run_policy_days` once per battery and budget pair.
+    """
+    params_list, budgets = list(params_list), list(budgets)
+    if threshold_mode not in THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+    for params in params_list[1:]:
+        for name in ("e_min", "e_max", "rate", "horizon"):
+            if getattr(params, name) != getattr(params_list[0], name):
+                raise ValueError(f"batteries of one batch may differ only in e0, not in {name}")
+    shape = (len(params_list), len(budgets), len(days))
+    if threshold_mode != "static" or not params_list:  # no battery: empty arrays
+        profit, soc = np.empty(shape), np.empty(shape)
+        for i, params in enumerate(params_list):
+            for j, (k_ch, k_dis) in enumerate(budgets):
+                trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
+                profit[i, j] = [traj.profit for traj in trajs]
+                soc[i, j] = [traj.soc_path[-1] for traj in trajs]
+        return profit, soc
+
+    first = params_list[0]
+    horizon, rate, e_max, e_min = first.horizon, first.rate, first.e_max, first.e_min
+    _check_days(days, horizon)
+    width = 1 + max((k for pair in budgets for k in pair), default=0)
+    u_book = np.full((len(budgets), width), -np.inf)
+    l_book = np.full((len(budgets), width), np.inf)
+    for j, (k_ch, k_dis) in enumerate(budgets):
+        schedule = build_schedule(bounds, k_ch, k_dis)
+        u_book[j, :k_ch] = schedule.charge
+        l_book[j, :k_dis] = schedule.discharge
+    u_book, l_book = u_book.ravel(), l_book.ravel()
+
+    charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
+    e = np.empty(shape)
+    e[...] = np.array([params.e0 for params in params_list])[:, None, None]
+    # each lane's index of its next threshold in the flat books: its budget
+    # pair's row start plus the charges (discharges) done
+    c = np.empty(shape, dtype=np.intp)
+    c[...] = (np.arange(len(budgets)) * width)[:, None]
+    d = c.copy()
+    prices = np.array([day.values for day in days], dtype=float).reshape(len(days), horizon)
+    actions = np.empty(shape + (horizon,), dtype=np.int8)
+    for t, lam in enumerate(prices.T):
+        up, down = e + rate, e - rate
+        charge = (lam <= u_book[c]) & (up <= charge_cap)
+        discharge = ~charge & (lam >= l_book[d]) & (down >= discharge_floor)
+        # min(up, e_max) and max(down, e_min), with the loop's tie-breaks
+        e = np.where(
+            charge,
+            np.where(e_max < up, e_max, up),
+            np.where(discharge, np.where(e_min > down, e_min, down), e),
+        )
+        c += charge
+        d += discharge
+        np.subtract(charge, discharge, out=actions[..., t], dtype=np.int8)  # CHARGE = 1
+    # as in the loop, an idle step on a negative price gives -0.0
+    cash = -actions * prices * rate
+    lanes = cash.reshape(-1, horizon).tolist()
+    return np.array(list(map(math.fsum, lanes))).reshape(shape), e
 
 
 def offline_opt(

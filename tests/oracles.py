@@ -18,6 +18,7 @@ from socarb.thresholds import (
     TwoStageResult,
     build_schedule,
     competitive_ratio,
+    run_policy_days,
     search_ratios,
     static_discharge_thresholds,
 )
@@ -496,6 +497,22 @@ def reference_run_policy(
         soc.append(state.e)
         cash.append(-action * lam * params.rate)
     return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
+
+
+def reference_policy_outcomes(days, params_list, budgets, threshold_mode, bounds):
+    """Profit and terminal SoC of every (battery, budget pair, day), one lane at a time.
+
+    Oracle for :func:`socarb.thresholds.policy_outcomes`: one
+    :func:`~socarb.thresholds.run_policy_days` call per battery and budget pair.
+    """
+    shape = (len(params_list), len(budgets), len(days))
+    profit, soc = np.empty(shape), np.empty(shape)
+    for i, params in enumerate(params_list):
+        for j, (k_ch, k_dis) in enumerate(budgets):
+            trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
+            profit[i, j] = [traj.profit for traj in trajs]
+            soc[i, j] = [traj.soc_path[-1] for traj in trajs]
+    return profit, soc
 
 
 def reference_run_with_discharge_reduction(

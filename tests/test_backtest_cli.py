@@ -270,9 +270,12 @@ class TestRunExperiment:
     def test_empty_k_grid_drops_policy_blocks(self):
         config = parse_config(SMALL_CONFIG.replace("k_grid = 2:2", "k_grid ="))
         report = run_experiment(config)
-        assert all("policies" not in c for c in report.payload["cells"].values())
+        # no window is fit and no policy runs, yet every cell keeps its count
+        cells = report.payload["cells"]
+        assert len(cells) == 3 * 2 * 2
+        assert all(list(cell) == ["counting"] for cell in cells.values())
         assert "plot_data" not in report.payload
-        assert "cqr" in report.payload
+        assert report.payload["cqr"]["k"] == list(DEFAULT_BUDGETS)
 
     def test_heatmap_masses_sum_to_one_per_step(self, report):
         rows = report.payload["plot_data"]["soc_heatmap"]

@@ -15,6 +15,7 @@ from oracles import (
 from socarb.conformal import (
     ConformalModel,
     FeatureScaler,
+    calibrate,
     conformal_quantile,
     day_features,
     evaluate_coverage,
@@ -387,7 +388,8 @@ class TestPipeline:
                 interval = predict_interval(model, row)
                 assert (interval.lo, interval.hi) == (lo, hi)
 
-    def test_sweep_equals_one_fit_per_battery(self, caplog):
+    @pytest.mark.parametrize("mode", ["static", "timedep"])
+    def test_sweep_equals_one_fit_per_battery(self, caplog, mode):
         # hour 0 is constant, so the scaler drops it and warns
         days = [
             DayPrices(d.day_id, (20.0,) + d.values[1:]) for d in synthetic_days(100, seed=4)
@@ -396,13 +398,27 @@ class TestPipeline:
         bounds = compute_bounds(train, 1)
         params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (1, 4, 9)]
         with caplog.at_level("WARNING"):
-            models = fit_conformal_models(train, calib, params_list, bounds, 2, 2, 0.1, epochs=150)
+            models = fit_conformal_models(
+                train, calib, params_list, bounds, 2, 2, 0.1, mode, epochs=150
+            )
         assert caplog.text.count("zero-variance") == 1
         singles = [
-            fit_conformal(train, calib, p, bounds, 2, 2, 0.1, epochs=150) for p in params_list
+            fit_conformal(train, calib, p, bounds, 2, 2, 0.1, mode, epochs=150)
+            for p in params_list
         ]
         assert [m.to_json() for m in models] == [m.to_json() for m in singles]
         assert len({m.to_json() for m in models}) == 3
+        # each battery alone: its labels, one quantile model per level, calibrate
+        for params, model in zip(params_list, models):
+            x, y = label_days(train, params, bounds, 2, 2, mode)
+            scaler = FeatureScaler.fit(x)
+            low, high = (
+                tuple(map(float, train_quantile_model(scaler.transform(x), y, theta, 150)))
+                for theta in (0.05, 0.95)
+            )
+            alone = ConformalModel(low, high, 0.05, 0.95, math.nan, scaler)
+            alone = calibrate(alone, calib, params, bounds, 2, 2, 0.1, mode)
+            assert alone.to_json() == model.to_json()
 
 
 def _edit(path, change):

@@ -122,7 +122,7 @@ def test_distributions_from_different_probabilities_are_unequal():
 
 
 COUNTED = ("compute_bounds", "fit_distribution", "policy_action_probabilities", "propagate",
-           "run_policy_days")
+           "policy_outcomes")
 
 
 def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
@@ -145,5 +145,5 @@ def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
         "fit_distribution": windows + 1,  # and once for the plot block
         "policy_action_probabilities": cells + 1,
         "propagate": cells + 1,
-        "run_policy_days": cells,
+        "policy_outcomes": windows,  # one batch runs every e0 and budget pair of a window
     }

@@ -1,16 +1,29 @@
-"""The batched policy runner against the per-step reference loop."""
+"""The batched policy runners against the per-step reference loop and each other."""
 
+import dataclasses
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_run_policy
+import oracles
+import socarb.backtest as bt
+import socarb.conformal as conformal
+from oracles import reference_policy_outcomes, reference_run_policy
 from socarb import thresholds
-from socarb.backtest import synthetic_day_matrix
+from socarb.backtest import parse_config, run_experiment, synthetic_day_matrix
 from socarb.market_data import DayPrices, compute_bounds
-from socarb.thresholds import DISCHARGE, BatteryParams, run_policy_days
+from socarb.thresholds import (
+    DISCHARGE,
+    BatteryParams,
+    build_schedule,
+    policy_outcomes,
+    run_policy_days,
+)
 
 HORIZON = 8
 MODES = ("static", "timedep", "feasibility")
@@ -122,3 +135,146 @@ def test_large_static_batch_equals_reference_bit_for_bit(market):
     for day, traj in zip(days, batch):
         ref = reference_run_policy(day, params, 3, 3, "static", bounds)
         assert traj == ref and repr(traj) == repr(ref), day.day_id
+
+
+@st.composite
+def lane_batches(draw):
+    """Batteries differing in e0, budget pairs and days for one policy_outcomes call.
+
+    e0 takes e_min, e_max and off-lattice values, some within FEAS_EPS of a
+    lattice that ends at a capacity limit; budgets run from 0 to past the
+    horizon; prices go below zero and hit book entries exactly.
+    """
+    horizon = draw(st.integers(1, 8))
+    rate = draw(st.sampled_from([1.0, 2.0, 2.5]))
+    named = st.sampled_from([0.0, 10.0, 1.3, 9.3, 1e-12, 10.0 - 1e-12])
+    e0 = st.one_of(named, st.floats(0.0, 10.0))
+    e0s = draw(st.lists(e0, min_size=1, max_size=3, unique=True))
+    params_list = [BatteryParams(0.0, 10.0, rate, e0, horizon) for e0 in e0s]
+    budget = st.integers(0, horizon + 2)
+    budgets = draw(st.lists(st.tuples(budget, budget), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    history = [
+        DayPrices(f"h{n}", tuple(float(v) for v in rng.uniform(10.0, 90.0, horizon)))
+        for n in range(20)
+    ]
+    bounds = compute_bounds(history, 1, "per-hour")
+    schedules = [build_schedule(bounds, k_ch, k_dis) for k_ch, k_dis in budgets]
+    books = sorted({v for s in schedules for v in s.charge + s.discharge})
+    price = st.floats(-20.0, 100.0)
+    if books:
+        price = st.one_of(price, st.sampled_from(books))
+    # days below zero throughout: where charging is blocked, every step idles at -0.0 cash
+    below_zero = st.floats(-20.0, -0.5)
+    day = st.one_of(st.tuples(*[price] * horizon), st.tuples(*[below_zero] * horizon))
+    days = draw(
+        st.lists(day, min_size=1, max_size=6).map(
+            lambda rows: [DayPrices(f"d{n}", row) for n, row in enumerate(rows)]
+        )
+    )
+    return days, params_list, budgets, bounds
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(batch=lane_batches())
+def test_every_lane_equals_run_policy_days(mode, batch):
+    days, params_list, budgets, bounds = batch
+    profit, soc = policy_outcomes(days, params_list, budgets, mode, bounds)
+    assert profit.shape == soc.shape == (len(params_list), len(budgets), len(days))
+    assert profit.dtype == soc.dtype == np.float64
+    for i, params in enumerate(params_list):
+        for j, (k_ch, k_dis) in enumerate(budgets):
+            trajs = run_policy_days(days, params, k_ch, k_dis, mode, bounds)
+            # repr also tells -0.0 from 0.0
+            assert repr(profit[i, j].tolist()) == repr([traj.profit for traj in trajs])
+            assert soc[i, j].tolist() == [traj.soc_path[-1] for traj in trajs]
+
+
+@pytest.mark.parametrize("field", ["e_min", "e_max", "rate", "horizon"])
+def test_batteries_of_a_batch_differ_only_in_e0(market, field):
+    days, bounds = market
+    base = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
+    other = dataclasses.replace(base, **{field: getattr(base, field) + 1})
+    for mode in MODES:
+        with pytest.raises(ValueError, match=f"differ only in e0, not in {field}"):
+            policy_outcomes(days, [base, other], [(1, 1)], mode, bounds)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_rejects_a_day_as_run_policy_days_does(market, mode):
+    days, bounds = market
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
+    batch = days[:3] + [DayPrices("short", days[0].values[:-1])]
+    with pytest.raises(ValueError) as loop:
+        run_policy_days(batch, params, 1, 1, mode, bounds)
+    with pytest.raises(ValueError) as lanes:
+        policy_outcomes(batch, [params], [(1, 1)], mode, bounds)
+    assert str(lanes.value) == str(loop.value) == "day has 7 slots but params.horizon=8"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_days_give_empty_lanes(market, mode):
+    _, bounds = market
+    params_list = [BatteryParams(0.0, 10.0, 2.0, e0, HORIZON) for e0 in (1.0, 5.0)]
+    profit, soc = policy_outcomes([], params_list, [(1, 1), (2, 0), (0, 3)], mode, bounds)
+    assert profit.shape == soc.shape == (2, 3, 0)
+
+
+BACKTEST = """
+battery.e_min = 0
+battery.e_max = 10
+battery.rate = 2
+battery.horizon = 8
+bands = 5:7, 3:8
+e0_sweep = 0, 3.3, 10
+start_steps = 8, 6, 3
+k_grid = 1:1, 2:3, 9:0
+seed = 4
+synthetic.n_days = 60
+cqr.epochs = 20
+"""
+
+
+def report_text(config):
+    return json.dumps(run_experiment(config).without_timestamp(), sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backtest_equals_the_per_lane_loop(monkeypatch, mode):
+    config = parse_config(BACKTEST + f"threshold_mode = {mode}\n")
+    batched = report_text(config)
+    assert '"error"' not in batched
+    monkeypatch.setattr(bt, "policy_outcomes", reference_policy_outcomes)
+    monkeypatch.setattr(conformal, "policy_outcomes", reference_policy_outcomes)
+    assert report_text(config) == batched
+
+
+def test_failed_batch_fails_its_window_as_the_loop_did(monkeypatch):
+    """A window whose policy runs raise fails each of its cells with the message.
+
+    The loop path, where every (e0, budget pair) runs run_policy_days on its
+    own, gives the same cells when each of the window's runs raises.
+    """
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    healthy = run_experiment(config).payload["cells"]
+
+    def failing(run):
+        def run_or_fail(days, *args):
+            if days and len(days[0].values) == 6:
+                raise RuntimeError("policy run failed")
+            return run(days, *args)
+
+        return run_or_fail
+
+    monkeypatch.setattr(bt, "policy_outcomes", failing(policy_outcomes))
+    cells = run_experiment(config).payload["cells"]
+    assert cells.keys() == healthy.keys()
+    for key, cell in cells.items():
+        if key.endswith("|steps=6"):
+            assert cell == {"error": "RuntimeError: policy run failed"}
+        else:
+            assert cell == healthy[key]
+    monkeypatch.setattr(bt, "policy_outcomes", reference_policy_outcomes)
+    monkeypatch.setattr(oracles, "run_policy_days", failing(run_policy_days))
+    assert run_experiment(config).payload["cells"] == cells
