@@ -582,7 +582,7 @@ def policy_outcomes(
         )
         c += charge
         d += discharge
-        np.subtract(charge, discharge, out=actions[..., t], dtype=np.int8)  # CHARGE = 1
+        actions[..., t] = charge.view(np.int8) - discharge.view(np.int8)  # CHARGE = 1
     # as in the loop, an idle step on a negative price gives -0.0
     cash = -actions * prices * rate
     lanes = cash.reshape(-1, horizon).tolist()
