@@ -424,20 +424,15 @@ def _plot_blocks(config, train_days, bounds, cells):
     band = config.bands[0]
     dist = fit_distribution(train_days)
     soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
-    heatmap = []
-    for t in range(soc_dist.horizon + 1):
-        for e, mass in sorted(soc_dist.marginal(t).items()):
-            heatmap.append([t, e, mass])
     stop = stopping_time(soc_dist, band, config.epsilon, config.post_stop_mode)
-    qt_rows = [[t, q] for t, q in enumerate(stop.big_q, start=1)]
     profit_rows = []
     for key in sorted(cells):
         cell = cells[key]
         for pol_key, pol in sorted(cell.get("policies", {}).items()):
             profit_rows.append([key, pol_key, pol["profit"]["mean"]])
     return {
-        "soc_heatmap": heatmap,
-        "qt_curve": qt_rows,
+        "soc_heatmap": soc_heatmap_rows(soc_dist),
+        "qt_curve": qt_curve_rows(stop),
         "profit_curve": profit_rows,
         "reference_cell": {"k_ch": k_ch, "k_dis": k_dis, "band": [band.lo, band.hi]},
     }
@@ -497,26 +492,44 @@ def _error_row(exc):
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-PLOT_HEADERS = {
-    "soc-heatmap": ("t", "e", "mass"),
-    "Qt-curve": ("t", "Q_t"),
-    "profit-curve": ("cell", "policy", "mean_profit"),
-    "coverage-curve": ("e0", "marginal_coverage", "band_certificate_rate"),
+def soc_heatmap_rows(soc_dist) -> list[list]:
+    """The soc-heatmap rows ``[t, e, mass]`` of a SoC distribution, t = 0..T."""
+    return [
+        [t, e, mass]
+        for t in range(soc_dist.horizon + 1)
+        for e, mass in sorted(soc_dist.marginal(t).items())
+    ]
+
+
+def qt_curve_rows(stop) -> list[list]:
+    """The Qt-curve rows ``[t, Q_t]`` of a stopping result, t = 1..T."""
+    return [[t, q] for t, q in enumerate(stop.big_q, start=1)]
+
+
+# plot kind -> (CSV header, report section, block in that section)
+PLOT_KINDS = {
+    "soc-heatmap": (("t", "e", "mass"), "plot_data", "soc_heatmap"),
+    "Qt-curve": (("t", "Q_t"), "plot_data", "qt_curve"),
+    "profit-curve": (("cell", "policy", "mean_profit"), "plot_data", "profit_curve"),
+    "coverage-curve": (
+        ("e0", "marginal_coverage", "band_certificate_rate"), "cqr", "coverage_curve"
+    ),
 }
 
-_PLOT_BLOCKS = {
-    "soc-heatmap": ("plot_data", "soc_heatmap"),
-    "Qt-curve": ("plot_data", "qt_curve"),
-    "profit-curve": ("plot_data", "profit_curve"),
-    "coverage-curve": ("cqr", "coverage_curve"),
-}
+
+def plot_csv(kind: str, rows) -> str:
+    """One plot kind's rows as CSV text under its header; floats print as repr."""
+    lines = [",".join(PLOT_KINDS[kind][0])]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def emit_plot_data(report: Report, kind: str, path) -> None:
     """Write one plot-data CSV (header documented per kind) from a report."""
-    if kind not in PLOT_HEADERS:
-        raise ValueError(f"unknown plot kind {kind!r}; valid: {sorted(PLOT_HEADERS)}")
-    outer, inner = _PLOT_BLOCKS[kind]
+    if kind not in PLOT_KINDS:
+        raise ValueError(f"unknown plot kind {kind!r}; valid: {sorted(PLOT_KINDS)}")
+    _, outer, inner = PLOT_KINDS[kind]
     doc = report.payload
     section = doc.get(outer) if isinstance(doc, dict) else None
     block = section.get(inner) if isinstance(section, dict) else None
@@ -524,7 +537,4 @@ def emit_plot_data(report: Report, kind: str, path) -> None:
         raise ValueError(f"report is missing the {kind} block ({outer}.{inner})")
     if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
         raise ValueError(f"report block {outer}.{inner} must be a list of rows")
-    lines = [",".join(PLOT_HEADERS[kind])]
-    for row in block:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(plot_csv(kind, block))

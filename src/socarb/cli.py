@@ -1,16 +1,26 @@
 """Command-line interface.
 
-Subcommands: ingest, thresholds, simulate, reach, stop-time, table1,
-cqr {train, calibrate, predict, evaluate}, backtest, plot-data.  Output goes
-to stdout unless --out is given.  Exit codes: 0 success, 1 validation error
-(a malformed flag too), 2 data error.  No environment variables are consulted.
+Each subcommand declares only the flags it reads:
 
-Each subcommand parses its flags and makes the library calls the backtest
-makes: ``thresholds`` prints :func:`socarb.thresholds.build_schedule`'s
-books and ratios, ``reach`` and ``stop-time`` share one pipeline, whose SoC
-distribution is bounded by --kch/--kdis, and ``cqr calibrate`` is
-:func:`socarb.conformal.calibrate`.  The --mode, --bounds-mode and --post-stop
-choices are the library's own mode tuples.
+    ingest CSV --horizon --out
+    thresholds --lmin --lmax --kch --kdis --alpha --omega --out
+    simulate --day --index POLICY --out
+    reach DAYS POLICY --band --out
+    stop-time DAYS POLICY --band --epsilon --post-stop --out
+    table1 BATTERY --band --steps --out
+    cqr train DAYS POLICY --shuffle --split --epsilon --epochs --out
+    cqr calibrate DAYS POLICY --shuffle --split --epsilon --model --out
+    cqr predict DAYS --shuffle --split --model --clip --emin --emax --out
+    cqr evaluate DAYS POLICY --shuffle --split --model --band --out
+    backtest --config --synthetic --out
+    plot-data --report --kind --out
+
+DAYS is --days FILE or --synthetic N, with --seed and --horizon, the length
+of --synthetic days (default 24); with --days the horizon is the matrix's day
+length, and a --horizon that differs is an error.  BATTERY is --emin --emax
+--rate --e0; POLICY is BATTERY plus --kch --kdis --mode --bounds-mode.  Exit
+codes: 0 success, 1 validation error (a malformed flag too), 2 data error.
+No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -42,10 +52,12 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _battery(args) -> th.BatteryParams:
-    return th.BatteryParams(
-        e_min=args.emin, e_max=args.emax, rate=args.rate, e0=args.e0, horizon=args.horizon
-    )
+def _summary(**fields) -> None:
+    sys.stderr.write(json.dumps(fields, sort_keys=True) + "\n")
+
+
+def _battery(args, horizon: int) -> th.BatteryParams:
+    return th.BatteryParams(args.emin, args.emax, args.rate, args.e0, horizon)
 
 
 def _band(text: str) -> rc.TargetBand:
@@ -56,33 +68,44 @@ def _band(text: str) -> rc.TargetBand:
     return rc.TargetBand.from_interval(lo, hi)
 
 
-def _add_battery_args(p):
+def _add_days_args(p):
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--days", help="day matrix CSV; its day length is the horizon")
+    source.add_argument("--synthetic", type=int, default=0, help="generate N synthetic days")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--horizon", type=int, help="steps T of --synthetic days (default 24)")
+
+
+def _add_capacity_args(p):
     p.add_argument("--emin", type=float, default=0.0, help="minimum SoC [MWh]")
     p.add_argument("--emax", type=float, default=10.0, help="maximum SoC [MWh]")
+
+
+def _add_battery_args(p):
+    _add_capacity_args(p)
     p.add_argument("--rate", type=float, default=2.0, help="fixed step rate P [MWh]")
     p.add_argument("--e0", type=float, default=5.0, help="initial SoC [MWh]")
-    p.add_argument("--horizon", type=int, default=24, help="steps T")
 
 
-def _add_policy_args(p, data=True):
-    """Battery, day source (unless ``data`` is false), budget, mode and --out flags."""
+def _add_policy_args(p):
     _add_battery_args(p)
-    if data:
-        p.add_argument("--days", help="day matrix CSV")
-        p.add_argument("--synthetic", type=int, default=0, help="generate N synthetic days")
-        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kch", type=int, default=3)
     p.add_argument("--kdis", type=int, default=3)
     p.add_argument("--mode", choices=th.THRESHOLD_MODES, default="static")
     p.add_argument("--bounds-mode", choices=md.BOUNDS_MODES, default="per-hour")
-    p.add_argument("--out")
 
 
-def _load_days(args) -> list[md.DayPrices]:
+def _load_days(args) -> tuple[list[md.DayPrices], int]:
+    """The days and their horizon: the matrix's day length, or --horizon (default 24)."""
     if args.days:
-        return md.load_day_matrix(args.days)
+        days = md.load_day_matrix(args.days)
+        horizon = len(days[0].values)
+        if args.horizon not in (None, horizon):
+            raise ValueError(f"--horizon {args.horizon} but {args.days} has {horizon}-slot days")
+        return days, horizon
     if args.synthetic:
-        return bt.synthetic_day_matrix(args.synthetic, args.horizon, args.seed)
+        horizon = 24 if args.horizon is None else args.horizon
+        return bt.synthetic_day_matrix(args.synthetic, horizon, args.seed), horizon
     raise ValueError("provide --days <day matrix csv> or --synthetic <n>")
 
 
@@ -105,8 +128,7 @@ def cmd_thresholds(args) -> int:
     lines += [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]
     lines += [f"{i},discharge,{l!r}" for i, l in enumerate(schedule.discharge, 1)]
     _write(args, "\n".join(lines) + "\n")
-    summary = {"alpha": schedule.alpha, "omega": schedule.omega}
-    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
+    _summary(alpha=schedule.alpha, omega=schedule.omega)
     return EXIT_OK
 
 
@@ -115,7 +137,7 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.index < len(days):
         raise ValueError(f"--index {args.index} outside 0..{len(days) - 1}")
     day = days[args.index]
-    params = replace(_battery(args), horizon=len(day.values))
+    params = _battery(args, len(day.values))
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     traj = th.run_policy(day, params, args.kch, args.kdis, args.mode, bounds)
     lines = ["t,price,action,soc,cashflow"]
@@ -124,15 +146,14 @@ def cmd_simulate(args) -> int:
     ):
         lines.append(f"{t},{lam!r},{a},{e!r},{c!r}")
     _write(args, "\n".join(lines) + "\n")
-    summary = {"profit": traj.profit, "charges": traj.charges, "discharges": traj.discharges}
-    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
+    _summary(profit=traj.profit, charges=traj.charges, discharges=traj.discharges)
     return EXIT_OK
 
 
 def _policy_distribution(args):
     """Budgeted SoC distribution of the policy on the days."""
-    params = _battery(args)
-    days = _load_days(args)
+    days, horizon = _load_days(args)
+    params = _battery(args, horizon)
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     dist = md.fit_distribution(days)
     probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
@@ -142,16 +163,8 @@ def _policy_distribution(args):
 def cmd_reach(args) -> int:
     soc_dist = _policy_distribution(args)
     band = _band(args.band)
-    lines = ["t,e,mass"]
-    for t in range(soc_dist.horizon + 1):
-        for e, mass in sorted(soc_dist.marginal(t).items()):
-            lines.append(f"{t},{e!r},{mass!r}")
-    _write(args, "\n".join(lines) + "\n")
-    summary = {
-        "p_band": rc.terminal_band_probability(soc_dist, band),
-        "grid": list(soc_dist.grid),
-    }
-    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
+    _write(args, bt.plot_csv("soc-heatmap", bt.soc_heatmap_rows(soc_dist)))
+    _summary(p_band=rc.terminal_band_probability(soc_dist, band), grid=list(soc_dist.grid))
     return EXIT_OK
 
 
@@ -159,34 +172,44 @@ def cmd_stop_time(args) -> int:
     soc_dist = _policy_distribution(args)
     mode = POST_STOP[args.post_stop]
     result = rc.stopping_time(soc_dist, _band(args.band), args.epsilon, mode)
-    lines = ["t,Q_t"] + [f"{t},{q!r}" for t, q in enumerate(result.big_q, start=1)]
-    _write(args, "\n".join(lines) + "\n")
-    sys.stderr.write(json.dumps({"tau_star": result.tau_star}, sort_keys=True) + "\n")
+    _write(args, bt.plot_csv("Qt-curve", bt.qt_curve_rows(result)))
+    _summary(tau_star=result.tau_star)
     return EXIT_OK
 
 
 def cmd_table1(args) -> int:
-    params = _battery(args)
     band = _band(args.band)
     lines = ["e0,band_lo,band_hi,steps,in_band,total,pct"]
     for n in args.steps:
-        in_band, total, pct = rc.count_feasible_trajectories(replace(params, horizon=n), n, band)
+        in_band, total, pct = rc.count_feasible_trajectories(_battery(args, n), n, band)
         lines.append(f"{args.e0!r},{band.lo!r},{band.hi!r},{n},{in_band},{total},{pct:.2f}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cqr_setup(args):
-    params = _battery(args)
-    days = _load_days(args)
+def cmd_cqr(args) -> int:
+    days, horizon = _load_days(args)
     ratios = tuple(float(r) for r in args.split.split(","))
     split = md.split_dataset(days, ratios, seed=args.seed, shuffled=args.shuffle)
+    if args.cqr_cmd != "train":
+        try:
+            model = cf.ConformalModel.from_json(Path(args.model).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from None
+    if args.cqr_cmd == "predict":
+        if args.clip and not args.emin < args.emax:
+            raise ValueError(f"--emin {args.emin} must be below --emax {args.emax}")
+        days = list(split.test)
+        los, his = cf.predict_intervals(model, [cf.day_features(day) for day in days])
+        lines = ["day_id,lo,hi"]
+        for day, lo, hi in zip(days, los.tolist(), his.tolist()):
+            lo = max(lo, args.emin) if args.clip else lo
+            hi = min(hi, args.emax) if args.clip else hi
+            lines.append(f"{day.day_id},{lo!r},{hi!r}")
+        _write(args, "\n".join(lines) + "\n")
+        return EXIT_OK
+    params = _battery(args, horizon)
     bounds = md.compute_bounds(list(split.train), 1, args.bounds_mode)
-    return params, split, bounds
-
-
-def cmd_cqr(args) -> int:
-    params, split, bounds = _cqr_setup(args)
     if args.cqr_cmd == "train":
         model = cf.fit_conformal(
             list(split.train),
@@ -201,25 +224,11 @@ def cmd_cqr(args) -> int:
         )
         _write(args, model.to_json() + "\n")
         return EXIT_OK
-    try:
-        model = cf.ConformalModel.from_json(Path(args.model).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{args.model}: {exc}") from None
     if args.cqr_cmd == "calibrate":
         model = cf.calibrate(
             model, list(split.calib), params, bounds, args.kch, args.kdis, args.epsilon, args.mode
         )
         _write(args, model.to_json() + "\n")
-        return EXIT_OK
-    if args.cqr_cmd == "predict":
-        days = list(split.test)
-        los, his = cf.predict_intervals(model, [cf.day_features(day) for day in days])
-        lines = ["day_id,lo,hi"]
-        for day, lo, hi in zip(days, los.tolist(), his.tolist()):
-            lo = max(lo, params.e_min) if args.clip else lo
-            hi = min(hi, params.e_max) if args.clip else hi
-            lines.append(f"{day.day_id},{lo!r},{hi!r}")
-        _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
     # evaluate
     band = _band(args.band) if args.band else None
@@ -227,7 +236,8 @@ def cmd_cqr(args) -> int:
         model, list(split.test), params, bounds, args.kch, args.kdis, band, args.mode
     )
     doc = {
-        "epsilon": args.epsilon,
+        # the level the model was calibrated at, exact since rho_low = epsilon / 2
+        "epsilon": 2 * model.rho_low,
         "n_test": report.n_test,
         "marginal_coverage": report.marginal_coverage,
         "band": [band.lo, band.hi] if band else None,
@@ -266,6 +276,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _command(sub, name, func, *groups, **kwargs):
+    """Subparser ``name`` running ``func``, with the given flag groups and --out.
+
+    Abbreviated flags are refused: ``cqr predict --mode`` would be read as --model.
+    """
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    for add_args in groups:
+        add_args(p)
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="socarb",
@@ -273,75 +296,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="CSV price series to canonical day matrix")
+    p = _command(sub, "ingest", cmd_ingest, help="CSV price series to canonical day matrix")
     p.add_argument("csv", help="timestamp,price CSV path")
     p.add_argument("--horizon", type=int, default=24)
-    p.add_argument("--out", help="day matrix output path")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("thresholds", help="print a static threshold schedule as CSV")
+    p = _command(sub, "thresholds", cmd_thresholds, help="static threshold schedule as CSV")
     p.add_argument("--lmin", type=float, required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--kch", type=int, default=0)
     p.add_argument("--kdis", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None, help="charge ratio (default: solved)")
     p.add_argument("--omega", type=float, default=None, help="discharge ratio (default: solved)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("simulate", help="run the policy on one day")
+    p = _command(sub, "simulate", cmd_simulate, _add_policy_args, help="run the policy on one day")
     p.add_argument("--day", required=True, help="day matrix CSV")
     p.add_argument("--index", type=int, default=0, help="row to simulate")
-    _add_policy_args(p, data=False)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reach", help="per-step SoC distribution and band probability")
-    _add_policy_args(p)
+    help_ = "per-step SoC distribution and band probability"
+    p = _command(sub, "reach", cmd_reach, _add_days_args, _add_policy_args, help=help_)
     p.add_argument("--band", required=True, help="lo,hi")
-    p.set_defaults(func=cmd_reach)
 
-    p = sub.add_parser("stop-time", help="Q_t curve and minimum stopping time")
-    _add_policy_args(p)
+    help_ = "Q_t curve and minimum stopping time"
+    p = _command(sub, "stop-time", cmd_stop_time, _add_days_args, _add_policy_args, help=help_)
     p.add_argument("--band", required=True, help="lo,hi")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--post-stop", choices=POST_STOP, default="full")
-    p.set_defaults(func=cmd_stop_time)
 
-    p = sub.add_parser("table1", help="feasible-trajectory counting report")
-    _add_battery_args(p)
+    p = _command(sub, "table1", cmd_table1, _add_battery_args, help="feasible-trajectory counts")
     p.add_argument("--band", required=True, help="lo,hi")
     p.add_argument("--steps", type=int, nargs="+", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("cqr", help="conformalized quantile regression pipeline")
     cqr_sub = p.add_subparsers(dest="cqr_cmd", required=True)
     for name in ("train", "calibrate", "predict", "evaluate"):
-        q = cqr_sub.add_parser(name)
-        _add_policy_args(q)
+        flags = _add_capacity_args if name == "predict" else _add_policy_args
+        q = _command(cqr_sub, name, cmd_cqr, _add_days_args, flags)
         q.add_argument("--shuffle", action="store_true")
-        q.add_argument("--epsilon", type=float, default=0.1)
         q.add_argument("--split", default="0.6,0.2,0.2", help="train,calib,test ratios")
-        q.add_argument("--epochs", type=int, default=400)
-        if name in ("calibrate", "predict", "evaluate"):
+        if name in ("train", "calibrate"):
+            q.add_argument("--epsilon", type=float, default=0.1)
+        if name == "train":
+            q.add_argument("--epochs", type=int, default=400)
+        else:
             q.add_argument("--model", required=True, help="model JSON path")
         if name == "predict":
-            q.add_argument("--clip", action="store_true", help="clip to capacity in output")
+            q.add_argument("--clip", action="store_true", help="clip to [--emin, --emax]")
         if name == "evaluate":
             q.add_argument("--band", help="lo,hi")
-        q.set_defaults(func=cmd_cqr)
 
-    p = sub.add_parser("backtest", help="full experiment grid to a JSON report")
+    p = _command(sub, "backtest", cmd_backtest, help="full experiment grid to a JSON report")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--synthetic", type=int, default=0, help="use N synthetic days")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("plot-data", help="extract plot CSVs from a report")
+    p = _command(sub, "plot-data", cmd_plot_data, help="extract plot CSVs from a report")
     p.add_argument("--report", required=True)
-    p.add_argument("--kind", required=True, choices=sorted(bt.PLOT_HEADERS))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plot_data)
+    p.add_argument("--kind", required=True, choices=sorted(bt.PLOT_KINDS))
     return parser
 
 

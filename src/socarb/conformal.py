@@ -282,6 +282,14 @@ class ConformalModel:
                     raise ValueError(f"{name}[{i}] = {w!r} must be finite")
         if not math.isfinite(self.delta_hat):
             raise ValueError(f"delta_hat must be finite, got {self.delta_hat!r}")
+        # the calibration rule writes rho_low = epsilon / 2 and rho_high = 1 - rho_low
+        if not 0.0 < self.rho_low < 0.5:
+            raise ValueError(f"rho_low must lie in (0, 0.5), got {self.rho_low!r}")
+        if self.rho_high != 1.0 - self.rho_low:
+            raise ValueError(
+                f"rho_high must equal 1 - rho_low = {1.0 - self.rho_low!r}, "
+                f"got {self.rho_high!r}"
+            )
 
 
 @dataclass(frozen=True)

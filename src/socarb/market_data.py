@@ -397,7 +397,11 @@ def export_day_matrix(days: list[DayPrices], path) -> None:
 
 
 def load_day_matrix(path) -> list[DayPrices]:
-    """Read a day matrix CSV produced by :func:`export_day_matrix`."""
+    """Read a day matrix CSV produced by :func:`export_day_matrix`.
+
+    Every row holds as many prices as the header names, so the matrix has one
+    day length.
+    """
     days = []
     with Path(path).open(newline="") as fh:
         reader = _csv_rows(fh, path)
@@ -408,6 +412,9 @@ def load_day_matrix(path) -> list[DayPrices]:
             if not row:
                 continue
             try:
+                if len(row) != len(header):
+                    n, horizon = len(row) - 1, len(header) - 1
+                    raise ValueError(f"{n} prices but the header names {horizon}")
                 days.append(DayPrices(row[0], tuple(float(v) for v in row[1:])))
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None

@@ -617,10 +617,9 @@ def offline_opt(
     """
     if terminal not in ("cyclic", "free"):
         raise ValueError(f"unknown terminal convention {terminal!r}")
+    _check_days([day], params.horizon)
     values = day.values
     horizon = len(values)
-    if horizon != params.horizon:
-        raise ValueError(f"day has {horizon} slots but params.horizon={params.horizon}")
     k_ch, k_dis = fixed_k if fixed_k else (horizon, horizon)
     if k_ch < 0 or k_dis < 0:
         raise ValueError("budgets must be non-negative")
@@ -766,8 +765,7 @@ def run_with_discharge_reduction(
     """
     if not 1 <= t_bar <= params.horizon:
         raise ValueError("t_bar outside horizon")
-    if len(day.values) != params.horizon:
-        raise ValueError(f"day has {len(day.values)} slots but params.horizon={params.horizon}")
+    _check_days([day], params.horizon)
     # competitive_ratio rejects k_dis < 1, which search_ratios would map to 1.0
     omega = competitive_ratio(bounds.lambda_min, bounds.lambda_max, k_dis, "max-search")
     if k_bar > k_dis:

@@ -374,15 +374,50 @@ MODEL_WITH_TEXT_DELTA = json.dumps(
 )
 
 
-def two_column_model(keep=(0, 1), scales=(1.0, 1.0), weights_low=(0.0, 0.0, 0.0)):
+def two_column_model(
+    keep=(0, 1), scales=(1.0, 1.0), weights_low=(0.0, 0.0, 0.0), rho_low=0.05, rho_high=0.95
+):
     """A model file over two kept columns, with one of these fields spoilt."""
     return json.dumps(
         {
             "standardizer": {"means": [0.0, 0.0], "scales": list(scales), "keep": list(keep)},
             "weights_low": list(weights_low), "weights_high": [0.0, 0.0, 0.0],
-            "rho_low": 0.05, "rho_high": 0.95, "delta_hat": 0.1,
+            "rho_low": rho_low, "rho_high": rho_high, "delta_hat": 0.1,
         }
     )
+
+
+# (subcommand argv that runs, a flag it no longer declares, a value for that flag)
+REMOVED_FLAGS = [
+    (["simulate", "--day", "days.csv"], "--horizon", "6"),
+    (["table1", "--band", "5,7", "--steps", "2"], "--horizon", "6"),
+    (["cqr", "calibrate", "--synthetic", "60", "--model", "m.json"], "--epochs", "7"),
+    *(
+        (["cqr", "predict", "--synthetic", "60", "--model", "m.json"], flag, value)
+        for flag, value in [
+            ("--e0", "4"), ("--rate", "3"), ("--kch", "99"), ("--kdis", "2"),
+            ("--mode", "timedep"), ("--bounds-mode", "global"), ("--epsilon", "0.9"),
+            ("--epochs", "7"),
+        ]
+    ),
+    (["cqr", "evaluate", "--synthetic", "60", "--model", "m.json"], "--epochs", "7"),
+    (["cqr", "evaluate", "--synthetic", "60", "--model", "m.json"], "--epsilon", "0.9"),
+]
+
+
+@pytest.fixture
+def six_slot_days(tmp_path):
+    """A 60-day matrix of 6-slot days."""
+    path = tmp_path / "days6.csv"
+    export_day_matrix(synthetic_day_matrix(60, 6, 0), path)
+    return path
+
+
+def days_argv(command, path):
+    """A run of ``command`` on a day matrix that needs no other flag."""
+    if command == "cqr train":
+        return ["cqr", "train", "--days", str(path), "--epochs", "20"]
+    return [command, "--days", str(path), "--band", "3,8"]
 
 
 def write_price_csv(path, n_hours=72):
@@ -539,6 +574,44 @@ class TestCli:
         assert "validation error: epochs must be non-negative, got -5" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag, value", REMOVED_FLAGS, ids=[f"{a[0]}-{a[1]}-{f}" for a, f, _ in REMOVED_FLAGS]
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["reach", "stop-time", "cqr train"])
+    def test_horizon_is_the_matrix_day_length(self, tmp_path, capsys, six_slot_days, command):
+        out = tmp_path / "out"
+        assert main(days_argv(command, six_slot_days) + ["--out", str(out)]) == 0
+        assert out.exists()
+        assert main(days_argv(command, six_slot_days) + ["--horizon", "6"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["reach", "stop-time", "cqr train"])
+    def test_horizon_other_than_the_day_length_exits_with_validation_error(
+        self, tmp_path, capsys, six_slot_days, command
+    ):
+        out = tmp_path / "out"
+        argv = days_argv(command, six_slot_days) + ["--horizon", "8", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: --horizon 8 but {six_slot_days} has 6-slot days" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reach", "stop-time", "cqr train"])
+    def test_days_and_synthetic_together_is_a_usage_error(self, capsys, six_slot_days, command):
+        with pytest.raises(SystemExit) as exc:
+            main(days_argv(command, six_slot_days) + ["--synthetic", "30"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --synthetic: not allowed with argument --days" in err
+
     def test_reach_and_stop_time(self, tmp_path, capsys):
         code = main(
             ["reach", "--e0", "5", "--horizon", "6", "--synthetic", "30",
@@ -600,8 +673,7 @@ class TestCli:
         assert code == 0
         code = main(
             ["cqr", "evaluate", "--synthetic", "60", "--horizon", "8", "--e0", "4",
-             "--epochs", "100", "--model", str(model_path), "--band", "3,8",
-             "--out", str(tmp_path / "eval.json")]
+             "--model", str(model_path), "--band", "3,8", "--out", str(tmp_path / "eval.json")]
         )
         assert code == 0
         doc = json.loads((tmp_path / "eval.json").read_text())
@@ -619,7 +691,7 @@ class TestCli:
              "--epochs", "50", "--out", str(model_path)]
         ) == 0
         code = main(
-            ["cqr", cmd, "--synthetic", "60", "--horizon", used, "--e0", "4",
+            ["cqr", cmd, "--synthetic", "60", "--horizon", used,
              "--model", str(model_path), "--out", str(tmp_path / "out")]
         )
         assert code == 1
@@ -643,6 +715,14 @@ class TestCli:
         assert recal["weights_low"] == original["weights_low"]
         assert recal["rho_low"] == 0.125
         assert recal["delta_hat"] <= original["delta_hat"] + 1e-12
+        # evaluate reports the level each model was calibrated at
+        for path, epsilon in [(model_path, 0.1), (recal_path, 0.25)]:
+            eval_path = tmp_path / "eval.json"
+            assert main(
+                ["cqr", "evaluate", "--synthetic", "60", "--horizon", "8", "--e0", "4",
+                 "--model", str(path), "--out", str(eval_path)]
+            ) == 0
+            assert json.loads(eval_path.read_text())["epsilon"] == epsilon
         # the training epsilon on the same split refits the width train fitted
         same_path = tmp_path / "same.json"
         main(
@@ -689,6 +769,10 @@ class TestCli:
             (two_column_model(keep=[-1, 1]), "standardizer.keep must list distinct column"),
             (two_column_model(scales=[0.0, 0.0]), "standardizer.scales[0] = 0.0 is kept"),
             (two_column_model(weights_low=[0.0]), "weights_low has 1 entries; 2 kept columns"),
+            (two_column_model(rho_low=-3), "rho_low must lie in (0, 0.5), got -3.0"),
+            (two_column_model(rho_low=0.5, rho_high=0.5), "rho_low must lie in (0, 0.5), got 0.5"),
+            (two_column_model(rho_low=math.nan), "rho_low must lie in (0, 0.5), got nan"),
+            (two_column_model(rho_high=0.9), "rho_high must equal 1 - rho_low = 0.95, got 0.9"),
         ],
     )
     @pytest.mark.parametrize("cmd", ["calibrate", "predict", "evaluate"])
@@ -726,6 +810,16 @@ class TestCli:
                 lo, hi = max(lo, 0.0), min(hi, 10.0)
             lines.append(f"{day.day_id},{lo!r},{hi!r}")
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("emin, emax", [("5", "5"), ("nan", "10"), ("0", "nan")])
+    def test_cqr_predict_clip_needs_emin_below_emax(
+        self, tmp_path, capsys, trained_model, emin, emax
+    ):
+        argv = ["cqr", "predict", "--synthetic", "60", "--horizon", "6", "--model",
+                str(trained_model), "--clip", f"--emin={emin}", f"--emax={emax}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: --emin {float(emin)} must be below --emax {float(emax)}" in err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -369,3 +369,13 @@ def test_day_matrix_round_trip(tmp_path):
     assert [d.values for d in loaded] == [d.values for d in days]
     header = path.read_text().splitlines()[0]
     assert header == "day_id,h0,h1,h2"
+
+
+@pytest.mark.parametrize("row", ["d2,4.0,5.5", "d2,4.0,5.5,6.75,8.0"])
+def test_day_matrix_row_of_another_length_rejected(tmp_path, row):
+    # every day of a matrix has the header's length, so the matrix has one horizon
+    path = tmp_path / "m.csv"
+    path.write_text(f"day_id,h0,h1,h2\nd1,1.5,2.25,3.125\n{row}\n")
+    n = row.count(",")
+    with pytest.raises(ValueError, match=f"line 3: {n} prices but the header names 3"):
+        load_day_matrix(path)
