@@ -25,7 +25,6 @@ from .thresholds import (
     PolicyState,
     ThresholdSchedule,
     Trajectory,
-    competitive_check,
     competitive_ratio,
     feasibility_aware_thresholds,
     offline_opt,
@@ -56,7 +55,6 @@ from .conformal import (
     fit_conformal,
     fit_conformal_models,
     nonconformity_scores,
-    pinball_loss,
     predict_interval,
     predict_intervals,
     train_quantile_model,

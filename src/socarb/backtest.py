@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import evaluate_coverage, fit_conformal_models
+from .conformal import evaluate_coverage, fit_conformal_models, label_days
 from .market_data import (
     BOUNDS_MODES,
     DayPrices,
@@ -58,11 +58,7 @@ class ExperimentConfig:
     seed: int
     data_path: str | None
     synthetic_days: int
-    synthetic_mu: float
-    synthetic_sigma: float
-    synthetic_amplitude: float
     cqr_epochs: int
-    cqr_band: TargetBand | None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -114,12 +110,7 @@ class ExperimentConfig:
             f"seed = {self.seed}",
             f"data.day_matrix = {self.data_path or ''}",
             f"synthetic.n_days = {self.synthetic_days}",
-            f"synthetic.mu = {self.synthetic_mu!r}",
-            f"synthetic.sigma = {self.synthetic_sigma!r}",
-            f"synthetic.amplitude = {self.synthetic_amplitude!r}",
             f"cqr.epochs = {self.cqr_epochs}",
-            "cqr.band = "
-            + (f"{self.cqr_band.lo!r}:{self.cqr_band.hi!r}" if self.cqr_band else ""),
         ]
         return "\n".join(lines) + "\n"
 
@@ -150,8 +141,7 @@ CONFIG_KEYS = frozenset(
     {
         "battery.e_min", "battery.e_max", "battery.rate", "battery.e0", "battery.horizon",
         "bands", "e0_sweep", "start_steps", "epsilon", "k_grid", "threshold_mode",
-        "bounds_mode", "post_stop", "seed", "data.day_matrix", "synthetic.n_days",
-        "synthetic.mu", "synthetic.sigma", "synthetic.amplitude", "cqr.epochs", "cqr.band",
+        "bounds_mode", "post_stop", "seed", "data.day_matrix", "synthetic.n_days", "cqr.epochs",
     }
 )
 
@@ -208,7 +198,6 @@ def parse_config(text: str) -> ExperimentConfig:
         e0=get("battery.e0", 5.0, float),
         horizon=get("battery.horizon", 24, int),
     )
-    cqr_band_text = get("cqr.band", "")
     return ExperimentConfig(
         battery=battery,
         bands=items("bands", "5:7, 3:8", band),
@@ -222,11 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=get("seed", 0, int),
         data_path=get("data.day_matrix") or None,
         synthetic_days=get("synthetic.n_days", 120, int),
-        synthetic_mu=get("synthetic.mu", math.log(30.0), float),
-        synthetic_sigma=get("synthetic.sigma", 0.35, float),
-        synthetic_amplitude=get("synthetic.amplitude", 0.5, float),
         cqr_epochs=get("cqr.epochs", 400, int),
-        cqr_band=band("cqr.band", cqr_band_text) if cqr_band_text else None,
     )
 
 
@@ -234,19 +219,13 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def synthetic_day_matrix(
-    n_days: int,
-    horizon: int,
-    seed: int,
-    mu: float = math.log(30.0),
-    sigma: float = 0.35,
-    amplitude: float = 0.5,
-) -> list[DayPrices]:
+def synthetic_day_matrix(n_days: int, horizon: int, seed: int) -> list[DayPrices]:
     """Seeded lognormal day matrix with a sinusoidal intraday level pattern."""
     if n_days < 1 or horizon < 1:
         raise ValueError("n_days and horizon must be positive")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    mu, sigma, amplitude = math.log(30.0), 0.35, 0.5  # log-price level, noise, daily swing
     rng = np.random.default_rng(seed)
     hours = np.arange(horizon)
     level = mu + amplitude * np.sin(2.0 * math.pi * (hours - 4.0) / max(horizon, 2))
@@ -361,14 +340,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if any(len(d.values) != config.battery.horizon for d in days):
             raise ValueError("day matrix horizon does not match battery.horizon")
     else:
-        days = synthetic_day_matrix(
-            config.synthetic_days,
-            config.battery.horizon,
-            config.seed,
-            config.synthetic_mu,
-            config.synthetic_sigma,
-            config.synthetic_amplitude,
-        )
+        days = synthetic_day_matrix(config.synthetic_days, config.battery.horizon, config.seed)
     split = split_dataset(days, (0.6, 0.2, 0.2), seed=config.seed, shuffled=False)
     train_days, calib_days, test_days = list(split.train), list(split.calib), list(split.test)
 
@@ -414,8 +386,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     if config.k_grid:
         payload["plot_data"] = _plot_blocks(config, train_days, bounds, cells)
 
-    cqr_band = config.cqr_band or config.bands[-1]
-    payload["cqr"] = _cqr_block(config, train_days, calib_days, test_days, bounds, cqr_band)
+    payload["cqr"] = _cqr_block(config, train_days, calib_days, test_days, bounds)
     return Report(payload)
 
 
@@ -438,8 +409,9 @@ def _plot_blocks(config, train_days, bounds, cells):
     }
 
 
-def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
+def _cqr_block(config, train_days, calib_days, test_days, bounds):
     battery = config.battery
+    band = config.bands[-1]
     k_ch, k_dis = config.k_grid[0] if config.k_grid else DEFAULT_BUDGETS
     params_list = [
         BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, battery.horizon)
@@ -459,14 +431,15 @@ def _cqr_block(config, train_days, calib_days, test_days, bounds, band):
             config.threshold_mode,
             epochs=config.cqr_epochs,
         )
+        x_test, y_test = label_days(
+            test_days, params_list, bounds, k_ch, k_dis, config.threshold_mode
+        )
     except Exception as exc:  # common to the sweep: recorded in every row, not fatal
         rows = {_e0_label(e0): _error_row(exc) for e0 in config.e0_sweep}
-        models = []
-    for e0, params, model in zip(config.e0_sweep, params_list, models):
+        models, y_test = [], []
+    for e0, model, labels in zip(config.e0_sweep, models, y_test):
         try:
-            report = evaluate_coverage(
-                model, test_days, params, bounds, k_ch, k_dis, band, config.threshold_mode
-            )
+            report = evaluate_coverage(model, x_test, labels, band)
             rows[_e0_label(e0)] = {
                 "delta_hat": model.delta_hat,
                 "marginal_coverage": report.marginal_coverage,

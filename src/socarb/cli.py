@@ -17,10 +17,11 @@ Each subcommand declares only the flags it reads:
 
 DAYS is --days FILE or --synthetic N, with --seed and --horizon, the length
 of --synthetic days (default 24); with --days the horizon is the matrix's day
-length, and a --horizon that differs is an error.  BATTERY is --emin --emax
---rate --e0; POLICY is BATTERY plus --kch --kdis --mode --bounds-mode.  Exit
-codes: 0 success, 1 validation error (a malformed flag too), 2 data error.
-No environment variables are consulted.
+length, and a --horizon that differs is an error.  --seed (default 0) seeds
+--synthetic days and the cqr --shuffle split; given where neither reads it,
+it is an error.  BATTERY is --emin --emax --rate --e0; POLICY is BATTERY plus
+--kch --kdis --mode --bounds-mode.  Exit codes: 0 success, 1 validation error
+(a malformed flag too), 2 data error.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _add_days_args(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--days", help="day matrix CSV; its day length is the horizon")
     source.add_argument("--synthetic", type=int, default=0, help="generate N synthetic days")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --synthetic and --shuffle (default 0)")
     p.add_argument("--horizon", type=int, help="steps T of --synthetic days (default 24)")
 
 
@@ -95,8 +96,18 @@ def _add_policy_args(p):
     p.add_argument("--bounds-mode", choices=md.BOUNDS_MODES, default="per-hour")
 
 
+def _seed(args) -> int:
+    """--seed, or 0; an error where neither --synthetic nor --shuffle reads it."""
+    if args.seed is None:
+        return 0
+    if args.days and not getattr(args, "shuffle", False):
+        raise ValueError("--seed is read only with --synthetic or --shuffle")
+    return args.seed
+
+
 def _load_days(args) -> tuple[list[md.DayPrices], int]:
     """The days and their horizon: the matrix's day length, or --horizon (default 24)."""
+    seed = _seed(args)
     if args.days:
         days = md.load_day_matrix(args.days)
         horizon = len(days[0].values)
@@ -105,7 +116,7 @@ def _load_days(args) -> tuple[list[md.DayPrices], int]:
         return days, horizon
     if args.synthetic:
         horizon = 24 if args.horizon is None else args.horizon
-        return bt.synthetic_day_matrix(args.synthetic, horizon, args.seed), horizon
+        return bt.synthetic_day_matrix(args.synthetic, horizon, seed), horizon
     raise ValueError("provide --days <day matrix csv> or --synthetic <n>")
 
 
@@ -190,7 +201,7 @@ def cmd_table1(args) -> int:
 def cmd_cqr(args) -> int:
     days, horizon = _load_days(args)
     ratios = tuple(float(r) for r in args.split.split(","))
-    split = md.split_dataset(days, ratios, seed=args.seed, shuffled=args.shuffle)
+    split = md.split_dataset(days, ratios, seed=_seed(args), shuffled=args.shuffle)
     if args.cqr_cmd != "train":
         try:
             model = cf.ConformalModel.from_json(Path(args.model).read_text())
@@ -224,17 +235,14 @@ def cmd_cqr(args) -> int:
         )
         _write(args, model.to_json() + "\n")
         return EXIT_OK
+    labelled = split.calib if args.cqr_cmd == "calibrate" else split.test
+    x, y = cf.label_days(list(labelled), [params], bounds, args.kch, args.kdis, args.mode)
     if args.cqr_cmd == "calibrate":
-        model = cf.calibrate(
-            model, list(split.calib), params, bounds, args.kch, args.kdis, args.epsilon, args.mode
-        )
-        _write(args, model.to_json() + "\n")
+        _write(args, cf.calibrate(model, x, y[0], args.epsilon).to_json() + "\n")
         return EXIT_OK
     # evaluate
     band = _band(args.band) if args.band else None
-    report = cf.evaluate_coverage(
-        model, list(split.test), params, bounds, args.kch, args.kdis, band, args.mode
-    )
+    report = cf.evaluate_coverage(model, x, y[0], band)
     doc = {
         # the level the model was calibrated at, exact since rho_low = epsilon / 2
         "epsilon": 2 * model.rho_low,

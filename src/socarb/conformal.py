@@ -17,17 +17,9 @@ import numpy as np
 
 from .market_data import DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, policy_outcomes, run_policy_days
+from .thresholds import BatteryParams, policy_outcomes
 
 log = logging.getLogger(__name__)
-
-
-def pinball_loss(y: float, yhat: float, theta: float) -> float:
-    """L_theta(y, yhat) = max(theta*(y - yhat), (theta - 1)*(y - yhat))."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    diff = y - yhat
-    return max(theta * diff, (theta - 1.0) * diff)
 
 
 @dataclass(frozen=True)
@@ -75,17 +67,20 @@ def day_features(day: DayPrices) -> np.ndarray:
 
 def label_days(
     days: list[DayPrices],
-    params: BatteryParams,
+    params_list: list[BatteryParams],
     bounds: PriceBounds,
     k_ch: int,
     k_dis: int,
     threshold_mode: str = "static",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the policy on each day and pair features with the terminal SoC."""
-    trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
-    feats = [day_features(day) for day in days]
-    labels = [traj.soc_path[-1] for traj in trajs]
-    return np.array(feats), np.array(labels)
+    """Day features (n, d) and each battery's terminal SoC labels (len(params_list), n).
+
+    The one place the CQR layer runs the policy: every battery's days go
+    through one :func:`policy_outcomes` call.  The batteries may differ only
+    in ``e0``, so the features, which do not depend on the battery, are shared.
+    """
+    _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
+    return np.array([day_features(day) for day in days]), soc[:, 0]
 
 
 def train_quantile_models(
@@ -316,6 +311,8 @@ def nonconformity_scores(
     q_low = _predict(np.asarray(low_weights), x)
     q_high = _predict(np.asarray(high_weights), x)
     y = np.asarray(labels, dtype=float)
+    if q_low.size != y.size:
+        raise ValueError(f"{q_low.size} feature rows but {y.size} labels")
     return np.maximum.reduce([q_low - y, y - q_high, np.zeros_like(y)])
 
 
@@ -340,14 +337,14 @@ def conformal_quantile(scores, epsilon: float) -> float:
     return float(arr[idx - 1])
 
 
-def _calibrated(
+def calibrate(
     model: ConformalModel, features: np.ndarray, labels: np.ndarray, epsilon: float
 ) -> ConformalModel:
     """The one calibration rule: the model with its conformal width refit at epsilon.
 
     The quantile predictors and the scaler are kept; ``rho_low``, ``rho_high``
     and ``delta_hat`` are refit from the calibration days' features and
-    terminal SoC labels.
+    terminal SoC labels, as :func:`label_days` gives them.
     """
     scores = nonconformity_scores(
         model.low_weights, model.high_weights, model.scaler, features, labels
@@ -358,25 +355,6 @@ def _calibrated(
         rho_high=1.0 - epsilon / 2.0,
         delta_hat=conformal_quantile(scores, epsilon),
     )
-
-
-def calibrate(
-    model: ConformalModel,
-    calib_days: list[DayPrices],
-    params: BatteryParams,
-    bounds: PriceBounds,
-    k_ch: int,
-    k_dis: int,
-    epsilon: float,
-    threshold_mode: str = "static",
-) -> ConformalModel:
-    """Refit the model's conformal width on calibration days at risk level epsilon.
-
-    The quantile predictors and the scaler are kept; ``rho_low``, ``rho_high``
-    and ``delta_hat`` are refit.
-    """
-    x_cal, y_cal = label_days(calib_days, params, bounds, k_ch, k_dis, threshold_mode)
-    return _calibrated(model, x_cal, y_cal, epsilon)
 
 
 def fit_conformal_models(
@@ -395,33 +373,28 @@ def fit_conformal_models(
     The batteries may differ only in ``e0``.  Day features do not depend on
     the battery, so the scaler is fit once (its zero-variance warning logs
     once per sweep, not once per battery).  The train and the calibration
-    days of all batteries are labelled by one :func:`policy_outcomes` call
-    each, the 2 × len(params_list) quantile predictors train in one
-    :func:`train_quantile_models` call, and each model is calibrated by the
-    rule of :func:`calibrate`.  Each model equals bit for bit what
-    :func:`label_days`, :func:`train_quantile_model` and :func:`calibrate`
-    give for its battery alone.
+    days of all batteries are labelled by one :func:`label_days` call each,
+    the 2 × len(params_list) quantile predictors train in one
+    :func:`train_quantile_models` call at levels epsilon / 2 and
+    1 - epsilon / 2, and each model is set by :func:`calibrate`.  Each model
+    equals bit for bit what :func:`label_days`, :func:`train_quantile_model`
+    and :func:`calibrate` give for its battery alone.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    rho_low = epsilon / 2.0
-    rho_high = 1.0 - epsilon / 2.0
-    budgets = [(k_ch, k_dis)]
-    _, y_train = policy_outcomes(train_days, params_list, budgets, threshold_mode, bounds)
-    x_train = np.array([day_features(day) for day in train_days])
+    x_train, y_train = label_days(train_days, params_list, bounds, k_ch, k_dis, threshold_mode)
     scaler = FeatureScaler.fit(x_train)
     # rows low, high per battery, in params_list order
-    labels = np.repeat(y_train[:, 0], 2, axis=0)
-    thetas = [rho_low, rho_high] * len(params_list)
+    labels = np.repeat(y_train, 2, axis=0)
+    thetas = [epsilon / 2.0, 1.0 - epsilon / 2.0] * len(params_list)
     weights = train_quantile_models(scaler.transform(x_train), labels, thetas, epochs=epochs)
-    _, y_cal = policy_outcomes(calib_days, params_list, budgets, threshold_mode, bounds)
-    x_cal = np.array([day_features(day) for day in calib_days])
+    x_cal, y_cal = label_days(calib_days, params_list, bounds, k_ch, k_dis, threshold_mode)
     models = []
-    for low_w, high_w, y in zip(weights[::2], weights[1::2], y_cal[:, 0]):
+    for low_w, high_w, y in zip(weights[::2], weights[1::2], y_cal):
         low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
-        # delta_hat is the calibration rule's to set
-        model = ConformalModel(low, high, rho_low, rho_high, math.nan, scaler)
-        models.append(_calibrated(model, x_cal, y, epsilon))
+        # the levels and the width are the calibration rule's to set
+        model = ConformalModel(low, high, math.nan, math.nan, math.nan, scaler)
+        models.append(calibrate(model, x_cal, y, epsilon))
     return models
 
 
@@ -484,29 +457,27 @@ class CoverageReport:
 
 def evaluate_coverage(
     model: ConformalModel,
-    test_days: list[DayPrices],
-    params: BatteryParams,
-    bounds: PriceBounds,
-    k_ch: int,
-    k_dis: int,
+    features: np.ndarray,
+    labels: np.ndarray,
     band: TargetBand | None = None,
-    threshold_mode: str = "static",
 ) -> CoverageReport:
-    """Marginal coverage and band-certificate rate on a test set.
+    """Marginal coverage and band-certificate rate on labelled test days.
 
-    A day is covered when its realized terminal SoC falls inside the
-    conformal interval; it certifies the band when the whole interval is
-    contained in the band.
+    ``features`` and ``labels`` are one battery's test days as
+    :func:`label_days` gives them.  A day is covered when its realized
+    terminal SoC falls inside the conformal interval; it certifies the band
+    when the whole interval is contained in the band.
     """
-    if not test_days:
+    n = len(labels)
+    if n == 0:
         raise ValueError("test set must be non-empty")
-    x_test, y_test = label_days(test_days, params, bounds, k_ch, k_dis, threshold_mode)
-    lo, hi = predict_intervals(model, x_test)
-    covered = int(np.count_nonzero((lo - 1e-12 <= y_test) & (y_test <= hi + 1e-12)))
+    lo, hi = predict_intervals(model, features)
+    if lo.size != n:
+        raise ValueError(f"{lo.size} feature rows but {n} labels")
+    covered = int(np.count_nonzero((lo - 1e-12 <= labels) & (labels <= hi + 1e-12)))
     certified = 0
     if band is not None:
         certified = int(np.count_nonzero((lo >= band.lo - 1e-12) & (hi <= band.hi + 1e-12)))
-    n = len(test_days)
     return CoverageReport(
         marginal_coverage=covered / n,
         band_certificate_rate=(certified / n) if band is not None else 0.0,

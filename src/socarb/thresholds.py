@@ -16,18 +16,17 @@ next (u, l) in every mode.
 The one charge-first, fall-through-to-discharge decision rule has two
 executors.  :func:`run_policy_days` steps a loop, one trajectory at a time;
 everything that needs a trajectory or runs a single day uses it:
-:func:`run_policy`, ``socarb simulate``, both stages of the budget
-reduction, ``label_days`` and ``evaluate_coverage``.  :func:`policy_outcomes`
-returns only the profit and terminal SoC of every (battery, budget pair,
-day) lane, and in static mode steps all lanes of a batch at once in numpy;
-the backtest runs each window's whole e0 sweep × k_grid through one call,
-and ``fit_conformal_models`` labels its train and calibration days with one
-call each.  A numpy step costs the same for one lane as for a thousand, so
-single days stay on the loop: on a 2-vCPU VM (Python 3.11, numpy 2.4) one
-24-step day took 0.6 ms in lanes against 0.02 ms in the loop, 73 days
-0.7-0.8 ms against 0.65 ms, and 5 e0 × 3 budget pairs × 73 days 2.6-2.8 ms
-against 12.7-16 ms.  ``tests/test_policy_batch.py`` holds the two executors
-equal lane by lane.
+:func:`run_policy`, ``socarb simulate`` and both stages of the budget
+reduction.  :func:`policy_outcomes` returns only the profit and terminal SoC
+of every (battery, budget pair, day) lane, and in static mode steps all lanes
+of a batch at once in numpy; the backtest runs each window's whole e0 sweep ×
+k_grid through one call, and ``conformal.label_days``, the CQR layer's one
+labeller, makes one call per day set for a whole e0 sweep.  A numpy step
+costs the same for one lane as for a thousand, so single days stay on the
+loop: on a 2-vCPU VM (Python 3.11, numpy 2.4) one 24-step day took 0.6 ms in
+lanes against 0.02 ms in the loop, 73 days 0.7-0.8 ms against 0.65 ms, and
+5 e0 × 3 budget pairs × 73 days 2.6-2.8 ms against 12.7-16 ms.
+``tests/test_policy_batch.py`` holds the two executors equal lane by lane.
 """
 from __future__ import annotations
 
@@ -687,49 +686,6 @@ def compulsory_value(
     value += (k_dis - traj.discharges) * lambda_min * rate
     value -= (k_ch - traj.charges) * lambda_max * rate
     return value
-
-
-def competitive_check(
-    alg_value: float | Trajectory,
-    opt_value: float,
-    ratio: float,
-    *,
-    compulsory: bool = False,
-    k_ch: int = 0,
-    k_dis: int = 0,
-    lambda_min: float | None = None,
-    lambda_max: float | None = None,
-    rate: float = 1.0,
-    side: str = "max",
-    tol: float = 1e-9,
-) -> tuple[bool, float]:
-    """Does the online value satisfy its competitive guarantee against OPT?
-
-    ``max`` side checks revenue >= opt/ratio; ``min`` side checks cost <=
-    ratio*opt.  Returns (holds, achieved ratio) where the achieved ratio is
-    opt/value for max and value/opt for min, so holds iff achieved <= ratio
-    within tolerance.
-    """
-    if isinstance(alg_value, Trajectory):
-        if compulsory:
-            if lambda_min is None or lambda_max is None:
-                raise ValueError("compulsory trades need lambda_min and lambda_max")
-            value = compulsory_value(alg_value, k_ch, k_dis, lambda_min, lambda_max, rate)
-        else:
-            value = alg_value.profit
-        if side == "min":
-            value = -value
-    else:
-        value = float(alg_value)
-    if side == "max":
-        holds = value >= opt_value / ratio - tol
-        achieved = opt_value / value if value > 0 else math.inf
-    elif side == "min":
-        holds = value <= ratio * opt_value + tol
-        achieved = value / opt_value if opt_value > 0 else math.inf
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return holds, achieved
 
 
 @dataclass(frozen=True)

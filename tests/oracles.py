@@ -665,6 +665,18 @@ def reference_offline_opt(
     return profit, Trajectory(tuple(actions), tuple(soc), tuple(cash), profit)
 
 
+def pinball_loss(y: float, yhat: float, theta: float) -> float:
+    """L_theta(y, yhat) = max(theta*(y - yhat), (theta - 1)*(y - yhat)).
+
+    Oracle for the per-day loss that
+    :func:`socarb.conformal.train_quantile_models` averages over its labels.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    diff = y - yhat
+    return max(theta * diff, (theta - 1.0) * diff)
+
+
 def reference_train_quantile_model(
     features, labels, theta, epochs=600, step0=None, return_history=False
 ):
@@ -726,8 +738,9 @@ def reference_predict_interval(model, features):
 def reference_evaluate_coverage(model, features, labels, band=None):
     """Coverage of labelled days, one interval per day in a Python loop.
 
-    Oracle for :func:`socarb.conformal.evaluate_coverage` on the features and
-    labels that :func:`socarb.conformal.label_days` gives for the test days.
+    Oracle for :func:`socarb.conformal.evaluate_coverage`, which takes the
+    same arguments: one battery's test days as
+    :func:`socarb.conformal.label_days` labels them.
     """
     covered = 0
     certified = 0

@@ -130,13 +130,17 @@ class TestConfig:
             parse_config("battery.e_min = 0\nk_gird = 3:3\n")
         with pytest.raises(ValueError, match=r"line 1: unknown key 'workers'"):
             parse_config("workers = 0\n")
+        # keys dropped from the format: synthetic days have one fixed shape
+        for key in ("synthetic.mu", "synthetic.sigma", "synthetic.amplitude"):
+            with pytest.raises(ValueError, match=rf"line 1: unknown key '{re.escape(key)}'"):
+                parse_config(f"{key} = 1\n")
 
     @pytest.mark.parametrize(
         "line, message",
         [
             ("bands = 3", "band must be 'lo:hi', got '3'"),
             ("bands = 3:4:5", "band must be 'lo:hi', got '3:4:5'"),
-            ("cqr.band = 3", "band must be 'lo:hi', got '3'"),
+            ("cqr.band = 3", "line 1: unknown key 'cqr.band'"),
             ("bands = 3:nan", "band edges must be finite"),
         ],
     )
@@ -611,6 +615,27 @@ class TestCli:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "argument --synthetic: not allowed with argument --days" in err
+
+    @pytest.mark.parametrize("command", ["reach", "stop-time", "cqr train"])
+    def test_seed_with_days_exits_with_validation_error(
+        self, tmp_path, capsys, six_slot_days, command
+    ):
+        out = tmp_path / "out"
+        argv = days_argv(command, six_slot_days) + ["--seed", "5", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: --seed is read only with --synthetic or --shuffle" in err
+        assert not out.exists()
+
+    def test_seed_with_days_seeds_the_shuffle(self, tmp_path, six_slot_days):
+        models = {}
+        for seed in (None, "0", "5"):
+            out = tmp_path / f"m-{seed}.json"
+            flags = ["--shuffle", "--out", str(out)] + (["--seed", seed] if seed else [])
+            assert main(days_argv("cqr train", six_slot_days) + flags) == 0
+            models[seed] = out.read_text()
+        # no --seed is seed 0
+        assert models[None] == models["0"] != models["5"]
 
     def test_reach_and_stop_time(self, tmp_path, capsys):
         code = main(

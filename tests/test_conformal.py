@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    pinball_loss,
     reference_evaluate_coverage,
     reference_predict_interval,
     reference_train_quantile_model,
@@ -23,7 +24,6 @@ from socarb.conformal import (
     fit_conformal_models,
     label_days,
     nonconformity_scores,
-    pinball_loss,
     predict_interval,
     predict_intervals,
     train_quantile_model,
@@ -31,7 +31,7 @@ from socarb.conformal import (
 )
 from socarb.market_data import DayPrices, compute_bounds
 from socarb.reachability import TargetBand
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import BatteryParams, run_policy_days
 
 
 def synthetic_days(n, horizon=8, seed=0, spread=True):
@@ -68,24 +68,38 @@ class TestLabelDays:
     def test_idle_day_keeps_initial_soc(self):
         days = synthetic_days(5, spread=False)  # constant prices, ratios collapse to 1
         bounds = compute_bounds(days, 1)
-        feats, labels = label_days(days, self.params, bounds, 0, 0)
+        feats, labels = label_days(days, [self.params], bounds, 0, 0)
         assert np.all(labels == 4.0)
-        assert feats.shape == (5, 8)
+        assert feats.shape == (5, 8) and labels.shape == (1, 5)
 
     def test_labels_deterministic(self):
         days = synthetic_days(6)
         bounds = compute_bounds(days, 1)
-        _, a = label_days(days, self.params, bounds, 2, 2)
-        _, b = label_days(days, self.params, bounds, 2, 2)
+        _, a = label_days(days, [self.params], bounds, 2, 2)
+        _, b = label_days(days, [self.params], bounds, 2, 2)
         assert np.array_equal(a, b)
 
     def test_labels_on_lattice(self):
         days = synthetic_days(40)
         bounds = compute_bounds(days, 1)
-        _, labels = label_days(days, self.params, bounds, 3, 3)
+        _, [labels] = label_days(days, [self.params], bounds, 3, 3)
         offsets = (labels - 4.0) / 2.0
         assert np.allclose(offsets, np.round(offsets))
         assert np.all((labels >= 0.0) & (labels <= 10.0))
+
+    @pytest.mark.parametrize("mode", ["static", "timedep", "feasibility"])
+    def test_sweep_equals_run_policy_days_per_battery(self, mode):
+        days = synthetic_days(30, seed=9)
+        bounds = compute_bounds(days, 1)
+        params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (0, 4, 10)]
+        feats, labels = label_days(days, params_list, bounds, 3, 2, mode)
+        assert np.array_equal(feats, np.array([day_features(day) for day in days]))
+        assert labels.shape == (3, 30)
+        for params, row in zip(params_list, labels):
+            trajs = run_policy_days(days, params, 3, 2, mode, bounds)
+            assert row.tolist() == [traj.soc_path[-1] for traj in trajs]
+        # the batteries end apart on some day, so each row is its own battery's
+        assert len({tuple(row) for row in labels.tolist()}) == 3
 
 
 class TestTrainQuantileModel:
@@ -291,33 +305,43 @@ class TestPredictInterval:
 
 class TestPipeline:
     def setup_pipeline(self, seed=0, epsilon=0.1):
+        """A fitted model and its labelled test days."""
         days = synthetic_days(120, seed=seed)
         train, calib, test = days[:70], days[70:100], days[100:]
         params = BatteryParams(0, 10, 2, 4, 8)
         bounds = compute_bounds(train, 1)
         model = fit_conformal(train, calib, params, bounds, 2, 2, epsilon, epochs=200)
-        return model, test, params, bounds
+        x, [y] = label_days(test, [params], bounds, 2, 2)
+        return model, x, y
 
     def test_model_json_round_trip(self):
-        model, _, _, _ = self.setup_pipeline()
+        model, _, _ = self.setup_pipeline()
         clone = ConformalModel.from_json(model.to_json())
         assert clone == model
 
     def test_determinism_bit_for_bit(self):
-        a, _, _, _ = self.setup_pipeline(seed=3)
-        b, _, _, _ = self.setup_pipeline(seed=3)
+        a, _, _ = self.setup_pipeline(seed=3)
+        b, _, _ = self.setup_pipeline(seed=3)
         assert a.to_json() == b.to_json()
 
     def test_coverage_report(self):
-        model, test, params, bounds = self.setup_pipeline()
-        report = evaluate_coverage(
-            model, test, params, bounds, 2, 2, TargetBand.from_interval(0, 10)
-        )
+        model, x, y = self.setup_pipeline()
+        report = evaluate_coverage(model, x, y, TargetBand.from_interval(0, 10))
         assert 0.0 <= report.marginal_coverage <= 1.0
-        assert report.n_test == len(test)
+        assert report.n_test == len(y) == 20
+
+    def test_empty_or_misaligned_labels_rejected(self):
+        model, x, y = self.setup_pipeline()
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            evaluate_coverage(model, x[:0], y[:0])
+        # one label would broadcast against all 20 rows
+        with pytest.raises(ValueError, match="20 feature rows but 1 labels"):
+            evaluate_coverage(model, x, y[:1])
+        with pytest.raises(ValueError, match="20 feature rows but 1 labels"):
+            calibrate(model, x, y[:1], 0.1)
 
     def test_widening_monotonicity(self):
-        model, test, params, bounds = self.setup_pipeline()
+        model, x, y = self.setup_pipeline()
         wider = ConformalModel(
             model.low_weights,
             model.high_weights,
@@ -326,12 +350,12 @@ class TestPipeline:
             model.delta_hat + 2.0,
             model.scaler,
         )
-        base = evaluate_coverage(model, test, params, bounds, 2, 2)
-        more = evaluate_coverage(wider, test, params, bounds, 2, 2)
+        base = evaluate_coverage(model, x, y)
+        more = evaluate_coverage(wider, x, y)
         assert more.marginal_coverage >= base.marginal_coverage
 
     def test_huge_width_covers_but_never_certifies(self):
-        model, test, params, bounds = self.setup_pipeline()
+        model, x, y = self.setup_pipeline()
         huge = ConformalModel(
             model.low_weights,
             model.high_weights,
@@ -340,9 +364,7 @@ class TestPipeline:
             1e6,
             model.scaler,
         )
-        report = evaluate_coverage(
-            huge, test, params, bounds, 2, 2, TargetBand.from_interval(3, 8)
-        )
+        report = evaluate_coverage(huge, x, y, TargetBand.from_interval(3, 8))
         assert report.marginal_coverage == 1.0
         assert report.band_certificate_rate == 0.0
 
@@ -365,20 +387,20 @@ class TestPipeline:
             ConformalModel(low, high, 0.05, 0.95, 0.3, scaler),
             ConformalModel(low, mirrored, 0.05, 0.95, 0.3, scaler),
         ]
-        x, y = label_days(days[100:], params, bounds, 3, 3)
+        x, [y] = label_days(days[100:], [params], bounds, 3, 3)
         n_crossed = int(np.count_nonzero(scaler.transform(x) @ slopes > 0.1))
         assert 0 < n_crossed < len(y)
-        return models, days[100:], params, bounds, x, y
+        return models, x, y
 
     def test_coverage_equals_per_day_oracle(self):
-        models, test, params, bounds, x, y = self.dense_models()
+        models, x, y = self.dense_models()
         for model, band in itertools.product(models, (None, TargetBand.from_interval(3, 8))):
-            report = evaluate_coverage(model, test, params, bounds, 3, 3, band)
-            assert report == reference_evaluate_coverage(model, x, y, band)
-            assert report == reference_evaluate_coverage(model, np.asfortranarray(x), y, band)
+            report = reference_evaluate_coverage(model, x, y, band)
+            assert evaluate_coverage(model, x, y, band) == report
+            assert evaluate_coverage(model, np.asfortranarray(x), y, band) == report
 
     def test_intervals_equal_one_day_predictions(self):
-        models, _, _, _, x, _ = self.dense_models()
+        models, x, _ = self.dense_models()
         for model in models:
             expected = [reference_predict_interval(model, row) for row in x]
             for features in (x, np.asfortranarray(x)):
@@ -410,14 +432,15 @@ class TestPipeline:
         assert len({m.to_json() for m in models}) == 3
         # each battery alone: its labels, one quantile model per level, calibrate
         for params, model in zip(params_list, models):
-            x, y = label_days(train, params, bounds, 2, 2, mode)
+            x, [y] = label_days(train, [params], bounds, 2, 2, mode)
             scaler = FeatureScaler.fit(x)
             low, high = (
                 tuple(map(float, train_quantile_model(scaler.transform(x), y, theta, 150)))
                 for theta in (0.05, 0.95)
             )
-            alone = ConformalModel(low, high, 0.05, 0.95, math.nan, scaler)
-            alone = calibrate(alone, calib, params, bounds, 2, 2, 0.1, mode)
+            alone = ConformalModel(low, high, math.nan, math.nan, math.nan, scaler)
+            x_cal, [y_cal] = label_days(calib, [params], bounds, 2, 2, mode)
+            alone = calibrate(alone, x_cal, y_cal, 0.1)
             assert alone.to_json() == model.to_json()
 
 

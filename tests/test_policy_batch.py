@@ -250,6 +250,23 @@ def test_backtest_equals_the_per_lane_loop(monkeypatch, mode):
     assert report_text(config) == batched
 
 
+def test_cqr_block_labels_each_day_set_once(monkeypatch):
+    """The CQR layer runs the policy in one batch per day set, whole e0 sweep at once."""
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    calls = []
+
+    def counted(days, params_list, *args):
+        calls.append((len(days), len(params_list)))
+        return policy_outcomes(days, params_list, *args)
+
+    monkeypatch.setattr(conformal, "policy_outcomes", counted)
+    report = run_experiment(config).payload
+    # train, calibration and test days, each for all three batteries of the sweep
+    assert calls == [(36, 3), (12, 3), (12, 3)]
+    assert not any("error" in row for row in report["cqr"]["per_e0"].values())
+    assert "run_policy_days" not in vars(conformal)
+
+
 def test_failed_batch_fails_its_window_as_the_loop_did(monkeypatch):
     """A window whose policy runs raise fails each of its cells with the message.
 

@@ -17,7 +17,6 @@ from socarb.thresholds import (
     PolicyState,
     Trajectory,
     build_schedule,
-    competitive_check,
     competitive_ratio,
     compulsory_value,
     feasibility_aware_thresholds,
@@ -644,28 +643,11 @@ class TestOfflineOpt:
         assert traj2.actions == (DISCHARGE, IDLE)
 
 
-class TestCompetitiveCheck:
-    def test_opt_trajectory_holds_at_ratio_one(self):
-        params = BatteryParams(0, 10, 2, 4, 4)
-        prices = [10.0, 50.0, 20.0, 40.0]
-        profit, traj = offline_opt(day(prices), params)
-        holds, achieved = competitive_check(traj, profit, 1.0)
-        assert holds and achieved == pytest.approx(1.0)
-
+class TestCompulsoryValue:
     def test_compulsory_fills_unexecuted_budget(self):
         traj = Trajectory((DISCHARGE, IDLE), (4.0, 2.0, 2.0), (60.0, 0.0), 60.0)
         value = compulsory_value(traj, k_ch=0, k_dis=2, lambda_min=5.0, lambda_max=45.0, rate=2.0)
         assert value == pytest.approx(60.0 + 5.0 * 2.0)
-        holds, _ = competitive_check(
-            traj, 80.0, 2.0, compulsory=True, k_dis=2, lambda_min=5.0, lambda_max=45.0, rate=2.0
-        )
-        assert holds  # 70 >= 80/2
-
-    def test_min_side_orientation(self):
-        holds, achieved = competitive_check(30.0, 20.0, 2.0, side="min")
-        assert holds and achieved == pytest.approx(1.5)
-        holds, _ = competitive_check(50.0, 20.0, 2.0, side="min")
-        assert not holds
 
 
 class TestTwoStageReduction:
