@@ -44,8 +44,10 @@ from .reachability import (
     action_probabilities,
     count_feasible_trajectories,
     propagate,
+    propagate_lanes,
     stopping_time,
     terminal_band_probability,
+    trajectory_counts,
 )
 from .conformal import (
     ConformalModel,

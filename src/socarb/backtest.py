@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -29,12 +29,14 @@ from .market_data import (
 )
 from .reachability import (
     POST_STOP_MODES,
+    SOC_FREE_MODES,
     TargetBand,
-    count_feasible_trajectories,
     policy_action_probabilities,
     propagate,
+    propagate_lanes,
     stopping_time,
     terminal_band_probability,
+    trajectory_counts,
 )
 from .thresholds import THRESHOLD_MODES, BatteryParams, policy_outcomes
 
@@ -281,34 +283,60 @@ def _policy(config, params, bounds, dist, k_ch, k_dis):
     return propagate(params, probs, k_ch, k_dis)
 
 
-def _policy_runs(config, params, window, index):
-    """What a cell's policies do not take from its band, per budget pair.
+def _policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
+    """One budget pair's SoC distribution per battery, or the failure in its place.
 
-    ``index`` is the battery's row in the window's profits; a failed batch
-    fails the battery where its first policy run would.
+    Where the threshold rule never reads the SoC, the batteries share one
+    list of action probabilities and one :func:`propagate_lanes` batch;
+    otherwise each battery is a batch of its own.
+    """
+    mode = config.threshold_mode
+    groups = [batteries] if mode in SOC_FREE_MODES else [[params] for params in batteries]
+    lanes = []
+    for group in groups:
+        try:
+            probs = policy_action_probabilities(group[0], dist, bounds, k_ch, k_dis, mode)
+            lanes += propagate_lanes(group, probs, k_ch, k_dis)
+        except Exception as exc:  # recorded in every battery of the group
+            lanes += [exc] * len(group)
+    return lanes
+
+
+def _policy_runs(config, batteries, window):
+    """What each battery's cells do not take from their bands, per budget pair.
+
+    A battery's runs map each budget pair to its SoC distribution and
+    test-day profits, or are the failure its first policy run hits: the
+    window's, its distribution's or the profit batch's, in that order.
     """
     if window is None:
-        return {}
+        return [{} for _ in batteries]
     if isinstance(window, Exception):
-        raise window
+        return [window] * len(batteries)
     bounds, dist, profits = window
-    runs = {}
-    for j, (k_ch, k_dis) in enumerate(config.k_grid):
-        soc_dist = _policy(config, params, bounds, dist, k_ch, k_dis)
-        if isinstance(profits, Exception):
-            raise profits
-        day_profits = profits[index, j].tolist()
-        profit = {
-            "mean": float(np.mean(day_profits)),
-            "min": float(np.min(day_profits)),
-            "max": float(np.max(day_profits)),
-        }
-        runs[f"k={k_ch}x{k_dis}"] = soc_dist, profit
+    per_pair = [_policy_lanes(config, batteries, bounds, dist, *pair) for pair in config.k_grid]
+    runs = []
+    for i, soc_dists in enumerate(zip(*per_pair)):
+        run = {}
+        for j, ((k_ch, k_dis), soc_dist) in enumerate(zip(config.k_grid, soc_dists)):
+            if isinstance(soc_dist, Exception) or isinstance(profits, Exception):
+                run = soc_dist if isinstance(soc_dist, Exception) else profits
+                break
+            day_profits = profits[i, j].tolist()
+            profit = {
+                "mean": float(np.mean(day_profits)),
+                "min": float(np.min(day_profits)),
+                "max": float(np.max(day_profits)),
+            }
+            run[f"k={k_ch}x{k_dis}"] = soc_dist, profit
+        runs.append(run)
     return runs
 
 
-def _cell_result(config, params, band, runs):
-    in_band, total, pct = count_feasible_trajectories(params, params.horizon, band)
+def _cell_result(config, params, band, runs, counts):
+    if isinstance(counts, Exception):
+        raise counts
+    in_band, total, pct = counts(params.horizon, band)
     cell = {
         "counting": {"in_band": in_band, "total": total, "pct": pct},
     }
@@ -326,6 +354,30 @@ def _cell_result(config, params, band, runs):
             for key, (soc_dist, profit) in runs.items()
         }
     return cell
+
+
+def _window_cells(config, n, train_days, test_days, lattice_counts):
+    """The cells of the window of the last n steps, keyed as in the report.
+
+    The window's SoC distributions live only while its cells are built.
+    """
+    batteries = [replace(config.battery, e0=e0, horizon=n) for e0 in config.e0_sweep]
+    window = None  # no budget pair, no policy to fit or run
+    if config.k_grid:
+        try:
+            window = _fit_window(config, train_days, test_days, batteries)
+        except Exception as exc:
+            window = exc
+    runs = _policy_runs(config, batteries, window)
+    cells = {}
+    for e0, params, lane_runs, counts in zip(config.e0_sweep, batteries, runs, lattice_counts):
+        for band in config.bands:
+            key = f"{_e0_label(e0)}|{_band_label(band)}|steps={n}"
+            try:
+                cells[key] = _cell_result(config, params, band, lane_runs, counts)
+            except Exception as exc:  # recorded, not fatal
+                cells[key] = _error_row(exc)
+    return cells
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -346,30 +398,16 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     # each stage runs once for what it depends on; a failed stage is recorded
     # in every cell that needs it
-    battery = config.battery
+    lattice_counts = []  # one counting DP per e0, for every window
+    for e0 in config.e0_sweep:
+        try:
+            counts = trajectory_counts(replace(config.battery, e0=e0), config.start_steps)
+        except Exception as exc:
+            counts = exc
+        lattice_counts.append(counts)
     cells = {}
     for n in config.start_steps:
-        batteries = [
-            BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, n)
-            for e0 in config.e0_sweep
-        ]
-        window = None  # no budget pair, no policy to fit or run
-        if config.k_grid:
-            try:
-                window = _fit_window(config, train_days, test_days, batteries)
-            except Exception as exc:
-                window = exc
-        for index, (e0, params) in enumerate(zip(config.e0_sweep, batteries)):
-            try:
-                runs = _policy_runs(config, params, window, index)
-            except Exception as exc:
-                runs = exc
-            for band in config.bands:
-                key = f"{_e0_label(e0)}|{_band_label(band)}|steps={n}"
-                try:
-                    cells[key] = _cell_result(config, params, band, runs)
-                except Exception as exc:  # recorded, not fatal
-                    cells[key] = _error_row(exc)
+        cells.update(_window_cells(config, n, train_days, test_days, lattice_counts))
 
     payload = {
         "version": __version__,

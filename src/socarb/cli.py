@@ -191,8 +191,10 @@ def cmd_stop_time(args) -> int:
 def cmd_table1(args) -> int:
     band = _band(args.band)
     lines = ["e0,band_lo,band_hi,steps,in_band,total,pct"]
+    batteries = [_battery(args, n) for n in args.steps]  # every step count must be a horizon
+    counts = rc.trajectory_counts(batteries[0], args.steps)
     for n in args.steps:
-        in_band, total, pct = rc.count_feasible_trajectories(_battery(args, n), n, band)
+        in_band, total, pct = counts(n, band)
         lines.append(f"{args.e0!r},{band.lo!r},{band.hi!r},{n},{in_band},{total},{pct:.2f}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK

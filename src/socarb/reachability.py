@@ -7,6 +7,9 @@ folds into the idle branch), evaluates the terminal-band chance constraint,
 computes minimum stopping times, and counts feasible trajectories.  A
 :class:`SocDistribution` carries the per-step action probabilities it was
 built from, so the stopping time reads the same chain the masses came from.
+Batteries that share those probabilities and their budgets propagate in
+one batch (:func:`propagate_lanes`), and one counting DP serves every step
+count of a battery (:func:`trajectory_counts`).
 
 The policy is read from one place each: the books from
 :func:`socarb.thresholds.build_schedule`, the decision rule on one step,
@@ -17,7 +20,7 @@ lattice m_lo..m_hi from :attr:`socarb.thresholds.BatteryParams.offsets`.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,10 +124,11 @@ class SocDistribution:
     (min(k_ch, T)+1, min(k_dis, T)+1): every reachable state has
     m = n_ch - n_dis, so m needs no axis of its own.
 
-    ``m_masses[t]`` is step t's mass per SoC offset m = m_lo .. m_hi,
-    ``per_step[t]`` maps state keys (m, n_ch, n_dis) to their positive
-    masses, and ``marginal(t)`` maps SoC values to mass; all are derived from
-    the arrays when first read.
+    ``m_masses[t]`` is step t's mass per SoC offset m = m_lo .. m_hi, the
+    sums along the (n_ch, n_dis) diagonals, which :func:`propagate_lanes`
+    adds up for all its lanes at once.  ``per_step[t]`` maps state keys
+    (m, n_ch, n_dis) to their positive masses, and ``marginal(t)`` maps SoC
+    values to mass; both are derived from the arrays when first read.
     """
 
     params: BatteryParams
@@ -132,6 +136,7 @@ class SocDistribution:
     k_dis: int
     probs: tuple[ActionProbs, ...] = field(repr=False)
     masses: np.ndarray = field(repr=False, compare=False)
+    m_masses: np.ndarray = field(repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -147,42 +152,61 @@ class SocDistribution:
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per lattice point: its column in m_masses (0 outside capacity), and if in capacity."""
-        offsets = self.params.offsets
-        c, d = np.indices(self.masses.shape[1:])
-        column = c - d - offsets[0]
-        inside = (0 <= column) & (column < len(offsets))
-        return np.where(inside, column, 0), inside
-
-    @cached_property
-    def m_masses(self) -> np.ndarray:
-        """(T+1, n) mass per SoC offset: the sums along the (n_ch, n_dis) diagonals."""
-        column, inside = self._columns()
-        steps, n = len(self.masses), len(self.grid)
-        bins = (np.arange(steps)[:, None] * n + column[inside]).ravel()
-        sums = np.bincount(bins, self.masses[:, inside].ravel(), minlength=steps * n)
-        return sums.reshape(steps, n)
+        return _columns(self.params, self.masses.shape[1:])
 
     def marginal(self, t: int) -> dict[float, float]:
         """dist_t[e]: probability mass per SoC value at step t."""
         return {e: mass for e, mass in zip(self.grid, self.m_masses[t].tolist()) if mass > 0.0}
 
 
+def _columns(params: BatteryParams, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of an (n_ch, n_dis) lattice: its SoC column (0 outside capacity), and if inside."""
+    offsets = params.offsets
+    c, d = np.indices(shape)
+    column = c - d - offsets[0]
+    inside = (0 <= column) & (column < len(offsets))
+    return np.where(inside, column, 0), inside
+
+
+def _probability(row: np.ndarray) -> float:
+    """Exactly rounded sum of a row, clamped to [0, 1]."""
+    return min(1.0, max(0.0, math.fsum(row.ravel().tolist())))
+
+
 @dataclass(frozen=True)
 class StoppingResult:
     """Stopping-time analysis output.
 
-    ``q_table[t - 1]`` has the shape of the distribution's ``masses[t]``: the
-    success probability from each lattice point at step t under the chosen
-    post-stop behavior, 0 where the point lies outside capacity.
-    ``big_q[t-1]`` aggregates it against dist_t; ``tau_star`` is the first
-    step whose aggregate clears 1 - epsilon, if any.
+    ``terms[t - 1]`` holds dist_t * q_t, so its sum is Q_t.  ``tau_star`` is
+    the first step whose Q_t clears 1 - epsilon, if any; it is set at
+    construction, summing Q_t row by row only up to that first crossing.
+    ``big_q[t - 1]`` is Q_t for every step, and ``q_table[t - 1]``, of the
+    shape of the distribution's ``masses[t]``, the success probability from
+    each lattice point at step t under the chosen post-stop behavior, 0 where
+    the point lies outside capacity; ``table`` builds it.  Both are built
+    when first read.
     """
 
-    q_table: np.ndarray = field(repr=False, compare=False)
-    big_q: tuple[float, ...]
-    tau_star: int | None
+    terms: np.ndarray = field(repr=False, compare=False)
+    table: Callable[[], np.ndarray] = field(repr=False, compare=False)
     epsilon: float
     post_stop_mode: str
+    tau_star: int | None = field(init=False)
+
+    def __post_init__(self):
+        crossings = (
+            t for t, row in enumerate(self.terms, start=1)
+            if _probability(row) >= 1.0 - self.epsilon
+        )
+        object.__setattr__(self, "tau_star", next(crossings, None))
+
+    @cached_property
+    def big_q(self) -> tuple[float, ...]:
+        return tuple(map(_probability, self.terms))
+
+    @cached_property
+    def q_table(self) -> np.ndarray:
+        return self.table()
 
 
 def action_probabilities(u: float | None, l: float | None, cdf) -> ActionProbs:
@@ -201,6 +225,11 @@ def action_probabilities(u: float | None, l: float | None, cdf) -> ActionProbs:
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0 or alpha + beta > 1.0 + 1e-12:
         raise ValueError(f"malformed CDF: alpha={alpha}, beta={beta}")
     return ActionProbs(alpha, beta, max(0.0, 1.0 - alpha - beta))
+
+
+# threshold modes whose rule never reads the SoC, so that their action
+# probabilities are the same for every e0 of a battery
+SOC_FREE_MODES = ("static", "timedep")
 
 
 def policy_action_probabilities(
@@ -251,67 +280,100 @@ def policy_action_probabilities(
     return probs
 
 
-def _chain(params: BatteryParams, probs: tuple[ActionProbs, ...], k_ch: int, k_dis: int):
-    """The chain that propagate steps forward and stopping_time backward.
+@dataclass(frozen=True)
+class _Chain:
+    """The chain that propagate_lanes steps forward and stopping_time backward.
 
-    Returns the per-step idle weights on the (n_ch, n_dis) lattice (blocked
-    moves folded in) and the moves (weight, from, to): discharge, then charge.
+    The (n_ch, n_dis) lattices of all lanes lie end to end on one flat axis,
+    where a discharge moves mass by 1 and a charge by n_dis.  ``blocked``
+    is 1.0 where capacity or budget forbid a discharge, then a charge, so
+    that its mass folds into idle; ``moves`` is 1.0 where a discharge, then
+    a charge, may leave the point, never across a row or lane edge.
     """
+
+    shape: tuple[int, int]
+    blocked: tuple[np.ndarray, np.ndarray]
+    moves: tuple[np.ndarray, np.ndarray]
+
+    def weights(self, ap: ActionProbs):
+        """One step's idle weight per point, and its moves (weight per point, shift)."""
+        down_blocked, up_blocked = self.blocked
+        stay = (ap.gamma + ap.alpha * up_blocked) + ap.beta * down_blocked
+        down, up = self.moves
+        return stay, ((ap.beta * down, 1), (ap.alpha * up, self.shape[1]))
+
+
+def _chain(lanes: list[BatteryParams], horizon: int, k_ch: int, k_dis: int) -> _Chain:
     if k_ch < 0 or k_dis < 0:
         raise ValueError("budgets must be non-negative")
-    horizon = len(probs)
-    m_lo, m_hi = params.offsets[0], params.offsets[-1]
-    c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
-    up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
-    down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
+    shape = (min(k_ch, horizon) + 1, min(k_dis, horizon) + 1)
+    c, d = np.indices(shape)
+    down_ok = np.array([(c - d - 1 >= p.offsets[0]) & (d < k_dis) for p in lanes], dtype=bool)
+    up_ok = np.array([(c - d + 1 <= p.offsets[-1]) & (c < k_ch) for p in lanes], dtype=bool)
+    blocked = (np.ravel(~down_ok).astype(float), np.ravel(~up_ok).astype(float))
+    down_ok[..., -1] = up_ok[:, -1] = False  # these moves would wrap to the next row or lane
+    return _Chain(shape, blocked, (np.ravel(down_ok).astype(float), np.ravel(up_ok).astype(float)))
 
-    # per-step probabilities broadcast against the lattice as (T, 1, 1)
-    alpha, beta, gamma = (
-        np.array([getattr(ap, name) for ap in probs], dtype=float).reshape(horizon, 1, 1)
-        for name in ("alpha", "beta", "gamma")
-    )
-    stay = (gamma + alpha * ~up_ok) + beta * ~down_ok
-    # charge moves along n_ch, discharge along n_dis
-    down_from, down_to = np.index_exp[:, :-1], np.index_exp[:, 1:]
-    up_from, up_to = np.index_exp[:-1, :], np.index_exp[1:, :]
-    moves = (
-        ((beta * down_ok)[:, :, :-1], down_from, down_to),
-        ((alpha * up_ok)[:, :-1, :], up_from, up_to),
-    )
-    return stay, moves
+
+def propagate_lanes(
+    lanes: list[BatteryParams], probs: list[ActionProbs], k_ch: int, k_dis: int
+) -> list[SocDistribution]:
+    """Forward-propagate the SoC probability mass of batteries that share one chain.
+
+    The batteries (lanes) share the budgets and the per-step action
+    probabilities: ``probs[t - 1]`` are those between steps t - 1 and t, and
+    each distribution keeps them.  Whenever an action would leave a lane's
+    capacity or exceed its budget, its probability mass folds into the idle
+    branch.  Each step is a few whole-array operations on every lane's
+    (n_ch, n_dis) lattice at once, laid end to end: stay + shifted down +
+    shifted up, with idle mass (gamma + alpha * [up blocked]) +
+    beta * [down blocked] and weights built for that step alone.  Every lane's
+    masses equal, bit for bit, those it gets alone, and one ``bincount`` per
+    step sums the ``m_masses`` of all lanes.
+    """
+    lanes, probs = list(lanes), tuple(probs)
+    horizon = len(probs)
+    chain = _chain(lanes, horizon, k_ch, k_dis)
+    masses = np.zeros((horizon + 1, len(lanes)) + chain.shape)
+    masses[0, :, 0, 0] = 1.0
+    flat = masses.reshape(horizon + 1, -1)
+    for ap, cur, nxt in zip(probs, flat, flat[1:]):
+        stay, moves = chain.weights(ap)
+        np.multiply(cur, stay, out=nxt)
+        for weight, shift in moves:
+            nxt[shift:] += cur[:-shift] * weight[:-shift]
+    # a point's bin is its lane's first m_masses column plus its own, lanes end to
+    # end; points outside capacity, which never hold mass, go to a spare last bin
+    starts = np.cumsum([0] + [len(params.offsets) for params in lanes]).tolist()
+    bins = np.array(
+        [np.where(inside, start + column, starts[-1])
+         for params, start in zip(lanes, starts)
+         for column, inside in [_columns(params, chain.shape)]],
+        dtype=np.intp,
+    ).ravel()
+    sums = np.array([np.bincount(bins, step, minlength=starts[-1] + 1) for step in flat])
+    return [
+        SocDistribution(params, k_ch, k_dis, probs, masses[:, i], sums[:, start:end].copy())
+        for i, (params, start, end) in enumerate(zip(lanes, starts, starts[1:]))
+    ]
 
 
 def propagate(
     params: BatteryParams, probs: list[ActionProbs], k_ch: int, k_dis: int
 ) -> SocDistribution:
-    """Forward-propagate the SoC probability mass with pruning.
+    """Forward-propagate one battery's SoC probability mass with pruning.
 
-    ``probs[t - 1]`` are the action probabilities between steps t - 1 and t;
-    the distribution keeps them.  Whenever an action would leave capacity or
-    exceed its budget, its probability mass folds into the idle branch.  Each
-    step is a few whole-array operations on the (n_ch, n_dis) lattice:
-    stay + shifted down + shifted up, with idle mass
-    (gamma + alpha * [up blocked]) + beta * [down blocked].
+    The one-lane call of :func:`propagate_lanes`: ``probs[t - 1]`` are the
+    action probabilities between steps t - 1 and t; the distribution keeps
+    them.  The backtest propagates each window's batteries in one batch per
+    budget pair instead.
     """
-    probs = tuple(probs)
-    stay, moves = _chain(params, probs, k_ch, k_dis)
-    masses = np.zeros((len(probs) + 1,) + stay.shape[1:])
-    masses[0, 0, 0] = 1.0
-    for t, (cur, nxt) in enumerate(zip(masses, masses[1:])):
-        np.multiply(cur, stay[t], out=nxt)
-        for weight, src, dst in moves:
-            nxt[dst] += cur[src] * weight[t]
-    return SocDistribution(params, k_ch, k_dis, probs, masses)
-
-
-def _probabilities(rows: np.ndarray) -> tuple[float, ...]:
-    """Exactly rounded sum of each row, clamped to [0, 1]."""
-    return tuple(min(1.0, max(0.0, math.fsum(row.ravel().tolist()))) for row in rows)
+    return propagate_lanes([params], probs, k_ch, k_dis)[0]
 
 
 def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:
     """Probability that the terminal SoC lands inside the band, clamped to [0, 1]."""
-    return _probabilities(dist.m_masses[-1:] * band.contains(np.array(dist.grid)))[0]
+    return _probability(dist.m_masses[-1] * band.contains(np.array(dist.grid)))
 
 
 def stopping_time(
@@ -329,8 +391,9 @@ def stopping_time(
     p_band), ``full-control`` asks whether any feasible action sequence
     reaches the band, budget-free as the operator takes over after the stop,
     and ``continue-policy`` runs the adjoint of the chain in soc_dist.probs
-    (so every Q_t is p_band).  Q_t sums
-    dist_t * q_t; tau_star is the first t with Q_t >= 1 - epsilon, or None.
+    (so every Q_t is p_band).  Q_t sums dist_t * q_t; tau_star is the first
+    t with Q_t >= 1 - epsilon, or None, and Q_t is summed only up to that
+    first crossing.  ``big_q`` and ``q_table`` are built when first read.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -339,42 +402,90 @@ def stopping_time(
     horizon = soc_dist.horizon
     params = soc_dist.params
     e = np.array(soc_dist.grid)
-    column, inside = soc_dist._columns()
 
     if post_stop_mode == "continue-policy":
         # the adjoint of propagate's chain, backward; row t - 1 holds q_t
-        stay, moves = _chain(params, soc_dist.probs, soc_dist.k_ch, soc_dist.k_dis)
+        column, inside = soc_dist._columns()
+        chain = _chain([params], horizon, soc_dist.k_ch, soc_dist.k_dis)
         q = np.empty((horizon,) + column.shape)
         q[-1:] = band.contains(e)[column]  # no rows when there are no steps
+        flat = q.reshape(horizon, column.size)
         for t in range(horizon - 1, 0, -1):
-            nxt, cur = q[t], q[t - 1]  # weights t: the action between step t and t+1
-            np.multiply(stay[t], nxt, out=cur)
+            nxt, cur = flat[t], flat[t - 1]  # weights t: the action between step t and t+1
+            stay, moves = chain.weights(soc_dist.probs[t])
+            np.multiply(stay, nxt, out=cur)
             # charge term first, as in the dict recursion of tests/oracles.py, so q matches it
             # bit for bit
-            for weight, src, dst in reversed(moves):
-                cur[src] += weight[t] * nxt[dst]
+            for weight, shift in reversed(moves):
+                cur[:-shift] += weight[:-shift] * nxt[shift:]
         q *= inside
-        big_q = _probabilities(soc_dist.masses[1:] * q)
+        return StoppingResult(soc_dist.masses[1:] * q, lambda: q, epsilon, post_stop_mode)
+
+    if post_stop_mode == "idle":
+        q_m = np.tile(band.contains(e), (horizon, 1))
     else:
-        if post_stop_mode == "idle":
-            q_m = np.tile(band.contains(e), (horizon, 1))
-        else:
-            # some feasible action sequence from e with steps_left = T - t
-            # steps lands in the band; from offset m, m - m_lo discharges and
-            # m_hi - m charges fit, the masks _chain applies
-            lo, hi, rate = band.lo, band.hi, params.rate
-            steps_left = np.arange(horizon - 1, -1, -1)[:, None]
-            m = np.array(params.offsets)
-            down, up = m - m[0], m[-1] - m
-            lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
-            hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
-            q_m = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
-                np.minimum(up, steps_left), hi_allowed
-            )
-        big_q = _probabilities(soc_dist.m_masses[1:] * q_m)
-        q = q_m[:, column] & inside
-    tau_star = next((t for t, q_t in enumerate(big_q, start=1) if q_t >= 1.0 - epsilon), None)
-    return StoppingResult(q.astype(float, copy=False), big_q, tau_star, epsilon, post_stop_mode)
+        # some feasible action sequence from e with steps_left = T - t
+        # steps lands in the band; from offset m, m - m_lo discharges and
+        # m_hi - m charges fit, the masks _chain applies
+        lo, hi, rate = band.lo, band.hi, params.rate
+        steps_left = np.arange(horizon - 1, -1, -1)[:, None]
+        m = np.array(params.offsets)
+        down, up = m - m[0], m[-1] - m
+        lo_needed = np.ceil((lo - e) / rate - BAND_EPS)
+        hi_allowed = np.floor((hi - e) / rate + BAND_EPS)
+        q_m = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
+            np.minimum(up, steps_left), hi_allowed
+        )
+
+    def table():
+        column, inside = soc_dist._columns()
+        return (q_m[:, column] & inside).astype(float)
+
+    return StoppingResult(soc_dist.m_masses[1:] * q_m, table, epsilon, post_stop_mode)
+
+
+@dataclass(frozen=True)
+class TrajectoryCounts:
+    """Exact counts of the feasible action sequences from one battery's e0.
+
+    ``per_step[n][i]`` counts the n-step sequences, of all 3^n, whose every
+    state respects capacity and that end at offset ``params.offsets[i]``,
+    for each step count n it was asked for.  Counts stay Python ints: they
+    pass 2**63 within 48 steps.  Calling it with (steps, band) gives
+    (in_band, total, percent) for one of those step counts.
+    """
+
+    params: BatteryParams
+    per_step: dict[int, list[int]] = field(repr=False)
+
+    def __call__(self, steps: int, band: TargetBand) -> tuple[int, int, float]:
+        params, counts = self.params, self.per_step[steps]
+        total = sum(counts)
+        in_band = sum(
+            n for m, n in zip(params.offsets, counts) if band.contains(params.e0 + m * params.rate)
+        )
+        return in_band, total, 100.0 * in_band / total
+
+
+def trajectory_counts(params: BatteryParams, steps: Iterable[int]) -> TrajectoryCounts:
+    """One counting DP over the SoC lattice, up to the longest of the step counts.
+
+    The backtest runs it once per battery lattice for all its windows, and
+    ``socarb table1`` once for all its step counts.
+    """
+    steps = set(steps)
+    if min(steps) < 1:
+        raise ValueError("steps must be at least 1")
+    offsets = params.offsets
+    counts = [0] * len(offsets)
+    counts[-offsets[0]] = 1
+    per_step = {}
+    for n in range(1, max(steps) + 1):
+        # m is reached by charging from m - 1, idling at m or discharging from m + 1
+        counts = [a + b + c for a, b, c in zip([0] + counts[:-1], counts, counts[1:] + [0])]
+        if n in steps:
+            per_step[n] = counts
+    return TrajectoryCounts(params, per_step)
 
 
 def count_feasible_trajectories(
@@ -384,18 +495,7 @@ def count_feasible_trajectories(
 
     Counting DP over the SoC lattice: all 3^n action sequences whose every
     intermediate state respects capacity.  Returns (in_band, total, percent).
-    Counts stay Python ints: they pass 2**63 within 48 steps.
+    The one-step-count call of :func:`trajectory_counts`, whose one DP the
+    backtest and ``socarb table1`` share across their step counts.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    offsets = params.offsets
-    counts = [0] * len(offsets)
-    counts[-offsets[0]] = 1
-    for _ in range(steps):
-        # m is reached by charging from m - 1, idling at m or discharging from m + 1
-        counts = [a + b + c for a, b, c in zip([0] + counts[:-1], counts, counts[1:] + [0])]
-    total = sum(counts)
-    in_band = sum(
-        n for m, n in zip(offsets, counts) if band.contains(params.e0 + m * params.rate)
-    )
-    return in_band, total, 100.0 * in_band / total
+    return trajectory_counts(params, [steps])(steps, band)

@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from socarb import backtest
 from socarb.conformal import CoverageReport
-from socarb.reachability import BAND_EPS, ActionProbs, StoppingResult, TargetBand
+from socarb.reachability import BAND_EPS, POST_STOP_MODES, ActionProbs, TargetBand
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -172,13 +174,24 @@ def _reachable_in_band(
     return max(m_lo, lo_needed) <= min(m_hi, hi_allowed)
 
 
+@dataclass(frozen=True)
+class EagerStoppingResult:
+    """A stopping-time result with every field computed up front."""
+
+    q_table: object = field(repr=False, compare=False)
+    big_q: tuple[float, ...]
+    tau_star: int | None
+    epsilon: float
+    post_stop_mode: str
+
+
 def reference_stopping_time(
     params: BatteryParams,
     probs_per_step: list[ActionProbs],
     band: TargetBand,
     epsilon: float,
     post_stop_mode: str = "full-control",
-) -> StoppingResult:
+) -> EagerStoppingResult:
     """Minimum stopping time over per-step dicts; ``q_table`` maps (t, e) to q.
 
     Oracle for :func:`socarb.reachability.stopping_time`.
@@ -239,7 +252,98 @@ def reference_stopping_time(
             terms.append(mass * q)
         big_q.append(min(1.0, max(0.0, math.fsum(terms))))
     tau_star = next((t for t, q in enumerate(big_q, start=1) if q >= 1.0 - epsilon), None)
-    return StoppingResult(q_table, tuple(big_q), tau_star, epsilon, post_stop_mode)
+    return EagerStoppingResult(q_table, tuple(big_q), tau_star, epsilon, post_stop_mode)
+
+
+def _eager_chain(params, probs, k_ch, k_dis):
+    """Every step's idle weights and moves (weight, from, to) as (T, n_ch, n_dis) arrays."""
+    horizon = len(probs)
+    m_lo, m_hi = params.offsets[0], params.offsets[-1]
+    c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
+    up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
+    down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
+    alpha, beta, gamma = (
+        np.array([getattr(ap, name) for ap in probs], dtype=float).reshape(horizon, 1, 1)
+        for name in ("alpha", "beta", "gamma")
+    )
+    stay = (gamma + alpha * ~up_ok) + beta * ~down_ok
+    moves = (
+        ((beta * down_ok)[:, :, :-1], np.index_exp[:, :-1], np.index_exp[:, 1:]),
+        ((alpha * up_ok)[:, :-1, :], np.index_exp[:-1, :], np.index_exp[1:, :]),
+    )
+    return stay, moves
+
+
+def eager_propagate(params, probs, k_ch, k_dis):
+    """One battery's masses and m_masses, from the chain built for every step at once.
+
+    Oracle for :func:`socarb.reachability.propagate_lanes`, which builds each
+    step's weights inside its loop and steps all lanes together.  Returns the
+    (T+1, n_ch, n_dis) masses and their (T+1, n) diagonal sums.
+    """
+    stay, moves = _eager_chain(params, probs, k_ch, k_dis)
+    masses = np.zeros((len(probs) + 1,) + stay.shape[1:])
+    masses[0, 0, 0] = 1.0
+    for t, (cur, nxt) in enumerate(zip(masses, masses[1:])):
+        np.multiply(cur, stay[t], out=nxt)
+        for weight, src, dst in moves:
+            nxt[dst] += cur[src] * weight[t]
+    offsets = params.offsets
+    c, d = np.indices(masses.shape[1:])
+    column = c - d - offsets[0]
+    inside = (0 <= column) & (column < len(offsets))
+    steps, n = len(masses), len(offsets)
+    bins = (np.arange(steps)[:, None] * n + column[inside]).ravel()
+    sums = np.bincount(bins, masses[:, inside].ravel(), minlength=steps * n)
+    return masses, sums.reshape(steps, n)
+
+
+def eager_stopping_time(soc_dist, band, epsilon, post_stop_mode="full-control"):
+    """The array stopping time with its chain, every Q_t and q_table built up front.
+
+    Oracle for :func:`socarb.reachability.stopping_time`, whose result sums Q_t
+    only up to tau_star and builds ``big_q`` and ``q_table`` when first read.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if post_stop_mode not in POST_STOP_MODES:
+        raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
+    horizon, params = soc_dist.horizon, soc_dist.params
+    e = np.array(soc_dist.grid)
+    column, inside = soc_dist._columns()
+
+    def probabilities(rows):
+        return tuple(min(1.0, max(0.0, math.fsum(row.ravel().tolist()))) for row in rows)
+
+    if post_stop_mode == "continue-policy":
+        stay, moves = _eager_chain(params, soc_dist.probs, soc_dist.k_ch, soc_dist.k_dis)
+        q = np.empty((horizon,) + column.shape)
+        q[-1:] = band.contains(e)[column]
+        for t in range(horizon - 1, 0, -1):
+            nxt, cur = q[t], q[t - 1]
+            np.multiply(stay[t], nxt, out=cur)
+            for weight, src, dst in reversed(moves):
+                cur[src] += weight[t] * nxt[dst]
+        q *= inside
+        big_q = probabilities(soc_dist.masses[1:] * q)
+    else:
+        if post_stop_mode == "idle":
+            q_m = np.tile(band.contains(e), (horizon, 1))
+        else:
+            steps_left = np.arange(horizon - 1, -1, -1)[:, None]
+            m = np.array(params.offsets)
+            down, up = m - m[0], m[-1] - m
+            lo_needed = np.ceil((band.lo - e) / params.rate - BAND_EPS)
+            hi_allowed = np.floor((band.hi - e) / params.rate + BAND_EPS)
+            q_m = np.maximum(-np.minimum(down, steps_left), lo_needed) <= np.minimum(
+                np.minimum(up, steps_left), hi_allowed
+            )
+        big_q = probabilities(soc_dist.m_masses[1:] * q_m)
+        q = q_m[:, column] & inside
+    tau_star = next((t for t, q_t in enumerate(big_q, start=1) if q_t >= 1.0 - epsilon), None)
+    return EagerStoppingResult(
+        q.astype(float, copy=False), big_q, tau_star, epsilon, post_stop_mode
+    )
 
 
 def reference_count_feasible_trajectories(
@@ -267,6 +371,33 @@ def reference_count_feasible_trajectories(
         c for m, c in counts.items() if band.contains(params.e0 + m * params.rate)
     )
     return in_band, total, 100.0 * in_band / total
+
+
+def reference_trajectory_counts(params: BatteryParams, steps) -> partial:
+    """Counts per (steps, band) call, each from its own dict DP.
+
+    Oracle for :func:`socarb.reachability.trajectory_counts`, whose one DP
+    the backtest shares across a battery's windows: patched into
+    ``socarb.backtest``, every cell counts on its own again.
+    """
+    return partial(reference_count_feasible_trajectories, params)
+
+
+def reference_policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
+    """One budget pair's SoC distribution per battery, each from its own policy run.
+
+    Oracle for ``socarb.backtest._policy_lanes``, which shares action
+    probabilities and one propagation batch across a window's batteries:
+    here each (e0, budget pair) runs ``socarb.backtest._policy`` alone, and
+    a failure takes only its battery's place.
+    """
+    lanes = []
+    for params in batteries:
+        try:
+            lanes.append(backtest._policy(config, params, bounds, dist, k_ch, k_dis))
+        except Exception as exc:
+            lanes.append(exc)
+    return lanes
 
 
 @dataclass(frozen=True)

@@ -344,14 +344,14 @@ class TestRunExperiment:
     def test_cell_failures_recorded_not_fatal(self, monkeypatch):
         import socarb.backtest as bt_mod
 
-        original = bt_mod.count_feasible_trajectories
+        original = bt_mod.trajectory_counts
 
-        def flaky(params, steps, band):
+        def flaky(params, steps):
             if params.e0 == 9.0:
                 raise RuntimeError("injected cell failure")
-            return original(params, steps, band)
+            return original(params, steps)
 
-        monkeypatch.setattr(bt_mod, "count_feasible_trajectories", flaky)
+        monkeypatch.setattr(bt_mod, "trajectory_counts", flaky)
         report = run_experiment(parse_config(SMALL_CONFIG))
         failed = [k for k, c in report.payload["cells"].items() if "error" in c]
         assert failed and all(k.startswith("e0=9") for k in failed)

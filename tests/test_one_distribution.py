@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 import socarb.backtest as bt
-from socarb.backtest import parse_config, run_experiment
+from socarb.backtest import parse_config, run_experiment, synthetic_day_matrix
 from socarb.cli import main
+from socarb.market_data import compute_bounds, fit_distribution
 from socarb.reachability import (
+    SOC_FREE_MODES,
     ActionProbs,
     TargetBand,
+    policy_action_probabilities,
     propagate,
     stopping_time,
     terminal_band_probability,
 )
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import THRESHOLD_MODES, BatteryParams
 
 from test_reach_kernels import LATTICES, configurations
 
@@ -122,28 +125,64 @@ def test_distributions_from_different_probabilities_are_unequal():
 
 
 COUNTED = ("compute_bounds", "fit_distribution", "policy_action_probabilities", "propagate",
-           "policy_outcomes")
+           "propagate_lanes", "policy_outcomes", "trajectory_counts")
 
 
-def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
-    counts = Counter()
+def counted_stages(monkeypatch, config_text):
+    """How often each of COUNTED runs in one backtest of config_text."""
+    counts = Counter({name: 0 for name in COUNTED})
     for name in COUNTED:
         def counted(*args, _name=name, _original=getattr(bt, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(bt, name, counted)
-    per_bands = {}
-    for bands in ("5:7", "5:7, 3:8, 2:9"):
-        counts.clear()
-        run_experiment(parse_config(GRID + f"bands = {bands}\n"))
-        per_bands[bands] = dict(counts)
+    run_experiment(parse_config(config_text))
+    return dict(counts)
+
+
+def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
+    per_bands = {
+        bands: counted_stages(monkeypatch, GRID + f"bands = {bands}\n")
+        for bands in ("5:7", "5:7, 3:8, 2:9")
+    }
     windows, e0s, budgets = 3, 3, 2
-    cells = windows * e0s * budgets
     assert per_bands["5:7"] == per_bands["5:7, 3:8, 2:9"] == {
         "compute_bounds": windows + 1,  # and once for the plot and CQR blocks together
         "fit_distribution": windows + 1,  # and once for the plot block
-        "policy_action_probabilities": cells + 1,
-        "propagate": cells + 1,
+        # the static rule never reads the SoC: one list and one batch per window and
+        # budget pair, plus the plot block's one distribution
+        "policy_action_probabilities": windows * budgets + 1,
+        "propagate_lanes": windows * budgets,
+        "propagate": 1,
         "policy_outcomes": windows,  # one batch runs every e0 and budget pair of a window
+        "trajectory_counts": e0s,  # one counting DP per battery lattice, for every window
     }
+
+
+@pytest.mark.parametrize("mode, per_e0", [("timedep", False), ("feasibility", True)])
+def test_state_dependent_modes_batch_as_far_as_their_rule_allows(monkeypatch, mode, per_e0):
+    """Timedep thresholds never read the SoC and share one batch; feasibility ones do not."""
+    counts = counted_stages(monkeypatch, GRID + f"threshold_mode = {mode}\n")
+    windows, e0s, budgets = 3, 3, 2
+    batches = windows * budgets * (e0s if per_e0 else 1)
+    assert counts["policy_action_probabilities"] == batches + 1
+    assert counts["propagate_lanes"] == batches
+
+
+def test_soc_free_modes_give_every_e0_the_same_probabilities():
+    """The modes whose lists the backtest shares across e0, and only those, never read e."""
+    days = synthetic_day_matrix(60, 24, 7)
+    dist, bounds = fit_distribution(days), compute_bounds(days, 1, "per-hour")
+    e0s = (1.0, 3.0, 5.0, 7.0, 9.0)
+    for mode in THRESHOLD_MODES:
+        differ = False
+        for k in (3, 6, 12):
+            lists = [
+                policy_action_probabilities(
+                    BatteryParams(0.0, 10.0, 2.0, e0, 24), dist, bounds, k, k, mode
+                )
+                for e0 in e0s
+            ]
+            differ |= any(probs != lists[0] for probs in lists)
+        assert differ == (mode not in SOC_FREE_MODES), mode

@@ -250,6 +250,53 @@ def test_backtest_equals_the_per_lane_loop(monkeypatch, mode):
     assert report_text(config) == batched
 
 
+@pytest.mark.parametrize("post_stop", ["idle", "full-control", "continue-policy"])
+@pytest.mark.parametrize("mode", MODES)
+def test_backtest_equals_the_per_cell_reachability_path(monkeypatch, mode, post_stop):
+    """Per-window lane batches, the lazy stopping time and shared counts change no byte.
+
+    The oracle path runs each (e0, budget pair)'s policy on its own, sums every
+    Q_t, and counts every cell with its own DP.
+    """
+    config = parse_config(BACKTEST + f"threshold_mode = {mode}\npost_stop = {post_stop}\n")
+    batched = report_text(config)
+    assert '"error"' not in batched
+    monkeypatch.setattr(bt, "_policy_lanes", oracles.reference_policy_lanes)
+    monkeypatch.setattr(bt, "stopping_time", oracles.eager_stopping_time)
+    monkeypatch.setattr(bt, "trajectory_counts", oracles.reference_trajectory_counts)
+    assert report_text(config) == batched
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
+    """A failed action-probability run fails the cells of every battery that shares it.
+
+    Static and timedep batteries share one run per window and budget pair,
+    as their rules never read the SoC, and it fails them all; a feasibility
+    run is a battery's own, and fails only that battery's cells, as on the
+    per-cell path.
+    """
+    config = parse_config(BACKTEST + f"threshold_mode = {mode}\n")
+    healthy = run_experiment(config).payload["cells"]
+    shared = mode != "feasibility"
+
+    def failing(params, *args):
+        if params.horizon == 6 and (shared or params.e0 == 3.3):
+            raise RuntimeError("policy failed")
+        return original(params, *args)
+
+    original = bt.policy_action_probabilities
+    monkeypatch.setattr(bt, "policy_action_probabilities", failing)
+    cells = run_experiment(config).payload["cells"]
+    for key, cell in cells.items():
+        if key.endswith("|steps=6") and (shared or key.startswith("e0=3.3|")):
+            assert cell == {"error": "RuntimeError: policy failed"}, key
+        else:
+            assert cell == healthy[key], key
+    monkeypatch.setattr(bt, "_policy_lanes", oracles.reference_policy_lanes)
+    assert run_experiment(config).payload["cells"] == cells
+
+
 def test_cqr_block_labels_each_day_set_once(monkeypatch):
     """The CQR layer runs the policy in one batch per day set, whole e0 sweep at once."""
     config = parse_config(BACKTEST + "threshold_mode = static\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import socarb.reachability as rc
 from socarb.cli import main
 from socarb.market_data import DayPrices, compute_bounds, fit_distribution
 from socarb.reachability import (
@@ -13,13 +14,17 @@ from socarb.reachability import (
     count_feasible_trajectories,
     policy_action_probabilities,
     propagate,
+    propagate_lanes,
     stopping_time,
+    trajectory_counts,
 )
 from socarb.thresholds import BatteryParams
 
 from oracles import (
     _reachable_in_band,
     brute_force_distribution,
+    eager_propagate,
+    eager_stopping_time,
     reference_count_feasible_trajectories,
     reference_propagate,
     reference_stopping_time,
@@ -148,6 +153,86 @@ def test_binding_budgets_match_path_enumeration(mode):
     assert budgets_bind > 0
 
 
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def lane_batches(lattice, seed):
+    """Lanes at e_min, mid, e_max and off the rate grid; budgets 0, 1, below and at least T."""
+    e_min, e_max, rate = lattice
+    rng = np.random.default_rng(seed)
+    e0s = (e_min, 0.5 * (e_min + e_max), e_max, e_min + 1.3 * rate)
+    for horizon in (0, 1, 2, 5, 24, 48):
+        lanes = [BatteryParams(e_min, e_max, rate, e0, max(horizon, 1)) for e0 in e0s]
+        probs = step_probs(rng, horizon)
+        ks = (0, 1, max(horizon - 1, 0) // 2, horizon, horizon + 2)
+        lo = float(rng.integers(int(e_min), int(e_max)))
+        band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 5)))
+        # both budgets above T: a discharge from the last column could wrap to the next row
+        for k_ch, k_dis in [*zip(ks, reversed(ks)), (horizon + 2, horizon + 2)]:
+            yield lanes, probs, k_ch, k_dis, band
+
+
+@pytest.mark.parametrize(
+    "lattice", LATTICES + ((0.0, 10.0, 2.5),), ids=("0-10-rate2", "0-48-rate1", "0-10-rate2.5")
+)
+def test_every_lane_equals_its_one_lane_run_bit_for_bit(lattice):
+    """A lane of a batch is the battery propagated alone, and the eager chain's masses."""
+    batches = 0
+    for lanes, probs, k_ch, k_dis, _ in lane_batches(lattice, seed=4000 + int(lattice[2] * 10)):
+        batch = propagate_lanes(lanes, probs, k_ch, k_dis)
+        assert [dist.params for dist in batch] == lanes
+        for dist in batch:
+            alone = propagate(dist.params, probs, k_ch, k_dis)
+            assert dist == alone and dist.probs == tuple(probs)
+            assert_bitwise(dist.masses, alone.masses)
+            assert_bitwise(dist.m_masses, alone.m_masses)
+            masses, m_masses = eager_propagate(dist.params, probs, k_ch, k_dis)
+            assert_bitwise(dist.masses, masses)
+            assert_bitwise(dist.m_masses, m_masses)
+            assert dist.m_masses.flags.c_contiguous
+        batches += 1
+    assert batches == 36
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "lattice", LATTICES + ((0.0, 10.0, 2.5),), ids=("0-10-rate2", "0-48-rate1", "0-10-rate2.5")
+)
+def test_lazy_stopping_result_equals_the_eager_one(lattice, mode):
+    """tau_star, big_q and q_table of every lane, whichever of big_q and tau_star is read first."""
+    crossings = set()
+    seed = 5000 + 10 * int(lattice[2] * 10) + MODES.index(mode)
+    whole = TargetBand.from_interval(lattice[0], lattice[1])  # Q_t = 1: a crossing at t = 1
+    for i, (lanes, probs, k_ch, k_dis, band) in enumerate(lane_batches(lattice, seed)):
+        eps = (0.05, 0.3, 0.7)[i % 3]
+        band = whole if i % 4 == 3 else band
+        for dist in propagate_lanes(lanes, probs, k_ch, k_dis):
+            eager = eager_stopping_time(dist, band, eps, mode)
+            big_q_first = stopping_time(dist, band, eps, mode)
+            assert big_q_first.big_q == eager.big_q
+            assert big_q_first.tau_star == eager.tau_star
+            tau_first = stopping_time(dist, band, eps, mode)
+            assert tau_first.tau_star == eager.tau_star
+            assert tau_first.big_q == eager.big_q
+            assert_bitwise(tau_first.q_table, eager.q_table)
+            assert big_q_first == tau_first
+            crossings.add(
+                "none" if eager.tau_star is None else "first" if eager.tau_star == 1 else "later"
+            )
+    # full-control and continue-policy Q_t start at their maximum, so they cross at 1 or never
+    assert crossings >= ({"none", "first", "later"} if mode == "idle" else {"none", "first"})
+
+
+def test_tau_star_counts_a_crossing_at_equality():
+    """Q_t = 1 - epsilon exactly is a crossing: idle Q_1 = 0.25 at epsilon = 0.75."""
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 1)
+    dist = propagate(params, [ActionProbs(0.25, 0.0, 0.75)], 1, 1)
+    result = stopping_time(dist, TargetBand.from_interval(5.5, 6.5), 0.75, "idle")
+    assert result.big_q == (0.25,) and result.tau_star == 1
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_no_steps(mode):
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, 1)
@@ -231,3 +316,49 @@ class TestCounting:
                         params, steps, band
                     ) == reference_count_feasible_trajectories(params, steps, band)
 
+
+    @pytest.mark.parametrize("lattice", LATTICES, ids=("0-10-rate2", "0-48-rate1"))
+    def test_shared_counts_match_dict_oracle_at_every_step(self, lattice):
+        """One DP for all step counts 1..48 gives each one's counts, as a DP of its own does."""
+        e_min, e_max, rate = lattice
+        for e0 in (e_min, 0.5 * (e_min + e_max), e_max - rate, e_max, e_min + 1.3 * rate):
+            params = BatteryParams(e_min, e_max, rate, e0, 48)
+            counts = trajectory_counts(params, range(48, 0, -1))
+            bands = ((e_min, e_max), (e0 - rate, e0 + 2 * rate), (e_max, e_max))
+            for steps in range(1, 49):
+                for lo, hi in bands:
+                    band = TargetBand.from_interval(lo, hi)
+                    assert counts(steps, band) == reference_count_feasible_trajectories(
+                        params, steps, band
+                    ), (e0, steps, lo, hi)
+
+    def test_step_counts_validated(self):
+        params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
+        for steps in ([0], [3, 0, 2], [-1]):
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                trajectory_counts(params, steps)
+
+    def test_table1_runs_one_dp_and_keeps_order_and_duplicates(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(params, steps):
+            calls.append(list(steps))
+            return trajectory_counts(params, steps)
+
+        monkeypatch.setattr(rc, "trajectory_counts", counted)
+        out = tmp_path / "t1.csv"
+        argv = ["table1", "--e0", "1", "--band", "5,7", "--steps", "4", "4", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == [[4, 4, 2]]
+        assert out.read_text() == (
+            "e0,band_lo,band_hi,steps,in_band,total,pct\n"
+            "1.0,5.0,7.0,4,13,35,37.14\n"
+            "1.0,5.0,7.0,4,13,35,37.14\n"
+            "1.0,5.0,7.0,2,1,5,20.00\n"
+        )
+
+    @pytest.mark.parametrize("steps", [["0"], ["4", "0"], ["0", "4"]])
+    def test_table1_step_count_below_one_is_a_validation_error(self, tmp_path, capsys, steps):
+        argv = ["table1", "--band", "5,7", "--steps", *steps, "--out", str(tmp_path / "t1.csv")]
+        assert main(argv) == 1
+        assert "horizon must be at least 1" in capsys.readouterr().err
