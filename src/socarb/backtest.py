@@ -3,6 +3,14 @@
 Runs the policy/reachability/counting/CQR pipeline over a grid of initial
 SoC values, target bands, and start windows; emits a deterministic JSON
 report plus CSV plot-data files mirroring the case-study figures.
+
+A failed stage does not stop the run.  :func:`_attempt` holds its exception
+in place of its value, and :func:`_value` raises it again in each cell that
+reads the stage, which records it as an error row.  A cell records the first
+failure it reads: its e0's counting, its window (bounds and price
+distribution), then per budget pair its SoC distribution and the window's
+profit batch.  A CQR row records a failed fit or labelling, which every row
+shares, before its own coverage check.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -257,103 +266,79 @@ def _window_days(days, n):
     return [DayPrices(d.day_id, d.values[-n:]) for d in days]
 
 
-def _fit_window(config, train_days, test_days, batteries):
-    """One window's bounds and price distribution, and its policies' test-day profits.
-
-    Bounds and distribution come from the train days' last n steps.  The
-    profits of every (battery, budget pair, test day) come from one
-    :func:`policy_outcomes` batch, or are the failure that batch raised.
-    """
-    n = batteries[0].horizon
-    train_w = _window_days(train_days, n)
-    bounds = compute_bounds(train_w, 1, config.bounds_mode)
-    dist = fit_distribution(train_w)
+def _attempt(func, *args):
+    """func(*args), or the exception raised in its place; a failed argument fails it too."""
     try:
-        profits, _ = policy_outcomes(
-            _window_days(test_days, n), batteries, config.k_grid, config.threshold_mode, bounds
-        )
+        return func(*map(_value, args))
     except Exception as exc:
-        profits = exc
-    return bounds, dist, profits
+        return exc
 
 
-def _policy(config, params, bounds, dist, k_ch, k_dis):
-    """SoC distribution of one budget pair's policy."""
-    probs = policy_action_probabilities(params, dist, bounds, k_ch, k_dis, config.threshold_mode)
-    return propagate(params, probs, k_ch, k_dis)
+def _value(result):
+    """The value of an :func:`_attempt`; a failed one raises its exception again."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
     """One budget pair's SoC distribution per battery, or the failure in its place.
 
     Where the threshold rule never reads the SoC, the batteries share one
-    list of action probabilities and one :func:`propagate_lanes` batch;
-    otherwise each battery is a batch of its own.
+    list of action probabilities and one :func:`propagate_lanes` batch, and
+    its failure; otherwise each battery is a batch of its own.
     """
     mode = config.threshold_mode
     groups = [batteries] if mode in SOC_FREE_MODES else [[params] for params in batteries]
     lanes = []
     for group in groups:
-        try:
-            probs = policy_action_probabilities(group[0], dist, bounds, k_ch, k_dis, mode)
-            lanes += propagate_lanes(group, probs, k_ch, k_dis)
-        except Exception as exc:  # recorded in every battery of the group
-            lanes += [exc] * len(group)
+        probs = _attempt(policy_action_probabilities, group[0], dist, bounds, k_ch, k_dis, mode)
+        batch = _attempt(propagate_lanes, group, probs, k_ch, k_dis)
+        lanes += [_attempt(getitem, batch, i) for i in range(len(group))]
     return lanes
 
 
-def _policy_runs(config, batteries, window):
-    """What each battery's cells do not take from their bands, per budget pair.
+def _window_policies(config, batteries, train_days, test_days):
+    """Each battery's runs in the window of its last n steps, or the failure in their place.
 
     A battery's runs map each budget pair to its SoC distribution and
-    test-day profits, or are the failure its first policy run hits: the
-    window's, its distribution's or the profit batch's, in that order.
+    test-day profits.  Bounds and distribution come from the train days'
+    last n steps; one :func:`policy_outcomes` batch runs every (battery,
+    budget pair, test day), and :func:`_policy_lanes` one reachability batch
+    per budget pair.  A battery takes the first failure its policy runs
+    hit: the window's, its distribution's or the profit batch's, in that
+    order.
     """
-    if window is None:
+    if not config.k_grid:  # no budget pair, no policy to fit or run
         return [{} for _ in batteries]
-    if isinstance(window, Exception):
-        return [window] * len(batteries)
-    bounds, dist, profits = window
-    per_pair = [_policy_lanes(config, batteries, bounds, dist, *pair) for pair in config.k_grid]
-    runs = []
-    for i, soc_dists in enumerate(zip(*per_pair)):
+    n = batteries[0].horizon
+    mode = config.threshold_mode
+
+    def fit():
+        train_w = _window_days(train_days, n)
+        bounds = compute_bounds(train_w, 1, config.bounds_mode)
+        dist = fit_distribution(train_w)
+        test_w = _window_days(test_days, n)
+        outcomes = _attempt(policy_outcomes, test_w, batteries, config.k_grid, mode, bounds)
+        return outcomes, [_policy_lanes(config, batteries, bounds, dist, *k) for k in config.k_grid]
+
+    window = _attempt(fit)
+
+    def runs(i):
+        outcomes, per_pair = _value(window)
         run = {}
-        for j, ((k_ch, k_dis), soc_dist) in enumerate(zip(config.k_grid, soc_dists)):
-            if isinstance(soc_dist, Exception) or isinstance(profits, Exception):
-                run = soc_dist if isinstance(soc_dist, Exception) else profits
-                break
-            day_profits = profits[i, j].tolist()
+        for j, ((k_ch, k_dis), lanes) in enumerate(zip(config.k_grid, per_pair)):
+            soc_dist = _value(lanes[i])
+            day_profits = _value(outcomes)[0][i, j].tolist()
             profit = {
                 "mean": float(np.mean(day_profits)),
                 "min": float(np.min(day_profits)),
                 "max": float(np.max(day_profits)),
             }
             run[f"k={k_ch}x{k_dis}"] = soc_dist, profit
-        runs.append(run)
-    return runs
+        return run
 
-
-def _cell_result(config, params, band, runs, counts):
-    if isinstance(counts, Exception):
-        raise counts
-    in_band, total, pct = counts(params.horizon, band)
-    cell = {
-        "counting": {"in_band": in_band, "total": total, "pct": pct},
-    }
-    if isinstance(runs, Exception):
-        raise runs
-    if config.k_grid:
-        cell["policies"] = {
-            key: {
-                "p_band": terminal_band_probability(soc_dist, band),
-                "tau_star": stopping_time(
-                    soc_dist, band, config.epsilon, config.post_stop_mode
-                ).tau_star,
-                "profit": dict(profit),
-            }
-            for key, (soc_dist, profit) in runs.items()
-        }
-    return cell
+    return [_attempt(runs, i) for i in range(len(batteries))]
 
 
 def _window_cells(config, n, train_days, test_days, lattice_counts):
@@ -362,19 +347,26 @@ def _window_cells(config, n, train_days, test_days, lattice_counts):
     The window's SoC distributions live only while its cells are built.
     """
     batteries = [replace(config.battery, e0=e0, horizon=n) for e0 in config.e0_sweep]
-    window = None  # no budget pair, no policy to fit or run
-    if config.k_grid:
-        try:
-            window = _fit_window(config, train_days, test_days, batteries)
-        except Exception as exc:
-            window = exc
-    runs = _policy_runs(config, batteries, window)
+    window_runs = _window_policies(config, batteries, train_days, test_days)
     cells = {}
-    for e0, params, lane_runs, counts in zip(config.e0_sweep, batteries, runs, lattice_counts):
+    for e0, runs, counts in zip(config.e0_sweep, window_runs, lattice_counts):
         for band in config.bands:
             key = f"{_e0_label(e0)}|{_band_label(band)}|steps={n}"
             try:
-                cells[key] = _cell_result(config, params, band, lane_runs, counts)
+                in_band, total, pct = _value(counts)(n, band)
+                cell = {"counting": {"in_band": in_band, "total": total, "pct": pct}}
+                if config.k_grid:
+                    cell["policies"] = {
+                        pair: {
+                            "p_band": terminal_band_probability(soc_dist, band),
+                            "tau_star": stopping_time(
+                                soc_dist, band, config.epsilon, config.post_stop_mode
+                            ).tau_star,
+                            "profit": dict(profit),
+                        }
+                        for pair, (soc_dist, profit) in _value(runs).items()
+                    }
+                cells[key] = cell
             except Exception as exc:  # recorded, not fatal
                 cells[key] = _error_row(exc)
     return cells
@@ -398,13 +390,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     # each stage runs once for what it depends on; a failed stage is recorded
     # in every cell that needs it
-    lattice_counts = []  # one counting DP per e0, for every window
-    for e0 in config.e0_sweep:
-        try:
-            counts = trajectory_counts(replace(config.battery, e0=e0), config.start_steps)
-        except Exception as exc:
-            counts = exc
-        lattice_counts.append(counts)
+    lattice_counts = [  # one counting DP per e0, for every window
+        _attempt(trajectory_counts, replace(config.battery, e0=e0), config.start_steps)
+        for e0 in config.e0_sweep
+    ]
     cells = {}
     for n in config.start_steps:
         cells.update(_window_cells(config, n, train_days, test_days, lattice_counts))
@@ -432,7 +421,10 @@ def _plot_blocks(config, train_days, bounds, cells):
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
     dist = fit_distribution(train_days)
-    soc_dist = _policy(config, config.battery, bounds, dist, k_ch, k_dis)
+    probs = policy_action_probabilities(
+        config.battery, dist, bounds, k_ch, k_dis, config.threshold_mode
+    )
+    soc_dist = propagate(config.battery, probs, k_ch, k_dis)
     stop = stopping_time(soc_dist, band, config.epsilon, config.post_stop_mode)
     profit_rows = []
     for key in sorted(cells):
@@ -448,16 +440,11 @@ def _plot_blocks(config, train_days, bounds, cells):
 
 
 def _cqr_block(config, train_days, calib_days, test_days, bounds):
-    battery = config.battery
     band = config.bands[-1]
     k_ch, k_dis = config.k_grid[0] if config.k_grid else DEFAULT_BUDGETS
-    params_list = [
-        BatteryParams(battery.e_min, battery.e_max, battery.rate, e0, battery.horizon)
-        for e0 in config.e0_sweep
-    ]
-    rows = {}
-    coverage_curve = []
-    try:
+    params_list = [replace(config.battery, e0=e0) for e0 in config.e0_sweep]
+
+    def fit():
         models = fit_conformal_models(
             train_days,
             calib_days,
@@ -472,14 +459,17 @@ def _cqr_block(config, train_days, calib_days, test_days, bounds):
         x_test, y_test = label_days(
             test_days, params_list, bounds, k_ch, k_dis, config.threshold_mode
         )
-    except Exception as exc:  # common to the sweep: recorded in every row, not fatal
-        rows = {_e0_label(e0): _error_row(exc) for e0 in config.e0_sweep}
-        models, y_test = [], []
-    for e0, model, labels in zip(config.e0_sweep, models, y_test):
+        return models, x_test, y_test
+
+    fitted = _attempt(fit)
+    rows = {}
+    coverage_curve = []
+    for i, e0 in enumerate(config.e0_sweep):
         try:
-            report = evaluate_coverage(model, x_test, labels, band)
+            models, x_test, y_test = _value(fitted)
+            report = evaluate_coverage(models[i], x_test, y_test[i], band)
             rows[_e0_label(e0)] = {
-                "delta_hat": model.delta_hat,
+                "delta_hat": models[i].delta_hat,
                 "marginal_coverage": report.marginal_coverage,
                 "band_certificate_rate": report.band_certificate_rate,
                 "mean_interval_width": report.mean_interval_width,

@@ -298,7 +298,9 @@ def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> Pri
 
     ``per-hour`` keeps one (min, max) pair per remaining slot; ``global``
     repeats the scalar envelope.  Non-positive lower bounds are clamped to
-    :data:`DEFAULT_PRICE_FLOOR` so threshold ratio equations stay well posed.
+    :data:`DEFAULT_PRICE_FLOOR` so threshold ratio equations stay well posed,
+    and per-hour maxima are lifted to it; each per-hour bound is then
+    clipped into the envelope [lambda_min, lambda_max].
     """
     if not days:
         raise ValueError("compute_bounds requires at least one day")
@@ -323,6 +325,9 @@ def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> Pri
     else:
         per_min = _clamp_floor(matrix[:, t - 1 :].min(axis=0).tolist(), "per-slot lower bound")
         per_max = [max(v, DEFAULT_PRICE_FLOOR) for v in matrix[:, t - 1 :].max(axis=0).tolist()]
+        # a floor can lift a slot's bound out of the envelope; clip it back in
+        per_min = np.clip(per_min, lam_min, lam_max).tolist()
+        per_max = np.clip(per_max, lam_min, lam_max).tolist()
     return PriceBounds(
         lambda_min=lam_min,
         lambda_max=lam_max,

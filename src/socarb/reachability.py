@@ -54,30 +54,21 @@ class ActionProbs:
 
 @dataclass(frozen=True)
 class TargetBand:
-    """Terminal SoC band [e_target - delta, e_target + delta]."""
+    """Terminal SoC band [lo, hi], its edges stored as given."""
 
-    e_target: float
-    delta: float
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"band edges must be finite, got {self.lo!r}, {self.hi!r}")
+        if self.hi < self.lo:
+            raise ValueError("band upper edge below lower edge")
 
     @classmethod
     def from_interval(cls, lo: float, hi: float) -> "TargetBand":
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"band edges must be finite, got {lo!r}, {hi!r}")
-        if hi < lo:
-            raise ValueError("band upper edge below lower edge")
-        return cls(0.5 * (lo + hi), 0.5 * (hi - lo))
-
-    @property
-    def lo(self) -> float:
-        return self.e_target - self.delta
-
-    @property
-    def hi(self) -> float:
-        return self.e_target + self.delta
+        """The band [lo, hi], its edges as floats."""
+        return cls(float(lo), float(hi))
 
     def contains(self, e):
         """Whether e lies in the band; elementwise when e is an array."""

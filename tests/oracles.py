@@ -388,13 +388,16 @@ def reference_policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
 
     Oracle for ``socarb.backtest._policy_lanes``, which shares action
     probabilities and one propagation batch across a window's batteries:
-    here each (e0, budget pair) runs ``socarb.backtest._policy`` alone, and
-    a failure takes only its battery's place.
+    here each (e0, budget pair) runs its policy alone, through the action
+    probabilities and ``propagate`` that ``socarb.backtest`` binds, and a
+    failure takes only its battery's place.
     """
+    mode = config.threshold_mode
     lanes = []
     for params in batteries:
         try:
-            lanes.append(backtest._policy(config, params, bounds, dist, k_ch, k_dis))
+            probs = backtest.policy_action_probabilities(params, dist, bounds, k_ch, k_dis, mode)
+            lanes.append(backtest.propagate(params, probs, k_ch, k_dis))
         except Exception as exc:
             lanes.append(exc)
     return lanes

@@ -101,6 +101,23 @@ class TestConfig:
         assert config.k_grid == ((2, 2),)
         assert parse_config(config.canonical_text()) == config
 
+    def test_band_edges_round_trip_on_the_tenth_grid(self):
+        """Each band lo < hi on the 0.1 grid over 0..10 keeps its edges, and its config text.
+
+        The edges are stored as typed, so the canonical text prints them back,
+        and parsing that text gives the same config and hash.
+        """
+        grid = [f"{i / 10:g}" for i in range(101)]
+        for i, lo in enumerate(grid):
+            for hi in grid[i + 1:]:
+                config = parse_config(f"bands = {lo}:{hi}\n")
+                (band,) = config.bands
+                assert (band.lo, band.hi) == (float(lo), float(hi))
+                assert f"bands = {float(lo)!r}:{float(hi)!r}\n" in config.canonical_text()
+                again = parse_config(config.canonical_text())
+                assert again == config
+                assert again.canonical_text() == config.canonical_text()
+
     def test_defaults(self):
         config = parse_config("")
         assert config.battery.horizon == 24
@@ -688,6 +705,13 @@ class TestCli:
         assert rows[1].endswith("46.66")
         assert rows[2].endswith("37.14")
         assert rows[3].endswith("20.00")
+
+    def test_table1_prints_band_edges_as_typed(self, capsys):
+        argv = ["table1", "--e0", "1", "--band", "0.1,0.7", "--steps", "4", "--emax", "1"]
+        assert main(argv + ["--rate", "0.3"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert header.startswith("e0,band_lo,band_hi,")
+        assert row.split(",")[1:3] == ["0.1", "0.7"]
 
     def test_cqr_train_then_evaluate(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

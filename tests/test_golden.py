@@ -41,7 +41,9 @@ def first_difference(got, want, path="$"):
 @pytest.mark.parametrize("mode, post_stop", CASES)
 def test_backtest_report_equals_its_golden_copy(tmp_path, mode, post_stop):
     want = json.loads(golden_path(mode, post_stop).read_text())
-    assert first_difference(backtest_report(mode, post_stop, tmp_path), want) is None
+    found = first_difference(backtest_report(mode, post_stop, tmp_path), want)
+    if found:
+        pytest.fail(f"{golden_path(mode, post_stop).name} differs at {found}")
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,12 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socarb.market_data import (
+    BOUNDS_MODES,
+    DEFAULT_PRICE_FLOOR,
     DayPrices,
     EmpiricalCdf,
     PriceBounds,
@@ -292,6 +294,62 @@ class TestComputeBounds:
         assert all(z_min[i] <= z_min[i + 1] for i in range(len(z_min) - 1))
         assert all(z_max[i] >= z_max[i + 1] for i in range(len(z_max) - 1))
         assert b.lambda_min <= min(z_min) and max(z_max) <= b.lambda_max
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(-50.0, 500.0),
+                    st.floats(0.0, 0.02),
+                    st.sampled_from([-2.0, -0.0, 0.0, 0.002, 0.004, 0.009, DEFAULT_PRICE_FLOOR]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(1, 3),
+        st.sampled_from(BOUNDS_MODES),
+    )
+    @example([[0.005, 0.008, 0.004], [0.006, 0.002, 0.009]], 1, "per-hour")
+    @example([[-1.0, 0.008, 0.004], [0.006, -2.0, 0.009]], 1, "per-hour")
+    @settings(max_examples=300, deadline=None)
+    def test_every_finite_matrix_has_bounds(self, rows, t, mode):
+        """Negative, zero and sub-cent prices give valid bounds in both modes.
+
+        Where the floors alone gave bounds that PriceBounds accepts, they are
+        the same bounds: those it took up to 1e-12 outside the envelope now
+        lie on it.
+        """
+        b = compute_bounds(make_days(rows), t, mode)
+        assert 0 < b.lambda_min <= min(b.per_slot_min)
+        assert max(b.per_slot_max) <= b.lambda_max
+        assert all(lo <= hi for lo, hi in zip(b.per_slot_min, b.per_slot_max))
+        try:
+            floored = PriceBounds(*floored_bounds(rows, t, mode), t, len(rows[0]))
+        except ValueError:
+            return
+        assert (b.lambda_min, b.lambda_max) == (floored.lambda_min, floored.lambda_max)
+        for got, want in (
+            (b.per_slot_min, floored.per_slot_min),
+            (b.per_slot_max, floored.per_slot_max),
+        ):
+            assert got == tuple(min(max(v, b.lambda_min), b.lambda_max) for v in want)
+            assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+
+
+def floored_bounds(rows, t, mode):
+    """compute_bounds' envelope and per-slot bounds after its floors, before the clip."""
+    matrix = np.array(rows, dtype=float)[:, t - 1 :]
+    floor = DEFAULT_PRICE_FLOOR
+    lam_min = float(np.min(rows)) if np.min(rows) > 0 else floor
+    lam_max = max(float(np.max(rows)), lam_min)
+    if mode == "global":
+        return lam_min, lam_max, (lam_min,) * matrix.shape[1], (lam_max,) * matrix.shape[1]
+    per_min = tuple(v if v > 0 else floor for v in matrix.min(axis=0).tolist())
+    per_max = tuple(max(v, floor) for v in matrix.max(axis=0).tolist())
+    return lam_min, lam_max, per_min, per_max
 
 
 class TestFitDistribution:

@@ -342,3 +342,118 @@ def test_failed_batch_fails_its_window_as_the_loop_did(monkeypatch):
     monkeypatch.setattr(bt, "policy_outcomes", reference_policy_outcomes)
     monkeypatch.setattr(oracles, "run_policy_days", failing(run_policy_days))
     assert run_experiment(config).payload["cells"] == cells
+
+
+def failing_where(original, message, fails):
+    """original, raising RuntimeError(message) on the calls where fails(*args) holds."""
+
+    def run(*args, **kwargs):
+        if fails(*args):
+            raise RuntimeError(message)
+        return original(*args, **kwargs)
+
+    return run
+
+
+def six_step_days(days, *args):
+    return bool(days) and len(days[0].values) == 6
+
+
+def assert_cells(cells, healthy, expected_error):
+    """Each cell is an error row of expected_error(key), or its healthy self where that is None."""
+    assert cells.keys() == healthy.keys()
+    for key, cell in cells.items():
+        message = expected_error(key)
+        assert cell == (healthy[key] if message is None else {"error": message}), key
+
+
+def test_failed_bounds_fail_their_window_only(monkeypatch):
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    healthy = run_experiment(config).payload
+    monkeypatch.setattr(
+        bt, "compute_bounds", failing_where(compute_bounds, "no bounds", six_step_days)
+    )
+    report = run_experiment(config).payload
+    assert_cells(
+        report["cells"],
+        healthy["cells"],
+        lambda key: "RuntimeError: no bounds" if key.endswith("|steps=6") else None,
+    )
+    assert report["cqr"] == healthy["cqr"]
+    # the profit curve loses the failed cells' rows, and nothing else changes
+    healthy_plot = healthy["plot_data"]
+    kept = [row for row in healthy_plot["profit_curve"] if not row[0].endswith("|steps=6")]
+    assert report["plot_data"] == {**healthy_plot, "profit_curve": kept}
+
+
+@pytest.mark.parametrize(
+    "first, second, winner",
+    [
+        # a failed window runs no policy; a failed SoC distribution comes
+        # before the profit batch in every budget pair
+        ("compute_bounds", "policy_action_probabilities", "compute_bounds"),
+        ("fit_distribution", "policy_outcomes", "fit_distribution"),
+        ("policy_action_probabilities", "policy_outcomes", "policy_action_probabilities"),
+        ("policy_outcomes", "policy_action_probabilities", "policy_action_probabilities"),
+    ],
+)
+def test_first_failure_of_a_window_wins(monkeypatch, first, second, winner):
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    healthy = run_experiment(config).payload["cells"]
+    horizon_six = {
+        "compute_bounds": six_step_days,
+        "fit_distribution": six_step_days,
+        "policy_outcomes": six_step_days,
+        "policy_action_probabilities": lambda params, *args: params.horizon == 6,
+    }
+    for name in (first, second):
+        original = getattr(bt, name)
+        monkeypatch.setattr(bt, name, failing_where(original, f"{name} failed", horizon_six[name]))
+    cells = run_experiment(config).payload["cells"]
+    message = f"RuntimeError: {winner} failed"
+    assert_cells(cells, healthy, lambda key: message if key.endswith("|steps=6") else None)
+
+
+def test_failed_counts_win_over_a_failed_window(monkeypatch):
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    healthy = run_experiment(config).payload["cells"]
+    monkeypatch.setattr(
+        bt, "compute_bounds", failing_where(compute_bounds, "no bounds", six_step_days)
+    )
+    monkeypatch.setattr(
+        bt,
+        "trajectory_counts",
+        failing_where(bt.trajectory_counts, "no counts", lambda params, *args: params.e0 == 3.3),
+    )
+    cells = run_experiment(config).payload["cells"]
+
+    def expected(key):
+        if key.startswith("e0=3.3|"):
+            return "RuntimeError: no counts"
+        return "RuntimeError: no bounds" if key.endswith("|steps=6") else None
+
+    assert_cells(cells, healthy, expected)
+
+
+def test_failed_coverage_check_fails_its_row_only(monkeypatch):
+    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    healthy = run_experiment(config).payload["cqr"]
+    calls = []
+
+    def second_call(*args):
+        calls.append(args)
+        return len(calls) == 2  # the e0 sweep's second entry, 3.3
+
+    monkeypatch.setattr(
+        bt, "evaluate_coverage", failing_where(bt.evaluate_coverage, "no coverage", second_call)
+    )
+    cqr = run_experiment(config).payload["cqr"]
+    assert len(calls) == 3
+    assert cqr["per_e0"] == {
+        **healthy["per_e0"], "e0=3.3": {"error": "RuntimeError: no coverage"}
+    }
+    assert [row[0] for row in healthy["coverage_curve"]] == [0.0, 3.3, 10.0]
+    assert cqr["coverage_curve"] == [healthy["coverage_curve"][0], healthy["coverage_curve"][2]]
+    assert {k: v for k, v in cqr.items() if k not in ("per_e0", "coverage_curve")} == {
+        k: v for k, v in healthy.items() if k not in ("per_e0", "coverage_curve")
+    }
