@@ -445,21 +445,25 @@ def _cqr_block(config, train_days, calib_days, test_days, bounds):
     params_list = [replace(config.battery, e0=e0) for e0 in config.e0_sweep]
 
     def fit():
-        models = fit_conformal_models(
-            train_days,
-            calib_days,
+        # the train, calibration and test days of every battery in one batch
+        x, y = label_days(
+            [*train_days, *calib_days, *test_days],
             params_list,
             bounds,
             k_ch,
             k_dis,
-            config.epsilon,
             config.threshold_mode,
+        )
+        train_end, calib_end = len(train_days), len(train_days) + len(calib_days)
+        models = fit_conformal_models(
+            x[:train_end],
+            y[:, :train_end],
+            x[train_end:calib_end],
+            y[:, train_end:calib_end],
+            config.epsilon,
             epochs=config.cqr_epochs,
         )
-        x_test, y_test = label_days(
-            test_days, params_list, bounds, k_ch, k_dis, config.threshold_mode
-        )
-        return models, x_test, y_test
+        return models, x[calib_end:], y[:, calib_end:]
 
     fitted = _attempt(fit)
     rows = {}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .market_data import DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, policy_outcomes
+from .thresholds import BatteryParams, _static_lanes, policy_outcomes
 
 log = logging.getLogger(__name__)
 
@@ -75,12 +75,19 @@ def label_days(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Day features (n, d) and each battery's terminal SoC labels (len(params_list), n).
 
-    The one place the CQR layer runs the policy: every battery's days go
-    through one :func:`policy_outcomes` call.  The batteries may differ only
-    in ``e0``, so the features, which do not depend on the battery, are shared.
+    The one place the CQR layer runs the policy, for a whole e0 sweep at
+    once; the labels are the ``soc`` of :func:`policy_outcomes`.  The
+    batteries may differ only in ``e0``, so the features, which do not
+    depend on the battery, are shared.  In static mode the lanes step in the
+    kernel of :func:`policy_outcomes` without its profits, and the price
+    matrix they step through is the features.
     """
-    _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
-    return np.array([day_features(day) for day in days]), soc[:, 0]
+    if threshold_mode == "static" and params_list:
+        features, soc = _static_lanes(days, params_list, [(k_ch, k_dis)], bounds)
+    else:
+        features = np.array([day_features(day) for day in days])
+        _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
+    return features, soc[:, 0]
 
 
 def train_quantile_models(
@@ -96,11 +103,12 @@ def train_quantile_models(
     Row i of ``labels`` (k, n) is fit at level ``thetas[i]`` by deterministic
     full-batch subgradient descent on the pinball loss.  Each intercept starts
     at the empirical theta-quantile of its labels.  Each model keeps its own
-    step, which halves whenever a move would raise that model's epoch loss, so
-    every loss trace is non-increasing.  ``step0`` is the start step of every
-    model; None starts each at its own label spread.  Returns the
-    (k, d + 1) weights, intercept last, plus the k per-epoch loss traces when
-    ``return_history``.  Features must already be standardized.
+    step.  A move is kept when it raises that model's epoch loss by at most
+    1e-15; otherwise it is dropped and the step halves.  ``step0`` is the
+    start step of every model, finite and positive; None starts each at its
+    own label spread.  Returns the (k, d + 1) weights, intercept last, plus
+    the k per-epoch loss traces when ``return_history``.  Features must
+    already be standardized.
 
     Model i comes out bit for bit as if fit alone: every product is one
     matrix-vector product per model over a broadcast view of the features
@@ -110,8 +118,14 @@ def train_quantile_models(
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1 or not np.all((th > 0.0) & (th < 1.0)):
         raise ValueError("theta must lie in (0, 1)")
+    try:
+        epochs = operator.index(epochs)
+    except TypeError:
+        raise ValueError(f"epochs must be an integer, got {epochs!r}") from None
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if step0 is not None and not (math.isfinite(step0) and step0 > 0.0):
+        raise ValueError(f"step0 must be finite and positive, got {step0!r}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     k = th.size
@@ -120,34 +134,42 @@ def train_quantile_models(
     n, d = x.shape
     xs = np.broadcast_to(x, (k, n, d))
     xts = np.broadcast_to(x.T, (k, d, n))
-    gain, cost = th[:, None], th[:, None] - 1.0
+    # the pinball slope at each residual r: theta where r > 0, theta - 1
+    # otherwise.  slope * r is the loss term max(theta * r, (theta - 1) * r)
+    # up to the sign of a zero, which no sum of these terms keeps; -slope is
+    # the subgradient, so each move is the plain descent step negated
+    gain = np.repeat(th[:, None], n, axis=1)
+    cost = gain - 1.0
     w = np.zeros((k, d))
     b = np.array([np.quantile(row, theta) for row, theta in zip(y, th)])
     step = np.array([step0 if step0 is not None else max(float(row.std()), 1e-8) for row in y])
+    fitted = np.empty((k, n, 1))
+    moved = np.empty((k, d, 1))
 
-    def residual(w, b):
-        return y - (np.matmul(xs, w[:, :, None])[:, :, 0] + b[:, None])
-
-    def mean_loss(diff):
+    def slope_and_loss(w, b):
+        np.matmul(xs, w[:, :, None], out=fitted)
+        resid = y - (fitted[:, :, 0] + b[:, None])
+        slope = np.where(resid > 0, gain, cost)
         # np.mean is this same sum divided by n
-        return np.add.reduce(np.maximum(gain * diff, cost * diff), axis=1) / n
+        return slope, np.add.reduce(slope * resid, axis=1) / n
 
-    # the residuals of the current (w, b): computed once per accepted move
-    resid = residual(w, b)
-    loss = mean_loss(resid)
+    # the slope at the current (w, b): computed once per accepted move
+    slope, loss = slope_and_loss(w, b)
     history = [loss]
     for _ in range(epochs):
-        grad = np.where(resid > 0, -gain, 1.0 - gain)
-        w_new = w - step[:, None] * np.matmul(xts, grad[:, :, None])[:, :, 0] / n
-        b_new = b - step * (np.add.reduce(grad, axis=1) / n)
-        resid_new = residual(w_new, b_new)
-        loss_new = mean_loss(resid_new)
+        np.matmul(xts, slope[:, :, None], out=moved)
+        w_new = w + step[:, None] * moved[:, :, 0] / n
+        b_new = b + step * (np.add.reduce(slope, axis=1) / n)
+        slope_new, loss_new = slope_and_loss(w_new, b_new)
         accept = loss_new <= loss + 1e-15
-        w = np.where(accept[:, None], w_new, w)
-        b = np.where(accept, b_new, b)
-        resid = np.where(accept[:, None], resid_new, resid)
-        loss = np.where(accept, loss_new, loss)
-        step = np.where(accept, step, step * 0.5)
+        if accept.all():
+            w, b, slope, loss = w_new, b_new, slope_new, loss_new
+        else:
+            w = np.where(accept[:, None], w_new, w)
+            b = np.where(accept, b_new, b)
+            slope = np.where(accept[:, None], slope_new, slope)
+            loss = np.where(accept, loss_new, loss)
+            step = np.where(accept, step, step * 0.5)
         history.append(loss)
     weights = np.column_stack([w, b])
     if return_history:
@@ -275,8 +297,9 @@ class ConformalModel:
             for i, w in enumerate(weights):
                 if not math.isfinite(w):
                     raise ValueError(f"{name}[{i}] = {w!r} must be finite")
-        if not math.isfinite(self.delta_hat):
-            raise ValueError(f"delta_hat must be finite, got {self.delta_hat!r}")
+        # scores are never negative, so neither is the width calibration writes
+        if not (math.isfinite(self.delta_hat) and self.delta_hat >= 0.0):
+            raise ValueError(f"delta_hat must be finite and non-negative, got {self.delta_hat!r}")
         # the calibration rule writes rho_low = epsilon / 2 and rho_high = 1 - rho_low
         if not 0.0 < self.rho_low < 0.5:
             raise ValueError(f"rho_low must lie in (0, 0.5), got {self.rho_low!r}")
@@ -358,37 +381,35 @@ def calibrate(
 
 
 def fit_conformal_models(
-    train_days: list[DayPrices],
-    calib_days: list[DayPrices],
-    params_list: list[BatteryParams],
-    bounds: PriceBounds,
-    k_ch: int,
-    k_dis: int,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_cal: np.ndarray,
+    y_cal: np.ndarray,
     epsilon: float,
-    threshold_mode: str = "static",
     epochs: int = 600,
 ) -> list[ConformalModel]:
-    """One calibrated model per battery in ``params_list``, fit on the same days.
+    """One calibrated model per battery, fit on the same labelled days.
 
-    The batteries may differ only in ``e0``.  Day features do not depend on
-    the battery, so the scaler is fit once (its zero-variance warning logs
-    once per sweep, not once per battery).  The train and the calibration
-    days of all batteries are labelled by one :func:`label_days` call each,
-    the 2 × len(params_list) quantile predictors train in one
+    ``x_train``, ``y_train`` and ``x_cal``, ``y_cal`` are the train and the
+    calibration days as :func:`label_days` gives them for a sweep of
+    batteries that differ only in ``e0``: one label row per battery.  Day
+    features do not depend on the battery, so the scaler is fit once (its
+    zero-variance warning logs once per sweep, not once per battery).  The
+    2 × len(y_train) quantile predictors train in one
     :func:`train_quantile_models` call at levels epsilon / 2 and
     1 - epsilon / 2, and each model is set by :func:`calibrate`.  Each model
-    equals bit for bit what :func:`label_days`, :func:`train_quantile_model`
-    and :func:`calibrate` give for its battery alone.
+    equals bit for bit what :func:`train_quantile_model` and
+    :func:`calibrate` give for its battery alone.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    x_train, y_train = label_days(train_days, params_list, bounds, k_ch, k_dis, threshold_mode)
+    if len(y_cal) != len(y_train):
+        raise ValueError(f"{len(y_train)} train label rows but {len(y_cal)} calibration rows")
     scaler = FeatureScaler.fit(x_train)
-    # rows low, high per battery, in params_list order
+    # rows low, high per battery, in the order of the label rows
     labels = np.repeat(y_train, 2, axis=0)
-    thetas = [epsilon / 2.0, 1.0 - epsilon / 2.0] * len(params_list)
+    thetas = [epsilon / 2.0, 1.0 - epsilon / 2.0] * len(y_train)
     weights = train_quantile_models(scaler.transform(x_train), labels, thetas, epochs=epochs)
-    x_cal, y_cal = label_days(calib_days, params_list, bounds, k_ch, k_dis, threshold_mode)
     models = []
     for low_w, high_w, y in zip(weights[::2], weights[1::2], y_cal):
         low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
@@ -411,11 +432,12 @@ def fit_conformal(
 ) -> ConformalModel:
     """Train both quantile predictors, then :func:`calibrate` the conformal width.
 
-    The one-battery case of :func:`fit_conformal_models`.
+    The one-battery case of :func:`fit_conformal_models`; the train and the
+    calibration days are labelled in one :func:`label_days` batch.
     """
-    return fit_conformal_models(
-        train_days, calib_days, [params], bounds, k_ch, k_dis, epsilon, threshold_mode, epochs
-    )[0]
+    x, y = label_days([*train_days, *calib_days], [params], bounds, k_ch, k_dis, threshold_mode)
+    n = len(train_days)
+    return fit_conformal_models(x[:n], y[:, :n], x[n:], y[:, n:], epsilon, epochs)[0]
 
 
 def predict_intervals(

@@ -20,8 +20,10 @@ everything that needs a trajectory or runs a single day uses it:
 reduction.  :func:`policy_outcomes` returns only the profit and terminal SoC
 of every (battery, budget pair, day) lane, and in static mode steps all lanes
 of a batch at once in numpy; the backtest runs each window's whole e0 sweep ×
-k_grid through one call, and ``conformal.label_days``, the CQR layer's one
-labeller, makes one call per day set for a whole e0 sweep.  A numpy step
+k_grid through one call.  ``conformal.label_days``, the CQR layer's one
+labeller, labels a report's days in one batch for a whole e0 sweep; in
+static mode it steps the same kernel, :func:`_static_lanes`, for the terminal
+SoC alone.  A numpy step
 costs the same for one lane as for a thousand, so single days stay on the
 loop: on a 2-vCPU VM (Python 3.11, numpy 2.4) one 24-step day took 0.6 ms in
 lanes against 0.02 ms in the loop, 73 days 0.7-0.8 ms against 0.65 ms, and
@@ -522,31 +524,62 @@ def policy_outcomes(
     ``run_policy_days(days, params_list[i], *budgets[j], threshold_mode,
     bounds)[n]``, bit for bit.  The batteries may differ only in ``e0``.
 
-    In static mode every (battery, budget pair, day) lane steps at once in
-    numpy.  The books sit in padded (len(budgets), k_max + 1) matrices where a
-    spent side reads -inf (charge) or +inf (discharge), which no finite price
-    crosses; each step applies the loop's charge-first,
-    fall-through-to-discharge rule and its ``FEAS_EPS`` capacity checks.  The
-    timedep and feasibility thresholds read (t, s_ch, s_dis) of each lane, so
-    those modes run :func:`run_policy_days` once per battery and budget pair.
+    Static mode steps every lane at once in :func:`_static_lanes` and sums
+    the cash flows of the actions it records.  The timedep and feasibility
+    thresholds read (t, s_ch, s_dis) of each lane, so those modes run
+    :func:`run_policy_days` once per battery and budget pair.
     """
     params_list, budgets = list(params_list), list(budgets)
     if threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+    shape = (len(params_list), len(budgets), len(days))
+    if threshold_mode == "static" and params_list:
+        horizon, rate = params_list[0].horizon, params_list[0].rate
+        actions = np.empty(shape + (horizon,), dtype=np.int8)
+        prices, soc = _static_lanes(days, params_list, budgets, bounds, actions)
+        # as in the loop, an idle step on a negative price gives -0.0
+        cash = -actions * prices * rate
+        lanes = cash.reshape(-1, horizon).tolist()
+        return np.array(list(map(math.fsum, lanes))).reshape(shape), soc
+    _check_shared_battery(params_list)
+    profit, soc = np.empty(shape), np.empty(shape)  # no battery: empty arrays
+    for i, params in enumerate(params_list):
+        for j, (k_ch, k_dis) in enumerate(budgets):
+            trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
+            profit[i, j] = [traj.profit for traj in trajs]
+            soc[i, j] = [traj.soc_path[-1] for traj in trajs]
+    return profit, soc
+
+
+def _check_shared_battery(params_list: list[BatteryParams]) -> None:
     for params in params_list[1:]:
         for name in ("e_min", "e_max", "rate", "horizon"):
             if getattr(params, name) != getattr(params_list[0], name):
                 raise ValueError(f"batteries of one batch may differ only in e0, not in {name}")
-    shape = (len(params_list), len(budgets), len(days))
-    if threshold_mode != "static" or not params_list:  # no battery: empty arrays
-        profit, soc = np.empty(shape), np.empty(shape)
-        for i, params in enumerate(params_list):
-            for j, (k_ch, k_dis) in enumerate(budgets):
-                trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
-                profit[i, j] = [traj.profit for traj in trajs]
-                soc[i, j] = [traj.soc_path[-1] for traj in trajs]
-        return profit, soc
 
+
+def _static_lanes(
+    days: list[DayPrices],
+    params_list: list[BatteryParams],
+    budgets: list[tuple[int, int]],
+    bounds: PriceBounds,
+    actions: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The static-mode kernel: every (battery, budget pair, day) lane at once.
+
+    Returns the (len(days), horizon) price matrix it stepped through and the
+    terminal SoC of every lane, shape (len(params_list), len(budgets),
+    len(days)).  When ``actions`` is given, an int8 array of that shape plus
+    a horizon axis, each step's action is written into it: that is what
+    :func:`policy_outcomes` needs for the profits.  The CQR labeller needs
+    only the SoC and passes none.  ``params_list`` must be non-empty.
+
+    The books sit in padded (len(budgets), k_max + 1) matrices where a spent
+    side reads -inf (charge) or +inf (discharge), which no finite price
+    crosses; each step applies the loop's charge-first,
+    fall-through-to-discharge rule and its ``FEAS_EPS`` capacity checks.
+    """
+    _check_shared_battery(params_list)
     first = params_list[0]
     horizon, rate, e_max, e_min = first.horizon, first.rate, first.e_max, first.e_min
     _check_days(days, horizon)
@@ -559,6 +592,7 @@ def policy_outcomes(
         l_book[j, :k_dis] = schedule.discharge
     u_book, l_book = u_book.ravel(), l_book.ravel()
 
+    shape = (len(params_list), len(budgets), len(days))
     charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
     e = np.empty(shape)
     e[...] = np.array([params.e0 for params in params_list])[:, None, None]
@@ -568,7 +602,6 @@ def policy_outcomes(
     c[...] = (np.arange(len(budgets)) * width)[:, None]
     d = c.copy()
     prices = np.array([day.values for day in days], dtype=float).reshape(len(days), horizon)
-    actions = np.empty(shape + (horizon,), dtype=np.int8)
     for t, lam in enumerate(prices.T):
         up, down = e + rate, e - rate
         charge = (lam <= u_book[c]) & (up <= charge_cap)
@@ -581,11 +614,9 @@ def policy_outcomes(
         )
         c += charge
         d += discharge
-        actions[..., t] = charge.view(np.int8) - discharge.view(np.int8)  # CHARGE = 1
-    # as in the loop, an idle step on a negative price gives -0.0
-    cash = -actions * prices * rate
-    lanes = cash.reshape(-1, horizon).tolist()
-    return np.array(list(map(math.fsum, lanes))).reshape(shape), e
+        if actions is not None:
+            actions[..., t] = charge.view(np.int8) - discharge.view(np.int8)  # CHARGE = 1
+    return prices, e
 
 
 def offline_opt(

@@ -396,14 +396,19 @@ MODEL_WITH_TEXT_DELTA = json.dumps(
 
 
 def two_column_model(
-    keep=(0, 1), scales=(1.0, 1.0), weights_low=(0.0, 0.0, 0.0), rho_low=0.05, rho_high=0.95
+    keep=(0, 1),
+    scales=(1.0, 1.0),
+    weights_low=(0.0, 0.0, 0.0),
+    rho_low=0.05,
+    rho_high=0.95,
+    delta_hat=0.1,
 ):
     """A model file over two kept columns, with one of these fields spoilt."""
     return json.dumps(
         {
             "standardizer": {"means": [0.0, 0.0], "scales": list(scales), "keep": list(keep)},
             "weights_low": list(weights_low), "weights_high": [0.0, 0.0, 0.0],
-            "rho_low": rho_low, "rho_high": rho_high, "delta_hat": 0.1,
+            "rho_low": rho_low, "rho_high": rho_high, "delta_hat": delta_hat,
         }
     )
 
@@ -822,6 +827,8 @@ class TestCli:
             (two_column_model(rho_low=0.5, rho_high=0.5), "rho_low must lie in (0, 0.5), got 0.5"),
             (two_column_model(rho_low=math.nan), "rho_low must lie in (0, 0.5), got nan"),
             (two_column_model(rho_high=0.9), "rho_high must equal 1 - rho_low = 0.95, got 0.9"),
+            (two_column_model(delta_hat=-0.3),
+             "delta_hat must be finite and non-negative, got -0.3"),
         ],
     )
     @pytest.mark.parametrize("cmd", ["calibrate", "predict", "evaluate"])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,64 @@ class TestTrainQuantileModels:
             train_quantile_models(x, np.array([y, y]), [0.5, bad], epochs=3)
         with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
             train_quantile_model(x, y, bad, epochs=3)
+
+    @pytest.mark.parametrize("n", [1, 2, 27, 219])
+    @pytest.mark.parametrize("d", [0, 1, 24, 48])
+    def test_every_row_equals_reference_to_the_sign_of_zero(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        halved = 0
+        cases = itertools.product("CF", (None, 50.0), (1, 2, 10), (3, 60))
+        for order, step0, k, epochs in cases:
+            x = np.asarray(rng.normal(size=(n, d)), order=order)
+            # labels on a lattice of half steps, zeros of both signs among
+            # them; row 0 is constant -0.0 and row 1 constant 1.5, so their
+            # residuals start at exactly 0
+            labels = rng.integers(-4, 5, size=(k, n)) * 0.5
+            labels[rng.random((k, n)) < 0.3] = -0.0
+            labels[0] = -0.0
+            labels[1:2] = 1.5
+            thetas = list(np.linspace(0.05, 0.95, k)) if k > 1 else [0.3]
+            kw = dict(epochs=epochs, step0=step0, return_history=True)
+            weights, histories = train_quantile_models(x, labels, thetas, **kw)
+            for i in range(k):
+                w_ref, history_ref = reference_train_quantile_model(
+                    x, labels[i], thetas[i], **kw
+                )
+                history, history_ref = np.array(histories[i]), np.array(history_ref)
+                assert np.array_equal(weights[i], w_ref)
+                assert np.array_equal(np.signbit(weights[i]), np.signbit(w_ref))
+                assert np.array_equal(history, history_ref)
+                assert np.array_equal(np.signbit(history), np.signbit(history_ref))
+                # a rejected move appends the unchanged loss
+                halved += bool(np.any(history[1:] == history[:-1]))
+        assert halved
+
+    def test_negative_zero_intercept_kept(self):
+        # the 0.3-quantile of a constant -0.0 row is -0.0 (the 0.7-quantile,
+        # +0.0), and every move away from it raises the loss
+        x = np.random.default_rng(0).normal(size=(27, 3))
+        labels = np.full((2, 27), -0.0)
+        weights = train_quantile_models(x, labels, [0.3, 0.7], epochs=5)
+        assert weights.tolist() == [[0.0] * 4] * 2
+        assert np.signbit(weights[:, -1]).tolist() == [True, False]
+        for row, theta in zip(weights, (0.3, 0.7)):
+            w_ref = reference_train_quantile_model(x, labels[0], theta, epochs=5)
+            assert np.array_equal(np.signbit(row), np.signbit(w_ref))
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(step0=0.0), "step0 must be finite and positive, got 0.0"),
+            (dict(step0=math.nan), "step0 must be finite and positive, got nan"),
+            (dict(step0=-1.0), "step0 must be finite and positive, got -1.0"),
+            (dict(step0=math.inf), "step0 must be finite and positive, got inf"),
+            (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+        ],
+    )
+    def test_step_and_epochs_checked(self, kw, message):
+        x, y = np.ones((5, 1)), np.arange(5.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_quantile_models(x, np.array([y]), [0.5], **{"epochs": 3, **kw})
 
     def test_labels_must_have_one_row_per_theta(self):
         x, y = np.zeros((5, 1)), np.arange(5.0)
@@ -419,10 +478,9 @@ class TestPipeline:
         train, calib = days[:70], days[70:]
         bounds = compute_bounds(train, 1)
         params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (1, 4, 9)]
+        x, y = label_days(train + calib, params_list, bounds, 2, 2, mode)
         with caplog.at_level("WARNING"):
-            models = fit_conformal_models(
-                train, calib, params_list, bounds, 2, 2, 0.1, mode, epochs=150
-            )
+            models = fit_conformal_models(x[:70], y[:, :70], x[70:], y[:, 70:], 0.1, epochs=150)
         assert caplog.text.count("zero-variance") == 1
         singles = [
             fit_conformal(train, calib, p, bounds, 2, 2, 0.1, mode, epochs=150)
@@ -442,6 +500,12 @@ class TestPipeline:
             x_cal, [y_cal] = label_days(calib, [params], bounds, 2, 2, mode)
             alone = calibrate(alone, x_cal, y_cal, 0.1)
             assert alone.to_json() == model.to_json()
+
+
+    def test_one_calibration_row_per_train_row(self):
+        x, y = np.zeros((10, 2)), np.zeros((2, 10))
+        with pytest.raises(ValueError, match="2 train label rows but 1 calibration rows"):
+            fit_conformal_models(x, y, x, y[:1], 0.1)
 
 
 def _edit(path, change):
@@ -476,8 +540,11 @@ MODEL_DEFECTS = [
      "weights_low has 7 entries; 8 kept columns and an intercept need 9"),
     (_edit("weights_high", lambda v: v + [0.0]), "weights_high has 10 entries"),
     (_edit("weights_high", lambda v: v[:-1] + [math.inf]), "weights_high[8] = inf must be finite"),
-    (_edit("delta_hat", lambda v: math.nan), "delta_hat must be finite, got nan"),
-    (_edit("delta_hat", lambda v: -math.inf), "delta_hat must be finite, got -inf"),
+    (_edit("delta_hat", lambda v: math.nan),
+     "delta_hat must be finite and non-negative, got nan"),
+    (_edit("delta_hat", lambda v: -math.inf),
+     "delta_hat must be finite and non-negative, got -inf"),
+    (_edit("delta_hat", lambda v: -0.3), "delta_hat must be finite and non-negative, got -0.3"),
 ]
 
 
@@ -501,6 +568,11 @@ class TestModelFile:
 
     def test_round_trip_unchanged(self, model_text):
         assert ConformalModel.from_json(model_text).to_json() == model_text
+
+    def test_negative_zero_width_accepted(self, model_text):
+        doc = json.loads(model_text)
+        doc["delta_hat"] = -0.0
+        assert ConformalModel.from_json(json.dumps(doc)).delta_hat == 0.0
 
 
 def test_day_features_layout():

@@ -298,18 +298,27 @@ def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
 
 
 def test_cqr_block_labels_each_day_set_once(monkeypatch):
-    """The CQR layer runs the policy in one batch per day set, whole e0 sweep at once."""
+    """The CQR layer labels all its days in one batch, whole e0 sweep at once.
+
+    The batch steps the static kernel for the terminal SoC only: it records
+    no actions, so no profit is summed for it.
+    """
     config = parse_config(BACKTEST + "threshold_mode = static\n")
     calls = []
 
-    def counted(days, params_list, *args):
-        calls.append((len(days), len(params_list)))
-        return policy_outcomes(days, params_list, *args)
+    def counted(days, params_list, budgets, bounds, actions=None):
+        calls.append((len(days), len(params_list), actions))
+        return static_lanes(days, params_list, budgets, bounds, actions)
 
-    monkeypatch.setattr(conformal, "policy_outcomes", counted)
+    def no_profits(*args):
+        raise AssertionError("the labeller summed profits")
+
+    static_lanes = thresholds._static_lanes
+    monkeypatch.setattr(conformal, "_static_lanes", counted)
+    monkeypatch.setattr(conformal, "policy_outcomes", no_profits)
     report = run_experiment(config).payload
-    # train, calibration and test days, each for all three batteries of the sweep
-    assert calls == [(36, 3), (12, 3), (12, 3)]
+    # train, calibration and test days together, for all three batteries of the sweep
+    assert calls == [(60, 3, None)]
     assert not any("error" in row for row in report["cqr"]["per_e0"].values())
     assert "run_policy_days" not in vars(conformal)
 
