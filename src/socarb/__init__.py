@@ -9,11 +9,13 @@ for the terminal SoC.
 __version__ = "0.1.0"
 
 from .market_data import (
+    DayMatrix,
     DayPrices,
     DatasetSplit,
     PriceBounds,
     PriceDistribution,
     PriceSeries,
+    as_day_matrix,
     compute_bounds,
     fit_distribution,
     load_price_csv,

@@ -30,11 +30,12 @@ from . import __version__
 from .conformal import evaluate_coverage, fit_conformal_models, label_days
 from .market_data import (
     BOUNDS_MODES,
+    DayMatrix,
     DayPrices,
     compute_bounds,
     fit_distribution,
     load_day_matrix,
-    split_dataset,
+    split_sizes,
 )
 from .reachability import (
     POST_STOP_MODES,
@@ -262,10 +263,6 @@ class Report:
         return doc
 
 
-def _window_days(days, n):
-    return [DayPrices(d.day_id, d.values[-n:]) for d in days]
-
-
 def _attempt(func, *args):
     """func(*args), or the exception raised in its place; a failed argument fails it too."""
     try:
@@ -298,16 +295,16 @@ def _policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
     return lanes
 
 
-def _window_policies(config, batteries, train_days, test_days):
+def _window_policies(config, batteries, train, test):
     """Each battery's runs in the window of its last n steps, or the failure in their place.
 
     A battery's runs map each budget pair to its SoC distribution and
     test-day profits.  Bounds and distribution come from the train days'
-    last n steps; one :func:`policy_outcomes` batch runs every (battery,
-    budget pair, test day), and :func:`_policy_lanes` one reachability batch
-    per budget pair.  A battery takes the first failure its policy runs
-    hit: the window's, its distribution's or the profit batch's, in that
-    order.
+    last n steps, a column view of the report's matrix; one
+    :func:`policy_outcomes` batch runs every (battery, budget pair, test
+    day), and :func:`_policy_lanes` one reachability batch per budget pair.
+    A battery takes the first failure its policy runs hit: the window's, its
+    distribution's or the profit batch's, in that order.
     """
     if not config.k_grid:  # no budget pair, no policy to fit or run
         return [{} for _ in batteries]
@@ -315,11 +312,10 @@ def _window_policies(config, batteries, train_days, test_days):
     mode = config.threshold_mode
 
     def fit():
-        train_w = _window_days(train_days, n)
+        train_w = train.last(n)
         bounds = compute_bounds(train_w, 1, config.bounds_mode)
         dist = fit_distribution(train_w)
-        test_w = _window_days(test_days, n)
-        outcomes = _attempt(policy_outcomes, test_w, batteries, config.k_grid, mode, bounds)
+        outcomes = _attempt(policy_outcomes, test.last(n), batteries, config.k_grid, mode, bounds)
         return outcomes, [_policy_lanes(config, batteries, bounds, dist, *k) for k in config.k_grid]
 
     window = _attempt(fit)
@@ -341,13 +337,13 @@ def _window_policies(config, batteries, train_days, test_days):
     return [_attempt(runs, i) for i in range(len(batteries))]
 
 
-def _window_cells(config, n, train_days, test_days, lattice_counts):
+def _window_cells(config, n, train, test, lattice_counts):
     """The cells of the window of the last n steps, keyed as in the report.
 
     The window's SoC distributions live only while its cells are built.
     """
     batteries = [replace(config.battery, e0=e0, horizon=n) for e0 in config.e0_sweep]
-    window_runs = _window_policies(config, batteries, train_days, test_days)
+    window_runs = _window_policies(config, batteries, train, test)
     cells = {}
     for e0, runs, counts in zip(config.e0_sweep, window_runs, lattice_counts):
         for band in config.bands:
@@ -378,15 +374,23 @@ def run_experiment(config: ExperimentConfig) -> Report:
     Cells run one after another; per-cell failures are recorded in place of
     the cell body rather than aborting the run.  Identical configs and seeds
     reproduce identical reports except for the timestamp.
+
+    The days become one :class:`DayMatrix`, split in order into train,
+    calibration and test row ranges; each window is a column view of those.
     """
     if config.data_path:
-        days = load_day_matrix(config.data_path)
-        if any(len(d.values) != config.battery.horizon for d in days):
-            raise ValueError("day matrix horizon does not match battery.horizon")
+        matrix = DayMatrix.from_days(load_day_matrix(config.data_path))
+        if matrix.horizon != config.battery.horizon:
+            raise ValueError(
+                f"day matrix horizon {matrix.horizon} does not match "
+                f"battery.horizon = {config.battery.horizon}"
+            )
     else:
         days = synthetic_day_matrix(config.synthetic_days, config.battery.horizon, config.seed)
-    split = split_dataset(days, (0.6, 0.2, 0.2), seed=config.seed, shuffled=False)
-    train_days, calib_days, test_days = list(split.train), list(split.calib), list(split.test)
+        matrix = DayMatrix.from_days(days)
+    n_train, n_calib, n_test = split_sizes(len(matrix), (0.6, 0.2, 0.2))
+    calib_end = n_train + n_calib
+    train, test = matrix.rows(0, n_train), matrix.rows(calib_end, len(matrix))
 
     # each stage runs once for what it depends on; a failed stage is recorded
     # in every cell that needs it
@@ -396,7 +400,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ]
     cells = {}
     for n in config.start_steps:
-        cells.update(_window_cells(config, n, train_days, test_days, lattice_counts))
+        cells.update(_window_cells(config, n, train, test, lattice_counts))
 
     payload = {
         "version": __version__,
@@ -404,23 +408,23 @@ def run_experiment(config: ExperimentConfig) -> Report:
         "config_hash": config.config_hash(),
         "config": config.canonical_text(),
         "seeds": {"master": config.seed},
-        "n_days": {"train": len(train_days), "calib": len(calib_days), "test": len(test_days)},
+        "n_days": {"train": n_train, "calib": n_calib, "test": n_test},
         "cells": {k: cells[k] for k in sorted(cells)},
     }
 
     # full-horizon bounds of the train days, shared by the plot and CQR blocks
-    bounds = compute_bounds(train_days, 1, config.bounds_mode)
+    bounds = compute_bounds(train, 1, config.bounds_mode)
     if config.k_grid:
-        payload["plot_data"] = _plot_blocks(config, train_days, bounds, cells)
+        payload["plot_data"] = _plot_blocks(config, train, bounds, cells)
 
-    payload["cqr"] = _cqr_block(config, train_days, calib_days, test_days, bounds)
+    payload["cqr"] = _cqr_block(config, matrix, n_train, calib_end, bounds)
     return Report(payload)
 
 
-def _plot_blocks(config, train_days, bounds, cells):
+def _plot_blocks(config, train, bounds, cells):
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
-    dist = fit_distribution(train_days)
+    dist = fit_distribution(train)
     probs = policy_action_probabilities(
         config.battery, dist, bounds, k_ch, k_dis, config.threshold_mode
     )
@@ -439,22 +443,15 @@ def _plot_blocks(config, train_days, bounds, cells):
     }
 
 
-def _cqr_block(config, train_days, calib_days, test_days, bounds):
+def _cqr_block(config, matrix, train_end, calib_end, bounds):
+    """The CQR block: rows ..train_end train, ..calib_end calibrate, the rest test."""
     band = config.bands[-1]
     k_ch, k_dis = config.k_grid[0] if config.k_grid else DEFAULT_BUDGETS
     params_list = [replace(config.battery, e0=e0) for e0 in config.e0_sweep]
 
     def fit():
-        # the train, calibration and test days of every battery in one batch
-        x, y = label_days(
-            [*train_days, *calib_days, *test_days],
-            params_list,
-            bounds,
-            k_ch,
-            k_dis,
-            config.threshold_mode,
-        )
-        train_end, calib_end = len(train_days), len(train_days) + len(calib_days)
+        # every row of the report for every battery in one batch
+        x, y = label_days(matrix, params_list, bounds, k_ch, k_dis, config.threshold_mode)
         models = fit_conformal_models(
             x[:train_end],
             y[:, :train_end],

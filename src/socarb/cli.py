@@ -27,6 +27,7 @@ it is an error.  BATTERY is --emin --emax --rate --e0; POLICY is BATTERY plus
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -165,8 +166,9 @@ def _policy_distribution(args):
     """Budgeted SoC distribution of the policy on the days."""
     days, horizon = _load_days(args)
     params = _battery(args, horizon)
-    bounds = md.compute_bounds(days, 1, args.bounds_mode)
-    dist = md.fit_distribution(days)
+    matrix = md.as_day_matrix(days)
+    bounds = md.compute_bounds(matrix, 1, args.bounds_mode)
+    dist = md.fit_distribution(matrix)
     probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
     return rc.propagate(params, probs, args.kch, args.kdis)
 
@@ -364,16 +366,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state in it."""
+    return build_parser()
+
+
+def _one_line(exc: Exception) -> str:
+    """The message of exc on one line: a line break it quotes from a file is escaped."""
+    return str(exc).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, OSError) as exc:
-        sys.stderr.write(f"data error: {exc}\n")
+        sys.stderr.write(f"data error: {_one_line(exc)}\n")
         return EXIT_DATA
     except ValueError as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
+        sys.stderr.write(f"validation error: {_one_line(exc)}\n")
         return EXIT_VALIDATION
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_data import DayPrices, PriceBounds
+from .market_data import DayMatrix, DayPrices, PriceBounds, as_day_matrix
 from .reachability import TargetBand
 from .thresholds import BatteryParams, _static_lanes, policy_outcomes
 
@@ -66,7 +66,7 @@ def day_features(day: DayPrices) -> np.ndarray:
 
 
 def label_days(
-    days: list[DayPrices],
+    days: list[DayPrices] | DayMatrix,
     params_list: list[BatteryParams],
     bounds: PriceBounds,
     k_ch: int,
@@ -79,14 +79,16 @@ def label_days(
     once; the labels are the ``soc`` of :func:`policy_outcomes`.  The
     batteries may differ only in ``e0``, so the features, which do not
     depend on the battery, are shared.  In static mode the lanes step in the
-    kernel of :func:`policy_outcomes` without its profits, and the price
-    matrix they step through is the features.
+    kernel of :func:`policy_outcomes` without its profits.  The features are
+    the read-only price matrix of the days, as :func:`as_day_matrix` stacks
+    them once.
     """
+    matrix = as_day_matrix(days, params_list[0].horizon if params_list else None)
     if threshold_mode == "static" and params_list:
-        features, soc = _static_lanes(days, params_list, [(k_ch, k_dis)], bounds)
+        features, soc = _static_lanes(matrix, params_list, [(k_ch, k_dis)], bounds)
     else:
-        features = np.array([day_features(day) for day in days])
-        _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
+        features = matrix.prices
+        _, soc = policy_outcomes(matrix, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
     return features, soc[:, 0]
 
 

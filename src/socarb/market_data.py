@@ -2,7 +2,17 @@
 
 The CSV schema is ``timestamp,price`` with ISO-8601 timestamps and hourly
 spacing; a header row is optional.  Days are calendar-aligned (first slot at
-hour 0) and partial days are dropped, never padded.
+hour 0) and partial days are dropped, never padded.  The day matrix CSV that
+:func:`export_day_matrix` writes and :func:`load_day_matrix` reads is
+``day_id,h0..h{T-1}``, and there the header is required.
+
+A run's prices travel as a :class:`DayMatrix`: the day ids and one read-only
+(n, T) float64 array, validated once.  Its row ranges and its last-n-slot
+column windows are views of that array.  :func:`compute_bounds`,
+:func:`fit_distribution`, ``thresholds.policy_outcomes``,
+``thresholds.run_policy_days`` and ``conformal.label_days`` take a list of
+:class:`DayPrices` or a matrix, through :func:`as_day_matrix`, which holds the
+one check that a batch's days share a length.
 """
 
 from __future__ import annotations
@@ -68,8 +78,106 @@ class DayPrices:
     def __post_init__(self):
         if not self.values:
             raise ValueError("day must contain at least one value")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError(f"non-finite price in day {self.day_id}")
+
+
+@dataclass(frozen=True, eq=False)
+class DayMatrix:
+    """Days of one length as one read-only (n, T) float64 array of prices.
+
+    ``day_ids[i]`` names row i.  The matrix copies what it is given and checks
+    it once: every row has the same T >= 1 finite prices, as a
+    :class:`DayPrices` would.  :meth:`rows` and :meth:`last` are views of the
+    same array and skip the checks.  Indexing and iteration give the days as
+    :class:`DayPrices`.  Matrices of equal day ids and prices compare and
+    hash equal, whatever their memory layout.
+    """
+
+    day_ids: tuple[str, ...]
+    prices: np.ndarray
+
+    def __post_init__(self):
+        ids, rows = tuple(self.day_ids), self.prices
+        if not isinstance(rows, np.ndarray):
+            if len({len(row) for row in rows if hasattr(row, "__len__")}) > 1:
+                raise ValueError("all days must share the same horizon")
+        prices = np.array(rows, dtype=float)
+        if prices.size == 0 and not ids:
+            prices = prices.reshape(0, prices.shape[-1] if prices.ndim == 2 else 0)
+        if prices.ndim != 2:
+            raise ValueError(f"prices must be a (days, slots) matrix, got shape {prices.shape}")
+        if len(ids) != len(prices):
+            raise ValueError(f"{len(ids)} day ids for {len(prices)} rows of prices")
+        if len(prices) and not prices.shape[1]:
+            raise ValueError("day must contain at least one value")
+        finite = np.isfinite(prices).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite price in day {ids[int(np.argmin(finite))]}")
+        prices.flags.writeable = False
+        object.__setattr__(self, "day_ids", ids)
+        object.__setattr__(self, "prices", prices)
+
+    @classmethod
+    def from_days(cls, days) -> "DayMatrix":
+        return cls(tuple(day.day_id for day in days), [day.values for day in days])
+
+    def _view(self, day_ids, prices) -> "DayMatrix":
+        view = object.__new__(DayMatrix)
+        object.__setattr__(view, "day_ids", day_ids)
+        object.__setattr__(view, "prices", prices)
+        return view
+
+    @property
+    def horizon(self) -> int:
+        return self.prices.shape[1]
+
+    def rows(self, start: int, stop: int) -> "DayMatrix":
+        """Days start..stop-1, as a view."""
+        return self._view(self.day_ids[start:stop], self.prices[start:stop])
+
+    def last(self, n: int) -> "DayMatrix":
+        """The last n slots of every day, as a view."""
+        if not 1 <= n <= self.horizon:
+            raise ValueError(f"window of {n} slots outside 1..{self.horizon}")
+        return self._view(self.day_ids, self.prices[:, -n:])
+
+    def __len__(self) -> int:
+        return len(self.day_ids)
+
+    def __getitem__(self, i: int) -> DayPrices:
+        return DayPrices(self.day_ids[i], tuple(self.prices[i].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, DayMatrix):
+            return NotImplemented
+        return self.day_ids == other.day_ids and np.array_equal(self.prices, other.prices)
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0, which compares equal to 0.0, into 0.0
+        return hash((self.day_ids, self.prices.shape, (self.prices + 0.0).tobytes()))
+
+
+def check_horizon(slots: int, horizon: int) -> None:
+    """A day of ``slots`` prices runs on a battery of ``horizon`` steps only when they agree."""
+    if slots != horizon:
+        raise ValueError(f"day has {slots} slots but params.horizon={horizon}")
+
+
+def as_day_matrix(days, horizon: int | None = None) -> DayMatrix:
+    """``days``, a :class:`DayMatrix` or a list of :class:`DayPrices`, as a matrix.
+
+    A matrix is returned as it is; a list is stacked once.  With ``horizon``
+    (a battery's), every day must have that many slots.
+    """
+    if not isinstance(days, DayMatrix):
+        if horizon is not None:
+            for day in days:
+                check_horizon(len(day.values), horizon)
+        days = DayMatrix.from_days(days)
+    elif horizon is not None and len(days):
+        check_horizon(days.horizon, horizon)
+    return days
 
 
 @dataclass(frozen=True)
@@ -293,7 +401,9 @@ def _clamp_floor(values, label: str) -> list[float]:
     return clamped
 
 
-def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> PriceBounds:
+def compute_bounds(
+    days: list[DayPrices] | DayMatrix, t: int, mode: str = "per-hour"
+) -> PriceBounds:
     """Worst-case price bounds over the remaining slots t..T.
 
     ``per-hour`` keeps one (min, max) pair per remaining slot; ``global``
@@ -302,17 +412,15 @@ def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> Pri
     and per-hour maxima are lifted to it; each per-hour bound is then
     clipped into the envelope [lambda_min, lambda_max].
     """
-    if not days:
+    matrix = as_day_matrix(days).prices
+    if not len(matrix):
         raise ValueError("compute_bounds requires at least one day")
-    horizon = len(days[0].values)
-    if any(len(d.values) != horizon for d in days):
-        raise ValueError("all days must share the same horizon")
+    horizon = matrix.shape[1]
     if not 1 <= t <= horizon:
         raise ValueError(f"t={t} outside 1..{horizon}")
     if mode not in BOUNDS_MODES:
         raise ValueError(f"unknown bounds mode {mode!r}")
 
-    matrix = np.array([d.values for d in days], dtype=float)
     lam_min = float(matrix.min())
     lam_max = float(matrix.max())
     lam_min = _clamp_floor([lam_min], "global lower bound")[0]
@@ -338,16 +446,30 @@ def compute_bounds(days: list[DayPrices], t: int, mode: str = "per-hour") -> Pri
     )
 
 
-def fit_distribution(days: list[DayPrices]) -> PriceDistribution:
+def fit_distribution(days: list[DayPrices] | DayMatrix) -> PriceDistribution:
     """Hour-wise empirical CDFs of the prices across days."""
-    if not days:
+    matrix = as_day_matrix(days).prices
+    if not len(matrix):
         raise ValueError("fit_distribution requires at least one day")
-    horizon = len(days[0].values)
-    if any(len(d.values) != horizon for d in days):
-        raise ValueError("all days must share the same horizon")
-    return PriceDistribution(
-        tuple(EmpiricalCdf([d.values[h] for d in days]) for h in range(horizon))
-    )
+    return PriceDistribution(tuple(EmpiricalCdf(column) for column in matrix.T))
+
+
+def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
+    """Train, calibration and test sizes of n days: ``floor(n * ratio)``, the rest to train."""
+    for name, r in zip(("train", "calib", "test"), ratios):
+        if not math.isfinite(r):
+            raise ValueError(f"{name} ratio must be finite, got {r}")
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ValueError("ratios must be three positive numbers")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    if n < 3:
+        raise ValueError("need at least 3 days to populate all splits")
+    n_train, n_calib, n_test = (int(n * r) for r in ratios)
+    n_train += n - (n_train + n_calib + n_test)
+    if min(n_train, n_calib, n_test) == 0:
+        raise ValueError(f"ratios {ratios} leave an empty split for {n} days; provide more days")
+    return n_train, n_calib, n_test
 
 
 def split_dataset(
@@ -358,29 +480,13 @@ def split_dataset(
 ) -> DatasetSplit:
     """Partition days into train/calib/test by floor allocation.
 
-    Sizes are ``floor(n * ratio)`` per split with the remainder assigned to
-    train.  Chronological order is kept unless ``shuffled``; shuffling is
-    deterministic in ``seed``.
+    Sizes are those of :func:`split_sizes`.  Chronological order is kept
+    unless ``shuffled``; shuffling is deterministic in ``seed``.
     """
-    for name, r in zip(("train", "calib", "test"), ratios):
-        if not math.isfinite(r):
-            raise ValueError(f"{name} ratio must be finite, got {r}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(days)
-    if n < 3:
-        raise ValueError("need at least 3 days to populate all splits")
-    order = list(range(n))
+    n_train, n_calib, _ = split_sizes(len(days), ratios)
+    order = list(range(len(days)))
     if shuffled:
         random.Random(seed).shuffle(order)
-    n_train = int(n * ratios[0])
-    n_calib = int(n * ratios[1])
-    n_test = int(n * ratios[2])
-    n_train += n - (n_train + n_calib + n_test)
-    if min(n_train, n_calib, n_test) == 0:
-        raise ValueError(f"ratios {ratios} leave an empty split for {n} days; provide more days")
     picked = [days[i] for i in order]
     return DatasetSplit(
         train=tuple(picked[:n_train]),
@@ -389,23 +495,36 @@ def split_dataset(
     )
 
 
-def export_day_matrix(days: list[DayPrices], path) -> None:
-    """Write the canonical day matrix CSV: day_id, h0..h{T-1}."""
-    if not days:
+def export_day_matrix(days: list[DayPrices] | DayMatrix, path) -> None:
+    """Write the canonical day matrix CSV: day_id, h0..h{T-1}.
+
+    Days of different lengths are refused before anything is written.
+    """
+    matrix = as_day_matrix(days)
+    if not len(matrix):
         raise ValueError("no days to export")
-    horizon = len(days[0].values)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["day_id"] + [f"h{i}" for i in range(horizon)])
-        for d in days:
-            writer.writerow([d.day_id] + [repr(v) for v in d.values])
+        writer.writerow(["day_id"] + [f"h{i}" for i in range(matrix.horizon)])
+        for day_id, values in zip(matrix.day_ids, matrix.prices.tolist()):
+            writer.writerow([day_id] + [repr(v) for v in values])
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_day_matrix(path) -> list[DayPrices]:
     """Read a day matrix CSV produced by :func:`export_day_matrix`.
 
-    Every row holds as many prices as the header names, so the matrix has one
-    day length.
+    The first line is the header ``day_id,h0..h{T-1}``.  A first line whose
+    price cells all read as numbers is a day, not a header, and is refused
+    rather than dropped.  Every row holds as many prices as the header names,
+    so the matrix has one day length.
     """
     days = []
     with Path(path).open(newline="") as fh:
@@ -413,14 +532,24 @@ def load_day_matrix(path) -> list[DayPrices]:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty day matrix")
+        horizon = len(header) - 1
+        if horizon < 1:
+            raise ValueError(
+                f"{path} line 1: the header names no price column; "
+                "a day matrix starts with the header day_id,h0..h{T-1}"
+            )
+        if all(map(_is_number, header[1:])):
+            raise ValueError(
+                f"{path} line 1: a row of prices where the header "
+                f"day_id,h0..h{horizon - 1} belongs; a day matrix starts with its header"
+            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 if len(row) != len(header):
-                    n, horizon = len(row) - 1, len(header) - 1
-                    raise ValueError(f"{n} prices but the header names {horizon}")
-                days.append(DayPrices(row[0], tuple(float(v) for v in row[1:])))
+                    raise ValueError(f"{len(row) - 1} prices but the header names {horizon}")
+                days.append(DayPrices(row[0], tuple(map(float, row[1:]))))
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
     if not days:

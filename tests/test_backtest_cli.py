@@ -1,12 +1,15 @@
 """Experiment orchestration, report determinism, plot data, and the CLI."""
 
+import csv
 import io
 import json
 import math
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +25,8 @@ from socarb.backtest import (
     run_experiment,
     synthetic_day_matrix,
 )
+import socarb.cli as cli
+from golden_reports import backtest_report
 from oracles import reference_predict_interval
 from socarb.cli import main
 from socarb.conformal import ConformalModel, day_features
@@ -349,6 +354,21 @@ class TestRunExperiment:
         config_text = SMALL_CONFIG + f"data.day_matrix = {matrix_path}\n"
         report = run_experiment(parse_config(config_text))
         assert report.payload["n_days"] == {"train": 42, "calib": 14, "test": 14}
+
+    @pytest.mark.parametrize("mode", ["static", "timedep", "feasibility"])
+    def test_day_matrix_csv_gives_the_synthetic_report(self, tmp_path, mode):
+        # the days of --synthetic 60, read back from a day matrix CSV
+        matrix_path = tmp_path / "days.csv"
+        export_day_matrix(synthetic_day_matrix(60, 24, 0), matrix_path)
+        config = tmp_path / "csv.conf"
+        config.write_text(f"threshold_mode = {mode}\ndata.day_matrix = {matrix_path}\n")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["backtest", "--config", str(config)]) == 0
+        from_csv = json.loads(out.getvalue())
+        synthetic = backtest_report(mode, "full-control", tmp_path)
+        for key in ("cells", "plot_data", "cqr", "n_days"):
+            assert from_csv[key] == synthetic[key], key
 
     def test_day_matrix_horizon_mismatch(self, tmp_path):
         days = synthetic_day_matrix(10, 6, seed=5)  # horizon 6 != battery 8
@@ -897,6 +917,58 @@ class TestCli:
         assert f"validation error: {report_path}: " in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["backtest", "reach"])
+    def test_day_matrix_without_header_exits_with_validation_error(self, tmp_path, capsys, command):
+        # three days and no header: the first day is not taken for the header
+        path = tmp_path / "days.csv"
+        path.write_text("d0,1.0,2.0\nd1,3.0,4.0\nd2,5.0,6.0\n")
+        config = tmp_path / "b.conf"
+        config.write_text(f"battery.horizon = 2\nstart_steps = 2\ndata.day_matrix = {path}\n")
+        argv = {"backtest": ["backtest", "--config", str(config)],
+                "reach": ["reach", "--days", str(path), "--band", "3,8"]}[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: {path} line 1: a row of prices where the header "
+            "day_id,h0..h1 belongs; a day matrix starts with its header\n"
+        )
+
+    def test_reused_parser_runs_calls_as_fresh_parsers_do(self, tmp_path, monkeypatch):
+        """Consecutive main calls with usage errors between them: one parser acts as fresh ones."""
+        days = tmp_path / "days.csv"
+        export_day_matrix(synthetic_day_matrix(30, 6, 0), days)
+        calls = [
+            ["reach", "--days", str(days), "--band", "3,8", "--mode", "timedep"],
+            ["reach", "--days", str(days), "--band", "3,8", "--mode", "statc"],
+            ["reach", "--days", str(days), "--band", "3,8"],
+            ["thresholds", "--lmin", "10", "--lmax", "100", "--kch", "2"],
+            ["cqr", "predict", "--synthetic", "60", "--horizon", "6", "--model", "m.json",
+             "--kch", "3"],
+            ["stop-time", "--synthetic", "30", "--horizon", "6", "--band", "3,8"],
+            ["reach", "--days", str(days), "--band", "3,8", "--seed", "5"],
+            ["reach", "--days", str(days), "--band", "3,8", "--mode", "timedep"],
+        ]
+
+        def run_all():
+            runs = []
+            for argv in calls:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = f"exit {exc.code}"
+                runs.append((code, out.getvalue(), err.getvalue()))
+            return runs
+
+        reused = run_all()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == run_all()
+        assert [code for code, _, _ in reused] == [0, "exit 1", 0, 0, "exit 1", 0, 1, 0]
+        assert reused[0] == reused[-1]
+
     def test_exit_codes(self, tmp_path, capsys):
         # validation error: band above capacity is fine, bad epsilon is not
         assert main(
@@ -956,3 +1028,86 @@ def test_thresholds_exit_code_contract(lmin, lmax, kch, kdis, alpha, omega):
     )
     summary = json.loads(err.getvalue(), parse_constant=_reject_constant)
     assert summary == {"alpha": schedule.alpha, "omega": schedule.omega}
+
+
+def malformed_row(draw, horizon):
+    """A day row that no day matrix of this horizon accepts, and what is wrong with it."""
+    kind = draw(st.sampled_from(["ragged", "non-finite", "non-numeric"]))
+    day_id = draw(st.sampled_from(["d", "", "a\nb", "x,y", '"q"']) | st.text(max_size=8))
+    cells = draw(st.lists(st.floats(0.5, 500.0), min_size=horizon, max_size=horizon))
+    cells = [repr(v) for v in cells]
+    if kind == "ragged":
+        width = draw(st.integers(0, horizon + 3).filter(lambda n: n != horizon))
+        cells = (cells * 2)[:width]
+    else:
+        bad = st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-Infinity"])
+        if kind == "non-numeric":
+            bad = st.sampled_from(["", "abc", "1.0.0", "12 5", "0x10", "€"]) | st.text(
+                max_size=5
+            ).filter(lambda text: not _reads_as_float(text))
+        cells[draw(st.integers(0, horizon - 1))] = draw(bad)
+    return [day_id] + cells
+
+
+def _reads_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def malformed_matrices(draw):
+    """The text of a day matrix CSV that cannot be read, of one of several kinds."""
+    horizon = draw(st.integers(1, 4))
+    header = ["day_id"] + [f"h{i}" for i in range(horizon)]
+    good = [[f"g{i}"] + [repr(30.0 + i + h) for h in range(horizon)] for i in range(3)]
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kind = draw(
+        st.sampled_from(["bad row", "empty", "header only", "over-long field", "no header",
+                         "no price column"])
+    )
+    if kind == "empty":
+        return draw(st.sampled_from(["", "\n", "\n\n"]))
+    if kind == "header only":
+        rows = [header]
+    elif kind == "no price column":
+        rows = [["day_id"]] + good[:after]
+    elif kind == "no header":
+        rows = good[: before + 1]
+    else:
+        bad = malformed_row(draw, horizon)
+        if kind == "over-long field":
+            bad = list(draw(st.sampled_from([header, good[0]])))
+            bad[draw(st.integers(0, horizon))] = "9" * 131_073
+        where = draw(st.integers(0, before + 1))
+        rows = [header] + good[:before]
+        rows.insert(where, bad) if kind == "over-long field" else rows.append(bad)
+        rows += good[:after]
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=malformed_matrices(), command=st.sampled_from(["backtest", "reach"]))
+@example(text="d0,1.0,2.0\nd1,3.0,4.0\nd2,5.0,6.0\n", command="reach")
+@example(text='day_id,h0\n"a\nb",nan\n', command="reach")
+def test_malformed_day_matrix_exit_code_contract(text, command):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "days.csv"
+        path.write_text(text, encoding="utf-8")
+        config = Path(workdir) / "b.conf"
+        config.write_text(f"battery.horizon = 4\nstart_steps = 4\ndata.day_matrix = {path}\n")
+        argv = {"backtest": ["backtest", "--config", str(config)],
+                "reach": ["reach", "--days", str(path), "--band", "3,8"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (1, 2)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    assert lines[0].startswith(("validation error: ", "data error: "))
+    assert "Traceback" not in err.getvalue()

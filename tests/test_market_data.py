@@ -429,6 +429,14 @@ def test_day_matrix_round_trip(tmp_path):
     assert header == "day_id,h0,h1,h2"
 
 
+def test_day_matrix_export_refuses_days_of_different_lengths(tmp_path):
+    # the header would name the first day's slots, which the second day lacks
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="all days must share the same horizon"):
+        export_day_matrix(make_days([[1.0, 2.0], [3.0]]), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("row", ["d2,4.0,5.5", "d2,4.0,5.5,6.75,8.0"])
 def test_day_matrix_row_of_another_length_rejected(tmp_path, row):
     # every day of a matrix has the header's length, so the matrix has one horizon
@@ -437,3 +445,27 @@ def test_day_matrix_row_of_another_length_rejected(tmp_path, row):
     n = row.count(",")
     with pytest.raises(ValueError, match=f"line 3: {n} prices but the header names 3"):
         load_day_matrix(path)
+
+
+@pytest.mark.parametrize("first", ["d0,1.5,2.25", "2016-05-01,-3,1e3", "x,nan,inf"])
+def test_day_matrix_without_header_rejected(tmp_path, first):
+    # three days and no header: the first day is not dropped as if it were one
+    path = tmp_path / "m.csv"
+    path.write_text(f"{first}\nd1,4.0,5.5\nd2,6.0,7.5\n")
+    message = f"{path} line 1: a row of prices where the header day_id,h0..h1 belongs"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_day_matrix(path)
+
+
+@pytest.mark.parametrize("header", ["day_id", ""])
+def test_day_matrix_header_without_price_columns_rejected(tmp_path, header):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{header}\nd1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 1: the header names no price")):
+        load_day_matrix(path)
+
+
+def test_day_matrix_header_of_any_words_accepted(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("day,00:00,1.0x\nd1,4.0,5.5\n")
+    assert load_day_matrix(path) == [DayPrices("d1", (4.0, 5.5))]
