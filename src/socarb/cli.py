@@ -372,9 +372,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# every character str.splitlines breaks a line at, to its escape as repr writes it
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _one_line(exc: Exception) -> str:
     """The message of exc on one line: a line break it quotes from a file is escaped."""
-    return str(exc).replace("\r", "\\r").replace("\n", "\\n")
+    return str(exc).translate(_LINE_BREAKS)
 
 
 def main(argv=None) -> int:

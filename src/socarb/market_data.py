@@ -24,7 +24,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +179,58 @@ def as_day_matrix(days, horizon: int | None = None) -> DayMatrix:
     return days
 
 
+class TailSums(dict):
+    """One side of a :class:`PriceBounds`: its sorted tails and their summed heads.
+
+    :meth:`tail` is the side's per-slot bounds of slots t..horizon, sorted
+    (ascending mins, descending maxes); every tail is sorted on first use
+    and kept, and the one past the horizon is empty.  Entry (t, n) sums the
+    first n entries of ``tail(t)``, padded with the envelope edge ``pad``
+    where n runs past it: L[t, n] for the mins, H[t, n] for the maxes.  Each
+    entry is built on first use and kept, summing the sequence of
+    ``sum(tail[:n] + [pad] * (n - len(tail)))``: the expression the
+    thresholds summed at every step, so every threshold keeps its bits
+    whatever ``sum`` does with floats on the running Python.  A running
+    total (``itertools.accumulate``) would not: 3.12's ``sum`` compensates.
+    Threads may share a table without a lock: two that sort the tails or
+    miss the same entry at once both store the same values.
+    """
+
+    __slots__ = ("_slots", "_descending", "_t_start", "_pad", "_tails")
+
+    def __init__(self, slots: tuple[float, ...], descending: bool, t_start: int, pad: float):
+        self._slots, self._descending, self._t_start, self._pad = slots, descending, t_start, pad
+        self._tails = None
+
+    def tail(self, t: int) -> tuple[float, ...]:
+        """The sorted bounds of slots t..horizon; empty once t is past the horizon."""
+        if t < self._t_start:
+            raise ValueError(f"t={t} precedes bound coverage starting at {self._t_start}")
+        tails = self._tails
+        if tails is None:
+            slots = self._slots
+            tails = self._tails = tuple(
+                tuple(sorted(slots[off:], reverse=self._descending))
+                for off in range(len(slots) + 1)
+            )
+        return tails[min(t - self._t_start, len(tails) - 1)]
+
+    def __missing__(self, key: tuple[int, int]) -> float:
+        t, n = key
+        tails = self._tails
+        # tail(t) inlined once the tails are sorted: a run on fresh bounds
+        # misses at every step, so this path is as hot as the thresholds' own
+        if tails is None or t < self._t_start:
+            tail = self.tail(t)
+        else:
+            tail = tails[min(t - self._t_start, len(tails) - 1)]
+        # the expression's sequence, without copying the tail into a list
+        if n > len(tail):
+            tail += (self._pad,) * (n - len(tail))
+        self[key] = total = sum(tail[:n])
+        return total
+
+
 @dataclass(frozen=True)
 class PriceBounds:
     """Worst-case price bounds for the remaining horizon at time ``t_start``.
@@ -188,8 +239,11 @@ class PriceBounds:
     ``t_start..horizon`` so downstream consumers can re-slice as time
     advances: both are empty (an envelope alone) or cover exactly those
     slots, inside the envelope.  The envelope must be finite with
-    0 < lambda_min <= lambda_max.  :meth:`remaining` hands out the sorted
-    tails.
+    0 < lambda_min <= lambda_max.  :attr:`low_sums` and :attr:`high_sums`
+    hold each side's sorted tails, which :meth:`remaining` hands out, and
+    their summed heads: the tables L[t, n] and H[t, n] that the timedep and
+    feasibility thresholds look up at every step.  Their contents are built
+    on first use and kept with the object.
     """
 
     lambda_min: float
@@ -198,6 +252,8 @@ class PriceBounds:
     per_slot_max: tuple[float, ...] = ()
     t_start: int = 1
     horizon: int = 0
+    low_sums: TailSums = field(init=False, repr=False, compare=False)
+    high_sums: TailSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("lambda_min", "lambda_max"):
@@ -226,19 +282,10 @@ class PriceBounds:
                 f"per-slot bounds cover slots {self.t_start}..{self.t_start + n - 1}, "
                 f"not t_start..horizon {self.t_start}..{self.horizon}"
             )
-
-    @cached_property
-    def _sorted_tails(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Ascending mins and descending maxes of slots t_start + off.., for off = 0..n.
-
-        Built on first use and kept with the object; the last entry of each
-        is the empty tail past the horizon.
-        """
-        mins, maxs = self.per_slot_min, self.per_slot_max
-        return (
-            tuple(tuple(sorted(mins[off:])) for off in range(len(mins) + 1)),
-            tuple(tuple(sorted(maxs[off:], reverse=True)) for off in range(len(maxs) + 1)),
-        )
+        lows = TailSums(self.per_slot_min, False, self.t_start, self.lambda_min)
+        highs = TailSums(self.per_slot_max, True, self.t_start, self.lambda_max)
+        object.__setattr__(self, "low_sums", lows)
+        object.__setattr__(self, "high_sums", highs)
 
     def remaining(self, t: int) -> tuple[list[float], list[float]]:
         """Sorted (ascending mins, descending maxes) for slots t..horizon.
@@ -246,11 +293,7 @@ class PriceBounds:
         Fresh lists, copied from the tails sorted once per object; both are
         empty once t is past the horizon.
         """
-        if t < self.t_start:
-            raise ValueError(f"t={t} precedes bound coverage starting at {self.t_start}")
-        off = t - self.t_start
-        mins, maxs = self._sorted_tails
-        return list(mins[min(off, len(mins) - 1)]), list(maxs[min(off, len(maxs) - 1)])
+        return list(self.low_sums.tail(t)), list(self.high_sums.tail(t))
 
 
 class EmpiricalCdf:

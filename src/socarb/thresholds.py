@@ -335,18 +335,17 @@ def timedep_thresholds(
     l_next = (omega/k_dis) * (s_dis + bottom k_dis-d remaining lower bounds).
     A side with exhausted budget is inactive (None).  When the remaining
     horizon is shorter than the remaining budget, the bound lists are padded
-    with the global scalar envelope (the no-prediction fallback).
+    with the global scalar envelope (the no-prediction fallback).  Both sums
+    are looked up in ``bounds.high_sums`` and ``bounds.low_sums``, summed with
+    ``sum`` in this order once per (t, n) and kept on the bounds.
     """
     t, _, c, d, s_ch, s_dis = state
-    lows, highs = bounds.remaining(t)
     u_next = None
     l_next = None
     if c < k_ch:
-        n = k_ch - c
-        u_next = (s_ch + sum(highs[:n] + [bounds.lambda_max] * (n - len(highs)))) / (alpha * k_ch)
+        u_next = (s_ch + bounds.high_sums[t, k_ch - c]) / (alpha * k_ch)
     if d < k_dis:
-        n = k_dis - d
-        l_next = omega * (s_dis + sum(lows[:n] + [bounds.lambda_min] * (n - len(lows)))) / k_dis
+        l_next = omega * (s_dis + bounds.low_sums[t, k_dis - d]) / k_dis
     return u_next, l_next
 
 
@@ -366,21 +365,52 @@ def feasibility_aware_thresholds(
     side inactive.  The bound lists are the whole remaining tail of slots
     t..horizon: a side with K_rem >= 1 has at least one action of its type
     feasible from e right now, and it stays feasible at every later slot
-    (idling keeps e), so no slot is out of reach.  The bounds must therefore
-    end at the battery's horizon, which :func:`threshold_rule` checks.
+    (idling keeps e), so no slot is out of reach.  K_rem never exceeds the
+    slots left, so the sums looked up in ``bounds.high_sums`` and
+    ``bounds.low_sums`` are never padded.  The bounds must therefore cover
+    exactly slots 1..horizon of the battery, per slot; a ``ValueError`` says
+    when they do not, from the check :func:`threshold_rule` makes once per
+    run.
     """
+    _check_day_bounds("feasibility", params, bounds)
+    return _feasibility_thresholds(state, params, bounds, k_ch, k_dis, alpha, omega)
+
+
+def _feasibility_thresholds(state, params, bounds, k_ch, k_dis, alpha, omega):
+    """:func:`feasibility_aware_thresholds` on bounds already checked."""
     t, e, c, d, s_ch, s_dis = state
-    slots_left = max(params.horizon - t + 1, 0)
-    lows, highs = bounds.remaining(t)
+    slots_left = params.horizon - t + 1
     u_next = None
     l_next = None
-    k_rem = min(k_ch - c, params.max_charges(e), slots_left)
+    # a side with no budget or no slot left need not count what capacity allows
+    k_rem = min(k_ch - c, slots_left)
     if k_rem >= 1:
-        u_next = (s_ch + sum(highs[:k_rem])) / (alpha * k_rem)
-    k_rem = min(k_dis - d, params.max_discharges(e), slots_left)
+        k_rem = min(k_rem, params.max_charges(e))
     if k_rem >= 1:
-        l_next = omega * (s_dis + sum(lows[:k_rem])) / k_rem
+        u_next = (s_ch + bounds.high_sums[t, k_rem]) / (alpha * k_rem)
+    k_rem = min(k_dis - d, slots_left)
+    if k_rem >= 1:
+        k_rem = min(k_rem, params.max_discharges(e))
+    if k_rem >= 1:
+        l_next = omega * (s_dis + bounds.low_sums[t, k_rem]) / k_rem
     return u_next, l_next
+
+
+def _check_day_bounds(mode: str, params: BatteryParams, bounds: PriceBounds) -> None:
+    """Bounds of a timedep or feasibility run cover exactly slots 1..horizon of its day.
+
+    Feasibility reads the per-slot lists, so there an envelope alone covers
+    no slot, whatever its ``horizon`` field says; PriceBounds holds both
+    per-slot lists to one length.
+    """
+    covered = bounds.horizon
+    if mode == "feasibility":
+        covered = bounds.t_start + len(bounds.per_slot_min) - 1
+    if bounds.t_start != 1 or covered != params.horizon:
+        raise ValueError(
+            f"bounds cover slots {bounds.t_start}..{covered} but the day "
+            f"spans 1..{params.horizon}"
+        )
 
 
 def threshold_rule(
@@ -406,22 +436,11 @@ def threshold_rule(
             u_book[s.c] if s.c < k_ch else None,
             l_book[s.d] if s.d < k_dis else None,
         )
-    if bounds.t_start != 1 or bounds.horizon != params.horizon:
-        raise ValueError(
-            f"bounds cover slots {bounds.t_start}..{bounds.horizon} but the day "
-            f"spans 1..{params.horizon}"
-        )
+    _check_day_bounds(mode, params, bounds)
     alpha, omega = schedule.alpha, schedule.omega
     if mode == "timedep":
         return lambda s: timedep_thresholds(s, bounds, k_ch, k_dis, alpha, omega)
-    # PriceBounds holds both per-slot lists to one length; empty lists cover no slot
-    covered = bounds.t_start + len(bounds.per_slot_min) - 1
-    if covered != params.horizon:
-        raise ValueError(
-            f"bounds cover slots {bounds.t_start}..{covered} "
-            f"but the battery's horizon ends at {params.horizon}"
-        )
-    return lambda s: feasibility_aware_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
+    return lambda s: _feasibility_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
 
 
 def run_policy_days(

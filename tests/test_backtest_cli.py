@@ -8,7 +8,7 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -1094,6 +1094,7 @@ def malformed_matrices(draw):
 @given(text=malformed_matrices(), command=st.sampled_from(["backtest", "reach"]))
 @example(text="d0,1.0,2.0\nd1,3.0,4.0\nd2,5.0,6.0\n", command="reach")
 @example(text='day_id,h0\n"a\nb",nan\n', command="reach")
+@example(text="day_id,h0\r\n\x1e,nan\r\n", command="backtest")
 def test_malformed_day_matrix_exit_code_contract(text, command):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "days.csv"
@@ -1102,6 +1103,105 @@ def test_malformed_day_matrix_exit_code_contract(text, command):
         config.write_text(f"battery.horizon = 4\nstart_steps = 4\ndata.day_matrix = {path}\n")
         argv = {"backtest": ["backtest", "--config", str(config)],
                 "reach": ["reach", "--days", str(path), "--band", "3,8"]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (1, 2)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    assert lines[0].startswith(("validation error: ", "data error: "))
+    assert "Traceback" not in err.getvalue()
+
+
+def _reads_as_timestamp(text):
+    try:
+        datetime.fromisoformat(text.strip())
+    except ValueError:
+        return False
+    return True
+
+
+PRICE_CSV_KINDS = [
+    "unparsable timestamp", "non-finite price", "non-numeric price", "duplicate timestamp",
+    "non-hourly gap", "mixed naive and aware", "offset change", "empty", "header only",
+    "over-long field",
+]
+
+
+@st.composite
+def malformed_price_csvs(draw):
+    """The text of a price CSV that ``load_price_csv`` refuses, of one of several kinds.
+
+    A row whose timestamp or price does not parse is read as a header on line
+    1, so those kinds put the bad row on line 2 or later.
+    """
+    kind = draw(st.sampled_from(PRICE_CSV_KINDS))
+    if kind == "empty":
+        return draw(st.sampled_from(["", "\n", "\n\n", ",\n", " , \n\n"]))
+    if kind == "header only":
+        return draw(st.sampled_from(["timestamp,price\n", "timestamp,price\n\n", "ts,p"]))
+    n = draw(st.integers(2, 6))
+    header = draw(st.booleans())
+    first_bad = 0 if header else 1  # the first row that is not line 1
+    t0 = datetime(2016, 5, 1)
+    stamps = [(t0 + timedelta(hours=i)).isoformat() for i in range(n)]
+    prices = [repr(v) for v in draw(st.lists(st.floats(-50.0, 500.0), min_size=n, max_size=n))]
+    i = draw(st.integers(first_bad, n - 1))
+    cut = draw(st.integers(1, n - 1))
+    if kind == "unparsable timestamp":
+        bad = st.sampled_from(
+            ["", "yesterday", "2016-05-01T24:00:00", "2016-13-01T00:00:00", "05/01/2016 00:00",
+             "2016-05-01T00:00:00+25:00"]
+        ) | st.text(min_size=1, max_size=12)
+        stamps[i] = draw(bad.filter(lambda text: not _reads_as_timestamp(text)))
+    elif kind == "non-finite price":
+        prices[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-Infinity"])
+        )
+    elif kind == "non-numeric price":
+        bad = st.sampled_from(["", "abc", "1.0.0", "12 5", "0x10", "€", "1,5"]) | st.text(
+            max_size=5
+        )
+        prices[i] = draw(bad.filter(lambda text: not _reads_as_float(text)))
+    elif kind == "duplicate timestamp":
+        j = draw(st.integers(0, n - 1))
+        stamps.insert(i + 1, stamps[j])
+        prices.insert(i + 1, prices[j])
+    elif kind == "non-hourly gap":
+        shift = draw(st.sampled_from([timedelta(hours=1), timedelta(minutes=30),
+                                      timedelta(minutes=-30), timedelta(seconds=1)]))
+        stamps[cut:] = [(t0 + timedelta(hours=h) + shift).isoformat() for h in range(cut, n)]
+    elif kind == "mixed naive and aware":
+        stamps[draw(st.integers(0, n - 1))] += draw(st.sampled_from(["+00:00", "+02:00", "-05:00"]))
+    elif kind == "offset change":
+        # hourly in UTC across a spring DST switch, local offset +01:00 then +02:00
+        start = datetime(2016, 3, 27, tzinfo=timezone.utc)
+        stamps = [
+            (start + timedelta(hours=h)).astimezone(timezone(timedelta(hours=1 + (h >= cut))))
+            .isoformat()
+            for h in range(n)
+        ]
+    else:  # an over-long field, anywhere
+        column = draw(st.sampled_from([stamps, prices]))
+        column[draw(st.integers(0, n - 1))] = "9" * 131_073
+    rows = [["timestamp", "price"]] if header else []
+    rows += [list(row) for row in zip(stamps, prices)]
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=malformed_price_csvs())
+@example(text="timestamp,price\n2016-05-01T00:00:00,1\n2016-05-01T00:00:00,2\n")
+@example(text="2016-03-27T01:00:00+01:00,1\n2016-03-27T03:00:00+02:00,2\n")
+@example(text="2016-05-01T00:00:00+00:00,1\n2016-05-01T01:00:00,2\n")
+def test_malformed_price_csv_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "prices.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["ingest", str(path), "--horizon", "1", "--out", str(Path(workdir) / "d.csv")]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

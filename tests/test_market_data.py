@@ -1,7 +1,10 @@
 """Ingestion, slicing, bounds, distributions, and splits."""
 
+import dataclasses
 import math
 import re
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -24,6 +27,7 @@ from socarb.market_data import (
     slice_days,
     split_dataset,
 )
+from socarb.thresholds import BatteryParams, run_policy_days
 
 from oracles import reference_remaining
 
@@ -350,6 +354,96 @@ def floored_bounds(rows, t, mode):
     per_min = tuple(v if v > 0 else floor for v in matrix.min(axis=0).tolist())
     per_max = tuple(max(v, floor) for v in matrix.max(axis=0).tolist())
     return lam_min, lam_max, per_min, per_max
+
+
+@st.composite
+def tail_bounds(draw):
+    """PriceBounds with per-slot bounds or an envelope alone, from slot 1 or later.
+
+    Values span six decades, so a sum taken in another order would round
+    differently; a few repeat, so the sorted tails hold ties.
+    """
+    t_start = draw(st.integers(1, 4))
+    lam_min = draw(st.floats(1e-3, 1e3))
+    lam_max = lam_min * draw(st.floats(1.0, 1e6))
+    if draw(st.booleans()):
+        # an envelope alone: its tails are empty and every sum pads
+        return PriceBounds(lam_min, lam_max, (), (), t_start, draw(st.integers(t_start - 1, 8)))
+    inside = st.floats(lam_min, lam_max) | st.sampled_from([lam_min, lam_max])
+    pairs = draw(st.lists(st.tuples(inside, inside), min_size=1, max_size=7))
+    per_min, per_max = zip(*(sorted(pair) for pair in pairs))
+    return PriceBounds(lam_min, lam_max, per_min, per_max, t_start, t_start + len(pairs) - 1)
+
+
+@given(
+    bounds=tail_bounds(),
+    warm_keys=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+    budgets=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+)
+@settings(max_examples=150, deadline=None)
+def test_tail_sums_are_the_thresholds_sums(bounds, warm_keys, budgets):
+    """Each H[t, n] and L[t, n] is the padded sum the thresholds took at every step.
+
+    The bounds are warmed first, at other (t, n) and by runs at another
+    budget pair, and must then agree with a fresh copy bit for bit.
+    """
+    for t, n in warm_keys:
+        if t >= bounds.t_start:
+            bounds.low_sums[t, n], bounds.high_sums[t, n]
+    if bounds.t_start == 1 and bounds.horizon >= 1:
+        params = BatteryParams(0.0, 10.0, 2.0, 4.0, bounds.horizon)
+        rng = np.random.default_rng(len(warm_keys))
+        days = make_days(rng.uniform(bounds.lambda_min, bounds.lambda_max, (3, bounds.horizon)))
+        modes = ("timedep", "feasibility") if bounds.per_slot_min else ("timedep",)
+        for mode in modes:
+            run_policy_days(days, params, *budgets, mode, bounds)
+    fresh = dataclasses.replace(bounds)
+    width = max(len(bounds.per_slot_min), bounds.horizon - bounds.t_start + 1) + 4
+    for t in range(bounds.t_start, bounds.horizon + 2):
+        lows, highs = reference_remaining(bounds, t)
+        for n in range(width):
+            want_low = sum(lows[:n] + [bounds.lambda_min] * (n - len(lows)))
+            want_high = sum(highs[:n] + [bounds.lambda_max] * (n - len(highs)))
+            for table in (bounds, fresh):
+                got_low, got_high = table.low_sums[t, n], table.high_sums[t, n]
+                assert got_low == want_low and repr(got_low) == repr(want_low), (t, n)
+                assert got_high == want_high and repr(got_high) == repr(want_high), (t, n)
+    with pytest.raises(ValueError, match=f"t={bounds.t_start - 1} precedes bound coverage"):
+        bounds.high_sums[bounds.t_start - 1, 1]
+
+
+def test_tail_sums_shared_between_threads():
+    """Threads filling one table at once each read what a table of their own gives.
+
+    A miss computes, then stores, without a lock; the entry is the same
+    whichever thread stores it, so a race may repeat a sum but never change one.
+    """
+    rng = np.random.default_rng(5)
+    days = make_days(rng.uniform(0.5, 900.0, (4, 12)).tolist())
+    shared, alone = compute_bounds(days, 1, "per-hour"), compute_bounds(days, 1, "per-hour")
+    keys = [(t, n) for t in range(1, 14) for n in range(16)]
+    want = [(repr(alone.low_sums[key]), repr(alone.high_sums[key])) for key in keys]
+    got = [[None] * len(keys) for _ in range(6)]
+
+    def fill(out, order):
+        for i in order:
+            out[i] = (repr(shared.low_sums[keys[i]]), repr(shared.high_sums[keys[i]]))
+
+    threads = [
+        threading.Thread(target=fill, args=(out, rng.permutation(len(keys)).tolist()))
+        for out in got
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == want for out in got)
 
 
 class TestFitDistribution:

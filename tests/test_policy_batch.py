@@ -27,7 +27,7 @@ from socarb.thresholds import (
 
 HORIZON = 8
 MODES = ("static", "timedep", "feasibility")
-BUDGETS = (0, 1, 2, 3, 5)
+BUDGETS = (0, 1, 2, 3, 5, HORIZON + 3)
 
 
 def random_days(n, seed):

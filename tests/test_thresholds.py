@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,22 @@ class TestFeasibilityAwareThresholds:
         schedule = build_schedule(envelope, 1, 1, 2.0, 2.0)
         with pytest.raises(ValueError, match="bounds cover slots 1..0 but"):
             threshold_rule("feasibility", params, envelope, schedule, 1, 1)
+
+    def test_direct_call_refuses_bounds_short_of_the_day(self):
+        # the rule's own check: an envelope alone, and 4-slot bounds past their
+        # last slot, once read as "never trade" here
+        params = BatteryParams(0, 10, 2, 5, 24)
+        for bounds, t, covered in (
+            (PriceBounds(10.0, 100.0), 1, "1..0"),
+            (const_bounds(10.0, 100.0, 4), 9, "1..4"),
+        ):
+            state = PolicyState(t, 5.0, 0, 0, 0.0, 0.0)
+            message = re.escape(f"bounds cover slots {covered} but the day spans 1..24")
+            with pytest.raises(ValueError, match=message):
+                feasibility_aware_thresholds(state, params, bounds, 3, 3, 2.0, 2.0)
+            schedule = build_schedule(bounds, 3, 3, 2.0, 2.0)
+            with pytest.raises(ValueError, match=message):
+                threshold_rule("feasibility", params, bounds, schedule, 3, 3)
 
     def test_whole_tail_equals_filtered_list(self):
         # the per-step oracle keeps the slots that admit one action of the
