@@ -15,7 +15,6 @@ from .market_data import (
     PriceBounds,
     PriceDistribution,
     PriceSeries,
-    as_day_matrix,
     compute_bounds,
     fit_distribution,
     load_price_csv,

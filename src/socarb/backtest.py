@@ -2,7 +2,10 @@
 
 Runs the policy/reachability/counting/CQR pipeline over a grid of initial
 SoC values, target bands, and start windows; emits a deterministic JSON
-report plus CSV plot-data files mirroring the case-study figures.
+report plus CSV plot-data files mirroring the case-study figures.  The days
+are one ``DayMatrix`` from the loader (or the synthetic generator) to the
+report: the train, calibration and test days are row slices of it and each
+window a column view of those.
 
 A failed stage does not stop the run.  :func:`_attempt` holds its exception
 in place of its value, and :func:`_value` raises it again in each cell that
@@ -31,7 +34,6 @@ from .conformal import evaluate_coverage, fit_conformal_models, label_days
 from .market_data import (
     BOUNDS_MODES,
     DayMatrix,
-    DayPrices,
     compute_bounds,
     fit_distribution,
     load_day_matrix,
@@ -231,8 +233,12 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
-def synthetic_day_matrix(n_days: int, horizon: int, seed: int) -> list[DayPrices]:
-    """Seeded lognormal day matrix with a sinusoidal intraday level pattern."""
+def synthetic_day_matrix(n_days: int, horizon: int, seed: int) -> DayMatrix:
+    """Seeded lognormal day matrix with a sinusoidal intraday level pattern.
+
+    The noise is one standard normal draw of shape (n_days, horizon), which
+    takes the generator's values in the order that one draw per day would.
+    """
     if n_days < 1 or horizon < 1:
         raise ValueError("n_days and horizon must be positive")
     if seed < 0:
@@ -241,11 +247,8 @@ def synthetic_day_matrix(n_days: int, horizon: int, seed: int) -> list[DayPrices
     rng = np.random.default_rng(seed)
     hours = np.arange(horizon)
     level = mu + amplitude * np.sin(2.0 * math.pi * (hours - 4.0) / max(horizon, 2))
-    days = []
-    for d in range(n_days):
-        prices = np.exp(level + sigma * rng.standard_normal(horizon))
-        days.append(DayPrices(f"synthetic-{d:04d}", tuple(float(p) for p in prices)))
-    return days
+    prices = np.exp(level + sigma * rng.standard_normal((n_days, horizon)))
+    return DayMatrix(tuple(f"synthetic-{d:04d}" for d in range(n_days)), prices)
 
 
 @dataclass(frozen=True)
@@ -375,22 +378,21 @@ def run_experiment(config: ExperimentConfig) -> Report:
     the cell body rather than aborting the run.  Identical configs and seeds
     reproduce identical reports except for the timestamp.
 
-    The days become one :class:`DayMatrix`, split in order into train,
-    calibration and test row ranges; each window is a column view of those.
+    The days, one :class:`DayMatrix`, split in order into train, calibration
+    and test row slices; each window is a column view of those.
     """
     if config.data_path:
-        matrix = DayMatrix.from_days(load_day_matrix(config.data_path))
+        matrix = load_day_matrix(config.data_path)
         if matrix.horizon != config.battery.horizon:
             raise ValueError(
                 f"day matrix horizon {matrix.horizon} does not match "
                 f"battery.horizon = {config.battery.horizon}"
             )
     else:
-        days = synthetic_day_matrix(config.synthetic_days, config.battery.horizon, config.seed)
-        matrix = DayMatrix.from_days(days)
+        matrix = synthetic_day_matrix(config.synthetic_days, config.battery.horizon, config.seed)
     n_train, n_calib, n_test = split_sizes(len(matrix), (0.6, 0.2, 0.2))
     calib_end = n_train + n_calib
-    train, test = matrix.rows(0, n_train), matrix.rows(calib_end, len(matrix))
+    train, test = matrix[:n_train], matrix[calib_end:]
 
     # each stage runs once for what it depends on; a failed stage is recorded
     # in every cell that needs it

@@ -106,18 +106,19 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _load_days(args) -> tuple[list[md.DayPrices], int]:
-    """The days and their horizon: the matrix's day length, or --horizon (default 24)."""
+def _load_days(args) -> md.DayMatrix:
+    """The days; their horizon is the matrix's day length, or --horizon (default 24)."""
     seed = _seed(args)
     if args.days:
         days = md.load_day_matrix(args.days)
-        horizon = len(days[0].values)
-        if args.horizon not in (None, horizon):
-            raise ValueError(f"--horizon {args.horizon} but {args.days} has {horizon}-slot days")
-        return days, horizon
+        if args.horizon not in (None, days.horizon):
+            raise ValueError(
+                f"--horizon {args.horizon} but {args.days} has {days.horizon}-slot days"
+            )
+        return days
     if args.synthetic:
         horizon = 24 if args.horizon is None else args.horizon
-        return bt.synthetic_day_matrix(args.synthetic, horizon, seed), horizon
+        return bt.synthetic_day_matrix(args.synthetic, horizon, seed)
     raise ValueError("provide --days <day matrix csv> or --synthetic <n>")
 
 
@@ -164,11 +165,10 @@ def cmd_simulate(args) -> int:
 
 def _policy_distribution(args):
     """Budgeted SoC distribution of the policy on the days."""
-    days, horizon = _load_days(args)
-    params = _battery(args, horizon)
-    matrix = md.as_day_matrix(days)
-    bounds = md.compute_bounds(matrix, 1, args.bounds_mode)
-    dist = md.fit_distribution(matrix)
+    days = _load_days(args)
+    params = _battery(args, days.horizon)
+    bounds = md.compute_bounds(days, 1, args.bounds_mode)
+    dist = md.fit_distribution(days)
     probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
     return rc.propagate(params, probs, args.kch, args.kdis)
 
@@ -203,7 +203,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_cqr(args) -> int:
-    days, horizon = _load_days(args)
+    days = _load_days(args)
     ratios = tuple(float(r) for r in args.split.split(","))
     split = md.split_dataset(days, ratios, seed=_seed(args), shuffled=args.shuffle)
     if args.cqr_cmd != "train":
@@ -214,21 +214,20 @@ def cmd_cqr(args) -> int:
     if args.cqr_cmd == "predict":
         if args.clip and not args.emin < args.emax:
             raise ValueError(f"--emin {args.emin} must be below --emax {args.emax}")
-        days = list(split.test)
-        los, his = cf.predict_intervals(model, [cf.day_features(day) for day in days])
+        los, his = cf.predict_intervals(model, split.test.prices)
         lines = ["day_id,lo,hi"]
-        for day, lo, hi in zip(days, los.tolist(), his.tolist()):
+        for day_id, lo, hi in zip(split.test.day_ids, los.tolist(), his.tolist()):
             lo = max(lo, args.emin) if args.clip else lo
             hi = min(hi, args.emax) if args.clip else hi
-            lines.append(f"{day.day_id},{lo!r},{hi!r}")
+            lines.append(f"{day_id},{lo!r},{hi!r}")
         _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
-    params = _battery(args, horizon)
-    bounds = md.compute_bounds(list(split.train), 1, args.bounds_mode)
+    params = _battery(args, days.horizon)
+    bounds = md.compute_bounds(split.train, 1, args.bounds_mode)
     if args.cqr_cmd == "train":
         model = cf.fit_conformal(
-            list(split.train),
-            list(split.calib),
+            split.train,
+            split.calib,
             params,
             bounds,
             args.kch,
@@ -240,7 +239,7 @@ def cmd_cqr(args) -> int:
         _write(args, model.to_json() + "\n")
         return EXIT_OK
     labelled = split.calib if args.cqr_cmd == "calibrate" else split.test
-    x, y = cf.label_days(list(labelled), [params], bounds, args.kch, args.kdis, args.mode)
+    x, y = cf.label_days(labelled, [params], bounds, args.kch, args.kdis, args.mode)
     if args.cqr_cmd == "calibrate":
         _write(args, cf.calibrate(model, x, y[0], args.epsilon).to_json() + "\n")
         return EXIT_OK

@@ -3,6 +3,8 @@
 Fits linear lower/upper quantile predictors of the policy's terminal SoC via
 pinball loss, calibrates a split-conformal width on held-out days, and emits
 prediction intervals plus band certificates with empirical coverage metrics.
+Days come in as one ``DayMatrix`` per split; :func:`label_days` turns one
+into features and labels, and everything after it works on those arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_data import DayMatrix, DayPrices, PriceBounds, as_day_matrix
+from .market_data import DayMatrix, DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, _static_lanes, policy_outcomes
+from .thresholds import BatteryParams, _check_days, _static_lanes, policy_outcomes
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +68,7 @@ def day_features(day: DayPrices) -> np.ndarray:
 
 
 def label_days(
-    days: list[DayPrices] | DayMatrix,
+    days: DayMatrix,
     params_list: list[BatteryParams],
     bounds: PriceBounds,
     k_ch: int,
@@ -80,15 +82,14 @@ def label_days(
     batteries may differ only in ``e0``, so the features, which do not
     depend on the battery, are shared.  In static mode the lanes step in the
     kernel of :func:`policy_outcomes` without its profits.  The features are
-    the read-only price matrix of the days, as :func:`as_day_matrix` stacks
-    them once.
+    the days' read-only price matrix itself.
     """
-    matrix = as_day_matrix(days, params_list[0].horizon if params_list else None)
+    _check_days(days, params_list)
     if threshold_mode == "static" and params_list:
-        features, soc = _static_lanes(matrix, params_list, [(k_ch, k_dis)], bounds)
+        features, soc = _static_lanes(days, params_list, [(k_ch, k_dis)], bounds)
     else:
-        features = matrix.prices
-        _, soc = policy_outcomes(matrix, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
+        features = days.prices
+        _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
     return features, soc[:, 0]
 
 
@@ -422,8 +423,8 @@ def fit_conformal_models(
 
 
 def fit_conformal(
-    train_days: list[DayPrices],
-    calib_days: list[DayPrices],
+    train_days: DayMatrix,
+    calib_days: DayMatrix,
     params: BatteryParams,
     bounds: PriceBounds,
     k_ch: int,
@@ -434,12 +435,12 @@ def fit_conformal(
 ) -> ConformalModel:
     """Train both quantile predictors, then :func:`calibrate` the conformal width.
 
-    The one-battery case of :func:`fit_conformal_models`; the train and the
-    calibration days are labelled in one :func:`label_days` batch.
+    The one-battery case of :func:`fit_conformal_models`, on the train and
+    the calibration days as :func:`label_days` labels each.
     """
-    x, y = label_days([*train_days, *calib_days], [params], bounds, k_ch, k_dis, threshold_mode)
-    n = len(train_days)
-    return fit_conformal_models(x[:n], y[:, :n], x[n:], y[:, n:], epsilon, epochs)[0]
+    x_train, y_train = label_days(train_days, [params], bounds, k_ch, k_dis, threshold_mode)
+    x_cal, y_cal = label_days(calib_days, [params], bounds, k_ch, k_dis, threshold_mode)
+    return fit_conformal_models(x_train, y_train, x_cal, y_cal, epsilon, epochs)[0]
 
 
 def predict_intervals(

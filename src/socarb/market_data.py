@@ -1,18 +1,21 @@
 """Hourly price ingestion, day slicing, worst-case bounds, and dataset splits.
 
 The CSV schema is ``timestamp,price`` with ISO-8601 timestamps and hourly
-spacing; a header row is optional.  Days are calendar-aligned (first slot at
+spacing; a header row is optional, and a first line is one only when neither
+its timestamp nor its price parses.  Days are calendar-aligned (first slot at
 hour 0) and partial days are dropped, never padded.  The day matrix CSV that
 :func:`export_day_matrix` writes and :func:`load_day_matrix` reads is
 ``day_id,h0..h{T-1}``, and there the header is required.
 
-A run's prices travel as a :class:`DayMatrix`: the day ids and one read-only
-(n, T) float64 array, validated once.  Its row ranges and its last-n-slot
-column windows are views of that array.  :func:`compute_bounds`,
-:func:`fit_distribution`, ``thresholds.policy_outcomes``,
-``thresholds.run_policy_days`` and ``conformal.label_days`` take a list of
-:class:`DayPrices` or a matrix, through :func:`as_day_matrix`, which holds the
-one check that a batch's days share a length.
+A run's prices travel as one :class:`DayMatrix` from loader to report: the
+day ids and one read-only (n, T) float64 array, validated once.
+:func:`load_day_matrix`, :func:`slice_days`, :func:`split_dataset` and
+``backtest.synthetic_day_matrix`` make one; :func:`compute_bounds`,
+:func:`fit_distribution`, :func:`export_day_matrix`,
+``thresholds.policy_outcomes``, ``thresholds.run_policy_days`` and the
+``conformal`` labeller take one.  Its row ranges and its last-n-slot column
+windows are views of that array.  A :class:`DayPrices` is one day: what
+indexing a matrix gives, and what the one-day runners take.
 """
 
 from __future__ import annotations
@@ -87,10 +90,11 @@ class DayMatrix:
 
     ``day_ids[i]`` names row i.  The matrix copies what it is given and checks
     it once: every row has the same T >= 1 finite prices, as a
-    :class:`DayPrices` would.  :meth:`rows` and :meth:`last` are views of the
-    same array and skip the checks.  Indexing and iteration give the days as
-    :class:`DayPrices`.  Matrices of equal day ids and prices compare and
-    hash equal, whatever their memory layout.
+    :class:`DayPrices` would.  A slice (``days[a:b]``, the days a..b-1) and
+    :meth:`last` are read-only views of the same array and skip the checks.
+    An integer index and iteration give the days as :class:`DayPrices`.
+    Matrices of equal day ids and prices compare and hash equal, whatever
+    their memory layout.
     """
 
     day_ids: tuple[str, ...]
@@ -131,10 +135,6 @@ class DayMatrix:
     def horizon(self) -> int:
         return self.prices.shape[1]
 
-    def rows(self, start: int, stop: int) -> "DayMatrix":
-        """Days start..stop-1, as a view."""
-        return self._view(self.day_ids[start:stop], self.prices[start:stop])
-
     def last(self, n: int) -> "DayMatrix":
         """The last n slots of every day, as a view."""
         if not 1 <= n <= self.horizon:
@@ -144,7 +144,9 @@ class DayMatrix:
     def __len__(self) -> int:
         return len(self.day_ids)
 
-    def __getitem__(self, i: int) -> DayPrices:
+    def __getitem__(self, i: int | slice) -> DayPrices | DayMatrix:
+        if isinstance(i, slice):
+            return self._view(self.day_ids[i], self.prices[i])
         return DayPrices(self.day_ids[i], tuple(self.prices[i].tolist()))
 
     def __eq__(self, other):
@@ -161,22 +163,6 @@ def check_horizon(slots: int, horizon: int) -> None:
     """A day of ``slots`` prices runs on a battery of ``horizon`` steps only when they agree."""
     if slots != horizon:
         raise ValueError(f"day has {slots} slots but params.horizon={horizon}")
-
-
-def as_day_matrix(days, horizon: int | None = None) -> DayMatrix:
-    """``days``, a :class:`DayMatrix` or a list of :class:`DayPrices`, as a matrix.
-
-    A matrix is returned as it is; a list is stacked once.  With ``horizon``
-    (a battery's), every day must have that many slots.
-    """
-    if not isinstance(days, DayMatrix):
-        if horizon is not None:
-            for day in days:
-                check_horizon(len(day.values), horizon)
-        days = DayMatrix.from_days(days)
-    elif horizon is not None and len(days):
-        check_horizon(days.horizon, horizon)
-    return days
 
 
 class TailSums(dict):
@@ -338,9 +324,9 @@ class PriceDistribution:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: tuple[DayPrices, ...]
-    calib: tuple[DayPrices, ...]
-    test: tuple[DayPrices, ...]
+    train: DayMatrix
+    calib: DayMatrix
+    test: DayMatrix
 
 
 def _csv_rows(fh, path):
@@ -384,8 +370,11 @@ def load_price_csv(path) -> PriceSeries:
                 ts = datetime.fromisoformat(ts_text)
                 price = float(price_text)
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                # a header names both columns; a first row with one parsable cell is data
+                if lineno == 1 and not (
+                    _parses(datetime.fromisoformat, ts_text) or _parses(float, price_text)
+                ):
+                    continue
                 raise ValueError(f"line {lineno}: unparsable row {raw!r}") from None
             if not math.isfinite(price):
                 raise ValueError(f"line {lineno}: non-finite price {price_text!r}")
@@ -407,8 +396,8 @@ def load_price_csv(path) -> PriceSeries:
     return PriceSeries(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
 
 
-def slice_days(series: PriceSeries, horizon: int) -> list[DayPrices]:
-    """Cut a series into consecutive blocks of ``horizon`` hours.
+def slice_days(series: PriceSeries, horizon: int) -> DayMatrix:
+    """Cut a series into consecutive blocks of ``horizon`` hours, one day each.
 
     The first block is anchored at the first hour-0 timestamp; partial leading
     and trailing blocks are dropped with a logged warning.
@@ -426,13 +415,9 @@ def slice_days(series: PriceSeries, horizon: int) -> list[DayPrices]:
     trailing = (len(series) - start) - n_days * horizon
     if trailing > 0:
         log.warning("slice_days: dropped %d trailing points (partial day)", trailing)
-    days = []
-    for d in range(n_days):
-        lo = start + d * horizon
-        days.append(
-            DayPrices(series.timestamps[lo].isoformat(), tuple(series.prices[lo : lo + horizon]))
-        )
-    return days
+    starts = range(start, start + n_days * horizon, horizon)
+    prices = np.array(series.prices[start : start + n_days * horizon]).reshape(n_days, horizon)
+    return DayMatrix(tuple(series.timestamps[lo].isoformat() for lo in starts), prices)
 
 
 def _clamp_floor(values, label: str) -> list[float]:
@@ -444,9 +429,7 @@ def _clamp_floor(values, label: str) -> list[float]:
     return clamped
 
 
-def compute_bounds(
-    days: list[DayPrices] | DayMatrix, t: int, mode: str = "per-hour"
-) -> PriceBounds:
+def compute_bounds(days: DayMatrix, t: int, mode: str = "per-hour") -> PriceBounds:
     """Worst-case price bounds over the remaining slots t..T.
 
     ``per-hour`` keeps one (min, max) pair per remaining slot; ``global``
@@ -455,7 +438,7 @@ def compute_bounds(
     and per-hour maxima are lifted to it; each per-hour bound is then
     clipped into the envelope [lambda_min, lambda_max].
     """
-    matrix = as_day_matrix(days).prices
+    matrix = days.prices
     if not len(matrix):
         raise ValueError("compute_bounds requires at least one day")
     horizon = matrix.shape[1]
@@ -489,9 +472,9 @@ def compute_bounds(
     )
 
 
-def fit_distribution(days: list[DayPrices] | DayMatrix) -> PriceDistribution:
+def fit_distribution(days: DayMatrix) -> PriceDistribution:
     """Hour-wise empirical CDFs of the prices across days."""
-    matrix = as_day_matrix(days).prices
+    matrix = days.prices
     if not len(matrix):
         raise ValueError("fit_distribution requires at least one day")
     return PriceDistribution(tuple(EmpiricalCdf(column) for column in matrix.T))
@@ -516,7 +499,7 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
 
 
 def split_dataset(
-    days: list[DayPrices],
+    days: DayMatrix,
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
     seed: int = 0,
     shuffled: bool = False,
@@ -524,52 +507,47 @@ def split_dataset(
     """Partition days into train/calib/test by floor allocation.
 
     Sizes are those of :func:`split_sizes`.  Chronological order is kept
-    unless ``shuffled``; shuffling is deterministic in ``seed``.
+    unless ``shuffled``; shuffling is deterministic in ``seed``.  The three
+    parts are row slices of ``days``, or of its one shuffled copy.
     """
     n_train, n_calib, _ = split_sizes(len(days), ratios)
-    order = list(range(len(days)))
     if shuffled:
+        order = list(range(len(days)))
         random.Random(seed).shuffle(order)
-    picked = [days[i] for i in order]
-    return DatasetSplit(
-        train=tuple(picked[:n_train]),
-        calib=tuple(picked[n_train : n_train + n_calib]),
-        test=tuple(picked[n_train + n_calib :]),
-    )
+        days = DayMatrix(tuple(days.day_ids[i] for i in order), days.prices[order])
+    calib_end = n_train + n_calib
+    return DatasetSplit(days[:n_train], days[n_train:calib_end], days[calib_end:])
 
 
-def export_day_matrix(days: list[DayPrices] | DayMatrix, path) -> None:
-    """Write the canonical day matrix CSV: day_id, h0..h{T-1}.
-
-    Days of different lengths are refused before anything is written.
-    """
-    matrix = as_day_matrix(days)
-    if not len(matrix):
+def export_day_matrix(days: DayMatrix, path) -> None:
+    """Write the canonical day matrix CSV: day_id, h0..h{T-1}."""
+    if not len(days):
         raise ValueError("no days to export")
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["day_id"] + [f"h{i}" for i in range(matrix.horizon)])
-        for day_id, values in zip(matrix.day_ids, matrix.prices.tolist()):
+        writer.writerow(["day_id"] + [f"h{i}" for i in range(days.horizon)])
+        for day_id, values in zip(days.day_ids, days.prices.tolist()):
             writer.writerow([day_id] + [repr(v) for v in values])
 
 
-def _is_number(text: str) -> bool:
+def _parses(parse, text: str) -> bool:
     try:
-        float(text)
+        parse(text)
     except ValueError:
         return False
     return True
 
 
-def load_day_matrix(path) -> list[DayPrices]:
+def load_day_matrix(path) -> DayMatrix:
     """Read a day matrix CSV produced by :func:`export_day_matrix`.
 
     The first line is the header ``day_id,h0..h{T-1}``.  A first line whose
     price cells all read as numbers is a day, not a header, and is refused
     rather than dropped.  Every row holds as many prices as the header names,
-    so the matrix has one day length.
+    so the matrix has one day length.  A row that is not a day of finite
+    prices is refused with the file name and its line number.
     """
-    days = []
+    ids, rows = [], []
     with Path(path).open(newline="") as fh:
         reader = _csv_rows(fh, path)
         header = next(reader, None)
@@ -581,7 +559,7 @@ def load_day_matrix(path) -> list[DayPrices]:
                 f"{path} line 1: the header names no price column; "
                 "a day matrix starts with the header day_id,h0..h{T-1}"
             )
-        if all(map(_is_number, header[1:])):
+        if all(_parses(float, cell) for cell in header[1:]):
             raise ValueError(
                 f"{path} line 1: a row of prices where the header "
                 f"day_id,h0..h{horizon - 1} belongs; a day matrix starts with its header"
@@ -592,9 +570,13 @@ def load_day_matrix(path) -> list[DayPrices]:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row) - 1} prices but the header names {horizon}")
-                days.append(DayPrices(row[0], tuple(map(float, row[1:]))))
+                prices = list(map(float, row[1:]))
+                if not all(map(math.isfinite, prices)):
+                    raise ValueError(f"non-finite price in day {row[0]}")
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-    if not days:
+            ids.append(row[0])
+            rows.append(prices)
+    if not rows:
         raise ValueError(f"{path}: no day rows")
-    return days
+    return DayMatrix(tuple(ids), rows)

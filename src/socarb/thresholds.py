@@ -14,8 +14,9 @@ binds a run's budgets, ratios and bounds once and maps that state to the
 next (u, l) in every mode.
 
 The one charge-first, fall-through-to-discharge decision rule has two
-executors.  :func:`run_policy_days` steps a loop, one trajectory at a time;
-everything that needs a trajectory or runs a single day uses it:
+executors, and a batch of days reaches both as one ``DayMatrix``.
+:func:`run_policy_days` steps a loop, one trajectory at a time; everything
+that needs a trajectory or runs a single day uses that loop:
 :func:`run_policy`, ``socarb simulate`` and both stages of the budget
 reduction.  :func:`policy_outcomes` returns only the profit and terminal SoC
 of every (battery, budget pair, day) lane, and in static mode steps all lanes
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market_data import DayMatrix, DayPrices, PriceBounds, as_day_matrix, check_horizon
+from .market_data import DayMatrix, DayPrices, PriceBounds, check_horizon
 
 log = logging.getLogger(__name__)
 
@@ -444,7 +445,7 @@ def threshold_rule(
 
 
 def run_policy_days(
-    days: list[DayPrices] | DayMatrix,
+    days: DayMatrix,
     params: BatteryParams,
     k_ch: int,
     k_dis: int,
@@ -461,7 +462,8 @@ def run_policy_days(
     ``alpha``/``omega`` to set them.  The trajectories never force trades;
     end-of-horizon behavior belongs to the reachability layer.
     """
-    rows = as_day_matrix(days, params.horizon).prices.tolist()
+    _check_days(days, [params])
+    rows = days.prices.tolist()
     return _run_rows(rows, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)
 
 
@@ -533,7 +535,7 @@ def run_policy(
 
 
 def policy_outcomes(
-    days: list[DayPrices] | DayMatrix,
+    days: DayMatrix,
     params_list: list[BatteryParams],
     budgets: list[tuple[int, int]],
     threshold_mode: str,
@@ -554,7 +556,7 @@ def policy_outcomes(
     params_list, budgets = list(params_list), list(budgets)
     if threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
-    days = as_day_matrix(days, params_list[0].horizon if params_list else None)
+    _check_days(days, params_list)
     shape = (len(params_list), len(budgets), len(days))
     if threshold_mode == "static" and params_list:
         horizon, rate = params_list[0].horizon, params_list[0].rate
@@ -572,6 +574,12 @@ def policy_outcomes(
             profit[i, j] = [traj.profit for traj in trajs]
             soc[i, j] = [traj.soc_path[-1] for traj in trajs]
     return profit, soc
+
+
+def _check_days(days: DayMatrix, params_list: list[BatteryParams]) -> None:
+    """A batch's days have its batteries' horizon; no day or no battery checks nothing."""
+    if len(days) and params_list:
+        check_horizon(days.horizon, params_list[0].horizon)
 
 
 def _check_shared_battery(params_list: list[BatteryParams]) -> None:
@@ -596,7 +604,7 @@ def _static_lanes(
     a horizon axis, each step's action is written into it: that is what
     :func:`policy_outcomes` needs for the profits.  The CQR labeller needs
     only the SoC and passes none.  ``params_list`` must be non-empty, and
-    ``days`` a matrix of its horizon, as :func:`as_day_matrix` checks it.
+    ``days`` a matrix of its horizon, as :func:`_check_days` checks it.
 
     The books sit in padded (len(budgets), k_max + 1) matrices where a spent
     side reads -inf (charge) or +inf (discharge), which no finite price
@@ -783,8 +791,7 @@ def run_with_discharge_reduction(
 
     def sell(values, e0, k, ratio):
         stage = replace(params, e0=e0, horizon=len(values))
-        days = [DayPrices(day.day_id, values)]
-        return run_policy_days(days, stage, 0, k, "static", bounds, omega=ratio)[0]
+        return _run_rows([values], stage, 0, k, "static", bounds, None, ratio)[0]
 
     n1 = t_bar - 1  # stage-1 steps
     if k_bar == k_dis:

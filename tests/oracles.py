@@ -8,6 +8,7 @@ import numpy as np
 
 from socarb import backtest
 from socarb.conformal import CoverageReport
+from socarb.market_data import DayPrices
 from socarb.reachability import BAND_EPS, POST_STOP_MODES, ActionProbs, TargetBand
 from socarb.thresholds import (
     CHARGE,
@@ -797,6 +798,19 @@ def reference_offline_opt(
         cash.append(-chosen * lam * rate)
     profit = math.fsum(cash)
     return profit, Trajectory(tuple(actions), tuple(soc), tuple(cash), profit)
+
+
+def reference_synthetic_day_matrix(n_days: int, horizon: int, seed: int) -> list[DayPrices]:
+    """``backtest.synthetic_day_matrix`` as a loop: one noise draw and one day per step."""
+    mu, sigma, amplitude = math.log(30.0), 0.35, 0.5
+    rng = np.random.default_rng(seed)
+    hours = np.arange(horizon)
+    level = mu + amplitude * np.sin(2.0 * math.pi * (hours - 4.0) / max(horizon, 2))
+    days = []
+    for d in range(n_days):
+        prices = np.exp(level + sigma * rng.standard_normal(horizon))
+        days.append(DayPrices(f"synthetic-{d:04d}", tuple(float(p) for p in prices)))
+    return days
 
 
 def pinball_loss(y: float, yhat: float, theta: float) -> float:

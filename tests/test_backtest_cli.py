@@ -27,10 +27,10 @@ from socarb.backtest import (
 )
 import socarb.cli as cli
 from golden_reports import backtest_report
-from oracles import reference_predict_interval
+from oracles import reference_predict_interval, reference_synthetic_day_matrix
 from socarb.cli import main
 from socarb.conformal import ConformalModel, day_features
-from socarb.market_data import PriceBounds, export_day_matrix, split_dataset
+from socarb.market_data import DayMatrix, PriceBounds, export_day_matrix, split_dataset
 from socarb.reachability import TargetBand, count_feasible_trajectories
 from socarb.thresholds import BatteryParams, build_schedule
 
@@ -258,6 +258,16 @@ class TestSynthetic:
     def test_positive_prices(self):
         days = synthetic_day_matrix(20, 24, seed=1)
         assert all(v > 0 for d in days for v in d.values)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("horizon", [1, 6, 24, 48])
+    @pytest.mark.parametrize("n_days", [1, 5, 60])
+    def test_one_draw_equals_one_draw_per_day(self, n_days, horizon, seed):
+        matrix = synthetic_day_matrix(n_days, horizon, seed)
+        reference = reference_synthetic_day_matrix(n_days, horizon, seed)
+        assert matrix.day_ids == tuple(day.day_id for day in reference)
+        want = DayMatrix.from_days(reference).prices
+        assert matrix.prices.shape == want.shape and matrix.prices.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -1133,8 +1143,8 @@ PRICE_CSV_KINDS = [
 def malformed_price_csvs(draw):
     """The text of a price CSV that ``load_price_csv`` refuses, of one of several kinds.
 
-    A row whose timestamp or price does not parse is read as a header on line
-    1, so those kinds put the bad row on line 2 or later.
+    Line 1 is a header only when neither its timestamp nor its price parses,
+    so a bad row of any kind may be the first.
     """
     kind = draw(st.sampled_from(PRICE_CSV_KINDS))
     if kind == "empty":
@@ -1143,11 +1153,10 @@ def malformed_price_csvs(draw):
         return draw(st.sampled_from(["timestamp,price\n", "timestamp,price\n\n", "ts,p"]))
     n = draw(st.integers(2, 6))
     header = draw(st.booleans())
-    first_bad = 0 if header else 1  # the first row that is not line 1
     t0 = datetime(2016, 5, 1)
     stamps = [(t0 + timedelta(hours=i)).isoformat() for i in range(n)]
     prices = [repr(v) for v in draw(st.lists(st.floats(-50.0, 500.0), min_size=n, max_size=n))]
-    i = draw(st.integers(first_bad, n - 1))
+    i = draw(st.integers(0, n - 1))
     cut = draw(st.integers(1, n - 1))
     if kind == "unparsable timestamp":
         bad = st.sampled_from(
@@ -1192,11 +1201,24 @@ def malformed_price_csvs(draw):
     return text.getvalue()
 
 
+# two hourly days whose first price is corrupt; skipped as a header, that row
+# would cost the whole first day, dropped as a leading partial
+FIRST_PRICE_CORRUPT = "".join(
+    f"{(datetime(2016, 5, 1) + timedelta(hours=h)).isoformat()},{'abc' if h == 0 else 30 + h}\n"
+    for h in range(48)
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=malformed_price_csvs())
 @example(text="timestamp,price\n2016-05-01T00:00:00,1\n2016-05-01T00:00:00,2\n")
 @example(text="2016-03-27T01:00:00+01:00,1\n2016-03-27T03:00:00+02:00,2\n")
 @example(text="2016-05-01T00:00:00+00:00,1\n2016-05-01T01:00:00,2\n")
+# a bad first row is data, not a header: one of its two cells parses
+@example(text="2016-05-01T00:00:00,abc\n2016-05-01T01:00:00,2\n")
+@example(text="yesterday,1\n2016-05-01T01:00:00,2\n")
+@example(text="2016-05-01T00:00:00,\n2016-05-01T01:00:00,2\n")
+@example(text=FIRST_PRICE_CORRUPT)
 def test_malformed_price_csv_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "prices.csv"

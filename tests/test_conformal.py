@@ -30,7 +30,7 @@ from socarb.conformal import (
     train_quantile_model,
     train_quantile_models,
 )
-from socarb.market_data import DayPrices, compute_bounds
+from socarb.market_data import DayMatrix, DayPrices, compute_bounds
 from socarb.reachability import TargetBand
 from socarb.thresholds import BatteryParams, run_policy_days
 
@@ -45,7 +45,7 @@ def synthetic_days(n, horizon=8, seed=0, spread=True):
         else:
             vals = [base for _ in range(horizon)]
         days.append(DayPrices(f"s{i}", tuple(float(v) for v in vals)))
-    return days
+    return DayMatrix.from_days(days)
 
 
 class TestPinballLoss:
@@ -472,13 +472,13 @@ class TestPipeline:
     @pytest.mark.parametrize("mode", ["static", "timedep"])
     def test_sweep_equals_one_fit_per_battery(self, caplog, mode):
         # hour 0 is constant, so the scaler drops it and warns
-        days = [
-            DayPrices(d.day_id, (20.0,) + d.values[1:]) for d in synthetic_days(100, seed=4)
-        ]
+        days = DayMatrix.from_days(
+            [DayPrices(d.day_id, (20.0,) + d.values[1:]) for d in synthetic_days(100, seed=4)]
+        )
         train, calib = days[:70], days[70:]
         bounds = compute_bounds(train, 1)
         params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (1, 4, 9)]
-        x, y = label_days(train + calib, params_list, bounds, 2, 2, mode)
+        x, y = label_days(days, params_list, bounds, 2, 2, mode)
         with caplog.at_level("WARNING"):
             models = fit_conformal_models(x[:70], y[:, :70], x[70:], y[:, 70:], 0.1, epochs=150)
         assert caplog.text.count("zero-variance") == 1

@@ -1,4 +1,4 @@
-"""A day matrix and the day list it stacks give the same results and the same errors."""
+"""A day matrix gives the same results in any layout, window or slice, and checks its days once."""
 
 import math
 
@@ -12,7 +12,6 @@ from socarb.market_data import (
     BOUNDS_MODES,
     DayMatrix,
     DayPrices,
-    as_day_matrix,
     compute_bounds,
     fit_distribution,
 )
@@ -46,7 +45,7 @@ def outcome(func, *args):
 
 
 def results(days, horizon):
-    """What each function that takes a list or a matrix makes of days."""
+    """What each function that takes a batch of days makes of a matrix."""
     out = {
         f"bounds {t} {mode}": outcome(compute_bounds, days, t, mode)
         for t in range(1, horizon + 1)
@@ -66,16 +65,17 @@ def results(days, horizon):
 @given(price_rows())
 # one price: an envelope of one point, where no ratio can be solved
 @example(([[30.0, 30.0, 30.0], [30.0, 30.0, 30.0]], 2))
-def test_a_matrix_and_its_days_give_the_same_results(rows_and_n):
+def test_a_matrix_gives_the_same_results_in_any_layout(rows_and_n):
     rows, n = rows_and_n
-    days = as_days(rows)
-    matrix = DayMatrix.from_days(days)
+    matrix = DayMatrix.from_days(as_days(rows))
     horizon = len(rows[0])
-    assert results(matrix, horizon) == results(days, horizon)
+    fortran = DayMatrix(matrix.day_ids, np.asfortranarray(rows))
+    assert not fortran.prices.flags.c_contiguous or horizon == 1 or len(rows) == 1
+    assert results(fortran, horizon) == results(matrix, horizon)
     # a window of the last n slots is a view of the matrix, strided when n < horizon
     window = matrix.last(n)
     assert np.shares_memory(window.prices, matrix.prices)
-    cut = [DayPrices(day.day_id, day.values[-n:]) for day in days]
+    cut = DayMatrix(matrix.day_ids, [row[-n:] for row in rows])
     assert results(window, n) == results(cut, n)
 
 
@@ -98,13 +98,9 @@ def test_matrices_of_equal_content_compare_and_hash_equal(rows_and_n):
     assert shifted != matrix and shifted.prices.tolist() != matrix.prices.tolist()
 
 
-def errors(days_or_matrix):
-    """The ValueError message of each function that stacks its days."""
-    return [
-        outcome(compute_bounds, days_or_matrix, 1),
-        outcome(fit_distribution, days_or_matrix),
-        outcome(as_day_matrix, days_or_matrix),
-    ]
+def errors(matrix):
+    """The ValueError message of each function that needs at least one day."""
+    return [outcome(compute_bounds, matrix, 1), outcome(fit_distribution, matrix)]
 
 
 @pytest.mark.parametrize(
@@ -122,20 +118,21 @@ def test_malformed_days_raise_alike_as_a_list_and_as_a_matrix(rows, message):
     with pytest.raises(ValueError) as as_matrix:
         DayMatrix(tuple(f"d{i}" for i in range(len(rows))), rows)
     assert str(as_matrix.value) == message
-    try:
-        found = errors(as_days(rows))
-    except ValueError as exc:  # DayPrices refuses a day of its own
-        found = [("ValueError", str(exc))]
-    assert set(found) == {("ValueError", message)}
+    # a list of days: DayPrices refuses a day of its own, the stacking the rest
+    with pytest.raises(ValueError) as as_list:
+        DayMatrix.from_days(as_days(rows))
+    assert str(as_list.value) == message
 
 
-@pytest.mark.parametrize("empty", [[], DayMatrix((), []), DayMatrix((), np.empty((0, 4)))])
+@pytest.mark.parametrize(
+    "empty", [DayMatrix.from_days([]), DayMatrix((), []), DayMatrix((), np.empty((0, 4)))]
+)
 def test_no_days_raise_alike_as_a_list_and_as_a_matrix(empty):
-    assert errors(empty)[:2] == [
+    assert errors(empty) == [
         ("ValueError", "compute_bounds requires at least one day"),
         ("ValueError", "fit_distribution requires at least one day"),
     ]
-    assert len(as_day_matrix(empty)) == 0
+    assert len(empty) == 0 and list(empty) == []
 
 
 def test_matrix_is_read_only_and_owns_its_prices():
@@ -143,7 +140,7 @@ def test_matrix_is_read_only_and_owns_its_prices():
     matrix = DayMatrix(("a", "b"), source)
     source[0, 0] = 99.0
     assert matrix.prices[0, 0] == 1.0
-    for view in (matrix, matrix.rows(1, 2), matrix.last(1)):
+    for view in (matrix, matrix[1:2], matrix.last(1)):
         with pytest.raises(ValueError, match="read-only"):
             view.prices[0, 0] = 5.0
 
@@ -151,12 +148,13 @@ def test_matrix_is_read_only_and_owns_its_prices():
 def test_matrix_rows_windows_and_days():
     matrix = DayMatrix(("a", "b", "c"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     assert len(matrix) == 3 and matrix.horizon == 3
-    assert matrix.rows(1, 3) == DayMatrix(("b", "c"), [[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-    assert matrix.last(2).rows(0, 1) == DayMatrix(("a",), [[2.0, 3.0]])
+    assert matrix[1:3] == DayMatrix(("b", "c"), [[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    assert matrix.last(2)[0:1] == DayMatrix(("a",), [[2.0, 3.0]])
     assert list(matrix.last(1)) == [DayPrices("a", (3.0,)), DayPrices("b", (6.0,)),
                                     DayPrices("c", (9.0,))]
     assert matrix[1] == DayPrices("b", (4.0, 5.0, 6.0))
-    assert as_day_matrix(matrix) is matrix
+    assert matrix[-1] == DayPrices("c", (7.0, 8.0, 9.0))
+    assert matrix[:] == matrix
     for n in (0, 4):
         with pytest.raises(ValueError, match=f"window of {n} slots outside 1..3"):
             matrix.last(n)
@@ -174,10 +172,40 @@ def test_matrix_shape_checked(ids, prices, message):
         DayMatrix(ids, prices)
 
 
-def test_a_battery_horizon_is_checked_day_by_day_before_the_batch():
-    days = [DayPrices("a", (1.0, 2.0, 3.0)), DayPrices("b", (1.0, 2.0))]
-    with pytest.raises(ValueError, match=r"^day has 2 slots but params\.horizon=3$"):
-        as_day_matrix(days, 3)
-    with pytest.raises(ValueError, match=r"^day has 3 slots but params\.horizon=2$"):
-        as_day_matrix(DayMatrix.from_days(days[:1]), 2)
-    assert len(as_day_matrix([], 5)) == 0
+@pytest.mark.parametrize("mode", THRESHOLD_MODES)
+def test_a_battery_horizon_is_checked_before_the_batch(mode):
+    matrix = DayMatrix(("a", "b"), [[10.0, 20.0, 30.0], [30.0, 20.0, 10.0]])
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 2)
+    runs = [
+        lambda days, bounds: run_policy_days(days, params, 1, 1, mode, bounds),
+        lambda days, bounds: policy_outcomes(days, [params], [(1, 1)], mode, bounds)[0].shape,
+        lambda days, bounds: label_days(days, [params], bounds, 1, 1, mode)[1].shape,
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"^day has 3 slots but params\.horizon=2$"):
+            run(matrix, compute_bounds(matrix, 1))
+    # no day, no horizon to check
+    bounds = compute_bounds(matrix.last(2), 1)
+    assert [run(DayMatrix((), []), bounds) for run in runs] == [[], (1, 1, 0), (1, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    price_rows(),
+    st.one_of(st.none(), st.integers(-7, 7)),
+    st.one_of(st.none(), st.integers(-7, 7)),
+    st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
+)
+def test_a_slice_is_a_read_only_view_of_those_rows(rows_and_n, start, stop, step):
+    rows, _ = rows_and_n
+    matrix = DayMatrix(tuple(f"d{i}" for i in range(len(rows))), rows)
+    part = matrix[start:stop:step]
+    picked = range(len(rows))[start:stop:step]
+    want = DayMatrix(tuple(f"d{i}" for i in picked), np.array(rows)[list(picked)])
+    assert part == want and hash(part) == hash(want)
+    assert part.horizon == matrix.horizon and len(part) == len(picked)
+    assert list(part) == [matrix[i] for i in picked]
+    if len(part):
+        assert np.shares_memory(part.prices, matrix.prices)
+    with pytest.raises(ValueError, match="read-only"):
+        part.prices[...] = 0.0

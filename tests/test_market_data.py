@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from socarb.market_data import (
     BOUNDS_MODES,
     DEFAULT_PRICE_FLOOR,
-    DayPrices,
+    DayMatrix,
     EmpiricalCdf,
     PriceBounds,
     PriceSeries,
@@ -56,7 +56,7 @@ def hourly_rows(n, start=T0, price=lambda i: 10.0 + i):
 
 
 def make_days(values_per_day):
-    return [DayPrices(f"d{i}", tuple(vals)) for i, vals in enumerate(values_per_day)]
+    return DayMatrix(tuple(f"d{i}" for i in range(len(values_per_day))), values_per_day)
 
 
 class TestLoadPriceCsv:
@@ -71,6 +71,26 @@ class TestLoadPriceCsv:
         path = tmp_path / "p.csv"
         write_csv(path, hourly_rows(3))
         assert len(load_price_csv(path)) == 3
+
+    @pytest.mark.parametrize(
+        "header", ["timestamp,price", "Date,Price (EUR/MWh)", " time , value ", "ts,p,source"]
+    )
+    def test_header_of_words_skipped(self, tmp_path, header):
+        path = tmp_path / "p.csv"
+        write_csv(path, hourly_rows(3), header=header)
+        assert load_price_csv(path).prices == (10.0, 11.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "first", ["2015-03-02T00:00:00,abc", "2015-03-02T00:00:00,", "midnight,10.0", ",10.0"]
+    )
+    def test_first_row_with_one_parsable_cell_is_data(self, tmp_path, first):
+        # a header names both columns; a bad first row is not dropped as one
+        path = tmp_path / "p.csv"
+        write_csv(path, hourly_rows(3, start=T0 + timedelta(hours=1)), header=first)
+        cells = first.split(",")
+        with pytest.raises(ValueError) as exc:
+            load_price_csv(path)
+        assert str(exc.value) == f"line 1: unparsable row {cells!r}"
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
         rows = hourly_rows(8)
@@ -221,7 +241,7 @@ class TestComputeBounds:
 
     def test_empty_days_rejected(self):
         with pytest.raises(ValueError):
-            compute_bounds([], 1, "per-hour")
+            compute_bounds(make_days([]), 1, "per-hour")
 
     def test_remaining_reslices(self):
         b = compute_bounds(make_days([[10, 20, 5, 30]]), 1, "per-hour")
@@ -470,7 +490,7 @@ class TestFitDistribution:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_distribution([])
+            fit_distribution(make_days([]))
 
 
 class TestSplitDataset:
@@ -493,8 +513,8 @@ class TestSplitDataset:
     def test_chronological_when_not_shuffled(self):
         days = make_days([[i] for i in range(10)])
         split = split_dataset(days, (0.6, 0.2, 0.2), shuffled=False)
-        assert split.train == tuple(days[:6])
-        assert split.test == tuple(days[8:])
+        assert split.train == days[:6]
+        assert split.test == days[8:]
 
     def test_partition_property(self):
         days = make_days([[i] for i in range(17)])
@@ -541,6 +561,23 @@ def test_day_matrix_row_of_another_length_rejected(tmp_path, row):
         load_day_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("d1,1.0,2.0\n\nd2,nan,3.0\n", "line 4: non-finite price in day d2"),
+        ("d1,1.0,2.0\nd2,3.0\n", "line 3: 1 prices but the header names 2"),
+        ("d1,1.0,abc\n", "line 2: could not convert string to float: 'abc'"),
+    ],
+)
+def test_day_matrix_row_errors_name_the_file_and_line(tmp_path, body, message):
+    # a blank line still counts, so the line number is the file's own
+    path = tmp_path / "m.csv"
+    path.write_text(f"day_id,h0,h1\n{body}")
+    with pytest.raises(ValueError) as exc:
+        load_day_matrix(path)
+    assert str(exc.value) == f"{path} {message}"
+
+
 @pytest.mark.parametrize("first", ["d0,1.5,2.25", "2016-05-01,-3,1e3", "x,nan,inf"])
 def test_day_matrix_without_header_rejected(tmp_path, first):
     # three days and no header: the first day is not dropped as if it were one
@@ -562,4 +599,4 @@ def test_day_matrix_header_without_price_columns_rejected(tmp_path, header):
 def test_day_matrix_header_of_any_words_accepted(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("day,00:00,1.0x\nd1,4.0,5.5\n")
-    assert load_day_matrix(path) == [DayPrices("d1", (4.0, 5.5))]
+    assert load_day_matrix(path) == DayMatrix(("d1",), [[4.0, 5.5]])

@@ -16,7 +16,7 @@ import socarb.conformal as conformal
 from oracles import reference_policy_outcomes, reference_run_policy
 from socarb import thresholds
 from socarb.backtest import parse_config, run_experiment, synthetic_day_matrix
-from socarb.market_data import DayPrices, compute_bounds
+from socarb.market_data import DayMatrix, DayPrices, compute_bounds
 from socarb.thresholds import (
     DISCHARGE,
     BatteryParams,
@@ -32,10 +32,12 @@ BUDGETS = (0, 1, 2, 3, 5, HORIZON + 3)
 
 def random_days(n, seed):
     rng = np.random.default_rng(seed)
-    return [
-        DayPrices(f"d{i}", tuple(float(v) for v in rng.uniform(10.0, 90.0, HORIZON)))
-        for i in range(n)
-    ]
+    return DayMatrix.from_days(
+        [
+            DayPrices(f"d{i}", tuple(float(v) for v in rng.uniform(10.0, 90.0, HORIZON)))
+            for i in range(n)
+        ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +83,12 @@ def test_ratio_overrides_match_reference(market):
 def test_batch_validates_every_day(market):
     days, bounds = market
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
-    short = DayPrices("short", days[0].values[:-1])
+    short = days[:3].last(HORIZON - 1)
     with pytest.raises(ValueError, match="slots but params.horizon"):
-        run_policy_days(days[:3] + [short], params, 1, 1, "static", bounds)
+        run_policy_days(short, params, 1, 1, "static", bounds)
     with pytest.raises(ValueError, match="unknown threshold mode"):
         run_policy_days(days, params, 1, 1, "sideways", bounds)
-    assert run_policy_days([], params, 1, 1, "static", bounds) == []
+    assert run_policy_days(DayMatrix((), []), params, 1, 1, "static", bounds) == []
 
 
 @pytest.mark.parametrize("mode", ["timedep", "feasibility"])
@@ -94,7 +96,7 @@ def test_state_dependent_modes_need_bounds_of_the_day(mode):
     # bounds of 8-slot days on the same days cut to 6 slots: their remaining
     # tails would hold two slots the day does not have
     long_days = synthetic_day_matrix(40, 8, 1)
-    days = [DayPrices(d.day_id, d.values[:6]) for d in long_days]
+    days = DayMatrix.from_days([DayPrices(d.day_id, d.values[:6]) for d in long_days])
     params = BatteryParams(0.0, 10.0, 2.0, 5.0, 6)
     message = re.escape("bounds cover slots 1..8 but the day spans 1..6")
     with pytest.raises(ValueError, match=message):
@@ -125,10 +127,12 @@ def test_large_static_batch_equals_reference_bit_for_bit(market):
     # tell from 0.0 but repr can
     _, bounds = market
     rng = np.random.default_rng(11)
-    days = [
-        DayPrices(f"b{n}", tuple(float(v) for v in rng.uniform(-5.0, 95.0, HORIZON)))
-        for n in range(4000)
-    ]
+    days = DayMatrix.from_days(
+        [
+            DayPrices(f"b{n}", tuple(float(v) for v in rng.uniform(-5.0, 95.0, HORIZON)))
+            for n in range(4000)
+        ]
+    )
     params = BatteryParams(0.0, 10.0, 2.0, 6.0, HORIZON)
     batch = run_policy_days(days, params, 3, 3, "static", bounds)
     assert len(batch) == len(days)
@@ -154,10 +158,12 @@ def lane_batches(draw):
     budget = st.integers(0, horizon + 2)
     budgets = draw(st.lists(st.tuples(budget, budget), min_size=1, max_size=4, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    history = [
-        DayPrices(f"h{n}", tuple(float(v) for v in rng.uniform(10.0, 90.0, horizon)))
-        for n in range(20)
-    ]
+    history = DayMatrix.from_days(
+        [
+            DayPrices(f"h{n}", tuple(float(v) for v in rng.uniform(10.0, 90.0, horizon)))
+            for n in range(20)
+        ]
+    )
     bounds = compute_bounds(history, 1, "per-hour")
     schedules = [build_schedule(bounds, k_ch, k_dis) for k_ch, k_dis in budgets]
     books = sorted({v for s in schedules for v in s.charge + s.discharge})
@@ -169,7 +175,7 @@ def lane_batches(draw):
     day = st.one_of(st.tuples(*[price] * horizon), st.tuples(*[below_zero] * horizon))
     days = draw(
         st.lists(day, min_size=1, max_size=6).map(
-            lambda rows: [DayPrices(f"d{n}", row) for n, row in enumerate(rows)]
+            lambda rows: DayMatrix.from_days([DayPrices(f"d{n}", row) for n, row in enumerate(rows)])
         )
     )
     return days, params_list, budgets, bounds
@@ -205,7 +211,7 @@ def test_batteries_of_a_batch_differ_only_in_e0(market, field):
 def test_batch_rejects_a_day_as_run_policy_days_does(market, mode):
     days, bounds = market
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
-    batch = days[:3] + [DayPrices("short", days[0].values[:-1])]
+    batch = days[:3].last(HORIZON - 1)
     with pytest.raises(ValueError) as loop:
         run_policy_days(batch, params, 1, 1, mode, bounds)
     with pytest.raises(ValueError) as lanes:
@@ -217,7 +223,9 @@ def test_batch_rejects_a_day_as_run_policy_days_does(market, mode):
 def test_no_days_give_empty_lanes(market, mode):
     _, bounds = market
     params_list = [BatteryParams(0.0, 10.0, 2.0, e0, HORIZON) for e0 in (1.0, 5.0)]
-    profit, soc = policy_outcomes([], params_list, [(1, 1), (2, 0), (0, 3)], mode, bounds)
+    profit, soc = policy_outcomes(
+        DayMatrix((), []), params_list, [(1, 1), (2, 0), (0, 3)], mode, bounds
+    )
     assert profit.shape == soc.shape == (2, 3, 0)
 
 

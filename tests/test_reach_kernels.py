@@ -7,7 +7,7 @@ import pytest
 
 import socarb.reachability as rc
 from socarb.cli import main
-from socarb.market_data import DayPrices, compute_bounds, fit_distribution
+from socarb.market_data import DayMatrix, DayPrices, compute_bounds, fit_distribution
 from socarb.reachability import (
     ActionProbs,
     TargetBand,
@@ -268,10 +268,12 @@ class TestNegativeBudgets:
     @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
     def test_policy_action_probabilities_rejects(self, k_ch, k_dis):
         rng = np.random.default_rng(0)
-        days = [
-            DayPrices(f"d{i}", tuple(float(v) for v in row))
-            for i, row in enumerate(np.exp(rng.normal(3.0, 0.5, size=(20, 4))))
-        ]
+        days = DayMatrix.from_days(
+            [
+                DayPrices(f"d{i}", tuple(float(v) for v in row))
+                for i, row in enumerate(np.exp(rng.normal(3.0, 0.5, size=(20, 4))))
+            ]
+        )
         params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
         with pytest.raises(ValueError, match="budgets must be non-negative"):
             policy_action_probabilities(

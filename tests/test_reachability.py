@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socarb.backtest import synthetic_day_matrix
-from socarb.market_data import DayPrices, PriceBounds, compute_bounds, fit_distribution
+from socarb.market_data import DayMatrix, DayPrices, PriceBounds, compute_bounds, fit_distribution
 from socarb.reachability import (
     ActionProbs,
     TargetBand,
@@ -93,7 +93,9 @@ class TestActionProbabilities:
                 prices = np.concatenate(
                     [rng.integers(5, 106, size=int(rng.integers(5, 40))), [u] * 3, [l] * 2]
                 )
-                days = [DayPrices(f"d{i}", (float(x),)) for i, x in enumerate(prices)]
+                days = DayMatrix.from_days(
+                    [DayPrices(f"d{i}", (float(x),)) for i, x in enumerate(prices)]
+                )
                 ap = action_probabilities(u, l, fit_distribution(days).cdf(1))
                 trajs = run_policy_days(days, params, 1, 1, "static", bounds, alpha, omega)
                 actions = [traj.actions[0] for traj in trajs]
@@ -113,7 +115,7 @@ class TestActionProbabilities:
             action_probabilities(10.0, 90.0, Bad())
 
     def test_discharge_inclusive_at_threshold(self):
-        days = [DayPrices("a", (30.0,)), DayPrices("b", (50.0,))]
+        days = DayMatrix.from_days([DayPrices("a", (30.0,)), DayPrices("b", (50.0,))])
         cdf = fit_distribution(days).cdf(1)
         ap = action_probabilities(10.0, 50.0, cdf)
         assert ap.beta == pytest.approx(0.5)  # P(price >= 50) counts the atom at 50
@@ -352,12 +354,14 @@ class TestCounting:
 
 
 def test_policy_action_probabilities_shapes_and_sums():
-    days = [
-        DayPrices(f"d{i}", tuple(float(v) for v in row))
-        for i, row in enumerate(
-            np.exp(np.random.default_rng(0).normal(3.0, 0.5, size=(30, 6)))
-        )
-    ]
+    days = DayMatrix.from_days(
+        [
+            DayPrices(f"d{i}", tuple(float(v) for v in row))
+            for i, row in enumerate(
+                np.exp(np.random.default_rng(0).normal(3.0, 0.5, size=(30, 6)))
+            )
+        ]
+    )
     bounds = compute_bounds(days, 1)
     dist = fit_distribution(days)
     params = BatteryParams(0, 10, 2, 4, 6)
@@ -378,7 +382,7 @@ def simulated_market():
     days = synthetic_day_matrix(120, 24, 7)
     dist = fit_distribution(days)
     rng = np.random.default_rng(7)
-    sim = [dist.sample_day(rng) for _ in range(N_SIMULATED)]
+    sim = DayMatrix.from_days([dist.sample_day(rng) for _ in range(N_SIMULATED)])
     return compute_bounds(days, 1, "per-hour"), dist, sim
 
 

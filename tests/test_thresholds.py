@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socarb.market_data import DayPrices, PriceBounds
+from socarb.market_data import DayMatrix, DayPrices, PriceBounds
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -494,7 +494,8 @@ class TestStepPolicy:
         schedule = build_schedule(bounds, k_ch, k_dis, alpha=2.0, omega=2.0)
         assert schedule.charge == (u,) * k_ch and schedule.discharge == (l,) * k_dis
         [traj] = run_policy_days(
-            [day([lam])], params, k_ch, k_dis, "static", bounds, alpha=2.0, omega=2.0
+            DayMatrix.from_days([day([lam])]), params, k_ch, k_dis, "static", bounds,
+            alpha=2.0, omega=2.0,
         )
         return traj.actions[0], traj.soc_path[1]
 
