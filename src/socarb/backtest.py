@@ -40,12 +40,11 @@ from .market_data import (
     split_sizes,
 )
 from .reachability import (
+    CHAIN_METHODS,
     POST_STOP_MODES,
     SOC_FREE_MODES,
     TargetBand,
-    policy_action_probabilities,
-    propagate,
-    propagate_lanes,
+    policy_distributions,
     stopping_time,
     terminal_band_probability,
     trajectory_counts,
@@ -285,15 +284,14 @@ def _policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
     """One budget pair's SoC distribution per battery, or the failure in its place.
 
     Where the threshold rule never reads the SoC, the batteries share one
-    list of action probabilities and one :func:`propagate_lanes` batch, and
-    its failure; otherwise each battery is a batch of its own.
+    :func:`policy_distributions` batch, and its failure; otherwise each
+    battery is a batch of its own.
     """
     mode = config.threshold_mode
     groups = [batteries] if mode in SOC_FREE_MODES else [[params] for params in batteries]
     lanes = []
     for group in groups:
-        probs = _attempt(policy_action_probabilities, group[0], dist, bounds, k_ch, k_dis, mode)
-        batch = _attempt(propagate_lanes, group, probs, k_ch, k_dis)
+        batch = _attempt(policy_distributions, group, dist, bounds, k_ch, k_dis, mode)
         lanes += [_attempt(getitem, batch, i) for i in range(len(group))]
     return lanes
 
@@ -362,6 +360,7 @@ def _window_cells(config, n, train, test, lattice_counts):
                                 soc_dist, band, config.epsilon, config.post_stop_mode
                             ).tau_star,
                             "profit": dict(profit),
+                            "method": CHAIN_METHODS[config.threshold_mode],
                         }
                         for pair, (soc_dist, profit) in _value(runs).items()
                     }
@@ -427,10 +426,9 @@ def _plot_blocks(config, train, bounds, cells):
     k_ch, k_dis = config.k_grid[0]
     band = config.bands[0]
     dist = fit_distribution(train)
-    probs = policy_action_probabilities(
-        config.battery, dist, bounds, k_ch, k_dis, config.threshold_mode
-    )
-    soc_dist = propagate(config.battery, probs, k_ch, k_dis)
+    soc_dist = policy_distributions(
+        [config.battery], dist, bounds, k_ch, k_dis, config.threshold_mode
+    )[0]
     stop = stopping_time(soc_dist, band, config.epsilon, config.post_stop_mode)
     profit_rows = []
     for key in sorted(cells):

@@ -169,8 +169,7 @@ def _policy_distribution(args):
     params = _battery(args, days.horizon)
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     dist = md.fit_distribution(days)
-    probs = rc.policy_action_probabilities(params, dist, bounds, args.kch, args.kdis, args.mode)
-    return rc.propagate(params, probs, args.kch, args.kdis)
+    return rc.policy_distributions([params], dist, bounds, args.kch, args.kdis, args.mode)[0]
 
 
 def cmd_reach(args) -> int:

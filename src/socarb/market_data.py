@@ -147,7 +147,11 @@ class DayMatrix:
     def __getitem__(self, i: int | slice) -> DayPrices | DayMatrix:
         if isinstance(i, slice):
             return self._view(self.day_ids[i], self.prices[i])
-        return DayPrices(self.day_ids[i], tuple(self.prices[i].tolist()))
+        # the matrix checked its rows when it was made, so the day skips DayPrices' check
+        day = object.__new__(DayPrices)
+        object.__setattr__(day, "day_id", self.day_ids[i])
+        object.__setattr__(day, "values", tuple(self.prices[i].tolist()))
+        return day
 
     def __eq__(self, other):
         if not isinstance(other, DayMatrix):

@@ -1,20 +1,27 @@
 """Exact state-of-charge distributions under the threshold policy.
 
-Converts thresholds plus a price distribution into per-step action
-probabilities, forward-propagates the SoC probability mass over the budgeted
-(n_ch, n_dis) lattice with pruning (capacity- or budget-infeasible action mass
-folds into the idle branch), evaluates the terminal-band chance constraint,
-computes minimum stopping times, and counts feasible trajectories.  A
-:class:`SocDistribution` carries the per-step action probabilities it was
-built from, so the stopping time reads the same chain the masses came from.
-Batteries that share those probabilities and their budgets propagate in
-one batch (:func:`propagate_lanes`), and one counting DP serves every step
-count of a battery (:func:`trajectory_counts`).
+Converts thresholds plus a price distribution into the policy's chain,
+forward-propagates the SoC probability mass over the budgeted (n_ch, n_dis)
+lattice with pruning (an action that capacity or budget forbids never
+fires), evaluates the terminal-band chance constraint, computes minimum
+stopping times, and counts feasible trajectories.  A
+:class:`SocDistribution` carries the per-step chain it was built from, so
+the stopping time reads the same chain the masses came from.  Batteries
+that share that chain and their budgets propagate in one batch
+(:func:`propagate_lanes`), and one counting DP serves every step count of
+a battery (:func:`trajectory_counts`).
 
 The policy is read from one place each: the books from
-:func:`socarb.thresholds.build_schedule`, the decision rule on one step,
-overlapping books included, from :func:`action_probabilities`, and the SoC
-lattice m_lo..m_hi from :attr:`socarb.thresholds.BatteryParams.offsets`.
+:func:`socarb.thresholds.build_schedule`, the SoC lattice m_lo..m_hi from
+:attr:`socarb.thresholds.BatteryParams.offsets`, and the decision rule on one
+step from the executor's own: charge first where the charge is open, else
+discharge where the discharge is open, overlapping books included.
+:func:`policy_distributions` picks the chain by threshold mode.  Static mode
+is a Markov chain on the book index (n_ch, n_dis), which
+:func:`static_steps` builds exactly; the timedep and feasibility thresholds
+read more of the past, so those modes step
+:func:`policy_action_probabilities` along the expected activation order
+(:data:`CHAIN_METHODS`).
 """
 
 from __future__ import annotations
@@ -107,9 +114,9 @@ class StepMasses(Mapping):
 class SocDistribution:
     """Probability mass over the SoC lattice e = e0 + m * rate, one array per step.
 
-    ``probs[t - 1]`` are the action probabilities between steps t - 1 and t,
-    the chain's input: two distributions are equal when their battery,
-    budgets and probabilities are, as the masses follow from those.
+    ``probs[t - 1]`` is the chain's step between steps t - 1 and t, action
+    probabilities or a :class:`StaticStep`: two distributions are equal when
+    their battery, budgets and steps are, as the masses follow from those.
     ``masses[t]`` holds step t; step 0 is the deterministic initial state.  A
     step is a dense (n_ch, n_dis) array of shape
     (min(k_ch, T)+1, min(k_dis, T)+1): every reachable state has
@@ -125,7 +132,7 @@ class SocDistribution:
     params: BatteryParams
     k_ch: int
     k_dis: int
-    probs: tuple[ActionProbs, ...] = field(repr=False)
+    probs: tuple[ActionProbs, ...] | tuple[StaticStep, ...] = field(repr=False)
     masses: np.ndarray = field(repr=False, compare=False)
     m_masses: np.ndarray = field(repr=False, compare=False)
 
@@ -218,9 +225,12 @@ def action_probabilities(u: float | None, l: float | None, cdf) -> ActionProbs:
     return ActionProbs(alpha, beta, max(0.0, 1.0 - alpha - beta))
 
 
-# threshold modes whose rule never reads the SoC, so that their action
-# probabilities are the same for every e0 of a battery
+# threshold modes whose rule never reads the SoC, so that every e0 of a battery
+# steps the same chain
 SOC_FREE_MODES = ("static", "timedep")
+
+# how :func:`policy_distributions` builds each mode's chain, as a report cell states it
+CHAIN_METHODS = {"static": "exact", "timedep": "expected-order", "feasibility": "expected-order"}
 
 
 def policy_action_probabilities(
@@ -229,19 +239,22 @@ def policy_action_probabilities(
     bounds: PriceBounds,
     k_ch: int,
     k_dis: int,
-    threshold_mode: str = "static",
+    threshold_mode: str,
 ) -> list[ActionProbs]:
-    """Per-step action probabilities along the expected activation order.
+    """Per-step action probabilities of a timedep or feasibility run, in expected activation order.
 
     Thresholds advance when their side's cumulative firing probability mass
-    reaches the next unit, approximating the path-dependent threshold index by
-    its expected progression.  So this is not the executed policy: on 24-step
-    synthetic days (k = 3:3, e0 = 1, 5, 9) the propagated terminal SoC is 0.38,
-    0.51 and 0.95 in Kolmogorov distance from a simulation of run_policy_days
-    (ROADMAP item 1).  The schedule and its ratios come from one
-    :func:`~socarb.thresholds.build_schedule` call, and the thresholds at
-    each step from the executor's :func:`~socarb.thresholds.threshold_rule`.
+    reaches the next unit, approximating the path-dependent threshold index
+    and sums by their expected progression.  So this is not the executed
+    policy, and a report cell built from it says ``"method":
+    "expected-order"`` (ROADMAP item 2).  Static mode has the policy's own
+    chain, :func:`static_steps`, and is refused here.  The schedule and its
+    ratios come from one :func:`~socarb.thresholds.build_schedule` call, and
+    the thresholds at each step from the executor's
+    :func:`~socarb.thresholds.threshold_rule`.
     """
+    if threshold_mode == "static":
+        raise ValueError("static mode propagates its exact chain: see static_steps")
     schedule = th.build_schedule(bounds, k_ch, k_dis)
     if dist.horizon != params.horizon:
         raise ValueError("distribution horizon must match params.horizon")
@@ -271,27 +284,103 @@ def policy_action_probabilities(
     return probs
 
 
+@dataclass(frozen=True, eq=False)
+class StaticStep:
+    """One step of the static policy's own chain, per book index (n_ch, n_dis).
+
+    Each point of the lattice picks its charge and its discharge chance from
+    these two vectors, entry 0 (no move) included.  ``charge[1 + c]`` is
+    F_t(U[c]), the chance that the next charge threshold fires.
+    ``discharge[1 + d]`` is P_t(lambda >= L[d]), and
+    ``discharge[1 + n_dis * (1 + c) + d]`` is min(1 - F_t(U[c]),
+    P_t(lambda >= L[d])), the discharge chance where a charge may fire too,
+    as the executor checks the charge first.  A spent side (c = k_ch,
+    d = k_dis) reads 0.  Steps compare and hash by value.
+    """
+
+    charge: np.ndarray
+    discharge: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, StaticStep):
+            return NotImplemented
+        return np.array_equal(self.charge, other.charge) and np.array_equal(
+            self.discharge, other.discharge
+        )
+
+    def __hash__(self):
+        return hash((self.charge.tobytes(), self.discharge.tobytes()))
+
+
+def static_steps(
+    dist: PriceDistribution, bounds: PriceBounds, k_ch: int, k_dis: int
+) -> tuple[StaticStep, ...]:
+    """The static policy's chain on the (n_ch, n_dis) lattice: one step per hour of ``dist``.
+
+    The static thresholds are the books of one
+    :func:`~socarb.thresholds.build_schedule` call at the book index (n_ch,
+    n_dis), and :meth:`~socarb.market_data.PriceDistribution.sample_day`
+    draws each hour on its own, so the policy is a Markov chain on that
+    lattice and this one is exact.  F_t(U[c]) and P_t(lambda >= L[d]) are
+    the sample fractions that ``prob_le`` and ``prob_ge`` give, from one
+    ``searchsorted`` per hour.  The lattice is the one
+    :func:`propagate_lanes` builds for these budgets and this horizon.
+    """
+    schedule = th.build_schedule(bounds, k_ch, k_dis)
+    horizon = dist.horizon
+    u = schedule.charge[: horizon + 1]
+    l = schedule.discharge[: horizon + 1]
+    # the samples below L[d] are those at or below the float just under it
+    queries = np.concatenate([u, np.nextafter(l, -np.inf)])
+    at_or_below = np.array(
+        [cdf.samples.searchsorted(queries, side="right") for cdf in dist.cdfs]
+    ).reshape(horizon, len(queries))
+    sizes = np.array([[cdf.samples.size] for cdf in dist.cdfs])
+    charge = np.zeros((horizon, min(k_ch, horizon) + 2))
+    tail = np.zeros((horizon, min(k_dis, horizon) + 1))
+    charge[:, 1 : len(u) + 1] = at_or_below[:, : len(u)] / sizes
+    tail[:, : len(l)] = (sizes - at_or_below[:, len(u) :]) / sizes
+    overlap = np.minimum(1.0 - charge[:, 1:, None], tail[:, None, :]).reshape(horizon, -1)
+    discharge = np.concatenate([np.zeros((horizon, 1)), tail, overlap], axis=1)
+    return tuple(map(StaticStep, charge, discharge))
+
+
 @dataclass(frozen=True)
 class _Chain:
     """The chain that propagate_lanes steps forward and stopping_time backward.
 
     The (n_ch, n_dis) lattices of all lanes lie end to end on one flat axis,
-    where a discharge moves mass by 1 and a charge by n_dis.  ``blocked``
-    is 1.0 where capacity or budget forbid a discharge, then a charge, so
-    that its mass folds into idle; ``moves`` is 1.0 where a discharge, then
-    a charge, may leave the point, never across a row or lane edge.
+    where a discharge moves mass by 1 and a charge by n_dis; the masks are
+    (lanes, n_ch, n_dis) arrays.  ``blocked`` is 1.0 where capacity or
+    budget forbid a discharge, then a charge; ``moves`` is 1.0 where a
+    discharge, then a charge, may leave the point, never across a row or
+    lane edge.  ``picks`` index each point's discharge, then charge, chance
+    in a :class:`StaticStep`.
     """
 
     shape: tuple[int, int]
     blocked: tuple[np.ndarray, np.ndarray]
     moves: tuple[np.ndarray, np.ndarray]
+    picks: tuple[np.ndarray, np.ndarray]
 
-    def weights(self, ap: ActionProbs):
-        """One step's idle weight per point, and its moves (weight per point, shift)."""
-        down_blocked, up_blocked = self.blocked
-        stay = (ap.gamma + ap.alpha * up_blocked) + ap.beta * down_blocked
-        down, up = self.moves
-        return stay, ((ap.beta * down, 1), (ap.alpha * up, self.shape[1]))
+    def weights(self, step: ActionProbs | StaticStep):
+        """One step's idle weight per point, and its moves (weight per point, shift).
+
+        Action probabilities weigh every point alike, and a blocked action's
+        mass folds into idle.  A :class:`StaticStep` weighs each point by its
+        book index, with the executor's rule: a charge fires where it is
+        open, and a discharge where it is open and the charge did not fire,
+        so a charge blocked by capacity leaves the discharge the whole upper
+        tail.
+        """
+        if isinstance(step, ActionProbs):
+            down_blocked, up_blocked = self.blocked
+            stay = (step.gamma + step.alpha * up_blocked) + step.beta * down_blocked
+            down, up = step.beta * self.moves[0], step.alpha * self.moves[1]
+        else:
+            down, up = step.discharge.take(self.picks[0]), step.charge.take(self.picks[1])
+            stay = (1.0 - up) - down
+        return stay.ravel(), ((down.ravel(), 1), (up.ravel(), self.shape[1]))
 
 
 def _chain(lanes: list[BatteryParams], horizon: int, k_ch: int, k_dis: int) -> _Chain:
@@ -301,35 +390,48 @@ def _chain(lanes: list[BatteryParams], horizon: int, k_ch: int, k_dis: int) -> _
     c, d = np.indices(shape)
     down_ok = np.array([(c - d - 1 >= p.offsets[0]) & (d < k_dis) for p in lanes], dtype=bool)
     up_ok = np.array([(c - d + 1 <= p.offsets[-1]) & (c < k_ch) for p in lanes], dtype=bool)
-    blocked = (np.ravel(~down_ok).astype(float), np.ravel(~up_ok).astype(float))
+    blocked = ((~down_ok).astype(float), (~up_ok).astype(float))
+    # StaticStep entries: the overlap where a charge may fire, else the whole upper tail
+    discharge_pick = np.where(up_ok, 1 + shape[1] * (1 + c) + d, 1 + d)
     down_ok[..., -1] = up_ok[:, -1] = False  # these moves would wrap to the next row or lane
-    return _Chain(shape, blocked, (np.ravel(down_ok).astype(float), np.ravel(up_ok).astype(float)))
+    picks = (np.where(down_ok, discharge_pick, 0), np.where(up_ok, 1 + c, 0))
+    return _Chain(shape, blocked, (down_ok.astype(float), up_ok.astype(float)), picks)
 
 
 def propagate_lanes(
-    lanes: list[BatteryParams], probs: list[ActionProbs], k_ch: int, k_dis: int
+    lanes: list[BatteryParams],
+    probs: list[ActionProbs] | tuple[StaticStep, ...],
+    k_ch: int,
+    k_dis: int,
 ) -> list[SocDistribution]:
     """Forward-propagate the SoC probability mass of batteries that share one chain.
 
-    The batteries (lanes) share the budgets and the per-step action
-    probabilities: ``probs[t - 1]`` are those between steps t - 1 and t, and
-    each distribution keeps them.  Whenever an action would leave a lane's
-    capacity or exceed its budget, its probability mass folds into the idle
-    branch.  Each step is a few whole-array operations on every lane's
-    (n_ch, n_dis) lattice at once, laid end to end: stay + shifted down +
-    shifted up, with idle mass (gamma + alpha * [up blocked]) +
-    beta * [down blocked] and weights built for that step alone.  Every lane's
-    masses equal, bit for bit, those it gets alone, and one ``bincount`` per
-    step sums the ``m_masses`` of all lanes.
+    The batteries (lanes) share the budgets and the chain's steps:
+    ``probs[t - 1]`` is the step between t - 1 and t, and each distribution
+    keeps them.  A step is either one set of action probabilities for every
+    state, whose mass folds into the idle branch whenever an action would
+    leave a lane's capacity or exceed its budget, or a :class:`StaticStep`
+    of :func:`static_steps` for these budgets, the static policy's own rule
+    per book index.  Each step is a few whole-array operations on every
+    lane's (n_ch, n_dis) lattice at once, laid end to end: stay + shifted
+    down + shifted up, with weights that ``_Chain.weights`` builds for that
+    step alone.  Every lane's masses equal, bit for bit, those it gets
+    alone, and one ``bincount`` per step sums the ``m_masses`` of all lanes.
     """
     lanes, probs = list(lanes), tuple(probs)
     horizon = len(probs)
     chain = _chain(lanes, horizon, k_ch, k_dis)
+    n_ch, n_dis = chain.shape
+    for step in probs:
+        if isinstance(step, StaticStep) and (
+            step.charge.size != 1 + n_ch or step.discharge.size != 1 + n_dis * (1 + n_ch)
+        ):
+            raise ValueError("static steps of other budgets or another horizon")
     masses = np.zeros((horizon + 1, len(lanes)) + chain.shape)
     masses[0, :, 0, 0] = 1.0
     flat = masses.reshape(horizon + 1, -1)
-    for ap, cur, nxt in zip(probs, flat, flat[1:]):
-        stay, moves = chain.weights(ap)
+    for step, cur, nxt in zip(probs, flat, flat[1:]):
+        stay, moves = chain.weights(step)
         np.multiply(cur, stay, out=nxt)
         for weight, shift in moves:
             nxt[shift:] += cur[:-shift] * weight[:-shift]
@@ -350,16 +452,48 @@ def propagate_lanes(
 
 
 def propagate(
-    params: BatteryParams, probs: list[ActionProbs], k_ch: int, k_dis: int
+    params: BatteryParams,
+    probs: list[ActionProbs] | tuple[StaticStep, ...],
+    k_ch: int,
+    k_dis: int,
 ) -> SocDistribution:
     """Forward-propagate one battery's SoC probability mass with pruning.
 
-    The one-lane call of :func:`propagate_lanes`: ``probs[t - 1]`` are the
-    action probabilities between steps t - 1 and t; the distribution keeps
-    them.  The backtest propagates each window's batteries in one batch per
-    budget pair instead.
+    The one-lane call of :func:`propagate_lanes`: ``probs[t - 1]`` is the
+    step between t - 1 and t; the distribution keeps them.  The backtest
+    propagates each window's batteries in one batch per budget pair instead.
     """
     return propagate_lanes([params], probs, k_ch, k_dis)[0]
+
+
+def policy_distributions(
+    lanes: list[BatteryParams],
+    dist: PriceDistribution,
+    bounds: PriceBounds,
+    k_ch: int,
+    k_dis: int,
+    threshold_mode: str,
+) -> list[SocDistribution]:
+    """Each battery's SoC distribution under the policy of ``threshold_mode``.
+
+    Static mode propagates the policy's own chain, :func:`static_steps`,
+    which is exact; timedep and feasibility propagate
+    :func:`policy_action_probabilities`, which follow the expected
+    activation order (``CHAIN_METHODS``).  Batteries share one batch where
+    the rule never reads the SoC (``SOC_FREE_MODES``); in feasibility mode
+    each battery is a batch of its own.
+    """
+    lanes = list(lanes)
+    if any(params.horizon != dist.horizon for params in lanes):
+        raise ValueError("distribution horizon must match params.horizon")
+    if threshold_mode == "static":
+        return propagate_lanes(lanes, static_steps(dist, bounds, k_ch, k_dis), k_ch, k_dis)
+    groups = [lanes] if threshold_mode in SOC_FREE_MODES else [[params] for params in lanes]
+    soc_dists = []
+    for group in groups:
+        probs = policy_action_probabilities(group[0], dist, bounds, k_ch, k_dis, threshold_mode)
+        soc_dists += propagate_lanes(group, probs, k_ch, k_dis)
+    return soc_dists
 
 
 def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:

@@ -7,10 +7,16 @@ them again and compares.  Rewrite them only where a change is meant to move
 report numbers, so that the numbers it moves show in its diff:
 
     PYTHONPATH=src python tests/golden_reports.py
+
+Run it with ``--diff`` first: that writes nothing and prints, per case, every
+difference between a fresh report and the checked-in one, grouped by path
+pattern (``test_golden.report_diff``), and exits 1 if there is any.
 """
 
+import argparse
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -44,12 +50,42 @@ def report_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def diff_table(groups) -> str:
+    """Groups of ``report_diff(fresh, checked_in)`` as a Markdown table, one row each."""
+    lines = [
+        "| group | differ | retyped | max abs | max rel | only fresh | only checked-in |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for pattern, g in groups.items():
+        lines.append(
+            f"| `{pattern}` | {g['count']} | {g['retyped']} | {g['max_abs']:.3g} "
+            f"| {g['max_rel']:.3g} | {len(g['only_got'])} | {len(g['only_want'])} |"
+        )
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
     import tempfile
 
+    from test_golden import report_diff
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff", action="store_true", help="compare with the checked-in reports; write nothing"
+    )
+    args = parser.parse_args()
+    differ = False
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         for mode, post_stop in CASES:
             path = golden_path(mode, post_stop)
-            path.write_text(report_text(backtest_report(mode, post_stop, workdir)))
-            print(path)
+            doc = backtest_report(mode, post_stop, workdir)
+            if args.diff:
+                groups = report_diff(doc, json.loads(path.read_text()))
+                differ |= bool(groups)
+                table = f"\n\n{diff_table(groups)}\n" if groups else "no differences"
+                print(f"{path.name}:", table)
+            else:
+                path.write_text(report_text(doc))
+                print(path)
+    sys.exit(1 if differ else 0)

@@ -9,7 +9,7 @@ import numpy as np
 from socarb import backtest
 from socarb.conformal import CoverageReport
 from socarb.market_data import DayPrices
-from socarb.reachability import BAND_EPS, POST_STOP_MODES, ActionProbs, TargetBand
+from socarb.reachability import BAND_EPS, POST_STOP_MODES, ActionProbs, StaticStep, TargetBand
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -257,12 +257,31 @@ def reference_stopping_time(
 
 
 def _eager_chain(params, probs, k_ch, k_dis):
-    """Every step's idle weights and moves (weight, from, to) as (T, n_ch, n_dis) arrays."""
+    """Every step's idle weights and moves (weight, from, to) as (T, n_ch, n_dis) arrays.
+
+    Action probabilities fold a blocked action's mass into idle.  The static
+    policy's own steps charge where charging is allowed, and discharge where
+    discharging is allowed with the overlap chance if charging is allowed
+    too, the whole upper tail if not; what does neither idles.
+    """
     horizon = len(probs)
     m_lo, m_hi = params.offsets[0], params.offsets[-1]
     c, d = np.indices((min(k_ch, horizon) + 1, min(k_dis, horizon) + 1))
     up_ok = (c - d + 1 <= m_hi) & (c < k_ch)
     down_ok = (c - d - 1 >= m_lo) & (d < k_dis)
+    if probs and isinstance(probs[0], StaticStep):
+        n_ch, n_dis = c.shape
+        charge = np.array([step.charge[1:] for step in probs])[:, :, None]
+        tail = np.array([step.discharge[1 : 1 + n_dis] for step in probs])[:, None, :]
+        overlap = np.array([step.discharge[1 + n_dis :].reshape(n_ch, n_dis) for step in probs])
+        # a move off the last row or column would leave the lattice; no step starts there
+        alpha = charge * (up_ok & (c < n_ch - 1))
+        beta = np.where(up_ok, overlap, tail) * (down_ok & (d < n_dis - 1))
+        moves = (
+            (beta[:, :, :-1], np.index_exp[:, :-1], np.index_exp[:, 1:]),
+            (alpha[:, :-1, :], np.index_exp[:-1, :], np.index_exp[1:, :]),
+        )
+        return (1.0 - alpha) - beta, moves
     alpha, beta, gamma = (
         np.array([getattr(ap, name) for ap in probs], dtype=float).reshape(horizon, 1, 1)
         for name in ("alpha", "beta", "gamma")
@@ -387,18 +406,17 @@ def reference_trajectory_counts(params: BatteryParams, steps) -> partial:
 def reference_policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
     """One budget pair's SoC distribution per battery, each from its own policy run.
 
-    Oracle for ``socarb.backtest._policy_lanes``, which shares action
-    probabilities and one propagation batch across a window's batteries:
-    here each (e0, budget pair) runs its policy alone, through the action
-    probabilities and ``propagate`` that ``socarb.backtest`` binds, and a
-    failure takes only its battery's place.
+    Oracle for ``socarb.backtest._policy_lanes``, which shares one
+    propagation batch across a window's batteries: here each (e0, budget
+    pair) runs its policy alone, through the ``policy_distributions`` that
+    ``socarb.backtest`` binds, and a failure takes only its battery's place.
     """
     mode = config.threshold_mode
     lanes = []
     for params in batteries:
         try:
-            probs = backtest.policy_action_probabilities(params, dist, bounds, k_ch, k_dis, mode)
-            lanes.append(backtest.propagate(params, probs, k_ch, k_dis))
+            [soc_dist] = backtest.policy_distributions([params], dist, bounds, k_ch, k_dis, mode)
+            lanes.append(soc_dist)
         except Exception as exc:
             lanes.append(exc)
     return lanes

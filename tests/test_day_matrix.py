@@ -98,6 +98,19 @@ def test_matrices_of_equal_content_compare_and_hash_equal(rows_and_n):
     assert shifted != matrix and shifted.prices.tolist() != matrix.prices.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(price_rows())
+def test_every_row_is_the_day_that_day_prices_makes_of_it(rows_and_n):
+    """An indexed row skips the check DayPrices makes, and is the day that check passes."""
+    rows, n = rows_and_n
+    matrix = DayMatrix.from_days(as_days(rows))
+    for view in (matrix, matrix.last(n)):
+        for i, row in enumerate(view.prices.tolist()):
+            day = DayPrices(view.day_ids[i], tuple(row))
+            assert view[i] == day and view[i - len(view)] == day
+            assert hash(view[i]) == hash(day) and type(view[i].values) is tuple
+
+
 def errors(matrix):
     """The ValueError message of each function that needs at least one day."""
     return [outcome(compute_bounds, matrix, 1), outcome(fit_distribution, matrix)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import socarb.backtest as bt
+import socarb.reachability as rc
 from socarb.backtest import parse_config, run_experiment, synthetic_day_matrix
 from socarb.cli import main
 from socarb.market_data import compute_bounds, fit_distribution
@@ -14,7 +15,7 @@ from socarb.reachability import (
     SOC_FREE_MODES,
     ActionProbs,
     TargetBand,
-    policy_action_probabilities,
+    policy_distributions,
     propagate,
     stopping_time,
     terminal_band_probability,
@@ -62,8 +63,12 @@ def test_report_q_matches_p_band_in_every_cell(monkeypatch, post_stop, tol):
         assert len(q_checked) >= 1
         assert all(abs(q - p_band) <= tol for q in q_checked), (key, result.big_q, p_band)
         checked += 1
-        budget_free = propagate(soc_dist.params, soc_dist.probs, n, n)
-        budgets_bind += abs(terminal_band_probability(budget_free, band) - p_band) > 1e-3
+        # the static chain's steps belong to their budgets' books, so a budget
+        # binds where a spent side (its last row or column) ends with mass
+        spent = soc_dist.masses[-1]
+        budgets_bind += (soc_dist.k_ch <= n and spent[-1].sum() > 1e-3) or (
+            soc_dist.k_dis <= n and spent[:, -1].sum() > 1e-3
+        )
     # every cell's policies, and the plot block's reference cell (e0=5, 5:7, 8 steps, 1x1) again
     assert checked == sum(len(cell["policies"]) for cell in cells.values()) + 1 == 37
     assert budgets_bind > 0
@@ -124,19 +129,24 @@ def test_distributions_from_different_probabilities_are_unequal():
     assert same.probs == tuple(a) and same.horizon == 3
 
 
-COUNTED = ("compute_bounds", "fit_distribution", "policy_action_probabilities", "propagate",
-           "propagate_lanes", "policy_outcomes", "trajectory_counts")
+# the stages the backtest calls, and the one reachability batch its SoC distributions step
+COUNTED = {
+    bt: ("compute_bounds", "fit_distribution", "policy_distributions", "policy_outcomes",
+         "trajectory_counts"),
+    rc: ("propagate_lanes",),
+}
 
 
 def counted_stages(monkeypatch, config_text):
     """How often each of COUNTED runs in one backtest of config_text."""
-    counts = Counter({name: 0 for name in COUNTED})
-    for name in COUNTED:
-        def counted(*args, _name=name, _original=getattr(bt, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    counts = Counter({name: 0 for names in COUNTED.values() for name in names})
+    for module, names in COUNTED.items():
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(bt, name, counted)
+            monkeypatch.setattr(module, name, counted)
     run_experiment(parse_config(config_text))
     return dict(counts)
 
@@ -150,11 +160,10 @@ def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
     assert per_bands["5:7"] == per_bands["5:7, 3:8, 2:9"] == {
         "compute_bounds": windows + 1,  # and once for the plot and CQR blocks together
         "fit_distribution": windows + 1,  # and once for the plot block
-        # the static rule never reads the SoC: one list and one batch per window and
-        # budget pair, plus the plot block's one distribution
-        "policy_action_probabilities": windows * budgets + 1,
-        "propagate_lanes": windows * budgets,
-        "propagate": 1,
+        # the static rule never reads the SoC: one batch per window and budget pair,
+        # plus the plot block's one distribution
+        "policy_distributions": windows * budgets + 1,
+        "propagate_lanes": windows * budgets + 1,
         "policy_outcomes": windows,  # one batch runs every e0 and budget pair of a window
         "trajectory_counts": e0s,  # one counting DP per battery lattice, for every window
     }
@@ -166,12 +175,12 @@ def test_state_dependent_modes_batch_as_far_as_their_rule_allows(monkeypatch, mo
     counts = counted_stages(monkeypatch, GRID + f"threshold_mode = {mode}\n")
     windows, e0s, budgets = 3, 3, 2
     batches = windows * budgets * (e0s if per_e0 else 1)
-    assert counts["policy_action_probabilities"] == batches + 1
-    assert counts["propagate_lanes"] == batches
+    assert counts["policy_distributions"] == batches + 1
+    assert counts["propagate_lanes"] == batches + 1
 
 
 def test_soc_free_modes_give_every_e0_the_same_probabilities():
-    """The modes whose lists the backtest shares across e0, and only those, never read e."""
+    """The modes whose chain the backtest shares across e0, and only those, never read e."""
     days = synthetic_day_matrix(60, 24, 7)
     dist, bounds = fit_distribution(days), compute_bounds(days, 1, "per-hour")
     e0s = (1.0, 3.0, 5.0, 7.0, 9.0)
@@ -179,9 +188,9 @@ def test_soc_free_modes_give_every_e0_the_same_probabilities():
         differ = False
         for k in (3, 6, 12):
             lists = [
-                policy_action_probabilities(
-                    BatteryParams(0.0, 10.0, 2.0, e0, 24), dist, bounds, k, k, mode
-                )
+                policy_distributions(
+                    [BatteryParams(0.0, 10.0, 2.0, e0, 24)], dist, bounds, k, k, mode
+                )[0].probs
                 for e0 in e0s
             ]
             differ |= any(probs != lists[0] for probs in lists)

@@ -277,7 +277,7 @@ def test_backtest_equals_the_per_cell_reachability_path(monkeypatch, mode, post_
 
 @pytest.mark.parametrize("mode", MODES)
 def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
-    """A failed action-probability run fails the cells of every battery that shares it.
+    """A failed SoC distribution batch fails the cells of every battery that shares it.
 
     Static and timedep batteries share one run per window and budget pair,
     as their rules never read the SoC, and it fails them all; a feasibility
@@ -288,13 +288,13 @@ def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
     healthy = run_experiment(config).payload["cells"]
     shared = mode != "feasibility"
 
-    def failing(params, *args):
-        if params.horizon == 6 and (shared or params.e0 == 3.3):
+    def failing(lanes, *args):
+        if lanes[0].horizon == 6 and (shared or lanes[0].e0 == 3.3):
             raise RuntimeError("policy failed")
-        return original(params, *args)
+        return original(lanes, *args)
 
-    original = bt.policy_action_probabilities
-    monkeypatch.setattr(bt, "policy_action_probabilities", failing)
+    original = bt.policy_distributions
+    monkeypatch.setattr(bt, "policy_distributions", failing)
     cells = run_experiment(config).payload["cells"]
     for key, cell in cells.items():
         if key.endswith("|steps=6") and (shared or key.startswith("e0=3.3|")):
@@ -408,10 +408,10 @@ def test_failed_bounds_fail_their_window_only(monkeypatch):
     [
         # a failed window runs no policy; a failed SoC distribution comes
         # before the profit batch in every budget pair
-        ("compute_bounds", "policy_action_probabilities", "compute_bounds"),
+        ("compute_bounds", "policy_distributions", "compute_bounds"),
         ("fit_distribution", "policy_outcomes", "fit_distribution"),
-        ("policy_action_probabilities", "policy_outcomes", "policy_action_probabilities"),
-        ("policy_outcomes", "policy_action_probabilities", "policy_action_probabilities"),
+        ("policy_distributions", "policy_outcomes", "policy_distributions"),
+        ("policy_outcomes", "policy_distributions", "policy_distributions"),
     ],
 )
 def test_first_failure_of_a_window_wins(monkeypatch, first, second, winner):
@@ -421,7 +421,7 @@ def test_first_failure_of_a_window_wins(monkeypatch, first, second, winner):
         "compute_bounds": six_step_days,
         "fit_distribution": six_step_days,
         "policy_outcomes": six_step_days,
-        "policy_action_probabilities": lambda params, *args: params.horizon == 6,
+        "policy_distributions": lambda lanes, *args: lanes[0].horizon == 6,
     }
     for name in (first, second):
         original = getattr(bt, name)

@@ -12,13 +12,14 @@ from socarb.reachability import (
     ActionProbs,
     TargetBand,
     count_feasible_trajectories,
-    policy_action_probabilities,
+    policy_distributions,
     propagate,
     propagate_lanes,
+    static_steps,
     stopping_time,
     trajectory_counts,
 )
-from socarb.thresholds import BatteryParams
+from socarb.thresholds import THRESHOLD_MODES, BatteryParams
 
 from oracles import (
     _reachable_in_band,
@@ -159,9 +160,14 @@ def assert_bitwise(a, b):
 
 
 def lane_batches(lattice, seed):
-    """Lanes at e_min, mid, e_max and off the rate grid; budgets 0, 1, below and at least T."""
+    """Lanes at e_min, mid, e_max and off the rate grid; budgets 0, 1, below and at least T.
+
+    Each batch steps random action probabilities, and, where it has steps,
+    again the static policy's own chain on random prices.
+    """
     e_min, e_max, rate = lattice
     rng = np.random.default_rng(seed)
+    price_rng = np.random.default_rng(seed + 1)
     e0s = (e_min, 0.5 * (e_min + e_max), e_max, e_min + 1.3 * rate)
     for horizon in (0, 1, 2, 5, 24, 48):
         lanes = [BatteryParams(e_min, e_max, rate, e0, max(horizon, 1)) for e0 in e0s]
@@ -169,9 +175,13 @@ def lane_batches(lattice, seed):
         ks = (0, 1, max(horizon - 1, 0) // 2, horizon, horizon + 2)
         lo = float(rng.integers(int(e_min), int(e_max)))
         band = TargetBand.from_interval(lo, lo + float(rng.integers(1, 5)))
+        prices = DayMatrix(("d",) * 7, price_rng.uniform(10.0, 90.0, (7, max(horizon, 1))))
+        dist, bounds = fit_distribution(prices), compute_bounds(prices, 1)
         # both budgets above T: a discharge from the last column could wrap to the next row
         for k_ch, k_dis in [*zip(ks, reversed(ks)), (horizon + 2, horizon + 2)]:
             yield lanes, probs, k_ch, k_dis, band
+            if horizon:
+                yield lanes, static_steps(dist, bounds, k_ch, k_dis), k_ch, k_dis, band
 
 
 @pytest.mark.parametrize(
@@ -193,7 +203,7 @@ def test_every_lane_equals_its_one_lane_run_bit_for_bit(lattice):
             assert_bitwise(dist.m_masses, m_masses)
             assert dist.m_masses.flags.c_contiguous
         batches += 1
-    assert batches == 36
+    assert batches == 36 + 30
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -243,6 +253,19 @@ def test_no_steps(mode):
     assert result.tau_star is None and result.q_table.shape == (0, 1, 1)
 
 
+def test_static_steps_run_only_on_their_own_lattice():
+    prices = DayMatrix(("a", "b"), [[20.0, 40.0, 60.0], [30.0, 50.0, 70.0]])
+    dist, bounds = fit_distribution(prices), compute_bounds(prices, 1)
+    params = BatteryParams(0.0, 10.0, 2.0, 4.0, 3)
+    steps = static_steps(dist, bounds, 3, 1)
+    assert propagate(params, steps, 3, 1).masses.shape == (4, 4, 2)
+    # (3, 1) and (1, 3) lattices hold as many points; a step picks by index, so neither
+    # another lattice nor fewer steps may read it
+    for k_ch, k_dis, n in ((1, 3, 3), (2, 2, 3), (3, 1, 2)):
+        with pytest.raises(ValueError, match="static steps of other budgets"):
+            propagate(params, steps[:n], k_ch, k_dis)
+
+
 def test_augmented_lattice_is_capped_by_budget_and_horizon():
     params = BatteryParams(0.0, 48.0, 1.0, 24.0, 6)
     probs = [ActionProbs(0.3, 0.3, 0.4)] * 6
@@ -265,8 +288,9 @@ class TestNegativeBudgets:
         with pytest.raises(ValueError, match="budgets must be non-negative"):
             propagate(params, [ActionProbs(0.3, 0.3, 0.4)] * 3, k_ch, k_dis)
 
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
     @pytest.mark.parametrize("k_ch, k_dis", [(-1, 2), (2, -1)])
-    def test_policy_action_probabilities_rejects(self, k_ch, k_dis):
+    def test_policy_action_probabilities_rejects(self, k_ch, k_dis, mode):
         rng = np.random.default_rng(0)
         days = DayMatrix.from_days(
             [
@@ -276,8 +300,8 @@ class TestNegativeBudgets:
         )
         params = BatteryParams(0.0, 10.0, 2.0, 4.0, 4)
         with pytest.raises(ValueError, match="budgets must be non-negative"):
-            policy_action_probabilities(
-                params, fit_distribution(days), compute_bounds(days, 1), k_ch, k_dis
+            policy_distributions(
+                [params], fit_distribution(days), compute_bounds(days, 1), k_ch, k_dis, mode
             )
 
     @pytest.mark.parametrize("command", ["reach", "stop-time"])

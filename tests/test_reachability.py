@@ -1,5 +1,6 @@
 """Action probabilities, mass propagation, stopping times, and counting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from socarb.reachability import (
     action_probabilities,
     count_feasible_trajectories,
     policy_action_probabilities,
+    policy_distributions,
     propagate,
     stopping_time,
     terminal_band_probability,
@@ -353,7 +355,8 @@ class TestCounting:
             count_feasible_trajectories(params, 0, band(3, 7))
 
 
-def test_policy_action_probabilities_shapes_and_sums():
+@pytest.mark.parametrize("mode", ["timedep", "feasibility"])
+def test_policy_action_probabilities_shapes_and_sums(mode):
     days = DayMatrix.from_days(
         [
             DayPrices(f"d{i}", tuple(float(v) for v in row))
@@ -365,10 +368,13 @@ def test_policy_action_probabilities_shapes_and_sums():
     bounds = compute_bounds(days, 1)
     dist = fit_distribution(days)
     params = BatteryParams(0, 10, 2, 4, 6)
-    probs = policy_action_probabilities(params, dist, bounds, 2, 2)
+    probs = policy_action_probabilities(params, dist, bounds, 2, 2, mode)
     assert len(probs) == 6
     for ap in probs:
         assert abs(ap.alpha + ap.beta + ap.gamma - 1.0) <= 1e-12
+    # static mode has its exact chain, and only that one
+    with pytest.raises(ValueError, match="static mode"):
+        policy_action_probabilities(params, dist, bounds, 2, 2, "static")
 
 
 # ROADMAP item 1's criterion: the propagated terminal SoC is the executed
@@ -386,23 +392,70 @@ def simulated_market():
     return compute_bounds(days, 1, "per-hour"), dist, sim
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="policy_action_probabilities follows an expected activation order, "
-    "not the executed policy (ROADMAP item 1)",
-)
+@pytest.mark.parametrize("k", [3, 6, 12])
 @pytest.mark.parametrize("e0", [1.0, 5.0, 9.0])
-def test_propagated_terminal_cdf_matches_simulated_policy(simulated_market, e0):
+def test_propagated_terminal_cdf_matches_simulated_policy(simulated_market, e0, k):
     bounds, dist, sim = simulated_market
     params = BatteryParams(0, 10, 2, e0, 24)
-    probs = policy_action_probabilities(params, dist, bounds, 3, 3)
-    soc = propagate(params, probs, 3, 3)
+    soc = policy_distributions([params], dist, bounds, k, k, "static")[0]
     terminal = np.array(
-        [traj.soc_path[-1] for traj in run_policy_days(sim, params, 3, 3, "static", bounds)]
+        [traj.soc_path[-1] for traj in run_policy_days(sim, params, k, k, "static", bounds)]
     )
     # both CDFs step only at lattice points, so the sup is taken there
     propagated = np.cumsum(soc.m_masses[-1])
     simulated = np.array([np.mean(terminal <= e + 1e-9) for e in soc.grid])
     distance = float(np.max(np.abs(propagated - simulated)))
     assert distance <= DKW_BOUND, f"Kolmogorov distance {distance:.3f} > {DKW_BOUND:.3f}"
+
+
+def test_static_chain_is_the_executor_on_every_price_day():
+    """Each step's (n_ch, n_dis) masses are the shares of all 3^T days that put the policy there.
+
+    Every hour has three price samples, so the 3^T days that pick one of
+    each are equally likely, and ``run_policy_days`` runs them all.  The
+    cases cover zero budgets, overlapping books (k >= 2), a charge that
+    capacity blocks on a price at or below U[c] and at or above L[d], where
+    the executor discharges, and prices equal to the thresholds.
+    """
+    rng = np.random.default_rng(11)
+    # a low, a middle and a high price each hour: for k >= 2 the middle one
+    # mostly lies in the books' overlap U[0] >= lambda >= L[0]; and flat
+    # prices, whose books are flat at that price too
+    price_rows = [
+        [level * rng.uniform(0.95, 1.05, horizon) for level in (20.0, 42.0, 80.0)]
+        for horizon in (1, 3, 5)
+    ] + [[np.full(3, 30.0)] * 3]
+    overlapping = fell_through = 0
+    for rows in price_rows:
+        samples = DayMatrix(("s0", "s1", "s2"), rows)
+        horizon = samples.horizon
+        every = np.array(list(itertools.product(*samples.prices.T)))
+        every = DayMatrix(tuple(f"d{i}" for i in range(len(every))), every)
+        dist, bounds = fit_distribution(samples), compute_bounds(samples, 1)
+        for e0, (k_ch, k_dis) in itertools.product(
+            (0.0, 6.0, 10.0), ((0, 0), (0, 2), (2, 0), (1, 1), (2, 3), (3, 3), (6, 6))
+        ):
+            params = BatteryParams(0.0, 10.0, 2.0, e0, horizon)
+            soc = policy_distributions([params], dist, bounds, k_ch, k_dis, "static")[0]
+            trajs = run_policy_days(every, params, k_ch, k_dis, "static", bounds)
+            actions = np.array([traj.actions for traj in trajs])
+            c = np.cumsum(actions == CHARGE, axis=1)
+            d = np.cumsum(actions == DISCHARGE, axis=1)
+            for t in range(1, horizon + 1):
+                expected = np.zeros(soc.masses.shape[1:])
+                np.add.at(expected, (c[:, t - 1], d[:, t - 1]), 1.0 / len(every))
+                case = (horizon, e0, k_ch, k_dis, t)
+                assert np.abs(soc.masses[t] - expected).max() <= 1e-12, case
+            schedule = build_schedule(bounds, k_ch, k_dis)
+            u, l = schedule.charge, schedule.discharge
+            overlapping += bool(u and l and u[0] >= l[0])
+            for traj, day in zip(trajs, every.prices.tolist()):
+                n_ch = n_dis = 0
+                for action, e, lam in zip(traj.actions, traj.soc_path, day):
+                    fell_through += (
+                        action == DISCHARGE and e == params.e_max and n_ch < k_ch
+                        and lam <= u[n_ch] and lam >= l[n_dis]
+                    )
+                    n_ch += action == CHARGE
+                    n_dis += action == DISCHARGE
+    assert overlapping and fell_through
