@@ -31,7 +31,6 @@ from .thresholds import (
     offline_opt,
     policy_outcomes,
     run_policy,
-    run_policy_days,
     static_charge_thresholds,
     static_discharge_thresholds,
     threshold_rule,

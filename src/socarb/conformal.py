@@ -5,6 +5,8 @@ pinball loss, calibrates a split-conformal width on held-out days, and emits
 prediction intervals plus band certificates with empirical coverage metrics.
 Days come in as one ``DayMatrix`` per split; :func:`label_days` turns one
 into features and labels, and everything after it works on those arrays.
+The labels come from one call of the policy's batch executor, the same in
+every threshold mode, for a whole e0 sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .market_data import DayMatrix, DayPrices, PriceBounds
 from .reachability import TargetBand
-from .thresholds import BatteryParams, _check_days, _static_lanes, policy_outcomes
+from .thresholds import BatteryParams, _run_lanes
 
 log = logging.getLogger(__name__)
 
@@ -78,19 +80,14 @@ def label_days(
     """Day features (n, d) and each battery's terminal SoC labels (len(params_list), n).
 
     The one place the CQR layer runs the policy, for a whole e0 sweep at
-    once; the labels are the ``soc`` of :func:`policy_outcomes`.  The
-    batteries may differ only in ``e0``, so the features, which do not
-    depend on the battery, are shared.  In static mode the lanes step in the
-    kernel of :func:`policy_outcomes` without its profits.  The features are
-    the days' read-only price matrix itself.
+    once: one call of the batch executor behind
+    ``thresholds.policy_outcomes``, whose profits it does not sum.  The
+    labels are that executor's terminal SoC.  The batteries may differ only
+    in ``e0``, so the features, which do not depend on the battery, are
+    shared: they are the days' read-only price matrix itself.
     """
-    _check_days(days, params_list)
-    if threshold_mode == "static" and params_list:
-        features, soc = _static_lanes(days, params_list, [(k_ch, k_dis)], bounds)
-    else:
-        features = days.prices
-        _, soc = policy_outcomes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
-    return features, soc[:, 0]
+    soc, _ = _run_lanes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
+    return days.prices, soc[:, 0]
 
 
 def train_quantile_models(

@@ -12,10 +12,13 @@ day ids and one read-only (n, T) float64 array, validated once.
 :func:`load_day_matrix`, :func:`slice_days`, :func:`split_dataset` and
 ``backtest.synthetic_day_matrix`` make one; :func:`compute_bounds`,
 :func:`fit_distribution`, :func:`export_day_matrix`,
-``thresholds.policy_outcomes``, ``thresholds.run_policy_days`` and the
-``conformal`` labeller take one.  Its row ranges and its last-n-slot column
+``thresholds.policy_outcomes`` and the ``conformal`` labeller take one, and
+step all its days at once.  Its row ranges and its last-n-slot column
 windows are views of that array.  A :class:`DayPrices` is one day: what
-indexing a matrix gives, and what the one-day runners take.
+indexing a matrix gives, and what the one-day runners take.  The tails and
+summed heads of a :class:`PriceBounds` (:class:`TailSums`) serve both
+policy executors: the one-day loop looks up H[t, n] and L[t, n] at each
+step, and the batch lanes read them into tables once per call.
 """
 
 from __future__ import annotations

@@ -417,8 +417,11 @@ def propagate_lanes(
     down + shifted up, with weights that ``_Chain.weights`` builds for that
     step alone.  Every lane's masses equal, bit for bit, those it gets
     alone, and one ``bincount`` per step sums the ``m_masses`` of all lanes.
+    No lane gives no distribution.
     """
     lanes, probs = list(lanes), tuple(probs)
+    if not lanes:
+        return []
     horizon = len(probs)
     chain = _chain(lanes, horizon, k_ch, k_dis)
     n_ch, n_dis = chain.shape
@@ -481,11 +484,16 @@ def policy_distributions(
     :func:`policy_action_probabilities`, which follow the expected
     activation order (``CHAIN_METHODS``).  Batteries share one batch where
     the rule never reads the SoC (``SOC_FREE_MODES``); in feasibility mode
-    each battery is a batch of its own.
+    each battery is a batch of its own.  No lane gives no distribution, and
+    an unknown mode is refused with or without lanes.
     """
+    if threshold_mode not in th.THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
     lanes = list(lanes)
     if any(params.horizon != dist.horizon for params in lanes):
         raise ValueError("distribution horizon must match params.horizon")
+    if not lanes:
+        return []
     if threshold_mode == "static":
         return propagate_lanes(lanes, static_steps(dist, bounds, k_ch, k_dis), k_ch, k_dis)
     groups = [lanes] if threshold_mode in SOC_FREE_MODES else [[params] for params in lanes]

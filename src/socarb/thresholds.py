@@ -14,22 +14,23 @@ binds a run's budgets, ratios and bounds once and maps that state to the
 next (u, l) in every mode.
 
 The one charge-first, fall-through-to-discharge decision rule has two
-executors, and a batch of days reaches both as one ``DayMatrix``.
-:func:`run_policy_days` steps a loop, one trajectory at a time; everything
-that needs a trajectory or runs a single day uses that loop:
-:func:`run_policy`, ``socarb simulate`` and both stages of the budget
-reduction.  :func:`policy_outcomes` returns only the profit and terminal SoC
-of every (battery, budget pair, day) lane, and in static mode steps all lanes
-of a batch at once in numpy; the backtest runs each window's whole e0 sweep ×
-k_grid through one call.  ``conformal.label_days``, the CQR layer's one
-labeller, labels a report's days in one batch for a whole e0 sweep; in
-static mode it steps the same kernel, :func:`_static_lanes`, for the terminal
-SoC alone.  A numpy step
-costs the same for one lane as for a thousand, so single days stay on the
-loop: on a 2-vCPU VM (Python 3.11, numpy 2.4) one 24-step day took 0.6 ms in
-lanes against 0.02 ms in the loop, 73 days 0.7-0.8 ms against 0.65 ms, and
-5 e0 × 3 budget pairs × 73 days 2.6-2.8 ms against 12.7-16 ms.
-``tests/test_policy_batch.py`` holds the two executors equal lane by lane.
+executors, and the size of the input picks one; no mode does.  One day runs
+in a loop that yields its trajectory: :func:`run_policy`, ``socarb
+simulate`` and both stages of the budget reduction.  A batch of days, one
+``DayMatrix``, runs in :func:`_run_lanes`, which steps every (battery,
+budget pair, day) lane at once in numpy, in all three modes.  Its callers
+need only outcomes: :func:`policy_outcomes` returns the profit and terminal
+SoC of every lane, and the backtest runs each window's whole e0 sweep ×
+k_grid through one call; ``conformal.label_days``, the CQR layer's one
+labeller, takes the terminal SoC of a report's days for a whole e0 sweep
+from one call.  A numpy step costs about the same for one lane as for a
+thousand, so single days stay on the loop.  On a 2-vCPU VM (Python 3.11,
+numpy 2.4; medians for static, timedep and feasibility), one 24-step day
+took 0.54, 0.78 and 2.5 ms in lanes against 0.016, 0.040 and 0.11 ms in the
+loop; 73 days 0.60, 0.86 and 2.8 ms against 1.3, 3.3 and 7.8 ms; and 5 e0 ×
+3 budget pairs × 73 days 2.4, 4.8 and 6.3 ms against 24, 93 and 140 ms.
+``tests/test_policy_batch.py`` holds both executors equal, lane by lane, to
+each other and to the reference loop in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -444,31 +445,8 @@ def threshold_rule(
     return lambda s: _feasibility_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
 
 
-def run_policy_days(
-    days: DayMatrix,
-    params: BatteryParams,
-    k_ch: int,
-    k_dis: int,
-    threshold_mode: str,
-    bounds: PriceBounds,
-    alpha: float | None = None,
-    omega: float | None = None,
-) -> list[Trajectory]:
-    """Execute the online policy on each realized price day, one trajectory each.
-
-    The schedule and its ratios depend only on ``bounds`` and the budgets, so
-    :func:`build_schedule` solves them once for the whole batch.  Ratios
-    default to the k-search equations on the envelope in ``bounds``; pass
-    ``alpha``/``omega`` to set them.  The trajectories never force trades;
-    end-of-horizon behavior belongs to the reachability layer.
-    """
-    _check_days(days, [params])
-    rows = days.prices.tolist()
-    return _run_rows(rows, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)
-
-
-def _run_rows(rows, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega):
-    """The loop of :func:`run_policy_days` over price rows of ``params.horizon`` slots."""
+def _run_day(values, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega) -> Trajectory:
+    """The one-day loop: the policy on ``params.horizon`` prices, as a trajectory."""
     schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
     rule = threshold_rule(threshold_mode, params, bounds, schedule, k_ch, k_dis)
     u_book, l_book = schedule.charge, schedule.discharge
@@ -476,41 +454,38 @@ def _run_rows(rows, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega):
 
     rate, e_max, e_min = params.rate, params.e_max, params.e_min
     charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
-    trajectories = []
-    for values in rows:
-        e = params.e0
-        c = d = 0  # charges / discharges done
-        s_ch = s_dis = 0.0  # sums of the thresholds they activated
-        actions: list[int] = []
-        soc = [e]
-        cash: list[float] = []
-        for t, lam in enumerate(values, start=1):
-            if static:
-                u = u_book[c] if c < k_ch else None
-                l = l_book[d] if d < k_dis else None
-            else:
-                u, l = rule(PolicyState(t, e, c, d, s_ch, s_dis))
-            # a side whose budget is spent has no threshold (None); charge is
-            # checked first, and a blocked charge falls through to discharge
-            if u is not None and lam <= u and e + rate <= charge_cap:
-                e = min(e + rate, e_max)
-                c += 1
-                s_ch += u
-                actions.append(CHARGE)
-                cash.append(-1 * lam * rate)
-            elif l is not None and lam >= l and e - rate >= discharge_floor:
-                e = max(e - rate, e_min)
-                d += 1
-                s_dis += l
-                actions.append(DISCHARGE)
-                cash.append(1 * lam * rate)
-            else:
-                actions.append(IDLE)
-                # not 0.0: a negative price gives -0.0
-                cash.append(0 * lam * rate)
-            soc.append(e)
-        trajectories.append(Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash)))
-    return trajectories
+    e = params.e0
+    c = d = 0  # charges / discharges done
+    s_ch = s_dis = 0.0  # sums of the thresholds they activated
+    actions: list[int] = []
+    soc = [e]
+    cash: list[float] = []
+    for t, lam in enumerate(values, start=1):
+        if static:
+            u = u_book[c] if c < k_ch else None
+            l = l_book[d] if d < k_dis else None
+        else:
+            u, l = rule(PolicyState(t, e, c, d, s_ch, s_dis))
+        # a side whose budget is spent has no threshold (None); charge is
+        # checked first, and a blocked charge falls through to discharge
+        if u is not None and lam <= u and e + rate <= charge_cap:
+            e = min(e + rate, e_max)
+            c += 1
+            s_ch += u
+            actions.append(CHARGE)
+            cash.append(-1 * lam * rate)
+        elif l is not None and lam >= l and e - rate >= discharge_floor:
+            e = max(e - rate, e_min)
+            d += 1
+            s_dis += l
+            actions.append(DISCHARGE)
+            cash.append(1 * lam * rate)
+        else:
+            actions.append(IDLE)
+            # not 0.0: a negative price gives -0.0
+            cash.append(0 * lam * rate)
+        soc.append(e)
+    return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
 
 
 def run_policy(
@@ -525,13 +500,16 @@ def run_policy(
 ) -> Trajectory:
     """Execute the online policy on one realized price day.
 
-    The one-day case of :func:`run_policy_days`, with the same arguments.
-    The day's prices go to the loop as they are: stacking one day into a
-    matrix would add about 9 µs to a static run of about 15 µs (24 steps,
-    2-vCPU VM, Python 3.11).
+    The schedule and its ratios depend only on ``bounds`` and the budgets;
+    ratios default to the k-search equations on the envelope in ``bounds``,
+    and ``alpha``/``omega`` set them.  The trajectory never forces trades;
+    end-of-horizon behavior belongs to the reachability layer.  The day's
+    prices go to the loop as they are: stacking one day into a matrix would
+    add about 9 µs to a static run of about 15 µs (24 steps, 2-vCPU VM,
+    Python 3.11).
     """
     check_horizon(len(day.values), params.horizon)
-    return _run_rows([day.values], params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)[0]
+    return _run_day(day.values, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega)
 
 
 def policy_outcomes(
@@ -545,35 +523,18 @@ def policy_outcomes(
 
     Returns two float64 arrays of shape (len(params_list), len(budgets),
     len(days)); entry [i, j, n] is the ``profit`` and ``soc_path[-1]`` of
-    ``run_policy_days(days, params_list[i], *budgets[j], threshold_mode,
-    bounds)[n]``, bit for bit.  The batteries may differ only in ``e0``.
-
-    Static mode steps every lane at once in :func:`_static_lanes` and sums
-    the cash flows of the actions it records.  The timedep and feasibility
-    thresholds read (t, s_ch, s_dis) of each lane, so those modes run
-    :func:`run_policy_days` once per battery and budget pair.
+    ``run_policy(days[n], params_list[i], *budgets[j], threshold_mode,
+    bounds)``, bit for bit.  The batteries may differ only in ``e0``.  All
+    lanes step at once in :func:`_run_lanes`; each lane's profit is the
+    ``math.fsum`` of its cash flows, as in the loop.
     """
-    params_list, budgets = list(params_list), list(budgets)
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
-    _check_days(days, params_list)
-    shape = (len(params_list), len(budgets), len(days))
-    if threshold_mode == "static" and params_list:
-        horizon, rate = params_list[0].horizon, params_list[0].rate
-        actions = np.empty(shape + (horizon,), dtype=np.int8)
-        prices, soc = _static_lanes(days, params_list, budgets, bounds, actions)
-        # as in the loop, an idle step on a negative price gives -0.0
-        cash = -actions * prices * rate
-        lanes = cash.reshape(-1, horizon).tolist()
-        return np.array(list(map(math.fsum, lanes))).reshape(shape), soc
-    _check_shared_battery(params_list)
-    profit, soc = np.empty(shape), np.empty(shape)  # no battery: empty arrays
-    for i, params in enumerate(params_list):
-        for j, (k_ch, k_dis) in enumerate(budgets):
-            trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
-            profit[i, j] = [traj.profit for traj in trajs]
-            soc[i, j] = [traj.soc_path[-1] for traj in trajs]
-    return profit, soc
+    params_list = list(params_list)
+    soc, moves = _run_lanes(days, params_list, budgets, threshold_mode, bounds)
+    # -action * lam * rate, as in the loop: an idle step on a negative price gives -0.0
+    cash = moves * days.prices.T.reshape(len(moves), 1, 1, len(days))
+    cash *= params_list[0].rate if params_list else 1.0  # no battery: no lane
+    lanes = cash.reshape(len(cash), soc.size).T.tolist()
+    return np.array(list(map(math.fsum, lanes))).reshape(soc.shape), soc
 
 
 def _check_days(days: DayMatrix, params_list: list[BatteryParams]) -> None:
@@ -589,65 +550,133 @@ def _check_shared_battery(params_list: list[BatteryParams]) -> None:
                 raise ValueError(f"batteries of one batch may differ only in e0, not in {name}")
 
 
-def _static_lanes(
+def _run_lanes(
     days: DayMatrix,
     params_list: list[BatteryParams],
     budgets: list[tuple[int, int]],
+    threshold_mode: str,
     bounds: PriceBounds,
-    actions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The static-mode kernel: every (battery, budget pair, day) lane at once.
+    """The batch executor: every (battery, budget pair, day) lane at once, in every mode.
 
-    Returns the (len(days), horizon) price matrix it stepped through and the
-    terminal SoC of every lane, shape (len(params_list), len(budgets),
-    len(days)).  When ``actions`` is given, an int8 array of that shape plus
-    a horizon axis, each step's action is written into it: that is what
-    :func:`policy_outcomes` needs for the profits.  The CQR labeller needs
-    only the SoC and passes none.  ``params_list`` must be non-empty, and
-    ``days`` a matrix of its horizon, as :func:`_check_days` checks it.
-
-    The books sit in padded (len(budgets), k_max + 1) matrices where a spent
-    side reads -inf (charge) or +inf (discharge), which no finite price
-    crosses; each step applies the loop's charge-first,
-    fall-through-to-discharge rule and its ``FEAS_EPS`` capacity checks.
+    Returns the terminal SoC of every lane, shape (len(params_list),
+    len(budgets), len(days)), and each step's move (-action: 1 discharge,
+    -1 charge, 0 idle) as int8, step axis first.  The batteries may differ
+    only in ``e0``.  Each step takes every lane's (u, l) from
+    :func:`_lane_rule`, a missing side as -inf (charge) or +inf (discharge),
+    and applies the loop's rule and ``FEAS_EPS`` capacity checks.
     """
+    if threshold_mode not in THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+    params_list, budgets = list(params_list), list(budgets)
+    _check_days(days, params_list)
     _check_shared_battery(params_list)
+    shape = (len(params_list), len(budgets), len(days))
+    if not params_list:
+        return np.empty(shape), np.empty((days.prices.shape[1],) + shape, dtype=np.int8)
     first = params_list[0]
     horizon, rate, e_max, e_min = first.horizon, first.rate, first.e_max, first.e_min
-    width = 1 + max((k for pair in budgets for k in pair), default=0)
-    u_book = np.full((len(budgets), width), -np.inf)
-    l_book = np.full((len(budgets), width), np.inf)
-    for j, (k_ch, k_dis) in enumerate(budgets):
-        schedule = build_schedule(bounds, k_ch, k_dis)
-        u_book[j, :k_ch] = schedule.charge
-        l_book[j, :k_dis] = schedule.discharge
-    u_book, l_book = u_book.ravel(), l_book.ravel()
+    start, rule = _lane_rule(threshold_mode, first, budgets, bounds)
+    sums = threshold_mode != "static"  # the books read no sums: skip their upkeep
 
-    shape = (len(params_list), len(budgets), len(days))
     charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
     e = np.empty(shape)
     e[...] = np.array([params.e0 for params in params_list])[:, None, None]
-    # each lane's index of its next threshold in the flat books: its budget
-    # pair's row start plus the charges (discharges) done
     c = np.empty(shape, dtype=np.intp)
-    c[...] = (np.arange(len(budgets)) * width)[:, None]
+    c[...] = start
     d = c.copy()
+    s_ch, s_dis = np.zeros(shape), np.zeros(shape)
     prices = days.prices.reshape(len(days), horizon)  # an empty batch has no width
-    for t, lam in enumerate(prices.T):
-        up, down = e + rate, e - rate
-        charge = (lam <= u_book[c]) & (up <= charge_cap)
-        discharge = ~charge & (lam >= l_book[d]) & (down >= discharge_floor)
-        # min(up, e_max) and max(down, e_min), with the loop's tie-breaks
-        e = np.where(
-            charge,
-            np.where(e_max < up, e_max, up),
-            np.where(discharge, np.where(e_min > down, e_min, down), e),
+    moves = np.empty((horizon,) + shape, dtype=np.int8)
+    # a side without a threshold may divide by a count of 0; the rule masks it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, lam in enumerate(prices.T, start=1):
+            u, l = rule(t, e, c, d, s_ch, s_dis)
+            up, down = e + rate, e - rate
+            charge = (lam <= u) & (up <= charge_cap)
+            discharge = ~charge & (lam >= l) & (down >= discharge_floor)
+            # min(up, e_max) and max(down, e_min), with the loop's tie-breaks
+            e = np.where(
+                charge,
+                np.where(e_max < up, e_max, up),
+                np.where(discharge, np.where(e_min > down, e_min, down), e),
+            )
+            c += charge
+            d += discharge
+            if sums:
+                s_ch = np.where(charge, s_ch + u, s_ch)
+                s_dis = np.where(discharge, s_dis + l, s_dis)
+            np.subtract(discharge.view(np.int8), charge.view(np.int8), out=moves[t - 1])
+    return e, moves
+
+
+def _lane_rule(mode: str, params: BatteryParams, budgets: list[tuple[int, int]], bounds):
+    """:func:`threshold_rule` for a batch: every lane's next (u, l) from its state.
+
+    Returns each budget pair's first table index, shape (len(budgets), 1),
+    and the rule, a function of (t, e, c, d, s_ch, s_dis) over lane arrays.
+    A lane's c and d count from that index along its pair's row: before
+    step t a side has done at most min(k, t - 1) actions.  Every threshold
+    is the loop's own expression on the loop's own numbers, so it keeps its
+    bits.  Static reads the books; timedep reads H[t, k - c] and
+    L[t, k - d] by actions done (padded past the horizon); feasibility reads
+    H[t, n] and L[t, n] for n = 0..horizon, never past the slots left.
+    """
+    horizon = params.horizon
+    schedules = [build_schedule(bounds, k_ch, k_dis) for k_ch, k_dis in budgets]
+    width = 1 + min(max((k for pair in budgets for k in pair), default=0), horizon - 1)
+    start = np.arange(len(budgets), dtype=np.intp)[:, None] * width
+    if mode == "static":
+        u_book = np.full((len(budgets), width), -np.inf)
+        l_book = np.full((len(budgets), width), np.inf)
+        for j, schedule in enumerate(schedules):
+            u_book[j, : len(schedule.charge)] = schedule.charge[:width]
+            l_book[j, : len(schedule.discharge)] = schedule.discharge[:width]
+        return start, lambda t, e, c, d, s_ch, s_dis: (u_book.take(c), l_book.take(d))
+
+    _check_day_bounds(mode, params, bounds)
+    omega = np.array([s.omega for s in schedules]).reshape(-1, 1)
+    k_ch = np.array([k for k, _ in budgets], dtype=np.intp).reshape(-1, 1)
+    k_dis = np.array([k for _, k in budgets], dtype=np.intp).reshape(-1, 1)
+    if mode == "timedep":
+        highs = np.full((horizon, len(budgets), width), -np.inf)
+        lows = np.full((horizon, len(budgets), width), np.inf)
+        for t in range(1, horizon + 1):
+            for j, (k_c, k_d) in enumerate(budgets):
+                highs[t - 1, j, : min(k_c, t)] = [
+                    bounds.high_sums[t, k_c - n] for n in range(min(k_c, t))
+                ]
+                lows[t - 1, j, : min(k_d, t)] = [
+                    bounds.low_sums[t, k_d - n] for n in range(min(k_d, t))
+                ]
+        ch_div = np.array([s.alpha * k for s, (k, _) in zip(schedules, budgets)]).reshape(-1, 1)
+        return start, lambda t, e, c, d, s_ch, s_dis: (
+            (s_ch + highs[t - 1].take(c)) / ch_div,
+            omega * (s_dis + lows[t - 1].take(d)) / k_dis,
         )
-        c += charge
-        d += discharge
-        if actions is not None:
-            actions[..., t] = charge.view(np.int8) - discharge.view(np.int8)  # CHARGE = 1
-    return prices, e
+
+    highs = np.zeros((horizon, horizon + 1))
+    lows = np.zeros((horizon, horizon + 1))
+    for t in range(1, horizon + 1):
+        for n in range(1, horizon - t + 2):
+            highs[t - 1, n] = bounds.high_sums[t, n]
+            lows[t - 1, n] = bounds.low_sums[t, n]
+    alpha = np.array([s.alpha for s in schedules]).reshape(-1, 1)
+    ch_end, dis_end = start + k_ch, start + k_dis  # a side's index once its budget is spent
+    rate, e_max, e_min = params.rate, params.e_max, params.e_min
+
+    def rule(t, e, c, d, s_ch, s_dis):
+        # K_rem = min(budget left, slots left, actions capacity allows)
+        slots_left = horizon - t + 1
+        n = np.minimum(np.floor((e_max - e) / rate + FEAS_EPS), np.minimum(ch_end - c, slots_left))
+        n = n.astype(np.intp)
+        u = np.where(n >= 1, (s_ch + highs[t - 1].take(n)) / (alpha * n), -np.inf)
+        n = np.minimum(np.floor((e - e_min) / rate + FEAS_EPS), np.minimum(dis_end - d, slots_left))
+        n = n.astype(np.intp)
+        l = np.where(n >= 1, omega * (s_dis + lows[t - 1].take(n)) / n, np.inf)
+        return u, l
+
+    return start, rule
 
 
 def offline_opt(
@@ -791,7 +820,7 @@ def run_with_discharge_reduction(
 
     def sell(values, e0, k, ratio):
         stage = replace(params, e0=e0, horizon=len(values))
-        return _run_rows([values], stage, 0, k, "static", bounds, None, ratio)[0]
+        return _run_day(values, stage, 0, k, "static", bounds, None, ratio)
 
     n1 = t_bar - 1  # stage-1 steps
     if k_bar == k_dis:

@@ -21,7 +21,6 @@ from socarb.thresholds import (
     TwoStageResult,
     build_schedule,
     competitive_ratio,
-    run_policy_days,
     search_ratios,
     static_discharge_thresholds,
 )
@@ -622,7 +621,8 @@ def reference_run_policy(
 ) -> Trajectory:
     """One day of the online policy, re-solving ratios and schedule per call.
 
-    Oracle for :func:`socarb.thresholds.run_policy_days`: it carries a full
+    Oracle for :func:`socarb.thresholds.run_policy` and the batch executor
+    behind :func:`socarb.thresholds.policy_outcomes`: it carries a full
     ``HistoryState`` through every step and takes the timedep and feasibility
     thresholds from the references above, which sort the bounds at every step.
     """
@@ -652,20 +652,44 @@ def reference_run_policy(
     return Trajectory(tuple(actions), tuple(soc), tuple(cash), math.fsum(cash))
 
 
+def reference_lanes(days, params_list, budgets, threshold_mode, bounds):
+    """A :func:`reference_run_policy` trajectory per (battery, budget pair, day) lane, nested."""
+    return [
+        [
+            [reference_run_policy(day, params, k_ch, k_dis, threshold_mode, bounds) for day in days]
+            for k_ch, k_dis in budgets
+        ]
+        for params in params_list
+    ]
+
+
 def reference_policy_outcomes(days, params_list, budgets, threshold_mode, bounds):
     """Profit and terminal SoC of every (battery, budget pair, day), one lane at a time.
 
-    Oracle for :func:`socarb.thresholds.policy_outcomes`: one
-    :func:`~socarb.thresholds.run_policy_days` call per battery and budget pair.
+    Oracle for :func:`socarb.thresholds.policy_outcomes`, from
+    :func:`reference_lanes`.
     """
     shape = (len(params_list), len(budgets), len(days))
-    profit, soc = np.empty(shape), np.empty(shape)
-    for i, params in enumerate(params_list):
-        for j, (k_ch, k_dis) in enumerate(budgets):
-            trajs = run_policy_days(days, params, k_ch, k_dis, threshold_mode, bounds)
-            profit[i, j] = [traj.profit for traj in trajs]
-            soc[i, j] = [traj.soc_path[-1] for traj in trajs]
-    return profit, soc
+    lanes = reference_lanes(days, params_list, budgets, threshold_mode, bounds)
+    profit = np.array([[[traj.profit for traj in row] for row in rows] for rows in lanes])
+    return profit.reshape(shape), reference_terminal_soc(lanes).reshape(shape)
+
+
+def reference_run_lanes(days, params_list, budgets, threshold_mode, bounds):
+    """Terminal SoC and per-step moves (-action) of every lane, one lane at a time.
+
+    Oracle for the batch executor ``socarb.thresholds._run_lanes``, from
+    :func:`reference_lanes`: the moves carry the step axis first.
+    """
+    shape = (len(params_list), len(budgets), len(days))
+    lanes = reference_lanes(days, params_list, budgets, threshold_mode, bounds)
+    actions = np.array([[[traj.actions for traj in row] for row in rows] for rows in lanes])
+    moves = -actions.reshape(shape + (days.prices.shape[1],)).astype(np.int8)
+    return reference_terminal_soc(lanes).reshape(shape), np.moveaxis(moves, -1, 0)
+
+
+def reference_terminal_soc(lanes):
+    return np.array([[[traj.soc_path[-1] for traj in row] for row in rows] for rows in lanes])
 
 
 def reference_run_with_discharge_reduction(

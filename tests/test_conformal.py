@@ -32,7 +32,7 @@ from socarb.conformal import (
 )
 from socarb.market_data import DayMatrix, DayPrices, compute_bounds
 from socarb.reachability import TargetBand
-from socarb.thresholds import BatteryParams, run_policy_days
+from socarb.thresholds import BatteryParams, run_policy
 
 
 def synthetic_days(n, horizon=8, seed=0, spread=True):
@@ -89,7 +89,7 @@ class TestLabelDays:
         assert np.all((labels >= 0.0) & (labels <= 10.0))
 
     @pytest.mark.parametrize("mode", ["static", "timedep", "feasibility"])
-    def test_sweep_equals_run_policy_days_per_battery(self, mode):
+    def test_sweep_equals_run_policy_per_battery(self, mode):
         days = synthetic_days(30, seed=9)
         bounds = compute_bounds(days, 1)
         params_list = [BatteryParams(0, 10, 2, e0, 8) for e0 in (0, 4, 10)]
@@ -97,7 +97,7 @@ class TestLabelDays:
         assert np.array_equal(feats, np.array([day_features(day) for day in days]))
         assert labels.shape == (3, 30)
         for params, row in zip(params_list, labels):
-            trajs = run_policy_days(days, params, 3, 2, mode, bounds)
+            trajs = [run_policy(day, params, 3, 2, mode, bounds) for day in days]
             assert row.tolist() == [traj.soc_path[-1] for traj in trajs]
         # the batteries end apart on some day, so each row is its own battery's
         assert len({tuple(row) for row in labels.tolist()}) == 3

@@ -15,7 +15,7 @@ from socarb.market_data import (
     compute_bounds,
     fit_distribution,
 )
-from socarb.thresholds import THRESHOLD_MODES, BatteryParams, policy_outcomes, run_policy_days
+from socarb.thresholds import THRESHOLD_MODES, BatteryParams, policy_outcomes, run_policy
 
 # negative, signed-zero and sub-floor prices, and a plausible range
 PRICES = st.one_of(st.floats(-50.0, 500.0), st.sampled_from([-0.0, 0.0, 0.004, 30.0]))
@@ -57,7 +57,9 @@ def results(days, horizon):
     for mode in THRESHOLD_MODES:
         out[mode] = outcome(policy_outcomes, days, batteries, [(1, 1), (2, 3)], mode, bounds)
         out[f"label {mode}"] = outcome(label_days, days, batteries, bounds, 2, 1, mode)
-    out["run_policy_days"] = outcome(run_policy_days, days, batteries[1], 2, 2, "static", bounds)
+    out["run_policy"] = [
+        outcome(run_policy, day, batteries[1], 2, 2, "static", bounds) for day in days
+    ]
     return out
 
 
@@ -190,7 +192,7 @@ def test_a_battery_horizon_is_checked_before_the_batch(mode):
     matrix = DayMatrix(("a", "b"), [[10.0, 20.0, 30.0], [30.0, 20.0, 10.0]])
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, 2)
     runs = [
-        lambda days, bounds: run_policy_days(days, params, 1, 1, mode, bounds),
+        lambda days, bounds: [run_policy(day, params, 1, 1, mode, bounds) for day in days],
         lambda days, bounds: policy_outcomes(days, [params], [(1, 1)], mode, bounds)[0].shape,
         lambda days, bounds: label_days(days, [params], bounds, 1, 1, mode)[1].shape,
     ]

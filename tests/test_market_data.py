@@ -27,7 +27,7 @@ from socarb.market_data import (
     slice_days,
     split_dataset,
 )
-from socarb.thresholds import BatteryParams, run_policy_days
+from socarb.thresholds import BatteryParams, policy_outcomes, run_policy
 
 from oracles import reference_remaining
 
@@ -416,7 +416,8 @@ def test_tail_sums_are_the_thresholds_sums(bounds, warm_keys, budgets):
         days = make_days(rng.uniform(bounds.lambda_min, bounds.lambda_max, (3, bounds.horizon)))
         modes = ("timedep", "feasibility") if bounds.per_slot_min else ("timedep",)
         for mode in modes:
-            run_policy_days(days, params, *budgets, mode, bounds)
+            policy_outcomes(days, [params], [budgets], mode, bounds)
+            run_policy(days[0], params, *budgets, mode, bounds)
     fresh = dataclasses.replace(bounds)
     width = max(len(bounds.per_slot_min), bounds.horizon - bounds.t_start + 1) + 4
     for t in range(bounds.t_start, bounds.horizon + 2):

@@ -16,13 +16,13 @@ import socarb.conformal as conformal
 from oracles import reference_policy_outcomes, reference_run_policy
 from socarb import thresholds
 from socarb.backtest import parse_config, run_experiment, synthetic_day_matrix
-from socarb.market_data import DayMatrix, DayPrices, compute_bounds
+from socarb.market_data import BOUNDS_MODES, DayMatrix, DayPrices, compute_bounds
 from socarb.thresholds import (
     DISCHARGE,
     BatteryParams,
     build_schedule,
     policy_outcomes,
-    run_policy_days,
+    run_policy,
 )
 
 HORIZON = 8
@@ -51,18 +51,21 @@ def market():
 def test_batch_equals_reference_loop(market, mode, e0):
     # e0 at e_min / e_max blocks the first charge or discharge, and with
     # overlapping books (k >= 2) a blocked charge falls through to discharge
+    # the loop's trajectories, and the lanes' profit and terminal SoC
     days, bounds = market
     params = BatteryParams(0.0, 10.0, 2.0, e0, HORIZON)
+    budgets = list(itertools.product(BUDGETS, repeat=2))
+    profit, soc = policy_outcomes(days, [params], budgets, mode, bounds)
     fell_through = False
-    for k_ch, k_dis in itertools.product(BUDGETS, repeat=2):
-        batch = run_policy_days(days, params, k_ch, k_dis, mode, bounds)
-        assert len(batch) == len(days)
-        for day, traj in zip(days, batch):
+    for j, (k_ch, k_dis) in enumerate(budgets):
+        for n, day in enumerate(days):
+            traj = run_policy(day, params, k_ch, k_dis, mode, bounds)
             ref = reference_run_policy(day, params, k_ch, k_dis, mode, bounds)
             assert traj.actions == ref.actions
             assert traj.soc_path == ref.soc_path
             assert traj.cash_flows == ref.cash_flows
             assert traj.profit == ref.profit
+            assert (profit[0, j, n], soc[0, j, n]) == (ref.profit, ref.soc_path[-1])
             fell_through |= e0 == 10.0 and k_ch >= 2 and traj.actions[0] == DISCHARGE
     if e0 == 10.0 and mode == "static":
         assert fell_through
@@ -72,12 +75,12 @@ def test_ratio_overrides_match_reference(market):
     days, bounds = market
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
     for mode in MODES:
-        batch = run_policy_days(days, params, 3, 2, mode, bounds, alpha=1.5, omega=2.0)
+        loop = [run_policy(d, params, 3, 2, mode, bounds, alpha=1.5, omega=2.0) for d in days]
         ref = [
             reference_run_policy(d, params, 3, 2, mode, bounds, alpha=1.5, omega=2.0)
             for d in days
         ]
-        assert batch == ref
+        assert loop == ref
 
 
 def test_batch_validates_every_day(market):
@@ -85,10 +88,17 @@ def test_batch_validates_every_day(market):
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
     short = days[:3].last(HORIZON - 1)
     with pytest.raises(ValueError, match="slots but params.horizon"):
-        run_policy_days(short, params, 1, 1, "static", bounds)
-    with pytest.raises(ValueError, match="unknown threshold mode"):
-        run_policy_days(days, params, 1, 1, "sideways", bounds)
-    assert run_policy_days(DayMatrix((), []), params, 1, 1, "static", bounds) == []
+        policy_outcomes(short, [params], [(1, 1)], "static", bounds)
+    # a misspelt mode is refused, by the labeller too, and also where there is no lane
+    for run in (
+        lambda: policy_outcomes(days, [params], [(1, 1)], "sideways", bounds),
+        lambda: conformal.label_days(days, [params], bounds, 1, 1, "statc"),
+        lambda: conformal.label_days(DayMatrix((), []), [], bounds, 1, 1, "statc"),
+    ):
+        with pytest.raises(ValueError, match="unknown threshold mode 's"):
+            run()
+    profit, soc = policy_outcomes(DayMatrix((), []), [params], [(1, 1)], "static", bounds)
+    assert profit.shape == soc.shape == (1, 1, 0)
 
 
 @pytest.mark.parametrize("mode", ["timedep", "feasibility"])
@@ -100,9 +110,9 @@ def test_state_dependent_modes_need_bounds_of_the_day(mode):
     params = BatteryParams(0.0, 10.0, 2.0, 5.0, 6)
     message = re.escape("bounds cover slots 1..8 but the day spans 1..6")
     with pytest.raises(ValueError, match=message):
-        run_policy_days(days, params, 3, 3, mode, compute_bounds(long_days, 1, "per-hour"))
+        policy_outcomes(days, [params], [(3, 3)], mode, compute_bounds(long_days, 1, "per-hour"))
     own = compute_bounds(days, 1, "per-hour")
-    assert len(run_policy_days(days, params, 3, 3, mode, own)) == len(days)
+    assert policy_outcomes(days, [params], [(3, 3)], mode, own)[0].shape == (1, 1, len(days))
 
 
 @pytest.mark.parametrize("n_days", [1, 40])
@@ -118,13 +128,15 @@ def test_ratios_solved_once_per_batch(market, monkeypatch, n_days, mode):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(thresholds, "competitive_ratio", counting)
-    run_policy_days(days[:n_days], params, 3, 3, mode, bounds)
+    policy_outcomes(days[:n_days], [params], [(3, 3)], mode, bounds)
     assert len(calls) <= 2
 
 
-def test_large_static_batch_equals_reference_bit_for_bit(market):
+@pytest.mark.parametrize("mode", MODES)
+def test_large_batch_equals_reference_bit_for_bit(market, mode):
     # prices below zero give idle steps a cash flow of -0.0, which == cannot
-    # tell from 0.0 but repr can
+    # tell from 0.0 but repr can; 30:30 reads the timedep sums padded past the
+    # horizon, and the zero budgets leave a side without a threshold
     _, bounds = market
     rng = np.random.default_rng(11)
     days = DayMatrix.from_days(
@@ -134,11 +146,12 @@ def test_large_static_batch_equals_reference_bit_for_bit(market):
         ]
     )
     params = BatteryParams(0.0, 10.0, 2.0, 6.0, HORIZON)
-    batch = run_policy_days(days, params, 3, 3, "static", bounds)
-    assert len(batch) == len(days)
-    for day, traj in zip(days, batch):
-        ref = reference_run_policy(day, params, 3, 3, "static", bounds)
-        assert traj == ref and repr(traj) == repr(ref), day.day_id
+    budgets = [(3, 3), (0, 4), (5, 0), (30, 30)]
+    profit, soc = policy_outcomes(days, [params], budgets, mode, bounds)
+    for j, (k_ch, k_dis) in enumerate(budgets):
+        refs = [reference_run_policy(day, params, k_ch, k_dis, mode, bounds) for day in days]
+        assert repr(profit[0, j].tolist()) == repr([ref.profit for ref in refs]), (k_ch, k_dis)
+        assert repr(soc[0, j].tolist()) == repr([ref.soc_path[-1] for ref in refs]), (k_ch, k_dis)
 
 
 @st.composite
@@ -147,7 +160,8 @@ def lane_batches(draw):
 
     e0 takes e_min, e_max and off-lattice values, some within FEAS_EPS of a
     lattice that ends at a capacity limit; budgets run from 0 to past the
-    horizon; prices go below zero and hit book entries exactly.
+    horizon, and one budget is ten horizons; the bounds are per hour or the
+    global envelope; prices go below zero and hit book entries exactly.
     """
     horizon = draw(st.integers(1, 8))
     rate = draw(st.sampled_from([1.0, 2.0, 2.5]))
@@ -155,7 +169,7 @@ def lane_batches(draw):
     e0 = st.one_of(named, st.floats(0.0, 10.0))
     e0s = draw(st.lists(e0, min_size=1, max_size=3, unique=True))
     params_list = [BatteryParams(0.0, 10.0, rate, e0, horizon) for e0 in e0s]
-    budget = st.integers(0, horizon + 2)
+    budget = st.one_of(st.integers(0, horizon + 2), st.just(10 * horizon))
     budgets = draw(st.lists(st.tuples(budget, budget), min_size=1, max_size=4, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     history = DayMatrix.from_days(
@@ -164,7 +178,7 @@ def lane_batches(draw):
             for n in range(20)
         ]
     )
-    bounds = compute_bounds(history, 1, "per-hour")
+    bounds = compute_bounds(history, 1, draw(st.sampled_from(BOUNDS_MODES)))
     schedules = [build_schedule(bounds, k_ch, k_dis) for k_ch, k_dis in budgets]
     books = sorted({v for s in schedules for v in s.charge + s.discharge})
     price = st.floats(-20.0, 100.0)
@@ -184,14 +198,14 @@ def lane_batches(draw):
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=60, deadline=None)
 @given(batch=lane_batches())
-def test_every_lane_equals_run_policy_days(mode, batch):
+def test_every_lane_equals_run_policy(mode, batch):
     days, params_list, budgets, bounds = batch
     profit, soc = policy_outcomes(days, params_list, budgets, mode, bounds)
     assert profit.shape == soc.shape == (len(params_list), len(budgets), len(days))
     assert profit.dtype == soc.dtype == np.float64
     for i, params in enumerate(params_list):
         for j, (k_ch, k_dis) in enumerate(budgets):
-            trajs = run_policy_days(days, params, k_ch, k_dis, mode, bounds)
+            trajs = [run_policy(day, params, k_ch, k_dis, mode, bounds) for day in days]
             # repr also tells -0.0 from 0.0
             assert repr(profit[i, j].tolist()) == repr([traj.profit for traj in trajs])
             assert soc[i, j].tolist() == [traj.soc_path[-1] for traj in trajs]
@@ -208,25 +222,37 @@ def test_batteries_of_a_batch_differ_only_in_e0(market, field):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_batch_rejects_a_day_as_run_policy_days_does(market, mode):
+def test_batch_rejects_a_day_as_run_policy_does(market, mode):
     days, bounds = market
     params = BatteryParams(0.0, 10.0, 2.0, 4.0, HORIZON)
     batch = days[:3].last(HORIZON - 1)
     with pytest.raises(ValueError) as loop:
-        run_policy_days(batch, params, 1, 1, mode, bounds)
+        run_policy(batch[0], params, 1, 1, mode, bounds)
     with pytest.raises(ValueError) as lanes:
         policy_outcomes(batch, [params], [(1, 1)], mode, bounds)
     assert str(lanes.value) == str(loop.value) == "day has 7 slots but params.horizon=8"
 
 
+@pytest.mark.parametrize("lanes", ["no days", "no budget pair", "no battery"])
 @pytest.mark.parametrize("mode", MODES)
-def test_no_days_give_empty_lanes(market, mode):
-    _, bounds = market
+def test_no_days_give_empty_lanes(market, mode, lanes):
+    days, bounds = market
     params_list = [BatteryParams(0.0, 10.0, 2.0, e0, HORIZON) for e0 in (1.0, 5.0)]
-    profit, soc = policy_outcomes(
-        DayMatrix((), []), params_list, [(1, 1), (2, 0), (0, 3)], mode, bounds
-    )
-    assert profit.shape == soc.shape == (2, 3, 0)
+    budgets = [(1, 1), (2, 0), (0, 3)]
+    if lanes == "no days":
+        days = DayMatrix((), [])
+    elif lanes == "no budget pair":
+        budgets = []
+    else:
+        params_list = []
+    shape = (len(params_list), len(budgets), len(days))
+    profit, soc = policy_outcomes(days, params_list, budgets, mode, bounds)
+    assert profit.shape == soc.shape == shape
+    assert profit.dtype == soc.dtype == np.float64
+    if budgets:
+        features, labels = conformal.label_days(days, params_list, bounds, 2, 1, mode)
+        assert labels.shape == (len(params_list), len(days))
+        assert features is days.prices
 
 
 BACKTEST = """
@@ -253,8 +279,8 @@ def test_backtest_equals_the_per_lane_loop(monkeypatch, mode):
     config = parse_config(BACKTEST + f"threshold_mode = {mode}\n")
     batched = report_text(config)
     assert '"error"' not in batched
-    monkeypatch.setattr(bt, "policy_outcomes", reference_policy_outcomes)
-    monkeypatch.setattr(conformal, "policy_outcomes", reference_policy_outcomes)
+    monkeypatch.setattr(thresholds, "_run_lanes", oracles.reference_run_lanes)
+    monkeypatch.setattr(conformal, "_run_lanes", oracles.reference_run_lanes)
     assert report_text(config) == batched
 
 
@@ -305,37 +331,35 @@ def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
     assert run_experiment(config).payload["cells"] == cells
 
 
-def test_cqr_block_labels_each_day_set_once(monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_cqr_block_labels_each_day_set_once(monkeypatch, mode):
     """The CQR layer labels all its days in one batch, whole e0 sweep at once.
 
-    The batch steps the static kernel for the terminal SoC only: it records
-    no actions, so no profit is summed for it.
+    In every mode the batch is one call of the lane kernel, for the terminal
+    SoC only: the labeller sums no profit.
     """
-    config = parse_config(BACKTEST + "threshold_mode = static\n")
+    config = parse_config(BACKTEST + f"threshold_mode = {mode}\n")
     calls = []
 
-    def counted(days, params_list, budgets, bounds, actions=None):
-        calls.append((len(days), len(params_list), actions))
-        return static_lanes(days, params_list, budgets, bounds, actions)
+    def counted(days, params_list, budgets, threshold_mode, bounds):
+        calls.append((len(days), len(params_list), budgets, threshold_mode))
+        return run_lanes(days, params_list, budgets, threshold_mode, bounds)
 
-    def no_profits(*args):
-        raise AssertionError("the labeller summed profits")
-
-    static_lanes = thresholds._static_lanes
-    monkeypatch.setattr(conformal, "_static_lanes", counted)
-    monkeypatch.setattr(conformal, "policy_outcomes", no_profits)
+    run_lanes = thresholds._run_lanes
+    monkeypatch.setattr(conformal, "_run_lanes", counted)
     report = run_experiment(config).payload
-    # train, calibration and test days together, for all three batteries of the sweep
-    assert calls == [(60, 3, None)]
+    # train, calibration and test days together, for all three batteries of the
+    # sweep, at the first budget pair of k_grid
+    assert calls == [(60, 3, [(1, 1)], mode)]
     assert not any("error" in row for row in report["cqr"]["per_e0"].values())
-    assert "run_policy_days" not in vars(conformal)
+    assert "policy_outcomes" not in vars(conformal)
 
 
 def test_failed_batch_fails_its_window_as_the_loop_did(monkeypatch):
     """A window whose policy runs raise fails each of its cells with the message.
 
-    The loop path, where every (e0, budget pair) runs run_policy_days on its
-    own, gives the same cells when each of the window's runs raises.
+    The loop path, where every lane runs the reference policy on its own,
+    gives the same cells when each of the window's runs raises.
     """
     config = parse_config(BACKTEST + "threshold_mode = static\n")
     healthy = run_experiment(config).payload["cells"]
@@ -356,8 +380,13 @@ def test_failed_batch_fails_its_window_as_the_loop_did(monkeypatch):
             assert cell == {"error": "RuntimeError: policy run failed"}
         else:
             assert cell == healthy[key]
+    def failing_day(day, *args):
+        if len(day.values) == 6:
+            raise RuntimeError("policy run failed")
+        return reference_run_policy(day, *args)
+
     monkeypatch.setattr(bt, "policy_outcomes", reference_policy_outcomes)
-    monkeypatch.setattr(oracles, "run_policy_days", failing(run_policy_days))
+    monkeypatch.setattr(oracles, "reference_run_policy", failing_day)
     assert run_experiment(config).payload["cells"] == cells
 
 

@@ -253,6 +253,17 @@ def test_no_steps(mode):
     assert result.tau_star is None and result.q_table.shape == (0, 1, 1)
 
 
+@pytest.mark.parametrize("mode", THRESHOLD_MODES)
+def test_no_lanes_give_no_distributions(mode):
+    prices = DayMatrix(("a", "b"), [[20.0, 40.0, 60.0], [30.0, 50.0, 70.0]])
+    dist, bounds = fit_distribution(prices), compute_bounds(prices, 1)
+    assert policy_distributions([], dist, bounds, 2, 2, mode) == []
+    with pytest.raises(ValueError, match="unknown threshold mode 'statc'"):
+        policy_distributions([], dist, bounds, 2, 2, "statc")
+    steps = static_steps(dist, bounds, 2, 2) if mode == "static" else [ActionProbs(0.5, 0.25, 0.25)]
+    assert propagate_lanes([], steps, 2, 2) == []
+
+
 def test_static_steps_run_only_on_their_own_lattice():
     prices = DayMatrix(("a", "b"), [[20.0, 40.0, 60.0], [30.0, 50.0, 70.0]])
     dist, bounds = fit_distribution(prices), compute_bounds(prices, 1)

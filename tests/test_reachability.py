@@ -27,7 +27,8 @@ from socarb.thresholds import (
     IDLE,
     BatteryParams,
     build_schedule,
-    run_policy_days,
+    policy_outcomes,
+    run_policy,
 )
 
 from oracles import brute_force_distribution
@@ -80,7 +81,7 @@ class TestActionProbabilities:
         assert ap.gamma == pytest.approx(0.0, abs=1e-10)
         assert ap.alpha + ap.beta == pytest.approx(1.0)
 
-    def test_one_step_rule_matches_run_policy_days(self):
+    def test_one_step_rule_matches_run_policy(self):
         # k = 1 books from ratio overrides: u = lambda_max / alpha, l = lambda_min * omega
         bounds = PriceBounds(10.0, 100.0)
         params = BatteryParams(0.0, 10.0, 2.0, 5.0, 1)  # room to charge and to discharge
@@ -99,8 +100,10 @@ class TestActionProbabilities:
                     [DayPrices(f"d{i}", (float(x),)) for i, x in enumerate(prices)]
                 )
                 ap = action_probabilities(u, l, fit_distribution(days).cdf(1))
-                trajs = run_policy_days(days, params, 1, 1, "static", bounds, alpha, omega)
-                actions = [traj.actions[0] for traj in trajs]
+                actions = [
+                    run_policy(day, params, 1, 1, "static", bounds, alpha, omega).actions[0]
+                    for day in days
+                ]
                 for action, p in ((CHARGE, ap.alpha), (DISCHARGE, ap.beta), (IDLE, ap.gamma)):
                     assert abs(p - actions.count(action) / len(days)) <= 1e-15, (u, l, action)
         assert relations == {-1, 0, 1}  # u < l, u == l and u > l all occur
@@ -398,9 +401,7 @@ def test_propagated_terminal_cdf_matches_simulated_policy(simulated_market, e0, 
     bounds, dist, sim = simulated_market
     params = BatteryParams(0, 10, 2, e0, 24)
     soc = policy_distributions([params], dist, bounds, k, k, "static")[0]
-    terminal = np.array(
-        [traj.soc_path[-1] for traj in run_policy_days(sim, params, k, k, "static", bounds)]
-    )
+    terminal = policy_outcomes(sim, [params], [(k, k)], "static", bounds)[1][0, 0]
     # both CDFs step only at lattice points, so the sup is taken there
     propagated = np.cumsum(soc.m_masses[-1])
     simulated = np.array([np.mean(terminal <= e + 1e-9) for e in soc.grid])
@@ -412,7 +413,7 @@ def test_static_chain_is_the_executor_on_every_price_day():
     """Each step's (n_ch, n_dis) masses are the shares of all 3^T days that put the policy there.
 
     Every hour has three price samples, so the 3^T days that pick one of
-    each are equally likely, and ``run_policy_days`` runs them all.  The
+    each are equally likely, and ``run_policy`` runs them all.  The
     cases cover zero budgets, overlapping books (k >= 2), a charge that
     capacity blocks on a price at or below U[c] and at or above L[d], where
     the executor discharges, and prices equal to the thresholds.
@@ -437,7 +438,7 @@ def test_static_chain_is_the_executor_on_every_price_day():
         ):
             params = BatteryParams(0.0, 10.0, 2.0, e0, horizon)
             soc = policy_distributions([params], dist, bounds, k_ch, k_dis, "static")[0]
-            trajs = run_policy_days(every, params, k_ch, k_dis, "static", bounds)
+            trajs = [run_policy(day, params, k_ch, k_dis, "static", bounds) for day in every]
             actions = np.array([traj.actions for traj in trajs])
             c = np.cumsum(actions == CHARGE, axis=1)
             d = np.cumsum(actions == DISCHARGE, axis=1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socarb.market_data import DayMatrix, DayPrices, PriceBounds
+from socarb.market_data import DayPrices, PriceBounds
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -23,7 +23,6 @@ from socarb.thresholds import (
     feasibility_aware_thresholds,
     offline_opt,
     run_policy,
-    run_policy_days,
     run_with_discharge_reduction,
     search_ratios,
     static_charge_thresholds,
@@ -485,7 +484,7 @@ def test_running_sums_give_the_history_thresholds(mode):
 
 
 class TestStepPolicy:
-    """One step of ``run_policy_days`` from SoC ``e0`` against static books u_1, l_1."""
+    """One step of ``run_policy`` from SoC ``e0`` against static books u_1, l_1."""
 
     def step(self, e0, k_ch, k_dis, lam, u=30.0, l=60.0):
         # with k = 1 and ratios 2: u_1 = lambda_max / 2 and l_1 = 2 * lambda_min
@@ -493,10 +492,7 @@ class TestStepPolicy:
         bounds = const_bounds(l / 2.0, 2.0 * u, 1)
         schedule = build_schedule(bounds, k_ch, k_dis, alpha=2.0, omega=2.0)
         assert schedule.charge == (u,) * k_ch and schedule.discharge == (l,) * k_dis
-        [traj] = run_policy_days(
-            DayMatrix.from_days([day([lam])]), params, k_ch, k_dis, "static", bounds,
-            alpha=2.0, omega=2.0,
-        )
+        traj = run_policy(day([lam]), params, k_ch, k_dis, "static", bounds, alpha=2.0, omega=2.0)
         return traj.actions[0], traj.soc_path[1]
 
     def test_tie_triggers_charge(self):
