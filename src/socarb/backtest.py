@@ -11,20 +11,21 @@ A failed stage does not stop the run.  :func:`_attempt` holds its exception
 in place of its value, and :func:`_value` raises it again in each cell that
 reads the stage, which records it as an error row.  A cell records the first
 failure it reads: its e0's counting, its window (bounds and price
-distribution), then per budget pair its SoC distribution and the window's
-profit batch.  A CQR row records a failed fit or labelling, which every row
+distribution), then per budget pair the window's SoC distribution batch and
+its profit batch.  A CQR row records a failed fit or labelling, which every row
 shares, before its own coverage check.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
-from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from . import __version__
 from .conformal import evaluate_coverage, fit_conformal_models, label_days
 from .market_data import (
     BOUNDS_MODES,
+    DEFAULT_SPLIT,
     DayMatrix,
     compute_bounds,
     fit_distribution,
@@ -42,7 +44,6 @@ from .market_data import (
 from .reachability import (
     CHAIN_METHODS,
     POST_STOP_MODES,
-    SOC_FREE_MODES,
     TargetBand,
     policy_distributions,
     stopping_time,
@@ -280,73 +281,50 @@ def _value(result):
     return result
 
 
-def _policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
-    """One budget pair's SoC distribution per battery, or the failure in its place.
+def _window_cells(config, n, train, test, lattice_counts):
+    """The cells of the window of the last n steps, keyed as in the report.
 
-    Where the threshold rule never reads the SoC, the batteries share one
-    :func:`policy_distributions` batch, and its failure; otherwise each
-    battery is a batch of its own.
+    With a budget pair to run, the window is fitted once: bounds and price
+    distribution from the train days' last n steps, a column view of the
+    report's matrix, one :func:`policy_outcomes` batch for every (e0,
+    budget pair, test day) and, per budget pair, one
+    :func:`policy_distributions` batch of every e0, which decides which of
+    them share a chain.  A failed stage fails every cell that reads it.
+    Each e0 reads its SoC distribution and profit summary per budget pair
+    once, for all its bands.  The window's SoC distributions live only
+    while its cells are built.
     """
     mode = config.threshold_mode
-    groups = [batteries] if mode in SOC_FREE_MODES else [[params] for params in batteries]
-    lanes = []
-    for group in groups:
-        batch = _attempt(policy_distributions, group, dist, bounds, k_ch, k_dis, mode)
-        lanes += [_attempt(getitem, batch, i) for i in range(len(group))]
-    return lanes
-
-
-def _window_policies(config, batteries, train, test):
-    """Each battery's runs in the window of its last n steps, or the failure in their place.
-
-    A battery's runs map each budget pair to its SoC distribution and
-    test-day profits.  Bounds and distribution come from the train days'
-    last n steps, a column view of the report's matrix; one
-    :func:`policy_outcomes` batch runs every (battery, budget pair, test
-    day), and :func:`_policy_lanes` one reachability batch per budget pair.
-    A battery takes the first failure its policy runs hit: the window's, its
-    distribution's or the profit batch's, in that order.
-    """
-    if not config.k_grid:  # no budget pair, no policy to fit or run
-        return [{} for _ in batteries]
-    n = batteries[0].horizon
-    mode = config.threshold_mode
+    batteries = [replace(config.battery, e0=e0, horizon=n) for e0 in config.e0_sweep]
 
     def fit():
         train_w = train.last(n)
         bounds = compute_bounds(train_w, 1, config.bounds_mode)
         dist = fit_distribution(train_w)
         outcomes = _attempt(policy_outcomes, test.last(n), batteries, config.k_grid, mode, bounds)
-        return outcomes, [_policy_lanes(config, batteries, bounds, dist, *k) for k in config.k_grid]
-
-    window = _attempt(fit)
+        return outcomes, [
+            _attempt(policy_distributions, batteries, dist, bounds, k_ch, k_dis, mode)
+            for k_ch, k_dis in config.k_grid
+        ]
 
     def runs(i):
-        outcomes, per_pair = _value(window)
+        """Battery i's SoC distribution and test-day profit summary per budget pair."""
+        outcomes, batches = _value(window)
         run = {}
-        for j, ((k_ch, k_dis), lanes) in enumerate(zip(config.k_grid, per_pair)):
-            soc_dist = _value(lanes[i])
-            day_profits = _value(outcomes)[0][i, j].tolist()
-            profit = {
-                "mean": float(np.mean(day_profits)),
-                "min": float(np.min(day_profits)),
-                "max": float(np.max(day_profits)),
+        for j, ((k_ch, k_dis), batch) in enumerate(zip(config.k_grid, batches)):
+            soc_dist = _value(batch)[i]
+            profits = _value(outcomes)[0][i, j]
+            run[f"k={k_ch}x{k_dis}"] = soc_dist, {
+                "mean": float(np.mean(profits)),
+                "min": float(np.min(profits)),
+                "max": float(np.max(profits)),
             }
-            run[f"k={k_ch}x{k_dis}"] = soc_dist, profit
         return run
 
-    return [_attempt(runs, i) for i in range(len(batteries))]
-
-
-def _window_cells(config, n, train, test, lattice_counts):
-    """The cells of the window of the last n steps, keyed as in the report.
-
-    The window's SoC distributions live only while its cells are built.
-    """
-    batteries = [replace(config.battery, e0=e0, horizon=n) for e0 in config.e0_sweep]
-    window_runs = _window_policies(config, batteries, train, test)
+    window = _attempt(fit) if config.k_grid else None  # no budget pair, no policy to fit
     cells = {}
-    for e0, runs, counts in zip(config.e0_sweep, window_runs, lattice_counts):
+    for i, (e0, counts) in enumerate(zip(config.e0_sweep, lattice_counts)):
+        e0_runs = _attempt(runs, i) if config.k_grid else None
         for band in config.bands:
             key = f"{_e0_label(e0)}|{_band_label(band)}|steps={n}"
             try:
@@ -360,9 +338,9 @@ def _window_cells(config, n, train, test, lattice_counts):
                                 soc_dist, band, config.epsilon, config.post_stop_mode
                             ).tau_star,
                             "profit": dict(profit),
-                            "method": CHAIN_METHODS[config.threshold_mode],
+                            "method": CHAIN_METHODS[mode],
                         }
-                        for pair, (soc_dist, profit) in _value(runs).items()
+                        for pair, (soc_dist, profit) in _value(e0_runs).items()
                     }
                 cells[key] = cell
             except Exception as exc:  # recorded, not fatal
@@ -389,7 +367,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             )
     else:
         matrix = synthetic_day_matrix(config.synthetic_days, config.battery.horizon, config.seed)
-    n_train, n_calib, n_test = split_sizes(len(matrix), (0.6, 0.2, 0.2))
+    n_train, n_calib, n_test = split_sizes(len(matrix), DEFAULT_SPLIT)
     calib_end = n_train + n_calib
     train, test = matrix[:n_train], matrix[calib_end:]
 
@@ -519,12 +497,22 @@ PLOT_KINDS = {
 }
 
 
+def csv_text(header, rows) -> str:
+    """Rows as CSV text under their header, one line each; floats print as repr.
+
+    Every CSV table the package prints goes through here, so a cell that
+    holds a comma, a quote or a line break is quoted.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
+
+
 def plot_csv(kind: str, rows) -> str:
-    """One plot kind's rows as CSV text under its header; floats print as repr."""
-    lines = [",".join(PLOT_KINDS[kind][0])]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """One plot kind's rows as CSV text under its header."""
+    return csv_text(PLOT_KINDS[kind][0], rows)
 
 
 def emit_plot_data(report: Report, kind: str, path) -> None:

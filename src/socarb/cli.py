@@ -137,10 +137,9 @@ def cmd_thresholds(args) -> int:
     # a static schedule reads only the envelope of its bounds
     bounds = md.PriceBounds(args.lmin, args.lmax)
     schedule = th.build_schedule(bounds, args.kch, args.kdis, args.alpha, args.omega)
-    lines = ["index,side,value"]
-    lines += [f"{j},charge,{u!r}" for j, u in enumerate(schedule.charge, 1)]
-    lines += [f"{i},discharge,{l!r}" for i, l in enumerate(schedule.discharge, 1)]
-    _write(args, "\n".join(lines) + "\n")
+    rows = [(j, "charge", u) for j, u in enumerate(schedule.charge, 1)]
+    rows += [(i, "discharge", l) for i, l in enumerate(schedule.discharge, 1)]
+    _write(args, bt.csv_text(("index", "side", "value"), rows))
     _summary(alpha=schedule.alpha, omega=schedule.omega)
     return EXIT_OK
 
@@ -153,12 +152,9 @@ def cmd_simulate(args) -> int:
     params = _battery(args, len(day.values))
     bounds = md.compute_bounds(days, 1, args.bounds_mode)
     traj = th.run_policy(day, params, args.kch, args.kdis, args.mode, bounds)
-    lines = ["t,price,action,soc,cashflow"]
-    for t, (lam, a, e, c) in enumerate(
-        zip(day.values, traj.actions, traj.soc_path[1:], traj.cash_flows), start=1
-    ):
-        lines.append(f"{t},{lam!r},{a},{e!r},{c!r}")
-    _write(args, "\n".join(lines) + "\n")
+    steps = zip(day.values, traj.actions, traj.soc_path[1:], traj.cash_flows)
+    rows = [(t, *step) for t, step in enumerate(steps, start=1)]
+    _write(args, bt.csv_text(("t", "price", "action", "soc", "cashflow"), rows))
     _summary(profit=traj.profit, charges=traj.charges, discharges=traj.discharges)
     return EXIT_OK
 
@@ -191,13 +187,14 @@ def cmd_stop_time(args) -> int:
 
 def cmd_table1(args) -> int:
     band = _band(args.band)
-    lines = ["e0,band_lo,band_hi,steps,in_band,total,pct"]
     batteries = [_battery(args, n) for n in args.steps]  # every step count must be a horizon
     counts = rc.trajectory_counts(batteries[0], args.steps)
+    rows = []
     for n in args.steps:
         in_band, total, pct = counts(n, band)
-        lines.append(f"{args.e0!r},{band.lo!r},{band.hi!r},{n},{in_band},{total},{pct:.2f}")
-    _write(args, "\n".join(lines) + "\n")
+        rows.append((args.e0, band.lo, band.hi, n, in_band, total, f"{pct:.2f}"))
+    header = ("e0", "band_lo", "band_hi", "steps", "in_band", "total", "pct")
+    _write(args, bt.csv_text(header, rows))
     return EXIT_OK
 
 
@@ -214,12 +211,12 @@ def cmd_cqr(args) -> int:
         if args.clip and not args.emin < args.emax:
             raise ValueError(f"--emin {args.emin} must be below --emax {args.emax}")
         los, his = cf.predict_intervals(model, split.test.prices)
-        lines = ["day_id,lo,hi"]
+        rows = []
         for day_id, lo, hi in zip(split.test.day_ids, los.tolist(), his.tolist()):
             lo = max(lo, args.emin) if args.clip else lo
             hi = min(hi, args.emax) if args.clip else hi
-            lines.append(f"{day_id},{lo!r},{hi!r}")
-        _write(args, "\n".join(lines) + "\n")
+            rows.append((day_id, lo, hi))
+        _write(args, bt.csv_text(("day_id", "lo", "hi"), rows))
         return EXIT_OK
     params = _battery(args, days.horizon)
     bounds = md.compute_bounds(split.train, 1, args.bounds_mode)
@@ -338,11 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cqr", help="conformalized quantile regression pipeline")
     cqr_sub = p.add_subparsers(dest="cqr_cmd", required=True)
+    split = ",".join(map(str, md.DEFAULT_SPLIT))
     for name in ("train", "calibrate", "predict", "evaluate"):
         flags = _add_capacity_args if name == "predict" else _add_policy_args
         q = _command(cqr_sub, name, cmd_cqr, _add_days_args, flags)
         q.add_argument("--shuffle", action="store_true")
-        q.add_argument("--split", default="0.6,0.2,0.2", help="train,calib,test ratios")
+        q.add_argument("--split", default=split, help="train,calib,test ratios")
         if name in ("train", "calibrate"):
             q.add_argument("--epsilon", type=float, default=0.1)
         if name == "train":

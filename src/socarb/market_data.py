@@ -487,6 +487,10 @@ def fit_distribution(days: DayMatrix) -> PriceDistribution:
     return PriceDistribution(tuple(EmpiricalCdf(column) for column in matrix.T))
 
 
+# the train, calibration and test shares of the days, wherever none are given
+DEFAULT_SPLIT = (0.6, 0.2, 0.2)
+
+
 def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
     """Train, calibration and test sizes of n days: ``floor(n * ratio)``, the rest to train."""
     for name, r in zip(("train", "calib", "test"), ratios):
@@ -507,7 +511,7 @@ def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, i
 
 def split_dataset(
     days: DayMatrix,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT,
     seed: int = 0,
     shuffled: bool = False,
 ) -> DatasetSplit:

@@ -38,6 +38,7 @@ import functools
 import itertools
 import logging
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -78,6 +79,12 @@ class BatteryParams:
             raise ValueError(f"e0={self.e0} outside [{self.e_min}, {self.e_max}]")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        # offsets is a range, whose len() must fit in an index
+        if not (self.e_max - self.e_min) / self.rate < sys.maxsize:
+            raise ValueError(
+                f"rate {self.rate!r} is too small: the SoC lattice from e_min to e_max "
+                "would have more levels than an index can count"
+            )
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 

@@ -6,10 +6,16 @@ from functools import partial
 
 import numpy as np
 
-from socarb import backtest
 from socarb.conformal import CoverageReport
 from socarb.market_data import DayPrices
-from socarb.reachability import BAND_EPS, POST_STOP_MODES, ActionProbs, StaticStep, TargetBand
+from socarb.reachability import (
+    BAND_EPS,
+    POST_STOP_MODES,
+    ActionProbs,
+    StaticStep,
+    TargetBand,
+    policy_distributions,
+)
 from socarb.thresholds import (
     CHARGE,
     DISCHARGE,
@@ -402,23 +408,18 @@ def reference_trajectory_counts(params: BatteryParams, steps) -> partial:
     return partial(reference_count_feasible_trajectories, params)
 
 
-def reference_policy_lanes(config, batteries, bounds, dist, k_ch, k_dis):
-    """One budget pair's SoC distribution per battery, each from its own policy run.
+def reference_policy_distributions(lanes, dist, bounds, k_ch, k_dis, threshold_mode):
+    """Each battery's SoC distribution from a policy run of its own.
 
-    Oracle for ``socarb.backtest._policy_lanes``, which shares one
-    propagation batch across a window's batteries: here each (e0, budget
-    pair) runs its policy alone, through the ``policy_distributions`` that
-    ``socarb.backtest`` binds, and a failure takes only its battery's place.
+    Oracle for :func:`socarb.reachability.policy_distributions`, which lets
+    the batteries whose rule never reads the SoC share one chain: patched
+    into ``socarb.backtest``, every (e0, budget pair) propagates alone.
     """
-    mode = config.threshold_mode
-    lanes = []
-    for params in batteries:
-        try:
-            [soc_dist] = backtest.policy_distributions([params], dist, bounds, k_ch, k_dis, mode)
-            lanes.append(soc_dist)
-        except Exception as exc:
-            lanes.append(exc)
-    return lanes
+    return [
+        soc_dist
+        for params in lanes
+        for soc_dist in policy_distributions([params], dist, bounds, k_ch, k_dis, threshold_mode)
+    ]
 
 
 @dataclass(frozen=True)

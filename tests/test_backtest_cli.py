@@ -338,9 +338,11 @@ class TestRunExperiment:
         ):
             out = tmp_path / f"{kind}.csv"
             emit_plot_data(report, kind, out)
-            lines = out.read_text().strip().splitlines()
-            assert len(lines) > 1
-            assert len(lines[0].split(",")) == n_cols
+            # a profit-curve cell key holds commas, which the CSV quotes
+            with out.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            assert [len(row) for row in rows] == [n_cols] * len(rows), kind
 
     def test_qt_curve_has_horizon_rows(self, report, tmp_path):
         out = tmp_path / "qt.csv"
@@ -582,6 +584,21 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"validation error: {field} must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reach", "--synthetic", "30", "--horizon", "6", "--band", "3,8"],
+         ["table1", "--band", "3,8", "--steps", "4"]],
+    )
+    def test_rate_too_small_to_index_exits_with_validation_error(self, capsys, argv):
+        # 10 / 1e-300 lattice levels: len() of the offsets range would overflow
+        assert main(argv + ["--rate", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: rate 1e-300 is too small: the SoC lattice from e_min to "
+            "e_max would have more levels than an index can count\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -896,6 +913,24 @@ class TestCli:
                 lo, hi = max(lo, 0.0), min(hi, 10.0)
             lines.append(f"{day.day_id},{lo!r},{hi!r}")
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_cqr_predict_quotes_day_ids_that_hold_commas(self, tmp_path, trained_model):
+        days = synthetic_day_matrix(60, 6, 0)
+        days = DayMatrix(tuple(f"day,{i:04d}" for i in range(len(days))), days.prices)
+        matrix_path = tmp_path / "days.csv"
+        export_day_matrix(days, matrix_path)
+        out = tmp_path / "pred.csv"
+        argv = ["cqr", "predict", "--days", str(matrix_path), "--model", str(trained_model),
+                "--out", str(out)]
+        assert main(argv) == 0
+        model = ConformalModel.from_json(trained_model.read_text())
+        expected = [["day_id", "lo", "hi"]]
+        for day in split_dataset(days, (0.6, 0.2, 0.2)).test:
+            lo, hi = reference_predict_interval(model, day_features(day))
+            expected.append([day.day_id, repr(lo), repr(hi)])
+        with out.open(newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+        assert out.read_text().splitlines()[1].startswith('"day,0048",')
 
     @pytest.mark.parametrize("emin, emax", [("5", "5"), ("nan", "10"), ("0", "nan")])
     def test_cqr_predict_clip_needs_emin_below_emax(

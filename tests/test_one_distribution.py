@@ -160,8 +160,7 @@ def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
     assert per_bands["5:7"] == per_bands["5:7, 3:8, 2:9"] == {
         "compute_bounds": windows + 1,  # and once for the plot and CQR blocks together
         "fit_distribution": windows + 1,  # and once for the plot block
-        # the static rule never reads the SoC: one batch per window and budget pair,
-        # plus the plot block's one distribution
+        # one batch per window and budget pair, plus the plot block's one distribution
         "policy_distributions": windows * budgets + 1,
         "propagate_lanes": windows * budgets + 1,
         "policy_outcomes": windows,  # one batch runs every e0 and budget pair of a window
@@ -171,16 +170,19 @@ def test_band_free_stages_run_once_per_window_e0_and_budget(monkeypatch):
 
 @pytest.mark.parametrize("mode, per_e0", [("timedep", False), ("feasibility", True)])
 def test_state_dependent_modes_batch_as_far_as_their_rule_allows(monkeypatch, mode, per_e0):
-    """Timedep thresholds never read the SoC and share one batch; feasibility ones do not."""
+    """One distribution batch per window and budget pair, as in static mode.
+
+    Timedep thresholds never read the SoC, and the batch's e0 share one chain;
+    feasibility ones do, and each e0 propagates its own.
+    """
     counts = counted_stages(monkeypatch, GRID + f"threshold_mode = {mode}\n")
     windows, e0s, budgets = 3, 3, 2
-    batches = windows * budgets * (e0s if per_e0 else 1)
-    assert counts["policy_distributions"] == batches + 1
-    assert counts["propagate_lanes"] == batches + 1
+    assert counts["policy_distributions"] == windows * budgets + 1
+    assert counts["propagate_lanes"] == windows * budgets * (e0s if per_e0 else 1) + 1
 
 
 def test_soc_free_modes_give_every_e0_the_same_probabilities():
-    """The modes whose chain the backtest shares across e0, and only those, never read e."""
+    """Only the modes whose chain policy_distributions shares across e0 never read e."""
     days = synthetic_day_matrix(60, 24, 7)
     dist, bounds = fit_distribution(days), compute_bounds(days, 1, "per-hour")
     e0s = (1.0, 3.0, 5.0, 7.0, 9.0)

@@ -289,13 +289,13 @@ def test_backtest_equals_the_per_lane_loop(monkeypatch, mode):
 def test_backtest_equals_the_per_cell_reachability_path(monkeypatch, mode, post_stop):
     """Per-window lane batches, the lazy stopping time and shared counts change no byte.
 
-    The oracle path runs each (e0, budget pair)'s policy on its own, sums every
-    Q_t, and counts every cell with its own DP.
+    The oracle path propagates each (e0, budget pair)'s policy on its own, sums
+    every Q_t, and counts every cell with its own DP.
     """
     config = parse_config(BACKTEST + f"threshold_mode = {mode}\npost_stop = {post_stop}\n")
     batched = report_text(config)
     assert '"error"' not in batched
-    monkeypatch.setattr(bt, "_policy_lanes", oracles.reference_policy_lanes)
+    monkeypatch.setattr(bt, "policy_distributions", oracles.reference_policy_distributions)
     monkeypatch.setattr(bt, "stopping_time", oracles.eager_stopping_time)
     monkeypatch.setattr(bt, "trajectory_counts", oracles.reference_trajectory_counts)
     assert report_text(config) == batched
@@ -303,32 +303,30 @@ def test_backtest_equals_the_per_cell_reachability_path(monkeypatch, mode, post_
 
 @pytest.mark.parametrize("mode", MODES)
 def test_policy_failure_fails_the_batteries_it_reaches(monkeypatch, mode):
-    """A failed SoC distribution batch fails the cells of every battery that shares it.
+    """A failed SoC distribution batch fails the cells of every e0 in its window.
 
-    Static and timedep batteries share one run per window and budget pair,
-    as their rules never read the SoC, and it fails them all; a feasibility
-    run is a battery's own, and fails only that battery's cells, as on the
-    per-cell path.
+    In every mode one batch per window and budget pair holds the whole e0
+    sweep, so the failed batch that holds e0 = 3.3 at one budget pair fails
+    each cell of its window, and every other cell keeps its healthy value.
     """
     config = parse_config(BACKTEST + f"threshold_mode = {mode}\n")
     healthy = run_experiment(config).payload["cells"]
-    shared = mode != "feasibility"
 
-    def failing(lanes, *args):
-        if lanes[0].horizon == 6 and (shared or lanes[0].e0 == 3.3):
-            raise RuntimeError("policy failed")
-        return original(lanes, *args)
+    def window_six_pair_2x3(lanes, dist, bounds, k_ch, k_dis, threshold_mode):
+        holds_3_3 = any(params.e0 == 3.3 for params in lanes)
+        return lanes[0].horizon == 6 and (k_ch, k_dis) == (2, 3) and holds_3_3
 
-    original = bt.policy_distributions
-    monkeypatch.setattr(bt, "policy_distributions", failing)
+    monkeypatch.setattr(
+        bt,
+        "policy_distributions",
+        failing_where(bt.policy_distributions, "policy failed", window_six_pair_2x3),
+    )
     cells = run_experiment(config).payload["cells"]
-    for key, cell in cells.items():
-        if key.endswith("|steps=6") and (shared or key.startswith("e0=3.3|")):
-            assert cell == {"error": "RuntimeError: policy failed"}, key
-        else:
-            assert cell == healthy[key], key
-    monkeypatch.setattr(bt, "_policy_lanes", oracles.reference_policy_lanes)
-    assert run_experiment(config).payload["cells"] == cells
+    assert_cells(
+        cells,
+        healthy,
+        lambda key: "RuntimeError: policy failed" if key.endswith("|steps=6") else None,
+    )
 
 
 @pytest.mark.parametrize("mode", MODES)
