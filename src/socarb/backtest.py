@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import evaluate_coverage, fit_conformal_models, label_days
+from .conformal import EPOCHS, evaluate_coverage, fit_conformal_models, label_days
 from .market_data import (
     BOUNDS_MODES,
     DEFAULT_SPLIT,
@@ -225,7 +225,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=get("seed", 0, int),
         data_path=get("data.day_matrix") or None,
         synthetic_days=get("synthetic.n_days", 120, int),
-        cqr_epochs=get("cqr.epochs", 400, int),
+        cqr_epochs=get("cqr.epochs", EPOCHS, int),
     )
 
 

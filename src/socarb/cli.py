@@ -344,7 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("train", "calibrate"):
             q.add_argument("--epsilon", type=float, default=0.1)
         if name == "train":
-            q.add_argument("--epochs", type=int, default=400)
+            q.add_argument(
+                "--epochs",
+                type=int,
+                default=cf.EPOCHS,
+                help="cap on the quantile LP solver's iterations; 0 keeps the untrained start",
+            )
         else:
             q.add_argument("--model", required=True, help="model JSON path")
         if name == "predict":
@@ -386,6 +391,11 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         sys.stderr.write(f"validation error: {_one_line(exc)}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # inputs too large to hold, such as a rate whose SoC lattice has
+        # billions of levels, are refused like any other invalid input
+        sys.stderr.write(f"validation error: out of memory: {_one_line(exc) or 'MemoryError'}\n")
         return EXIT_VALIDATION
 
 

@@ -1,7 +1,7 @@
 """Conformalized quantile regression for the terminal state of charge.
 
 Fits linear lower/upper quantile predictors of the policy's terminal SoC via
-pinball loss, calibrates a split-conformal width on held-out days, and emits
+ℓ1-penalised pinball loss, calibrates a split-conformal width on held-out days, and emits
 prediction intervals plus band certificates with empirical coverage metrics.
 Days come in as one ``DayMatrix`` per split; :func:`label_days` turns one
 into features and labels, and everything after it works on those arrays.
@@ -90,30 +90,310 @@ def label_days(
     return days.prices, soc[:, 0]
 
 
+# the one default cap on the CQR solver's iterations: library, CLI and config
+EPOCHS = 400
+# a model stops once its duality gap is at most this share of 1 + |its dual
+# objective|; each step goes this share of the way to the nearest bound
+_GAP_TOL = 1e-6
+_STEP = 0.9995
+# the ℓ1 weight of :func:`l1_penalty`: the chance that noise alone would move
+# a slope, and the margin over the noise.  Belloni & Chernozhukov take 1.1;
+# on lattice labels 2 gave no lower band-certificate rate than 1.1 or 3 in any
+# desk-grid or golden report (CHANGES.md), and coverage holds at any margin
+PENALTY_LEVEL = 0.1
+PENALTY_MARGIN = 2.0
+
+
+def _pinball(x1, y, up, down, weights):
+    """Each model's summed loss at its weights, one product per model.
+
+    A row costs ``up`` per unit its label lies above the fit and ``down`` per
+    unit below: θ and 1 - θ on a data row, which is the pinball loss, and 1
+    both ways on a penalty row.
+    """
+    resid = y - np.matmul(x1[None], weights[:, :, None])[:, :, 0]
+    return np.add.reduce(np.maximum(up * resid, -down * resid), axis=1)
+
+
+def _independent_columns(gram, order):
+    """The columns in ``order`` that are independent of the ones kept before them.
+
+    A column is kept when its part orthogonal to the kept ones has a squared
+    norm above 1e-10 of its own: the last pivot of a Cholesky factor of
+    their Gram matrix.  A Cholesky factor, not an SVD or eigenvalues: those
+    LAPACK routines raise a report's peak memory.
+    """
+    size = np.diagonal(gram)
+    kept = []
+    for j in order:
+        try:
+            last = np.linalg.cholesky(gram[np.ix_(kept + [j], kept + [j])])[-1, -1] ** 2
+        except np.linalg.LinAlgError:
+            continue
+        if last > 1e-10 * size[j]:
+            kept.append(j)
+    return sorted(kept)
+
+
+def _solve(matrices, rhs):
+    """``np.linalg.solve`` of each stacked system as if solved alone; NaN where singular."""
+    try:
+        return np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError:
+        if len(matrices) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve(m[None], b[None]) for m, b in zip(matrices, rhs)])
+
+
+def _room(v, dv):
+    """Per model, the longest step along ``dv`` that keeps every entry of ``v`` non-negative."""
+    return np.where(dv < 0.0, v / -dv, np.inf).min(axis=1)
+
+
+def _steps(a, s, z, w, dx, dz, dw):
+    """The primal and the dual step of m models.
+
+    Each goes ``_STEP`` of the way to the nearest bound, and at most 1.
+    """
+    primal = np.minimum(_room(a, dx), _room(s, -dx))
+    dual = np.minimum(_room(z, dz), _room(w, dw))
+    return np.minimum(_STEP * primal, 1.0), np.minimum(_STEP * dual, 1.0)
+
+
+def _newton_step(x1, xt, state, dual):
+    """One Frisch–Newton iteration of m models: predictor, then Mehrotra's corrector.
+
+    ``state`` stacks the primal a, its slack s = u - a to its upper bound
+    and the dual slacks z and w of the two bounds, each (m, n); ``xt`` is
+    ``x1.T`` in C order.
+    The corrector replaces the predictor of each model whose predictor step
+    a bound cuts short, as in Koenker's ``lp_fnm``.  Every array is (m, n)
+    or smaller, and each one a step no longer needs is dropped, so that
+    the solver's peak memory stays near that of a handful of label arrays.
+    """
+    a, s, z, w = state
+    za, ws = z / a, w / s
+    q = 1.0 / (za + ws)
+    # one model at a time: a (m, p, n) stack of scaled rows would be the
+    # largest array of a report
+    normal = np.stack([(xt * qi) @ x1 for qi in q])
+
+    def direction(rhs):
+        """The Newton move of the dual (m, p) and of a (m, n) for ``rhs``."""
+        # an explicit (m, p, 1) right-hand side: a stack of columns in every numpy
+        dy = _solve(normal, np.matmul(xt, (q * rhs)[:, :, None]))
+        return dy[:, :, 0], q * (np.matmul(x1, dy)[:, :, 0] - rhs)
+
+    def slack_moves(dx, dxdz=0.0, dsdw=0.0, mu=0.0):
+        """The moves of z and w that go with the move ``dx`` of a."""
+        return mu / a - z - za * dx - dxdz, mu / s - w + ws * dx - dsdw
+
+    r = z - w
+    dy, dx = direction(r)
+    dz, dw = slack_moves(dx)
+    fp, fd = _steps(a, s, z, w, dx, dz, dw)
+    short = np.minimum(fp, fd) < 1.0
+    if short.any():
+        # centred by how much of the complementarity the predictor would leave
+        mu = (z * a + w * s).sum(axis=1)
+        left = (z + fd[:, None] * dz) * (a + fp[:, None] * dx)
+        left += (w + fd[:, None] * dw) * (s - fp[:, None] * dx)
+        mu = (mu * (left.sum(axis=1) / mu) ** 3 / (2 * len(x1)))[:, None]
+        del left
+        dxdz, dsdw = dx * dz, -dx * dw
+        dy_c, dx_c = direction(r + dxdz - dsdw - mu * (1.0 / a - 1.0 / s))
+        dz_c, dw_c = slack_moves(dx_c, dxdz, dsdw, mu)
+        del dxdz, dsdw
+        fp_c, fd_c = _steps(a, s, z, w, dx_c, dz_c, dw_c)
+        if short.all():
+            dy, dx, dz, dw, fp, fd = dy_c, dx_c, dz_c, dw_c, fp_c, fd_c
+        else:
+            pick = short[:, None]
+            dy, dx, dz, dw = (
+                np.where(pick, c, p) for c, p in ((dy_c, dy), (dx_c, dx), (dz_c, dz), (dw_c, dw))
+            )
+            fp, fd = np.where(short, fp_c, fp), np.where(short, fd_c, fd)
+        del dy_c, dx_c, dz_c, dw_c
+    fp, fd = fp[:, None], fd[:, None]
+    new = np.empty_like(state)
+    moves = ((a, fp, dx), (s, -fp, dx), (z, fd, dz), (w, fd, dw))
+    for out, (base, step, move) in zip(new, moves):
+        np.multiply(step, move, out=out)
+        out += base
+    return new, dual + fd * dy
+
+
+def _start(x1, xt, y, up, down):
+    """The least-squares start: a at ``down``, and dual slacks z - w = r both lifted by 0.001.
+
+    The lift leaves neither slack at 0 where a residual is 0 up to rounding.
+    """
+    gram = np.broadcast_to(xt @ x1, (len(y), len(xt), len(xt)))
+    dual = -np.linalg.solve(gram, np.matmul(xt, y[:, :, None]))[:, :, 0]
+    r = -y - np.matmul(x1, dual[:, :, None])[:, :, 0]
+    z = np.maximum(r, 0.0) + 0.001
+    return np.stack([down, up, z, z - r]), dual
+
+
+def _frisch_newton(x1, y, up, down, iterations):
+    """The (k, p) weights of k LPs over one full-column-rank design ``x1``.
+
+    Each model minimises its :func:`_pinball` loss through Koenker's dual of
+    quantile regression: minimise -y·a subject to x1ᵀa = x1ᵀ·down and
+    0 ≤ a ≤ up + down, by the Frisch–Newton primal–dual interior point
+    (Portnoy & Koenker, Statistical Science 1997).  The multipliers of the
+    equality are the negated weights.  A model stops once its duality gap
+    is at most ``_GAP_TOL`` of 1 + |its dual objective|, or at its last
+    finite iterate; no model runs more than ``iterations`` steps.  No
+    model's arithmetic reads another's, so each comes out as if solved alone.
+    """
+    xt = np.ascontiguousarray(x1.T)
+    state, dual = _start(x1, xt, y, up, down)
+    b = np.matmul(xt, down[:, :, None])[:, :, 0]
+    upper = up + down
+
+    def running(live, state, dual):
+        """The models of ``live`` whose duality gap is still above the tolerance."""
+        a, w = state[0], state[3]
+        gap = (upper[live] * w).sum(axis=1) - (y[live] * a).sum(axis=1)
+        gap -= (b[live] * dual).sum(axis=1)
+        objective = (y[live] * (a - down[live])).sum(axis=1)
+        return live[gap > _GAP_TOL * (1.0 + np.abs(objective))]
+
+    live = running(np.arange(len(y)), state, dual)
+    with np.errstate(all="ignore"):
+        for _ in range(iterations):
+            if live.size == 0:
+                break
+            # every model still runs in most iterations: then no copy is made
+            whole = live.size == len(y)
+            new_state, new_dual = _newton_step(
+                x1, xt, state if whole else state[:, live], dual if whole else dual[live]
+            )
+            finite = np.isfinite(new_state).all(axis=(0, 2)) & np.isfinite(new_dual).all(axis=1)
+            if not finite.all():
+                live, new_state, new_dual = live[finite], new_state[:, finite], new_dual[finite]
+            state[:, live], dual[live] = new_state, new_dual
+            live = running(live, new_state, new_dual)
+    return -dual
+
+
+def _vertex(x1, y, rows, base):
+    """Weights that fit each model's labels exactly on its p ``rows``: NaN where singular.
+
+    Solved for the labels less ``base`` (k, 1) on each row that has an
+    intercept, so that a basis whose labels all equal ``base`` gives slopes
+    of exactly 0; the intercept is the last column.
+    """
+    picked = np.take_along_axis(y - base * x1[:, -1], rows, axis=1)[:, :, None]
+    vertex = _solve(x1[rows], picked)[:, :, 0]
+    vertex[:, -1] += base[:, 0]
+    return vertex
+
+
+def _purify(x1, y, up, down, weights):
+    """The basis rows of a vertex reached from ``weights`` without raising the loss.
+
+    From the point, each of p moves goes along a direction that keeps the
+    rows found so far at zero residual and does not raise the loss, as far
+    as the first row whose residual it brings to zero; that row joins the
+    basis.  The loss is linear up to that row, so the vertex reached loses
+    no more than the point did.  None if some move finds no such row.
+    """
+    p = x1.shape[1]
+    resid = y - x1 @ weights
+    sizes = np.sqrt((x1 * x1).sum(axis=1))
+    basis = []
+    for _ in range(p):
+        # a direction in the null space of the basis rows
+        delta = np.linalg.svd(x1[basis])[2][-1] if basis else np.eye(p)[-1]
+        s = x1 @ delta
+        if np.dot(np.where(resid > 0.0, up, -down), s) < 0.0:
+            delta, s = -delta, -s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where((resid * s >= 0.0) & (np.abs(s) > 1e-9 * sizes), resid / s, np.inf)
+        row = int(np.argmin(reach))
+        if not np.isfinite(reach[row]):
+            return None
+        resid = resid - reach[row] * s
+        basis.append(row)
+    return basis
+
+
+def _crossover(x1, y, up, down, weights):
+    """Move each interior-point model to a basic solution where that loses nothing.
+
+    A model's basis is its p rows of smallest |residual|.  Where that
+    vertex loses against the interior point (its rows repeat a direction,
+    the optimum is not unique, or the interior point stopped early), the
+    basis is the one :func:`_purify` reaches from the interior point.  A
+    vertex replaces the interior point only if its loss is no
+    worse, up to the rounding of the loss sum (1e-12 of the summed
+    |labels|).  An interior point inside a face of optima carries the
+    rounding of every iterate; a vertex is one small square solve, and it
+    moves only where the rounding changes which rows are chosen.
+    """
+    p = x1.shape[1]
+    resid = y - np.matmul(x1[None], weights[:, :, None])[:, :, 0]
+    order = np.argsort(np.abs(resid), axis=1, kind="stable")
+    # the first basis row's label
+    base = np.take_along_axis(y, order[:, :1], axis=1)
+    vertex = _vertex(x1, y, order[:, :p], base)
+    limit = _pinball(x1, y, up, down, weights) + 1e-12 * np.add.reduce(np.abs(y), axis=1)
+    keep = _pinball(x1, y, up, down, vertex) <= limit
+    for i in np.flatnonzero(~keep):
+        one = slice(i, i + 1)
+        rows = _purify(x1, y[i], up[i], down[i], weights[i])
+        if rows is not None:
+            retry = _vertex(x1, y[one], np.array([rows]), base[one])
+            if _pinball(x1, y[one], up[one], down[one], retry)[0] <= limit[i]:
+                vertex[i], keep[i] = retry[0], True
+    return np.where(keep[:, None], vertex, weights)
+
+
+def l1_penalty(n: int, d: int, theta: float) -> float:
+    """The ℓ1 weight of the slopes of a level-θ fit on n rows of d standardized features.
+
+    The pivotal rule of Belloni & Chernozhukov (Annals of Statistics, 2011):
+    at the true quantile each feature's pinball subgradient is a sum of n
+    terms of variance θ(1 - θ), and the weight
+    ``PENALTY_MARGIN·sqrt(θ(1 - θ)·n)·Φ⁻¹(1 - PENALTY_LEVEL / 2d)`` exceeds
+    all d of them but with probability about ``PENALTY_LEVEL``.  So a slope
+    enters the fit only where it lowers the loss by more than its noise can.
+    """
+    # Φ⁻¹ by bisection on math.erfc: ``statistics.NormalDist`` would import
+    # ``decimal`` and ``fractions`` and raise a report's peak memory
+    tail, lo, hi = PENALTY_LEVEL / (2 * max(d, 1)), 0.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2.0)) > tail else (lo, mid)
+    return PENALTY_MARGIN * math.sqrt(theta * (1.0 - theta) * n) * lo
+
+
 def train_quantile_models(
-    features: np.ndarray,
-    labels: np.ndarray,
-    thetas,
-    epochs: int = 600,
-    step0: float | None = None,
-    return_history: bool = False,
-):
-    """k linear quantile predictors fit in lock-step over one feature matrix.
+    features, labels, thetas, epochs: int = EPOCHS, penalty: float = 0.0
+) -> np.ndarray:
+    """k linear quantile predictors over one feature matrix, each an exact LP minimiser.
 
-    Row i of ``labels`` (k, n) is fit at level ``thetas[i]`` by deterministic
-    full-batch subgradient descent on the pinball loss.  Each intercept starts
-    at the empirical theta-quantile of its labels.  Each model keeps its own
-    step.  A move is kept when it raises that model's epoch loss by at most
-    1e-15; otherwise it is dropped and the step halves.  ``step0`` is the
-    start step of every model, finite and positive; None starts each at its
-    own label spread.  Returns the (k, d + 1) weights, intercept last, plus
-    the k per-epoch loss traces when ``return_history``.  Features must
-    already be standardized.
+    Row i of ``labels`` (k, n) is fit at level ``thetas[i]``: its weights
+    minimise the summed pinball loss plus ``penalty`` times the summed
+    |slopes|, a linear program.  The penalty is d more rows λ·e_j, one per
+    slope, of label 0 and cost 1 both ways (see :func:`_pinball`), as in
+    Koenker's ``rq.fit.lasso``; at 0, the plain LP, no row is added.  All k
+    programs are solved together by :func:`_frisch_newton` in at most
+    ``epochs`` iterations, then each model crosses over to a basic solution
+    (see :func:`_crossover`).  The LP's columns are the intercept
+    and every feature column independent of it and of the columns before; a
+    column left out gets weight 0.  With fewer rows than features plus one
+    the unpenalised LP only interpolates and its weights are not identified,
+    so then no feature column enters: the models are intercept-only, at a θ
+    order statistic of their labels.  ``epochs = 0`` returns the untrained
+    start: zero slopes and the intercept at the labels' θ-quantile.
+    Returns (k, d + 1) weights, intercept last.  Features must already be
+    standardized.
 
-    Model i comes out bit for bit as if fit alone: every product is one
-    matrix-vector product per model over a broadcast view of the features
-    (a (n, d) @ (d, k) product rounds differently), and every per-model sum
-    reduces one row of a C-ordered (k, n) array.
+    Model i comes out bit for bit as if fit alone: every product and solve
+    is one per model, and every per-model sum reduces one row.
     """
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1 or not np.all((th > 0.0) & (th < 1.0)):
@@ -124,78 +404,42 @@ def train_quantile_models(
         raise ValueError(f"epochs must be an integer, got {epochs!r}") from None
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
-    if step0 is not None and not (math.isfinite(step0) and step0 > 0.0):
-        raise ValueError(f"step0 must be finite and positive, got {step0!r}")
+    if not (math.isfinite(penalty) and penalty >= 0.0):
+        raise ValueError(f"penalty must be finite and non-negative, got {penalty!r}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     k = th.size
     if x.ndim != 2 or x.shape[0] == 0 or y.shape != (k, x.shape[0]):
         raise ValueError("features and labels must be non-empty and aligned")
     n, d = x.shape
-    xs = np.broadcast_to(x, (k, n, d))
-    xts = np.broadcast_to(x.T, (k, d, n))
-    # the pinball slope at each residual r: theta where r > 0, theta - 1
-    # otherwise.  slope * r is the loss term max(theta * r, (theta - 1) * r)
-    # up to the sign of a zero, which no sum of these terms keeps; -slope is
-    # the subgradient, so each move is the plain descent step negated
-    gain = np.repeat(th[:, None], n, axis=1)
-    cost = gain - 1.0
-    w = np.zeros((k, d))
-    b = np.array([np.quantile(row, theta) for row, theta in zip(y, th)])
-    step = np.array([step0 if step0 is not None else max(float(row.std()), 1e-8) for row in y])
-    fitted = np.empty((k, n, 1))
-    moved = np.empty((k, d, 1))
-
-    def slope_and_loss(w, b):
-        np.matmul(xs, w[:, :, None], out=fitted)
-        resid = y - (fitted[:, :, 0] + b[:, None])
-        slope = np.where(resid > 0, gain, cost)
-        # np.mean is this same sum divided by n
-        return slope, np.add.reduce(slope * resid, axis=1) / n
-
-    # the slope at the current (w, b): computed once per accepted move
-    slope, loss = slope_and_loss(w, b)
-    history = [loss]
-    for _ in range(epochs):
-        np.matmul(xts, slope[:, :, None], out=moved)
-        w_new = w + step[:, None] * moved[:, :, 0] / n
-        b_new = b + step * (np.add.reduce(slope, axis=1) / n)
-        slope_new, loss_new = slope_and_loss(w_new, b_new)
-        accept = loss_new <= loss + 1e-15
-        if accept.all():
-            w, b, slope, loss = w_new, b_new, slope_new, loss_new
-        else:
-            w = np.where(accept[:, None], w_new, w)
-            b = np.where(accept, b_new, b)
-            slope = np.where(accept[:, None], slope_new, slope)
-            loss = np.where(accept, loss_new, loss)
-            step = np.where(accept, step, step * 0.5)
-        history.append(loss)
-    weights = np.column_stack([w, b])
-    if return_history:
-        return weights, np.array(history).T.tolist()
+    weights = np.zeros((k, d + 1))
+    if epochs == 0:
+        weights[:, -1] = [np.quantile(row, theta) for row, theta in zip(y, th)]
+        return weights
+    x1 = np.column_stack([x, np.ones(n)])
+    cols = [d] if n < d + 1 else _independent_columns(x1.T @ x1, [d, *range(d)])
+    if len(cols) <= d:
+        x1 = x1[:, cols]
+    slopes = len(cols) - 1
+    up = np.repeat(th[:, None], n, axis=1)
+    down = 1.0 - up
+    if penalty and slopes:
+        x1 = np.vstack([x1, penalty * np.eye(slopes, slopes + 1)])
+        y = np.column_stack([y, np.zeros((k, slopes))])
+        up, down = (np.column_stack([u, np.ones((k, slopes))]) for u in (up, down))
+    weights[:, cols] = _crossover(x1, y, up, down, _frisch_newton(x1, y, up, down, epochs))
     return weights
 
 
 def train_quantile_model(
-    features: np.ndarray,
-    labels: np.ndarray,
-    theta: float,
-    epochs: int = 600,
-    step0: float | None = None,
-    return_history: bool = False,
-):
+    features, labels, theta: float, epochs: int = EPOCHS, penalty: float = 0.0
+) -> np.ndarray:
     """One linear quantile predictor: :func:`train_quantile_models` with k = 1.
 
-    Returns weights with the intercept last (plus the per-epoch loss trace
-    when ``return_history``).
+    Returns weights with the intercept last.
     """
-    out = train_quantile_models(
-        features, np.asarray(labels, dtype=float)[None], [theta], epochs, step0, return_history
-    )
-    if return_history:
-        return out[0][0], out[1][0]
-    return out[0]
+    labels = np.asarray(labels, dtype=float)[None]
+    return train_quantile_models(features, labels, [theta], epochs, penalty)[0]
 
 
 def _predict(weights: np.ndarray, x_std: np.ndarray) -> np.ndarray:
@@ -386,7 +630,7 @@ def fit_conformal_models(
     x_cal: np.ndarray,
     y_cal: np.ndarray,
     epsilon: float,
-    epochs: int = 600,
+    epochs: int = EPOCHS,
 ) -> list[ConformalModel]:
     """One calibrated model per battery, fit on the same labelled days.
 
@@ -397,8 +641,11 @@ def fit_conformal_models(
     zero-variance warning logs once per sweep, not once per battery).  The
     2 × len(y_train) quantile predictors train in one
     :func:`train_quantile_models` call at levels epsilon / 2 and
-    1 - epsilon / 2, and each model is set by :func:`calibrate`.  Each model
-    equals bit for bit what :func:`train_quantile_model` and
+    1 - epsilon / 2, their slopes held back by the :func:`l1_penalty` of
+    the train days, and each model is set by :func:`calibrate`.  The
+    penalty reads only the train days' shape, so the calibration days stay
+    unseen until calibration, as split conformal needs.  Each model equals
+    bit for bit what :func:`train_quantile_model` with that penalty and
     :func:`calibrate` give for its battery alone.
     """
     if not 0.0 < epsilon < 1.0:
@@ -409,7 +656,10 @@ def fit_conformal_models(
     # rows low, high per battery, in the order of the label rows
     labels = np.repeat(y_train, 2, axis=0)
     thetas = [epsilon / 2.0, 1.0 - epsilon / 2.0] * len(y_train)
-    weights = train_quantile_models(scaler.transform(x_train), labels, thetas, epochs=epochs)
+    x_std = scaler.transform(x_train)
+    # θ(1 - θ) is the same at both levels, and so is the penalty
+    penalty = l1_penalty(*x_std.shape, epsilon / 2.0)
+    weights = train_quantile_models(x_std, labels, thetas, epochs, penalty)
     models = []
     for low_w, high_w, y in zip(weights[::2], weights[1::2], y_cal):
         low, high = tuple(map(float, low_w)), tuple(map(float, high_w))
@@ -428,7 +678,7 @@ def fit_conformal(
     k_dis: int,
     epsilon: float,
     threshold_mode: str = "static",
-    epochs: int = 600,
+    epochs: int = EPOCHS,
 ) -> ConformalModel:
     """Train both quantile predictors, then :func:`calibrate` the conformal width.
 

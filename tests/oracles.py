@@ -1,7 +1,9 @@
 """Slow reference implementations that the tests compare the library against."""
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -868,47 +870,91 @@ def pinball_loss(y: float, yhat: float, theta: float) -> float:
     return max(theta * diff, (theta - 1.0) * diff)
 
 
-def reference_train_quantile_model(
-    features, labels, theta, epochs=600, step0=None, return_history=False
-):
-    """Pinball subgradient descent that recomputes the residual twice per epoch.
+def _exact_solve(matrix, rhs):
+    """x with matrix @ x == rhs in Fractions, by Gauss–Jordan elimination; None if singular."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    size = len(rows)
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if rows[i][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(size):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
 
-    Oracle for :func:`socarb.conformal.train_quantile_model`: the same
-    step-halving descent, with ``np.mean`` and a ``mean_loss`` evaluated on
-    fresh weights.
+
+def _pivot_columns(matrix, order):
+    """The columns of ``matrix`` in ``order`` that are independent of the ones before, exactly."""
+    echelon, kept = [], []
+    for col in order:
+        vec = [row[col] for row in matrix]
+        for lead, basis in echelon:
+            if vec[lead] != 0:
+                factor = vec[lead] / basis[lead]
+                vec = [a - factor * b for a, b in zip(vec, basis)]
+        lead = next((i for i, v in enumerate(vec) if v != 0), None)
+        if lead is not None:
+            echelon.append((lead, vec))
+            kept.append(col)
+    return kept
+
+
+def reference_quantile_loss(features, labels, theta, penalty=0.0) -> float:
+    """The least summed pinball loss plus ``penalty`` · Σ|slopes|, by enumerating bases.
+
+    Oracle for :func:`socarb.conformal.train_quantile_models`.  Quantile
+    regression is a linear program, and some optimum interpolates as many
+    rows as the design's rank, on a nonsingular square of the design's
+    independent columns (Koenker & Bassett, Econometrica 1978, Theorem
+    3.1).  So the least loss over every such set of rows is the optimum.
+    The ℓ1 penalty is one more row per slope, penalty · e_j with label 0
+    and cost |residual|, and the same holds with those rows.  Every step is
+    exact, in Fractions of the float inputs, so the one rounding is the
+    final float.  The design is the features and an intercept column; with
+    fewer rows than features plus one it is the intercept alone, as the
+    solver's rule has it.  Exponential in the row count: for n ≤ 10 and
+    d ≤ 2.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("features and labels must be non-empty and aligned")
     n, d = x.shape
-    w = np.zeros(d)
-    b = float(np.quantile(y, theta))
-    step = step0 if step0 is not None else max(float(y.std()), 1e-8)
-
-    def mean_loss(wv, bv):
-        diff = y - (x @ wv + bv)
-        return float(np.mean(np.maximum(theta * diff, (theta - 1.0) * diff)))
-
-    loss = mean_loss(w, b)
-    history = [loss]
-    for _ in range(epochs):
-        resid = y - (x @ w + b)
-        grad = np.where(resid > 0, -theta, 1.0 - theta)
-        w_new = w - step * (x.T @ grad) / n
-        b_new = b - step * float(grad.mean())
-        loss_new = mean_loss(w_new, b_new)
-        if loss_new <= loss + 1e-15:
-            w, b, loss = w_new, b_new, loss_new
-        else:
-            step *= 0.5
-        history.append(loss)
-    weights = np.append(w, b)
-    if return_history:
-        return weights, history
-    return weights
+    design = [[Fraction(v) for v in row] + [Fraction(1)] for row in x.tolist()]
+    cols = [d] if n < d + 1 else _pivot_columns(design, [d, *range(d)])
+    design = [[row[c] for c in cols] for row in design]
+    y = [Fraction(v) for v in np.asarray(labels, dtype=float).tolist()]
+    th = Fraction(theta)
+    # a row costs up per unit of positive residual and down per unit of negative
+    up, down = [th] * n, [1 - th] * n
+    slopes = len(cols) - 1
+    if penalty and slopes:
+        lam = Fraction(penalty)
+        slope_cols = [i for i, c in enumerate(cols) if c != d]
+        design += [[lam * (i == j) for i in range(len(cols))] for j in slope_cols]
+        y += [Fraction(0)] * slopes
+        up += [Fraction(1)] * slopes
+        down += [Fraction(1)] * slopes
+    # a fit in floats loses at least the optimum, up to rounding, so a basis
+    # whose float fit loses far more than the least of them is not solved
+    # exactly
+    bases = np.array(list(itertools.combinations(range(len(design)), len(cols))))
+    floats, targets = np.array(design, dtype=float), np.array(y, dtype=float)
+    fits = np.linalg.pinv(floats[bases]) @ targets[bases][:, :, None]
+    resid = targets - (floats @ fits)[:, :, 0]
+    costs = np.array(up, dtype=float), -np.array(down, dtype=float)
+    approx = np.sum(np.maximum(costs[0] * resid, costs[1] * resid), axis=1)
+    best = None
+    for rows in bases[approx <= approx.min() + 1e-3 * (1.0 + approx.min())].tolist():
+        beta = _exact_solve([design[i] for i in rows], [y[i] for i in rows])
+        if beta is None:
+            continue
+        loss = 0
+        for yy, row, u, v in zip(y, design, up, down):
+            r = yy - sum(a * b for a, b in zip(row, beta))
+            loss += r * u if r > 0 else -r * v
+        best = loss if best is None else min(best, loss)
+    return float(best)
 
 
 def reference_predict_interval(model, features):

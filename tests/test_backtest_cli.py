@@ -648,6 +648,32 @@ class TestCli:
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize(
+        "error, message",
+        [
+            (
+                MemoryError("Unable to allocate 75.0 GiB for an array with shape\n(10000000001,)"),
+                "out of memory: Unable to allocate 75.0 GiB for an array with shape\\n(10000000001,)",
+            ),
+            (MemoryError(), "out of memory: MemoryError"),
+        ],
+    )
+    def test_memory_error_exits_with_one_escaped_line(
+        self, tmp_path, monkeypatch, capsys, error, message
+    ):
+        # what a rate of 1e-9 does: a lattice of about 1e10 levels that numpy
+        # cannot allocate, raised here without allocating anything
+        def too_large(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_policy_distribution", too_large)
+        out = tmp_path / "o.csv"
+        argv = ["reach", "--synthetic", "30", "--horizon", "6", "--band", "3,8", "--rate", "1e-9",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, flag, value", REMOVED_FLAGS, ids=[f"{a[0]}-{a[1]}-{f}" for a, f, _ in REMOVED_FLAGS]
     )
     def test_removed_flag_is_a_usage_error(self, capsys, argv, flag, value):
