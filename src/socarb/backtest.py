@@ -258,7 +258,12 @@ class Report:
     payload: dict = field(repr=False)
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
+        """One line of JSON with sorted keys.
+
+        Without ``indent`` the dump runs on the standard library's C encoder;
+        ``python -m json.tool`` pretty-prints the line.
+        """
+        return json.dumps(self.payload, sort_keys=True) + "\n"
 
     def without_timestamp(self) -> dict:
         doc = dict(self.payload)

@@ -386,9 +386,12 @@ def train_quantile_models(
     and every feature column independent of it and of the columns before; a
     column left out gets weight 0.  With fewer rows than features plus one
     the unpenalised LP only interpolates and its weights are not identified,
-    so then no feature column enters: the models are intercept-only, at a θ
-    order statistic of their labels.  ``epochs = 0`` returns the untrained
-    start: zero slopes and the intercept at the labels' θ-quantile.
+    so then no feature column enters.  An intercept-only LP needs no solver
+    (Koenker & Bassett, Econometrica 1978): its optimum is the order
+    statistic y₍⌈nθ⌉₎ of each label row, the lower end of the optimal
+    interval where nθ is an integer, and ``epochs`` caps nothing there.
+    ``epochs = 0`` returns the untrained start: zero slopes and the
+    intercept at the labels' θ-quantile.
     Returns (k, d + 1) weights, intercept last.  Features must already be
     standardized.
 
@@ -418,6 +421,11 @@ def train_quantile_models(
         return weights
     x1 = np.column_stack([x, np.ones(n)])
     cols = [d] if n < d + 1 else _independent_columns(x1.T @ x1, [d, *range(d)])
+    if cols == [d]:
+        # n·θ rounded to a double: 20 × 0.05 is 1, so the rank is 1, not 2
+        ranks = np.ceil(n * th).astype(int) - 1
+        weights[:, d] = np.sort(y, axis=1)[np.arange(k), ranks]
+        return weights
     if len(cols) <= d:
         x1 = x1[:, cols]
     slopes = len(cols) - 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import logging
 import math
 import random
@@ -549,6 +550,29 @@ def _parses(parse, text: str) -> bool:
     return True
 
 
+def _checked_days(path, header, rows) -> tuple[list[str], list[list[float]]]:
+    """The day ids and prices of the ``rows`` that follow ``header``, checked one line at a time.
+
+    The error path of :func:`load_day_matrix`: it raises the first faulty
+    row's message with its line number, the header being line 1.
+    """
+    ids, days = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row) - 1} prices but the header names {len(header) - 1}")
+            prices = list(map(float, row[1:]))
+            if not all(map(math.isfinite, prices)):
+                raise ValueError(f"non-finite price in day {row[0]}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        ids.append(row[0])
+        days.append(prices)
+    return ids, days
+
+
 def load_day_matrix(path) -> DayMatrix:
     """Read a day matrix CSV produced by :func:`export_day_matrix`.
 
@@ -557,8 +581,13 @@ def load_day_matrix(path) -> DayMatrix:
     rather than dropped.  Every row holds as many prices as the header names,
     so the matrix has one day length.  A row that is not a day of finite
     prices is refused with the file name and its line number.
+
+    One pass streams every price cell into one array, holding no row once
+    its cells are read.  Only when a row has another length, a cell does not
+    parse or a price is not finite is the file read again, one line at a
+    time, to name the first faulty line.  A pipe cannot be read again, so it
+    is read one line at a time from the start.
     """
-    ids, rows = [], []
     with Path(path).open(newline="") as fh:
         reader = _csv_rows(fh, path)
         header = next(reader, None)
@@ -575,19 +604,29 @@ def load_day_matrix(path) -> DayMatrix:
                 f"{path} line 1: a row of prices where the header "
                 f"day_id,h0..h{horizon - 1} belongs; a day matrix starts with its header"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        prices, ids = None, []
+
+        def days():
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        raise ValueError("a row of another length")
+                    ids.append(row[0])
+                    yield row[1:]
+
+        if fh.seekable():
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row) - 1} prices but the header names {horizon}")
-                prices = list(map(float, row[1:]))
-                if not all(map(math.isfinite, prices)):
-                    raise ValueError(f"non-finite price in day {row[0]}")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            ids.append(row[0])
-            rows.append(prices)
-    if not rows:
+                prices = np.fromiter(itertools.chain.from_iterable(days()), dtype=float)
+                if not np.isfinite(prices).all():
+                    raise ValueError("a non-finite price")
+                prices = prices.reshape(len(ids), horizon)
+            except ValueError:
+                fh.seek(0)
+                reader = _csv_rows(fh, path)
+                next(reader)
+                prices = None
+        if prices is None:
+            ids, prices = _checked_days(path, header, reader)
+    if not ids:
         raise ValueError(f"{path}: no day rows")
-    return DayMatrix(tuple(ids), rows)
+    return DayMatrix(tuple(ids), prices)

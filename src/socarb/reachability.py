@@ -127,6 +127,8 @@ class SocDistribution:
     adds up for all its lanes at once.  ``per_step[t]`` maps state keys
     (m, n_ch, n_dis) to their positive masses, and ``marginal(t)`` maps SoC
     values to mass; both are derived from the arrays when first read.
+    ``grid`` holds the SoC value of each offset m_lo .. m_hi; it and the
+    float array that the band checks read are made once per distribution.
     """
 
     params: BatteryParams
@@ -140,9 +142,16 @@ class SocDistribution:
     def horizon(self) -> int:
         return len(self.probs)
 
-    @property
+    @cached_property
     def grid(self) -> tuple[float, ...]:
         return tuple(self.params.e0 + m * self.params.rate for m in self.params.offsets)
+
+    @cached_property
+    def _grid_values(self) -> np.ndarray:
+        """``grid`` as a read-only float array, made once."""
+        values = np.array(self.grid)
+        values.flags.writeable = False
+        return values
 
     @cached_property
     def per_step(self) -> tuple[StepMasses, ...]:
@@ -506,7 +515,7 @@ def policy_distributions(
 
 def terminal_band_probability(dist: SocDistribution, band: TargetBand) -> float:
     """Probability that the terminal SoC lands inside the band, clamped to [0, 1]."""
-    return _probability(dist.m_masses[-1] * band.contains(np.array(dist.grid)))
+    return _probability(dist.m_masses[-1] * band.contains(dist._grid_values))
 
 
 def stopping_time(
@@ -534,7 +543,7 @@ def stopping_time(
         raise ValueError(f"unknown post-stop mode {post_stop_mode!r}")
     horizon = soc_dist.horizon
     params = soc_dist.params
-    e = np.array(soc_dist.grid)
+    e = soc_dist._grid_values
 
     if post_stop_mode == "continue-policy":
         # the adjoint of propagate's chain, backward; row t - 1 holds q_t

@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 
+from socarb import conformal
 from socarb.conformal import CoverageReport
 from socarb.market_data import DayPrices
 from socarb.reachability import (
@@ -955,6 +956,22 @@ def reference_quantile_loss(features, labels, theta, penalty=0.0) -> float:
             loss += r * u if r > 0 else -r * v
         best = loss if best is None else min(best, loss)
     return float(best)
+
+
+def crossover_intercepts(labels, thetas) -> np.ndarray:
+    """The intercepts that the interior point and the crossover give intercept-only LPs.
+
+    Oracle for the closed form of :func:`socarb.conformal.train_quantile_models`:
+    :func:`socarb.conformal._frisch_newton` for ``EPOCHS`` iterations and then
+    :func:`socarb.conformal._crossover`, on the ones column of row i of
+    ``labels`` (k, n) at level ``thetas[i]``.
+    """
+    y = np.asarray(labels, dtype=float)
+    up = np.repeat(np.asarray(thetas, dtype=float)[:, None], y.shape[1], axis=1)
+    down = 1.0 - up
+    x1 = np.ones((y.shape[1], 1))
+    interior = conformal._frisch_newton(x1, y, up, down, conformal.EPOCHS)
+    return conformal._crossover(x1, y, up, down, interior)[:, 0]
 
 
 def reference_predict_interval(model, features):

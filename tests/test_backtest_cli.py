@@ -303,6 +303,24 @@ class TestRunExperiment:
         assert again.without_timestamp() == report.without_timestamp()
         assert again.to_json() != "" and "created_utc" in again.payload
 
+    def test_report_is_one_line_of_sorted_json(self, report, tmp_path, monkeypatch):
+        # the golden test parses its reports, so it cannot see their layout
+        text = report.to_json()
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert text == json.dumps(report.payload, sort_keys=True) + "\n"
+        assert json.loads(text) == report.payload
+        monkeypatch.setattr(cli.bt, "run_experiment", lambda config: report)
+        report_path = tmp_path / "report.json"
+        assert main(["backtest", "--out", str(report_path)]) == 0
+        assert report_path.read_bytes() == text.encode()
+        out_csv, want_csv = tmp_path / "qt.csv", tmp_path / "want.csv"
+        assert main(
+            ["plot-data", "--report", str(report_path), "--kind", "Qt-curve",
+             "--out", str(out_csv)]
+        ) == 0
+        emit_plot_data(report, "Qt-curve", want_csv)
+        assert out_csv.read_text() == want_csv.read_text()
+
     def test_empty_k_grid_drops_policy_blocks(self):
         config = parse_config(SMALL_CONFIG.replace("k_grid = 2:2", "k_grid ="))
         report = run_experiment(config)

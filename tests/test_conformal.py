@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    crossover_intercepts,
     pinball_loss,
     reference_evaluate_coverage,
     reference_predict_interval,
@@ -108,6 +109,21 @@ def fitted_loss(x, y, theta, weights):
     """The summed pinball loss of one model's weights, intercept last."""
     fitted = x @ weights[:-1] + weights[-1]
     return math.fsum(pinball_loss(yy, ff, theta) for yy, ff in zip(y, fitted))
+
+
+def assert_crossover_agrees(x, y, theta, weights):
+    """An intercept-only fit against the interior point and crossover on the ones column.
+
+    Bit-equal where n * theta is not an integer and the optimum is one
+    label; where it is, the optimal labels form an interval and the
+    crossover may land on either end, so the losses agree to 1e-12.
+    """
+    vertex = crossover_intercepts(y[None], [theta])[0]
+    if (len(y) * theta).is_integer():
+        want = fitted_loss(x, y, theta, np.append(np.zeros(x.shape[1]), vertex))
+        assert fitted_loss(x, y, theta, weights) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    else:
+        assert weights[-1] == vertex
 
 
 def small_lp_cases(seed):
@@ -234,13 +250,19 @@ class TestTrainQuantileModel:
     def test_fewer_rows_than_weights_fit_an_order_statistic(self, theta):
         # 27 rows and 48 features, as in a fine-lattice report: the LP would
         # interpolate, so no feature enters and the intercept is the theta order
-        # statistic of the labels
+        # statistic of the lattice labels, ties and all, whatever the epoch cap.
+        # At 20 rows n * theta is an integer at 0.05 and 0.5, and the fit
+        # takes the lower end of the optimal interval: rank 1, not 2, at 0.05
         rng = np.random.default_rng(27)
         x = rng.normal(size=(27, 48))
         y = rng.integers(0, 25, size=27) * 2.0
-        w = train_quantile_model(x, y, theta)
-        assert not np.any(w[:-1])
-        assert w[-1] == np.sort(y)[math.ceil(27 * theta) - 1]
+        ranks = {27: math.ceil(27 * theta), 20: {0.05: 1, 0.5: 10, 0.95: 19}[theta], 1: 1}
+        for n, rank in ranks.items():
+            for epochs in (1, 2, 3, conformal.EPOCHS):
+                w = train_quantile_model(x[:n], y[:n], theta, epochs)
+                assert not np.any(w[:-1])
+                assert w[-1] == np.sort(y[:n])[rank - 1]
+            assert_crossover_agrees(x[:n], y[:n], theta, w)
 
     def test_dependent_feature_column_gets_zero_weight(self):
         rng = np.random.default_rng(5)
@@ -273,10 +295,14 @@ class TestTrainQuantileModel:
         y = rng.integers(0, 5, size=d + 1) * 2.0
         w = train_quantile_model(x, y, 0.7)
         assert np.allclose(x @ w[:-1] + w[-1], y, rtol=0.0, atol=1e-9)
-        # one row fewer takes the intercept-only rule
-        w = train_quantile_model(x[:d], y[:d], 0.7)
-        assert not np.any(w[:-1])
-        assert w[-1] == np.sort(y[:d])[math.ceil(d * 0.7) - 1]
+        # one row fewer takes the intercept-only rule at any epoch cap; at 24
+        # rows, 24 * 0.5 is an integer and 24 * 0.05 rounds to 1.2000000000000002
+        for theta in (0.05, 0.5, 0.7):
+            for epochs in (1, 2, 3):
+                w = train_quantile_model(x[:d], y[:d], theta, epochs)
+                assert not np.any(w[:-1])
+                assert w[-1] == np.sort(y[:d])[math.ceil(d * theta) - 1]
+            assert_crossover_agrees(x[:d], y[:d], theta, w)
 
 
 def desk_scale_case(seed):

@@ -1,7 +1,10 @@
 """Ingestion, slicing, bounds, distributions, and splits."""
 
+import csv
 import dataclasses
+import io
 import math
+import os
 import re
 import sys
 import threading
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from socarb import market_data
 from socarb.market_data import (
     BOUNDS_MODES,
     DEFAULT_PRICE_FLOOR,
@@ -597,7 +601,141 @@ def test_day_matrix_header_without_price_columns_rejected(tmp_path, header):
         load_day_matrix(path)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize(
+    "body, message",
+    [("d1,1.0,2.0\nd2,3.0,4.5\n", None), ("d1,1.0,2.0\n\nd2,x,3.0\n", "line 4: could not")],
+)
+def test_day_matrix_read_from_a_pipe(tmp_path, body, message):
+    # a pipe cannot be read a second time to name a faulty line, so it is
+    # read one line at a time from the start, with the same result
+    path = tmp_path / "days.pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(f"day_id,h0,h1\n{body}",))
+    writer.start()
+    try:
+        if message is None:
+            assert load_day_matrix(path) == DayMatrix(("d1", "d2"), [[1.0, 2.0], [3.0, 4.5]])
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+                load_day_matrix(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_day_matrix_header_of_any_words_accepted(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("day,00:00,1.0x\nd1,4.0,5.5\n")
     assert load_day_matrix(path) == DayMatrix(("d1",), [[4.0, 5.5]])
+
+
+def per_line_days(path):
+    """The per-line loop's ids and prices for a day matrix file, or its error message."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    try:
+        ids, days = market_data._checked_days(path, header, rows)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(ids), np.array(days, dtype=float)
+
+
+def bulk_days(path):
+    """:func:`load_day_matrix`'s ids and prices for a file, or its error message."""
+    try:
+        matrix = load_day_matrix(path)
+    except ValueError as exc:
+        return str(exc)
+    return matrix.day_ids, matrix.prices
+
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def price_cell(value, style):
+    """A cell that float() reads as ``value``.
+
+    Its repr, padded with spaces, with a digit separator, or in full-width digits.
+    """
+    text = repr(value)
+    if style == "padded":
+        return f" {text} "
+    if style == "separated":
+        return re.sub(r"(\d)(\d)", r"\1_\2", text, count=1)
+    if style == "full-width":
+        return text.translate(FULL_WIDTH)
+    return text
+
+
+@st.composite
+def day_matrix_files(draw):
+    """(the lines of a day matrix CSV, its day ids, its prices).
+
+    Ids that need quoting, blank lines, and cells in every :func:`price_cell` style.
+    """
+    horizon = draw(st.integers(1, 4))
+    n_days = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text(alphabet='ab,"; 1', max_size=4), min_size=n_days, max_size=n_days))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(
+        st.lists(finite, min_size=horizon, max_size=horizon), min_size=n_days, max_size=n_days
+    ))
+    styles = st.sampled_from(["repr", "padded", "separated", "full-width"])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["day_id"] + [f"h{i}" for i in range(horizon)])
+    for day_id, row in zip(ids, values):
+        if draw(st.booleans()):
+            out.write("\n")
+        writer.writerow([day_id] + [price_cell(v, draw(styles)) for v in row])
+    return out.getvalue().splitlines(), tuple(ids), np.array(values, dtype=float)
+
+
+@given(day_matrix_files())
+@example((["day_id,h0,h1", '"a,b", 1.5 ,1_0', "", "d,１２,-0.0"], ("a,b", "d"),
+          np.array([[1.5, 10.0], [12.0, -0.0]])))
+@settings(max_examples=150, deadline=None)
+def test_day_matrix_bulk_parse_is_the_per_line_loop(tmp_path_factory, case):
+    lines, ids, values = case
+    path = tmp_path_factory.mktemp("bulk") / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got_ids, got = bulk_days(path)
+    want_ids, want = per_line_days(path)
+    assert got_ids == want_ids == ids
+    assert got.tobytes() == want.tobytes() == values.tobytes()
+
+
+DAY_FAULTS = {
+    "short row": lambda cells: cells[:-1],
+    "long row": lambda cells: cells + ["1.0"],
+    "unparsable cell": lambda cells: cells[:-1] + ["1..5"],
+    "non-finite price": lambda cells: cells[:-1] + ["-inf"],
+}
+
+
+@given(
+    day_matrix_files(),
+    st.lists(st.sampled_from(sorted(DAY_FAULTS)), min_size=1, max_size=2, unique=True),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_day_matrix_faults_raise_the_per_line_message(tmp_path_factory, case, faults, data):
+    # one fault, or two different ones on two lines: the first line's is named
+    lines, _, _ = case
+    rows = [i for i, line in enumerate(lines) if i and line]
+    faults = faults[: len(rows)]
+    picked = data.draw(st.lists(
+        st.sampled_from(rows), min_size=len(faults), max_size=len(faults), unique=True
+    ))
+    for i, fault in zip(picked, faults):
+        cells = next(csv.reader([lines[i]]))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(DAY_FAULTS[fault](cells))
+        lines[i] = out.getvalue()
+    path = tmp_path_factory.mktemp("faults") / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = bulk_days(path)
+    assert isinstance(message, str)
+    assert message == per_line_days(path)
+    assert message.startswith(f"{path} line {min(picked) + 1}: ")
