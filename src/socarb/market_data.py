@@ -15,10 +15,11 @@ day ids and one read-only (n, T) float64 array, validated once.
 ``thresholds.policy_outcomes`` and the ``conformal`` labeller take one, and
 step all its days at once.  Its row ranges and its last-n-slot column
 windows are views of that array.  A :class:`DayPrices` is one day: what
-indexing a matrix gives, and what the one-day runners take.  The tails and
-summed heads of a :class:`PriceBounds` (:class:`TailSums`) serve both
-policy executors: the one-day loop looks up H[t, n] and L[t, n] at each
-step, and the batch lanes read them into tables once per call.
+indexing a matrix gives, and what the one-day runners take.  The summed
+sorted tails of a :class:`PriceBounds`, the tables H[t, n] and L[t, n] of
+:meth:`PriceBounds.sums`, serve both policy executors: the one-day loop
+indexes their rows of floats (:meth:`PriceBounds.sum_rows`) at each step,
+and the batch lanes slice or gather them once per call.
 """
 
 from __future__ import annotations
@@ -173,58 +174,6 @@ def check_horizon(slots: int, horizon: int) -> None:
         raise ValueError(f"day has {slots} slots but params.horizon={horizon}")
 
 
-class TailSums(dict):
-    """One side of a :class:`PriceBounds`: its sorted tails and their summed heads.
-
-    :meth:`tail` is the side's per-slot bounds of slots t..horizon, sorted
-    (ascending mins, descending maxes); every tail is sorted on first use
-    and kept, and the one past the horizon is empty.  Entry (t, n) sums the
-    first n entries of ``tail(t)``, padded with the envelope edge ``pad``
-    where n runs past it: L[t, n] for the mins, H[t, n] for the maxes.  Each
-    entry is built on first use and kept, summing the sequence of
-    ``sum(tail[:n] + [pad] * (n - len(tail)))``: the expression the
-    thresholds summed at every step, so every threshold keeps its bits
-    whatever ``sum`` does with floats on the running Python.  A running
-    total (``itertools.accumulate``) would not: 3.12's ``sum`` compensates.
-    Threads may share a table without a lock: two that sort the tails or
-    miss the same entry at once both store the same values.
-    """
-
-    __slots__ = ("_slots", "_descending", "_t_start", "_pad", "_tails")
-
-    def __init__(self, slots: tuple[float, ...], descending: bool, t_start: int, pad: float):
-        self._slots, self._descending, self._t_start, self._pad = slots, descending, t_start, pad
-        self._tails = None
-
-    def tail(self, t: int) -> tuple[float, ...]:
-        """The sorted bounds of slots t..horizon; empty once t is past the horizon."""
-        if t < self._t_start:
-            raise ValueError(f"t={t} precedes bound coverage starting at {self._t_start}")
-        tails = self._tails
-        if tails is None:
-            slots = self._slots
-            tails = self._tails = tuple(
-                tuple(sorted(slots[off:], reverse=self._descending))
-                for off in range(len(slots) + 1)
-            )
-        return tails[min(t - self._t_start, len(tails) - 1)]
-
-    def __missing__(self, key: tuple[int, int]) -> float:
-        t, n = key
-        tails = self._tails
-        # tail(t) inlined once the tails are sorted: a run on fresh bounds
-        # misses at every step, so this path is as hot as the thresholds' own
-        if tails is None or t < self._t_start:
-            tail = self.tail(t)
-        else:
-            tail = tails[min(t - self._t_start, len(tails) - 1)]
-        # the expression's sequence, without copying the tail into a list
-        if n > len(tail):
-            tail += (self._pad,) * (n - len(tail))
-        self[key] = total = sum(tail[:n])
-        return total
-
-
 @dataclass(frozen=True)
 class PriceBounds:
     """Worst-case price bounds for the remaining horizon at time ``t_start``.
@@ -233,11 +182,9 @@ class PriceBounds:
     ``t_start..horizon`` so downstream consumers can re-slice as time
     advances: both are empty (an envelope alone) or cover exactly those
     slots, inside the envelope.  The envelope must be finite with
-    0 < lambda_min <= lambda_max.  :attr:`low_sums` and :attr:`high_sums`
-    hold each side's sorted tails, which :meth:`remaining` hands out, and
-    their summed heads: the tables L[t, n] and H[t, n] that the timedep and
-    feasibility thresholds look up at every step.  Their contents are built
-    on first use and kept with the object.
+    0 < lambda_min <= lambda_max.  :meth:`sums` gives the tables L[t, n]
+    and H[t, n] that the timedep and feasibility thresholds read at every
+    step, built on first use and kept with the object.
     """
 
     lambda_min: float
@@ -246,8 +193,7 @@ class PriceBounds:
     per_slot_max: tuple[float, ...] = ()
     t_start: int = 1
     horizon: int = 0
-    low_sums: TailSums = field(init=False, repr=False, compare=False)
-    high_sums: TailSums = field(init=False, repr=False, compare=False)
+    _sums: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("lambda_min", "lambda_max"):
@@ -276,18 +222,58 @@ class PriceBounds:
                 f"per-slot bounds cover slots {self.t_start}..{self.t_start + n - 1}, "
                 f"not t_start..horizon {self.t_start}..{self.horizon}"
             )
-        lows = TailSums(self.per_slot_min, False, self.t_start, self.lambda_min)
-        highs = TailSums(self.per_slot_max, True, self.t_start, self.lambda_max)
-        object.__setattr__(self, "low_sums", lows)
-        object.__setattr__(self, "high_sums", highs)
 
-    def remaining(self, t: int) -> tuple[list[float], list[float]]:
-        """Sorted (ascending mins, descending maxes) for slots t..horizon.
+    def sums(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tables L and H of the timedep and feasibility thresholds, for n = 0..width.
 
-        Fresh lists, copied from the tails sorted once per object; both are
-        empty once t is past the horizon.
+        Row t - t_start holds step t's sums, t = t_start..horizon + 1 (one
+        row t_start for an envelope alone whose horizon ends sooner): L[t, n]
+        adds the n lowest per-slot mins of slots t..horizon and H[t, n] the n
+        highest maxes, going on with ``lambda_min`` or ``lambda_max`` past
+        those slots.  Each table is one ``np.cumsum`` over the sorted, padded
+        tails, which adds left to right on every Python, as the loop's ``+=``
+        does (``sum`` compensates from 3.12).
+
+        Both are read-only, built on first use and kept: a narrower width gets
+        views, and only a wider one builds them again, changing no entry.
+        Threads may share them without a lock: a race can build a table
+        twice, never change an entry.
         """
-        return list(self.low_sums.tail(t)), list(self.high_sums.tail(t))
+        lows, highs = self._kept(width)[0]
+        return lows[:, : width + 1], highs[:, : width + 1]
+
+    def sum_rows(self, width: int) -> tuple[list[list[float]], list[list[float]]]:
+        """:meth:`sums` as rows of Python floats, at least ``width`` wide, for the one-day loop.
+
+        Only the columns asked for are converted, once per kept table or wider
+        width, and shared, so a caller must not change them.
+        """
+        kept = self._kept(width)
+        rows = kept[1]
+        if rows is None or len(rows[0][0]) <= width:
+            rows = kept[1] = tuple(table[:, : width + 1].tolist() for table in kept[0])
+        return rows
+
+    def _kept(self, width: int) -> list:
+        """The kept [(L, H), :meth:`sum_rows` or None], built again if narrower than ``width``."""
+        kept = self._sums
+        if kept is None or kept[0][0].shape[1] <= width:
+            tables = []
+            for slots, pad, descending in (
+                (self.per_slot_min, self.lambda_min, False),
+                (self.per_slot_max, self.lambda_max, True),
+            ):
+                heads = np.full((max(self.horizon + 2 - self.t_start, 1), width + 1), pad)
+                heads[:, 0] = 0.0
+                for row in range(len(slots)):
+                    tail = sorted(slots[row:], reverse=descending)[:width]
+                    heads[row, 1 : len(tail) + 1] = tail
+                table = heads.cumsum(axis=1)
+                table.flags.writeable = False
+                tables.append(table)
+            kept = [tuple(tables), None]
+            object.__setattr__(self, "_sums", kept)
+        return kept
 
 
 class EmpiricalCdf:

@@ -345,17 +345,25 @@ def timedep_thresholds(
     A side with exhausted budget is inactive (None).  When the remaining
     horizon is shorter than the remaining budget, the bound lists are padded
     with the global scalar envelope (the no-prediction fallback).  Both sums
-    are looked up in ``bounds.high_sums`` and ``bounds.low_sums``, summed with
-    ``sum`` in this order once per (t, n) and kept on the bounds.
+    are entries of ``bounds.sums``: H[t, k_ch - c] and L[t, k_dis - d].  A
+    step past the horizon has no slot left and pads from the first term; a
+    step before ``bounds.t_start`` is refused.
     """
-    t, _, c, d, s_ch, s_dis = state
-    u_next = None
-    l_next = None
-    if c < k_ch:
-        u_next = (s_ch + bounds.high_sums[t, k_ch - c]) / (alpha * k_ch)
-    if d < k_dis:
-        l_next = omega * (s_dis + bounds.low_sums[t, k_dis - d]) / k_dis
-    return u_next, l_next
+    return _timedep_rule(bounds, k_ch, k_dis, alpha, omega)(_covered(state, bounds))
+
+
+def _timedep_rule(bounds, k_ch, k_dis, alpha, omega):
+    """:func:`timedep_thresholds` for one run: a step indexes two lists and hashes nothing."""
+    low, high = bounds.sum_rows(max(k_ch, k_dis))
+    t0 = bounds.t_start
+
+    def rule(state):
+        t, _, c, d, s_ch, s_dis = state
+        u_next = (s_ch + high[t - t0][k_ch - c]) / (alpha * k_ch) if c < k_ch else None
+        l_next = omega * (s_dis + low[t - t0][k_dis - d]) / k_dis if d < k_dis else None
+        return u_next, l_next
+
+    return rule
 
 
 def feasibility_aware_thresholds(
@@ -375,34 +383,47 @@ def feasibility_aware_thresholds(
     t..horizon: a side with K_rem >= 1 has at least one action of its type
     feasible from e right now, and it stays feasible at every later slot
     (idling keeps e), so no slot is out of reach.  K_rem never exceeds the
-    slots left, so the sums looked up in ``bounds.high_sums`` and
-    ``bounds.low_sums`` are never padded.  The bounds must therefore cover
+    slots left, so the entries H[t, K_rem] and L[t, K_rem] of
+    ``bounds.sums`` are never padded.  The bounds must therefore cover
     exactly slots 1..horizon of the battery, per slot; a ``ValueError`` says
     when they do not, from the check :func:`threshold_rule` makes once per
     run.
     """
     _check_day_bounds("feasibility", params, bounds)
-    return _feasibility_thresholds(state, params, bounds, k_ch, k_dis, alpha, omega)
+    rule = _feasibility_rule(params, bounds, k_ch, k_dis, alpha, omega)
+    return rule(_covered(state, bounds))
 
 
-def _feasibility_thresholds(state, params, bounds, k_ch, k_dis, alpha, omega):
-    """:func:`feasibility_aware_thresholds` on bounds already checked."""
-    t, e, c, d, s_ch, s_dis = state
-    slots_left = params.horizon - t + 1
-    u_next = None
-    l_next = None
-    # a side with no budget or no slot left need not count what capacity allows
-    k_rem = min(k_ch - c, slots_left)
-    if k_rem >= 1:
-        k_rem = min(k_rem, params.max_charges(e))
-    if k_rem >= 1:
-        u_next = (s_ch + bounds.high_sums[t, k_rem]) / (alpha * k_rem)
-    k_rem = min(k_dis - d, slots_left)
-    if k_rem >= 1:
-        k_rem = min(k_rem, params.max_discharges(e))
-    if k_rem >= 1:
-        l_next = omega * (s_dis + bounds.low_sums[t, k_rem]) / k_rem
-    return u_next, l_next
+def _feasibility_rule(params, bounds, k_ch, k_dis, alpha, omega):
+    """:func:`feasibility_aware_thresholds` for one run, on checked bounds."""
+    low, high = bounds.sum_rows(min(max(k_ch, k_dis), params.horizon))
+
+    def rule(state):
+        t, e, c, d, s_ch, s_dis = state
+        slots_left = params.horizon - t + 1
+        u_next = None
+        l_next = None
+        # a side with no budget or no slot left need not count what capacity allows
+        k_rem = min(k_ch - c, slots_left)
+        if k_rem >= 1:
+            k_rem = min(k_rem, params.max_charges(e))
+        if k_rem >= 1:
+            u_next = (s_ch + high[t - 1][k_rem]) / (alpha * k_rem)
+        k_rem = min(k_dis - d, slots_left)
+        if k_rem >= 1:
+            k_rem = min(k_rem, params.max_discharges(e))
+        if k_rem >= 1:
+            l_next = omega * (s_dis + low[t - 1][k_rem]) / k_rem
+        return u_next, l_next
+
+    return rule
+
+
+def _covered(state: PolicyState, bounds: PriceBounds) -> PolicyState:
+    """``state`` on a row of ``bounds.sums``: every step past the horizon reads the last."""
+    if state.t < bounds.t_start:
+        raise ValueError(f"t={state.t} precedes bound coverage starting at {bounds.t_start}")
+    return state._replace(t=min(state.t, max(bounds.horizon + 1, bounds.t_start)))
 
 
 def _check_day_bounds(mode: str, params: BatteryParams, bounds: PriceBounds) -> None:
@@ -448,8 +469,8 @@ def threshold_rule(
     _check_day_bounds(mode, params, bounds)
     alpha, omega = schedule.alpha, schedule.omega
     if mode == "timedep":
-        return lambda s: timedep_thresholds(s, bounds, k_ch, k_dis, alpha, omega)
-    return lambda s: _feasibility_thresholds(s, params, bounds, k_ch, k_dis, alpha, omega)
+        return _timedep_rule(bounds, k_ch, k_dis, alpha, omega)
+    return _feasibility_rule(params, bounds, k_ch, k_dis, alpha, omega)
 
 
 def _run_day(values, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega) -> Trajectory:
@@ -625,13 +646,16 @@ def _lane_rule(mode: str, params: BatteryParams, budgets: list[tuple[int, int]],
     A lane's c and d count from that index along its pair's row: before
     step t a side has done at most min(k, t - 1) actions.  Every threshold
     is the loop's own expression on the loop's own numbers, so it keeps its
-    bits.  Static reads the books; timedep reads H[t, k - c] and
-    L[t, k - d] by actions done (padded past the horizon); feasibility reads
-    H[t, n] and L[t, n] for n = 0..horizon, never past the slots left.
+    bits.  Static reads the books.  The other modes read ``bounds.sums``
+    with no Python loop over its entries: timedep gathers H[t, k - c] and
+    L[t, k - d] by actions done with one fancy index (padded past the
+    horizon), and feasibility reads H[t, n] and L[t, n] for n up to the
+    largest budget or the horizon, never past the slots left.
     """
     horizon = params.horizon
     schedules = [build_schedule(bounds, k_ch, k_dis) for k_ch, k_dis in budgets]
-    width = 1 + min(max((k for pair in budgets for k in pair), default=0), horizon - 1)
+    k_max = max((k for pair in budgets for k in pair), default=0)
+    width = 1 + min(k_max, horizon - 1)
     start = np.arange(len(budgets), dtype=np.intp)[:, None] * width
     if mode == "static":
         u_book = np.full((len(budgets), width), -np.inf)
@@ -646,28 +670,18 @@ def _lane_rule(mode: str, params: BatteryParams, budgets: list[tuple[int, int]],
     k_ch = np.array([k for k, _ in budgets], dtype=np.intp).reshape(-1, 1)
     k_dis = np.array([k for _, k in budgets], dtype=np.intp).reshape(-1, 1)
     if mode == "timedep":
-        highs = np.full((horizon, len(budgets), width), -np.inf)
-        lows = np.full((horizon, len(budgets), width), np.inf)
-        for t in range(1, horizon + 1):
-            for j, (k_c, k_d) in enumerate(budgets):
-                highs[t - 1, j, : min(k_c, t)] = [
-                    bounds.high_sums[t, k_c - n] for n in range(min(k_c, t))
-                ]
-                lows[t - 1, j, : min(k_d, t)] = [
-                    bounds.low_sums[t, k_d - n] for n in range(min(k_d, t))
-                ]
+        # [t - 1, j, n]: H[t, k - n] and L[t, k - n] for pair j after n actions, +-inf once spent
+        lows, highs = bounds.sums(k_max)
+        n = np.arange(width)
+        highs = np.where(n < k_ch, highs[:horizon, np.maximum(k_ch - n, 0)], -np.inf)
+        lows = np.where(n < k_dis, lows[:horizon, np.maximum(k_dis - n, 0)], np.inf)
         ch_div = np.array([s.alpha * k for s, (k, _) in zip(schedules, budgets)]).reshape(-1, 1)
         return start, lambda t, e, c, d, s_ch, s_dis: (
             (s_ch + highs[t - 1].take(c)) / ch_div,
             omega * (s_dis + lows[t - 1].take(d)) / k_dis,
         )
 
-    highs = np.zeros((horizon, horizon + 1))
-    lows = np.zeros((horizon, horizon + 1))
-    for t in range(1, horizon + 1):
-        for n in range(1, horizon - t + 2):
-            highs[t - 1, n] = bounds.high_sums[t, n]
-            lows[t - 1, n] = bounds.low_sums[t, n]
+    lows, highs = bounds.sums(min(k_max, horizon))
     alpha = np.array([s.alpha for s in schedules]).reshape(-1, 1)
     ch_end, dis_end = start + k_ch, start + k_dis  # a side's index once its budget is spent
     rate, e_max, e_min = params.rate, params.e_max, params.e_min

@@ -455,7 +455,8 @@ class HistoryState:
 
 
 def activated_sum(values):
-    """Threshold values added left to right, as the executor's ``+=`` does.
+    """Values added left to right, as the executor's ``+=`` adds activated
+    thresholds and ``PriceBounds.sums`` adds the sorted bounds.
 
     Not ``sum()``: from Python 3.12 it adds floats with compensation.
     """
@@ -517,7 +518,10 @@ def reference_step_policy(state, params, lambda_t, u_next, l_next):
 
 
 def reference_remaining(bounds, t):
-    """``PriceBounds.remaining`` sorting the slot lists afresh at every call."""
+    """Sorted (ascending mins, descending maxes) for slots t..horizon, sorted afresh at every call.
+
+    Both lists are empty once t is past the horizon.
+    """
     if t < bounds.t_start:
         raise ValueError(f"t={t} precedes bound coverage starting at {bounds.t_start}")
     off = t - bounds.t_start
@@ -528,7 +532,7 @@ def _reference_timedep_side(activated, n_needed, z_sorted, envelope):
     """Activated values plus the first n_needed bounds, padded with the envelope."""
     if len(z_sorted) < n_needed:
         z_sorted = z_sorted + [envelope] * (n_needed - len(z_sorted))
-    return activated_sum(v for v, _ in activated) + sum(z_sorted[:n_needed])
+    return activated_sum(v for v, _ in activated) + activated_sum(z_sorted[:n_needed])
 
 
 def reference_timedep_thresholds(state, bounds, alpha, omega):
@@ -606,7 +610,8 @@ def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
             feas_upper = reference_feasible_bounds(params, bounds, t, e, CHARGE)
             if len(feas_upper) < k_rem:
                 raise ValueError("insufficient feasible bound entries on charge side")
-            total = activated_sum(v for v, _ in state.activated_ch) + sum(feas_upper[:k_rem])
+            activated = activated_sum(v for v, _ in state.activated_ch)
+            total = activated + activated_sum(feas_upper[:k_rem])
             u_next = total / (alpha * k_rem)
 
     if state.k_dis >= 1 and state.i_next <= state.k_dis:
@@ -615,7 +620,8 @@ def reference_feasibility_aware_thresholds(state, params, bounds, alpha, omega):
             feas_lower = reference_feasible_bounds(params, bounds, t, e, DISCHARGE)
             if len(feas_lower) < k_rem:
                 raise ValueError("insufficient feasible bound entries on discharge side")
-            total = activated_sum(v for v, _ in state.activated_dis) + sum(feas_lower[:k_rem])
+            activated = activated_sum(v for v, _ in state.activated_dis)
+            total = activated + activated_sum(feas_lower[:k_rem])
             l_next = omega * total / k_rem
     return u_next, l_next
 

@@ -31,9 +31,15 @@ from socarb.market_data import (
     slice_days,
     split_dataset,
 )
-from socarb.thresholds import BatteryParams, policy_outcomes, run_policy
+from socarb.thresholds import (
+    BatteryParams,
+    PolicyState,
+    policy_outcomes,
+    run_policy,
+    timedep_thresholds,
+)
 
-from oracles import reference_remaining
+from oracles import activated_sum, reference_remaining
 
 T0 = datetime(2015, 3, 2, 0, 0)
 
@@ -220,27 +226,27 @@ class TestSliceDays:
 class TestComputeBounds:
     def test_single_day_t1(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 1, "per-hour")
-        assert b.remaining(b.t_start) == ([10, 20, 30], [30, 20, 10])
+        assert reference_remaining(b, b.t_start) == ([10, 20, 30], [30, 20, 10])
 
     def test_single_day_last_slot(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 3, "per-hour")
-        assert b.remaining(b.t_start) == ([30.0], [30.0])
+        assert reference_remaining(b, b.t_start) == ([30.0], [30.0])
 
     def test_two_days_per_slot_min_max(self):
         # per-slot mins {5, 20, 15} sorted, per-slot maxes {10, 25, 30} sorted desc
         b = compute_bounds(make_days([[10, 20, 30], [5, 25, 15]]), 1, "per-hour")
-        assert b.remaining(b.t_start) == ([5, 15, 20], [30, 25, 10])
+        assert reference_remaining(b, b.t_start) == ([5, 15, 20], [30, 25, 10])
         assert b.lambda_min == 5 and b.lambda_max == 30
 
     def test_global_mode_repeats_envelope(self):
         b = compute_bounds(make_days([[10, 20, 30]]), 2, "global")
-        assert b.remaining(b.t_start) == ([10.0, 10.0], [30.0, 30.0])
+        assert reference_remaining(b, b.t_start) == ([10.0, 10.0], [30.0, 30.0])
 
     def test_negative_prices_clamped(self, caplog):
         with caplog.at_level("WARNING"):
             b = compute_bounds(make_days([[-4.0, 20.0]]), 1, "per-hour")
         assert b.lambda_min == pytest.approx(0.01)
-        assert b.remaining(b.t_start)[0][0] == pytest.approx(0.01)
+        assert reference_remaining(b, b.t_start)[0][0] == pytest.approx(0.01)
         assert "clamped" in caplog.text
 
     def test_empty_days_rejected(self):
@@ -249,24 +255,30 @@ class TestComputeBounds:
 
     def test_remaining_reslices(self):
         b = compute_bounds(make_days([[10, 20, 5, 30]]), 1, "per-hour")
-        z_min, z_max = b.remaining(3)
+        z_min, z_max = reference_remaining(b, 3)
         assert z_min == [5, 30] and z_max == [30, 5]
 
     @pytest.mark.parametrize("t_start", [1, 3])
     def test_remaining_equals_fresh_sorted_slices(self, t_start):
-        # rounded prices give ties; t runs two slots past the horizon
+        # rounded prices give ties; t runs two slots past the horizon, where
+        # the thresholds read the last row
         rng = np.random.default_rng(t_start)
         rows = np.round(rng.uniform(1.0, 9.0, (5, 8))).tolist()
         b = compute_bounds(make_days(rows), t_start, "per-hour")
+        width = b.horizon + 2
+        lows, highs = b.sums(width)
+        assert lows.shape == highs.shape == (b.horizon - t_start + 2, width + 1)
         for t in range(t_start, b.horizon + 3):
-            z_min, z_max = b.remaining(t)
-            assert (z_min, z_max) == reference_remaining(b, t)
+            z_min, z_max = reference_remaining(b, t)
             assert len(z_min) == len(z_max) == max(b.horizon - t + 1, 0)
-            z_min.append(-1.0)
-            z_max.clear()
-            assert b.remaining(t) == reference_remaining(b, t)
+            # whole numbers add exactly, so each row's steps are its sorted tail, then the envelope
+            row = min(t, b.horizon + 1) - t_start
+            pads = width - len(z_min)
+            assert np.diff(lows[row]).tolist() == z_min + [b.lambda_min] * pads
+            assert np.diff(highs[row]).tolist() == z_max + [b.lambda_max] * pads
+        state = PolicyState(t_start - 1, 5.0, 0, 0, 0.0, 0.0)
         with pytest.raises(ValueError, match=f"t={t_start - 1} precedes bound coverage"):
-            b.remaining(t_start - 1)
+            timedep_thresholds(state, b, 1, 1, 2.0, 2.0)
 
     @pytest.mark.parametrize(
         "lmin, lmax, message",
@@ -302,7 +314,7 @@ class TestComputeBounds:
         ],
     )
     def test_per_slot_outside_envelope_rejected(self, per_min, per_max, message):
-        # remaining() hands these lists to the thresholds, so they must lie
+        # sums() adds these lists into the thresholds, so they must lie
         # inside the envelope the ratios are solved on
         with pytest.raises(ValueError, match=re.escape(message)):
             PriceBounds(10.0, 30.0, per_min, per_max, 1, 2)
@@ -318,7 +330,7 @@ class TestComputeBounds:
     @settings(max_examples=100, deadline=None)
     def test_sortedness_invariant(self, rows, t):
         b = compute_bounds(make_days(rows), t, "per-hour")
-        z_min, z_max = b.remaining(b.t_start)
+        z_min, z_max = reference_remaining(b, b.t_start)
         assert all(z_min[i] <= z_min[i + 1] for i in range(len(z_min) - 1))
         assert all(z_max[i] >= z_max[i + 1] for i in range(len(z_max) - 1))
         assert b.lambda_min <= min(z_min) and max(z_max) <= b.lambda_max
@@ -399,63 +411,92 @@ def tail_bounds(draw):
     return PriceBounds(lam_min, lam_max, per_min, per_max, t_start, t_start + len(pairs) - 1)
 
 
+def reference_sums(bounds, width):
+    """L and H as rows t = t_start..horizon + 1 of ``repr``s, each entry added left to right."""
+    tables = []
+    for side, pad in ((0, bounds.lambda_min), (1, bounds.lambda_max)):
+        rows = []
+        for t in range(bounds.t_start, bounds.horizon + 2):
+            tail = reference_remaining(bounds, t)[side]
+            padded = tail + [pad] * max(width - len(tail), 0)
+            rows.append([repr(activated_sum(padded[:n])) for n in range(width + 1)])
+        tables.append(rows)
+    return tables
+
+
+def table_reprs(tables):
+    return [[[repr(v) for v in row] for row in table.tolist()] for table in tables]
+
+
+def row_reprs(rows, width):
+    """``PriceBounds.sum_rows`` cut to n = 0..width, as ``repr``s."""
+    return [[[repr(v) for v in row[: width + 1]] for row in side] for side in rows]
+
+
 @given(
     bounds=tail_bounds(),
-    warm_keys=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+    warm_widths=st.lists(st.integers(0, 12), max_size=4),
     budgets=st.tuples(st.integers(0, 10), st.integers(0, 10)),
 )
 @settings(max_examples=150, deadline=None)
-def test_tail_sums_are_the_thresholds_sums(bounds, warm_keys, budgets):
-    """Each H[t, n] and L[t, n] is the padded sum the thresholds took at every step.
+def test_tail_sums_are_the_thresholds_sums(bounds, warm_widths, budgets):
+    """Each H[t, n] and L[t, n] adds the sorted tail of slots t..horizon, padded, left to right.
 
-    The bounds are warmed first, at other (t, n) and by runs at another
-    budget pair, and must then agree with a fresh copy bit for bit.
+    The bounds are warmed first, by tables of other widths and by runs at
+    another budget pair.  Every table handed out, then one wider than the
+    tail on the warm bounds and on a fresh copy, must agree with the
+    reference by ``repr``, and so must their rows of floats.  A table that
+    grows keeps every entry, and the views handed out before it grew are
+    unchanged.
     """
-    for t, n in warm_keys:
-        if t >= bounds.t_start:
-            bounds.low_sums[t, n], bounds.high_sums[t, n]
+    handed_out = [(width, bounds.sums(width)) for width in warm_widths]
     if bounds.t_start == 1 and bounds.horizon >= 1:
         params = BatteryParams(0.0, 10.0, 2.0, 4.0, bounds.horizon)
-        rng = np.random.default_rng(len(warm_keys))
+        rng = np.random.default_rng(len(warm_widths))
         days = make_days(rng.uniform(bounds.lambda_min, bounds.lambda_max, (3, bounds.horizon)))
         modes = ("timedep", "feasibility") if bounds.per_slot_min else ("timedep",)
         for mode in modes:
             policy_outcomes(days, [params], [budgets], mode, bounds)
             run_policy(days[0], params, *budgets, mode, bounds)
     fresh = dataclasses.replace(bounds)
+    narrow = fresh.sums(1)
+    narrow_reprs = table_reprs(narrow)
     width = max(len(bounds.per_slot_min), bounds.horizon - bounds.t_start + 1) + 4
-    for t in range(bounds.t_start, bounds.horizon + 2):
-        lows, highs = reference_remaining(bounds, t)
-        for n in range(width):
-            want_low = sum(lows[:n] + [bounds.lambda_min] * (n - len(lows)))
-            want_high = sum(highs[:n] + [bounds.lambda_max] * (n - len(highs)))
-            for table in (bounds, fresh):
-                got_low, got_high = table.low_sums[t, n], table.high_sums[t, n]
-                assert got_low == want_low and repr(got_low) == repr(want_low), (t, n)
-                assert got_high == want_high and repr(got_high) == repr(want_high), (t, n)
+    handed_out += [(width, bounds.sums(width)), (width, fresh.sums(width)), (1, narrow)]
+    for w, tables in handed_out:
+        assert all(table.shape == (bounds.horizon - bounds.t_start + 2, w + 1) for table in tables)
+        assert not any(table.flags.writeable for table in tables)
+        assert table_reprs(tables) == reference_sums(bounds, w), w
+        for table in (bounds, fresh):
+            assert row_reprs(table.sum_rows(w), w) == reference_sums(bounds, w), w
+    assert table_reprs(table[:, :2] for table in fresh.sums(width)) == narrow_reprs
+    state = PolicyState(bounds.t_start - 1, 5.0, 0, 0, 0.0, 0.0)
     with pytest.raises(ValueError, match=f"t={bounds.t_start - 1} precedes bound coverage"):
-        bounds.high_sums[bounds.t_start - 1, 1]
+        timedep_thresholds(state, bounds, 1, 1, 2.0, 2.0)
 
 
 def test_tail_sums_shared_between_threads():
-    """Threads filling one table at once each read what a table of their own gives.
+    """Threads asking one bounds for tables of different widths at once read equal entries.
 
-    A miss computes, then stores, without a lock; the entry is the same
-    whichever thread stores it, so a race may repeat a sum but never change one.
+    A table and its rows are built, then stored, without a lock.  So a race
+    may build them twice, or store a narrower table over a wider one that a
+    later call builds again, but every entry a thread reads is what bounds
+    of its own give.
     """
     rng = np.random.default_rng(5)
     days = make_days(rng.uniform(0.5, 900.0, (4, 12)).tolist())
     shared, alone = compute_bounds(days, 1, "per-hour"), compute_bounds(days, 1, "per-hour")
-    keys = [(t, n) for t in range(1, 14) for n in range(16)]
-    want = [(repr(alone.low_sums[key]), repr(alone.high_sums[key])) for key in keys]
-    got = [[None] * len(keys) for _ in range(6)]
+    widths = list(range(16))  # past the 12-slot tail
+    want = [(table_reprs(alone.sums(w)), row_reprs(alone.sum_rows(w), w)) for w in widths]
+    got = [[None] * len(widths) for _ in range(6)]
 
-    def fill(out, order):
+    def read(out, order):
         for i in order:
-            out[i] = (repr(shared.low_sums[keys[i]]), repr(shared.high_sums[keys[i]]))
+            w = widths[i]
+            out[i] = table_reprs(shared.sums(w)), row_reprs(shared.sum_rows(w), w)
 
     threads = [
-        threading.Thread(target=fill, args=(out, rng.permutation(len(keys)).tolist()))
+        threading.Thread(target=read, args=(out, rng.permutation(len(widths)).tolist()))
         for out in got
     ]
     interval = sys.getswitchinterval()
@@ -469,6 +510,16 @@ def test_tail_sums_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(out == want for out in got)
+
+
+def test_envelope_ending_before_t_start_pads_every_step():
+    """An envelope alone whose horizon ends before t_start has one row, all envelope."""
+    short, long = PriceBounds(10.0, 100.0, (), (), 5, 0), PriceBounds(10.0, 100.0, (), (), 5, 9)
+    assert table_reprs(short.sums(3)) == table_reprs(table[:1] for table in long.sums(3))
+    for t in (5, 9, 12):
+        state = PolicyState(t, 0.0, 1, 0, 50.0, 0.0)
+        want = timedep_thresholds(state, long, 2, 2, 2.0, 2.0)
+        assert timedep_thresholds(state, short, 2, 2, 2.0, 2.0) == want
 
 
 class TestFitDistribution:

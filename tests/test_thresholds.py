@@ -38,6 +38,7 @@ from oracles import (
     policy_state,
     reference_feasibility_aware_thresholds,
     reference_feasible_bounds,
+    reference_remaining,
     reference_run_with_discharge_reduction,
     reference_timedep_thresholds,
 )
@@ -429,7 +430,7 @@ class TestFeasibilityAwareThresholds:
             for e, t in itertools.product(socs, range(1, horizon + 2)):
                 params = BatteryParams(0.0, 10.0, rate, float(e), horizon)
                 up, down = params.max_charges(e), params.max_discharges(e)
-                z_min, z_max = bounds.remaining(t)
+                z_min, z_max = reference_remaining(bounds, t)
                 for k in range(5):
                     state = PolicyState(t, float(e), 0, 0, 0.0, 0.0)
                     k_rem = min(k, horizon - t + 1)
