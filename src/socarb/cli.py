@@ -268,6 +268,8 @@ def cmd_plot_data(args) -> int:
     try:
         report = bt.Report(json.loads(Path(args.report).read_text()))
         bt.emit_plot_data(report, args.kind, args.out or f"{args.kind}.csv")
+    except RecursionError:
+        raise ValueError(f"{args.report}: JSON nested too deeply") from None
     except ValueError as exc:
         raise ValueError(f"{args.report}: {exc}") from None
     return EXIT_OK

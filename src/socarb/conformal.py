@@ -485,7 +485,10 @@ class ConformalModel:
     @classmethod
     def from_json(cls, text: str) -> "ConformalModel":
         """Load a model file, rejecting any that the predictor cannot apply as written."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError(f"model must be a JSON object, got {type(doc).__name__}")
         try:
@@ -755,12 +758,11 @@ def evaluate_coverage(
     if lo.size != n:
         raise ValueError(f"{lo.size} feature rows but {n} labels")
     covered = int(np.count_nonzero((lo - 1e-12 <= labels) & (labels <= hi + 1e-12)))
-    certified = 0
-    if band is not None:
-        certified = int(np.count_nonzero((lo >= band.lo - 1e-12) & (hi <= band.hi + 1e-12)))
+    # the band rule of p_band and the stopping time: TargetBand.contains
+    certified = 0 if band is None else np.count_nonzero(band.contains(lo) & band.contains(hi))
     return CoverageReport(
         marginal_coverage=covered / n,
-        band_certificate_rate=(certified / n) if band is not None else 0.0,
+        band_certificate_rate=certified / n,
         mean_interval_width=float(np.mean(hi - lo)),
         n_test=n,
     )

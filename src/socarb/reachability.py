@@ -260,7 +260,7 @@ def policy_action_probabilities(
     chain, :func:`static_steps`, and is refused here.  The schedule and its
     ratios come from one :func:`~socarb.thresholds.build_schedule` call, and
     the thresholds at each step from the executor's
-    :func:`~socarb.thresholds.threshold_rule`.
+    :func:`~socarb.thresholds.threshold_rule` on the expected state's six values.
     """
     if threshold_mode == "static":
         raise ValueError("static mode propagates its exact chain: see static_steps")
@@ -277,7 +277,7 @@ def policy_action_probabilities(
         e_expected = min(
             max(params.e0 + (ch_mass - dis_mass) * params.rate, params.e_min), params.e_max
         )
-        u, l = rule(th.PolicyState(t, e_expected, c, d, s_ch, s_dis))
+        u, l = rule(t, e_expected, c, d, s_ch, s_dis)
         ap = action_probabilities(u, l, dist.cdf(t))
         probs.append(ap)
         # advance a side once its cumulative firing mass clears the next whole

@@ -8,10 +8,10 @@ mid-horizon discharge-budget reduction with its two-stage benchmark.
 
 :func:`build_schedule` is the one solver of the books U[c] and L[d] (its
 :func:`search_ratios` checks the budgets) and :attr:`BatteryParams.offsets` the
-one SoC lattice m_lo..m_hi.  The policy's state is :class:`PolicyState`,
-(t, e, c, d, sum of activated u*, sum of activated l*); :func:`threshold_rule`
-binds a run's budgets, ratios and bounds once and maps that state to the
-next (u, l) in every mode.
+one SoC lattice m_lo..m_hi.  :func:`threshold_rule` binds a run's budgets,
+ratios and bounds once and returns ``rule(t, e, c, d, s_ch, s_dis) -> (u, l)``
+in every mode, on the six values of a :class:`PolicyState`; the rules of
+:func:`_lane_rule` take the same six values as lane arrays.
 
 The one charge-first, fall-through-to-discharge decision rule has two
 executors, and the size of the input picks one; no mode does.  One day runs
@@ -24,11 +24,12 @@ SoC of every lane, and the backtest runs each window's whole e0 sweep ×
 k_grid through one call; ``conformal.label_days``, the CQR layer's one
 labeller, takes the terminal SoC of a report's days for a whole e0 sweep
 from one call.  A numpy step costs about the same for one lane as for a
-thousand, so single days stay on the loop.  On a 2-vCPU VM (Python 3.11,
-numpy 2.4; medians for static, timedep and feasibility), one 24-step day
-took 0.54, 0.78 and 2.5 ms in lanes against 0.016, 0.040 and 0.11 ms in the
-loop; 73 days 0.60, 0.86 and 2.8 ms against 1.3, 3.3 and 7.8 ms; and 5 e0 ×
-3 budget pairs × 73 days 2.4, 4.8 and 6.3 ms against 24, 93 and 140 ms.
+thousand, so single days stay on the loop.  On a 2-vCPU VM (``nproc`` 2,
+Python 3.11, numpy 2.4; medians of three runs for static, timedep and
+feasibility), one 24-step day took 0.45, 0.69 and 1.0 ms in lanes against
+0.016, 0.020 and 0.038 ms in the loop; 73 days 0.50, 0.76 and 1.2 ms
+against 1.2, 1.5 and 2.7 ms; and 5 e0 × 3 budget pairs × 73 days 2.0, 2.5
+and 3.2 ms against 20, 26 and 47 ms.
 ``tests/test_policy_batch.py`` holds both executors equal, lane by lane, to
 each other and to the reference loop in ``tests/oracles.py``.
 """
@@ -147,8 +148,8 @@ class PolicyState(NamedTuple):
 
     ``c`` and ``d`` count the charges and discharges done so far, ``s_ch`` and
     ``s_dis`` sum the thresholds they activated.  The timedep and feasibility
-    thresholds read the past only through these sums; the budgets, ratios
-    and bounds are fixed for a run and bound by :func:`threshold_rule`.
+    thresholds read the past only through these sums.  The rule that
+    :func:`threshold_rule` binds for a run takes the six values: ``rule(*state)``.
     """
 
     t: int
@@ -349,7 +350,7 @@ def timedep_thresholds(
     step past the horizon has no slot left and pads from the first term; a
     step before ``bounds.t_start`` is refused.
     """
-    return _timedep_rule(bounds, k_ch, k_dis, alpha, omega)(_covered(state, bounds))
+    return _timedep_rule(bounds, k_ch, k_dis, alpha, omega)(*_covered(state, bounds))
 
 
 def _timedep_rule(bounds, k_ch, k_dis, alpha, omega):
@@ -357,8 +358,7 @@ def _timedep_rule(bounds, k_ch, k_dis, alpha, omega):
     low, high = bounds.sum_rows(max(k_ch, k_dis))
     t0 = bounds.t_start
 
-    def rule(state):
-        t, _, c, d, s_ch, s_dis = state
+    def rule(t, e, c, d, s_ch, s_dis):
         u_next = (s_ch + high[t - t0][k_ch - c]) / (alpha * k_ch) if c < k_ch else None
         l_next = omega * (s_dis + low[t - t0][k_dis - d]) / k_dis if d < k_dis else None
         return u_next, l_next
@@ -391,15 +391,14 @@ def feasibility_aware_thresholds(
     """
     _check_day_bounds("feasibility", params, bounds)
     rule = _feasibility_rule(params, bounds, k_ch, k_dis, alpha, omega)
-    return rule(_covered(state, bounds))
+    return rule(*_covered(state, bounds))
 
 
 def _feasibility_rule(params, bounds, k_ch, k_dis, alpha, omega):
     """:func:`feasibility_aware_thresholds` for one run, on checked bounds."""
     low, high = bounds.sum_rows(min(max(k_ch, k_dis), params.horizon))
 
-    def rule(state):
-        t, e, c, d, s_ch, s_dis = state
+    def rule(t, e, c, d, s_ch, s_dis):
         slots_left = params.horizon - t + 1
         u_next = None
         l_next = None
@@ -450,8 +449,8 @@ def threshold_rule(
     schedule: ThresholdSchedule,
     k_ch: int,
     k_dis: int,
-) -> Callable[[PolicyState], tuple[float | None, float | None]]:
-    """The policy's next (u, l) as a function of its state, for one run.
+) -> Callable[[int, float, int, int, float, float], tuple[float | None, float | None]]:
+    """The policy's next (u, l) as ``rule(t, e, c, d, s_ch, s_dis)`` of its state, for one run.
 
     ``static`` reads the books of ``schedule``; ``timedep`` and
     ``feasibility`` use its ratios and need bounds that cover exactly slots
@@ -462,9 +461,9 @@ def threshold_rule(
         raise ValueError(f"unknown threshold mode {mode!r}")
     if mode == "static":
         u_book, l_book = schedule.charge, schedule.discharge
-        return lambda s: (
-            u_book[s.c] if s.c < k_ch else None,
-            l_book[s.d] if s.d < k_dis else None,
+        return lambda t, e, c, d, s_ch, s_dis: (
+            u_book[c] if c < k_ch else None,
+            l_book[d] if d < k_dis else None,
         )
     _check_day_bounds(mode, params, bounds)
     alpha, omega = schedule.alpha, schedule.omega
@@ -477,8 +476,6 @@ def _run_day(values, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega) 
     """The one-day loop: the policy on ``params.horizon`` prices, as a trajectory."""
     schedule = build_schedule(bounds, k_ch, k_dis, alpha, omega)
     rule = threshold_rule(threshold_mode, params, bounds, schedule, k_ch, k_dis)
-    u_book, l_book = schedule.charge, schedule.discharge
-    static = threshold_mode == "static"
 
     rate, e_max, e_min = params.rate, params.e_max, params.e_min
     charge_cap, discharge_floor = e_max + FEAS_EPS, e_min - FEAS_EPS
@@ -489,11 +486,7 @@ def _run_day(values, params, k_ch, k_dis, threshold_mode, bounds, alpha, omega) 
     soc = [e]
     cash: list[float] = []
     for t, lam in enumerate(values, start=1):
-        if static:
-            u = u_book[c] if c < k_ch else None
-            l = l_book[d] if d < k_dis else None
-        else:
-            u, l = rule(PolicyState(t, e, c, d, s_ch, s_dis))
+        u, l = rule(t, e, c, d, s_ch, s_dis)
         # a side whose budget is spent has no threshold (None); charge is
         # checked first, and a blocked charge falls through to discharge
         if u is not None and lam <= u and e + rate <= charge_cap:

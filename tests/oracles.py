@@ -1010,7 +1010,7 @@ def reference_evaluate_coverage(model, features, labels, band=None):
         widths.append(hi - lo)
         if lo - 1e-12 <= y <= hi + 1e-12:
             covered += 1
-        if band is not None and lo >= band.lo - 1e-12 and hi <= band.hi + 1e-12:
+        if band is not None and band.contains(lo) and band.contains(hi):
             certified += 1
     n = len(labels)
     return CoverageReport(

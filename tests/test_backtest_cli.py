@@ -692,6 +692,26 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot-data", "--kind", "Qt-curve", "--report"],
+            *(
+                ["cqr", cmd, "--synthetic", "20", "--model"]
+                for cmd in ("calibrate", "predict", "evaluate")
+            ),
+        ],
+        ids=["plot-data", "calibrate", "predict", "evaluate"],
+    )
+    def test_json_nested_too_deeply_exits_with_one_line(self, tmp_path, capsys, argv):
+        # past the parser's recursion limit: json.loads raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(argv + [str(deep), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: {deep}: JSON nested too deeply\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv, flag, value", REMOVED_FLAGS, ids=[f"{a[0]}-{a[1]}-{f}" for a, f, _ in REMOVED_FLAGS]
     )
     def test_removed_flag_is_a_usage_error(self, capsys, argv, flag, value):

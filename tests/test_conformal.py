@@ -612,6 +612,17 @@ class TestPipeline:
         assert report.marginal_coverage == 1.0
         assert report.band_certificate_rate == 0.0
 
+    def test_certificate_reads_the_band_rule(self, monkeypatch):
+        # an edge within BAND_EPS of the band is inside it, as p_band and the
+        # stopping time count it: 5e-10 past an edge certifies, 2e-9 does not
+        band = TargetBand.from_interval(3, 8)
+        lo = np.array([3.0, 3.0, 3.0 - 5e-10, 3.0, 3.0 - 2e-9])
+        hi = np.array([8.0, 8.0 + 5e-10, 8.0, 8.0 + 2e-9, 8.0])
+        monkeypatch.setattr(conformal, "predict_intervals", lambda model, x: (lo, hi))
+        report = evaluate_coverage(None, np.zeros((5, 1)), np.full(5, 5.0), band)
+        assert report.band_certificate_rate == 3 / 5
+        assert report.marginal_coverage == 1.0
+
     def dense_models(self):
         """24-hour test days and models with dense slopes, one of them crossed.
 

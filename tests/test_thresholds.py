@@ -484,6 +484,44 @@ def test_running_sums_give_the_history_thresholds(mode):
     assert padded >= 20
 
 
+@st.composite
+def bound_runs(draw):
+    """Bounds over a day, a battery on it, budgets, and a state at a step t = 1..horizon."""
+    horizon = draw(st.integers(1, 8))
+    per_min = draw(st.lists(st.floats(1.0, 50.0), min_size=horizon, max_size=horizon))
+    per_max = [v + draw(st.floats(0.0, 50.0)) for v in per_min]
+    params = BatteryParams(0.0, 10.0, draw(st.sampled_from([1.0, 2.0, 2.5])), 5.0, horizon)
+    k_ch, k_dis = draw(st.integers(0, horizon + 3)), draw(st.integers(0, horizon + 3))
+    sums = st.floats(0.0, 500.0)
+    state = PolicyState(
+        draw(st.integers(1, horizon)), draw(st.floats(0.0, 10.0)),
+        draw(st.integers(0, k_ch)), draw(st.integers(0, k_dis)), draw(sums), draw(sums),
+    )
+    return slot_bounds(per_min, per_max), params, k_ch, k_dis, state
+
+
+@pytest.mark.parametrize("mode", ["static", "timedep", "feasibility"])
+@settings(max_examples=150, deadline=None)
+@given(run=bound_runs())
+def test_bound_rule_takes_the_six_state_values(mode, run):
+    # the rule threshold_rule returns, called as the executors call it, is
+    # each mode's public threshold function on the same state, bit for bit
+    bounds, params, k_ch, k_dis, state = run
+    schedule = build_schedule(bounds, k_ch, k_dis)
+    got = threshold_rule(mode, params, bounds, schedule, k_ch, k_dis)(*state)
+    ratios = schedule.alpha, schedule.omega
+    if mode == "static":
+        want = (
+            schedule.charge[state.c] if state.c < k_ch else None,
+            schedule.discharge[state.d] if state.d < k_dis else None,
+        )
+    elif mode == "timedep":
+        want = timedep_thresholds(state, bounds, k_ch, k_dis, *ratios)
+    else:
+        want = feasibility_aware_thresholds(state, params, bounds, k_ch, k_dis, *ratios)
+    assert repr(got) == repr(want)
+
+
 class TestStepPolicy:
     """One step of ``run_policy`` from SoC ``e0`` against static books u_1, l_1."""
 
