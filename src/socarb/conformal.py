@@ -51,9 +51,7 @@ class FeatureScaler:
         # older models carry a constant trailing e0 column they never kept
         width, fitted = arr.shape[1], len(self.means)
         if not max(self.keep, default=-1) < width <= fitted:
-            raise ValueError(
-                f"features have {width} columns but the model was fitted on {fitted}"
-            )
+            raise ValueError(f"features have {width} columns but the model was fitted on {fitted}")
         means = np.array(self.means)[list(self.keep)]
         scales = np.array(self.scales)[list(self.keep)]
         return (arr[:, list(self.keep)] - means) / scales
@@ -62,9 +60,8 @@ class FeatureScaler:
 def day_features(day: DayPrices) -> np.ndarray:
     """Raw feature vector: the day's hourly prices.
 
-    The initial SoC is not a feature: it is the same for every day of a fit.
-    Models saved when it was appended as a last column still predict, because
-    their scaler never kept that constant column.
+    The initial SoC, the same on every day of a fit, is not one: models saved
+    with it as a last column still predict, as their scaler never kept it.
     """
     return np.array(day.values, dtype=float)
 
@@ -80,11 +77,9 @@ def label_days(
     """Day features (n, d) and each battery's terminal SoC labels (len(params_list), n).
 
     The one place the CQR layer runs the policy, for a whole e0 sweep at
-    once: one call of the batch executor behind
-    ``thresholds.policy_outcomes``, whose profits it does not sum.  The
-    labels are that executor's terminal SoC.  The batteries may differ only
-    in ``e0``, so the features, which do not depend on the battery, are
-    shared: they are the days' read-only price matrix itself.
+    once: one call of the batch executor behind ``thresholds.policy_outcomes``,
+    whose terminal SoC are the labels.  The batteries may differ only in
+    ``e0``, so the features are shared: the days' read-only price matrix.
     """
     soc, _ = _run_lanes(days, params_list, [(k_ch, k_dis)], threshold_mode, bounds)
     return days.prices, soc[:, 0]
@@ -151,10 +146,7 @@ def _room(v, dv):
 
 
 def _steps(a, s, z, w, dx, dz, dw):
-    """The primal and the dual step of m models.
-
-    Each goes ``_STEP`` of the way to the nearest bound, and at most 1.
-    """
+    """The primal and the dual step of m models: ``_STEP`` of the way to the nearest bound, ≤ 1."""
     primal = np.minimum(_room(a, dx), _room(s, -dx))
     dual = np.minimum(_room(z, dz), _room(w, dw))
     return np.minimum(_STEP * primal, 1.0), np.minimum(_STEP * dual, 1.0)
@@ -165,11 +157,10 @@ def _newton_step(x1, xt, state, dual):
 
     ``state`` stacks the primal a, its slack s = u - a to its upper bound
     and the dual slacks z and w of the two bounds, each (m, n); ``xt`` is
-    ``x1.T`` in C order.
-    The corrector replaces the predictor of each model whose predictor step
-    a bound cuts short, as in Koenker's ``lp_fnm``.  Every array is (m, n)
-    or smaller, and each one a step no longer needs is dropped, so that
-    the solver's peak memory stays near that of a handful of label arrays.
+    ``x1.T`` in C order.  The corrector replaces the predictor of each model
+    whose predictor step a bound cuts short, as in Koenker's ``lp_fnm``.
+    Every array is (m, n) or smaller, and each one a step no longer needs is
+    dropped, so the solver's peak memory stays near a handful of label arrays.
     """
     a, s, z, w = state
     za, ws = z / a, w / s
@@ -370,6 +361,24 @@ def l1_penalty(n: int, d: int, theta: float) -> float:
     return PENALTY_MARGIN * math.sqrt(theta * (1.0 - theta) * n) * lo
 
 
+def _zero_slopes(x, y, th, penalty):
+    """Each model's order statistic q = y₍⌈nθ⌉₎, and (k, d) where zero slopes pass the KKT test.
+
+    The pinball subgradient g at q is θ above q, θ - 1 below, and on the
+    rows tied at q the share that makes Σg = 0, which the rank keeps in
+    [θ - 1, θ].  Column j passes where |x_jᵀg| < λ(1 - 1e-9); where all of
+    a model's pass, complementary slackness makes every optimum's slopes 0.
+    """
+    # n·θ rounded to a double: 20 × 0.05 is 1, so the rank is 1, not 2
+    ranks = np.ceil(len(x) * th).astype(int) - 1
+    q = np.sort(y, axis=1)[np.arange(len(y)), ranks][:, None]
+    below = np.count_nonzero(y < q, axis=1)
+    g0 = th - (len(x) * th - below) / np.count_nonzero(y == q, axis=1)
+    g = np.where(y > q, th[:, None], np.where(y < q, th[:, None] - 1.0, g0[:, None]))
+    # one product per model: a model's screen does not depend on its batch
+    return q[:, 0], np.abs(np.matmul(g[:, None], x)[:, 0]) < penalty * (1.0 - 1e-9)
+
+
 def train_quantile_models(
     features, labels, thetas, epochs: int = EPOCHS, penalty: float = 0.0
 ) -> np.ndarray:
@@ -379,21 +388,18 @@ def train_quantile_models(
     minimise the summed pinball loss plus ``penalty`` times the summed
     |slopes|, a linear program.  The penalty is d more rows λ·e_j, one per
     slope, of label 0 and cost 1 both ways (see :func:`_pinball`), as in
-    Koenker's ``rq.fit.lasso``; at 0, the plain LP, no row is added.  All k
-    programs are solved together by :func:`_frisch_newton` in at most
-    ``epochs`` iterations, then each model crosses over to a basic solution
-    (see :func:`_crossover`).  The LP's columns are the intercept
-    and every feature column independent of it and of the columns before; a
-    column left out gets weight 0.  With fewer rows than features plus one
-    the unpenalised LP only interpolates and its weights are not identified,
-    so then no feature column enters.  An intercept-only LP needs no solver
-    (Koenker & Bassett, Econometrica 1978): its optimum is the order
-    statistic y₍⌈nθ⌉₎ of each label row, the lower end of the optimal
-    interval where nθ is an integer, and ``epochs`` caps nothing there.
-    ``epochs = 0`` returns the untrained start: zero slopes and the
-    intercept at the labels' θ-quantile.
-    Returns (k, d + 1) weights, intercept last.  Features must already be
-    standardized.
+    Koenker's ``rq.fit.lasso``.  The LP's columns are the intercept and
+    every feature column independent of it and of the columns before; a
+    column left out gets weight 0, as all are with fewer rows than features
+    plus one, where the unpenalised LP only interpolates.  A model whose
+    zero slopes :func:`_zero_slopes` proves optimal, which it always does
+    without slope columns and never at penalty 0 with them, is zero slopes
+    and the intercept y₍⌈nθ⌉₎ (Koenker & Bassett, Econometrica 1978), with
+    no solver.  The rest are solved together by :func:`_frisch_newton` in
+    at most ``epochs`` iterations and cross over to a basic solution (see
+    :func:`_crossover`).  ``epochs = 0`` returns the untrained start: zero
+    slopes and the intercept at the labels' θ-quantile.  Returns (k, d + 1)
+    weights, intercept last.  Features must already be standardized.
 
     Model i comes out bit for bit as if fit alone: every product and solve
     is one per model, and every per-model sum reduces one row.
@@ -419,33 +425,30 @@ def train_quantile_models(
     if epochs == 0:
         weights[:, -1] = [np.quantile(row, theta) for row, theta in zip(y, th)]
         return weights
+    weights[:, d], passed = _zero_slopes(x, y, th, penalty)
     x1 = np.column_stack([x, np.ones(n)])
-    cols = [d] if n < d + 1 else _independent_columns(x1.T @ x1, [d, *range(d)])
-    if cols == [d]:
-        # n·θ rounded to a double: 20 × 0.05 is 1, so the rank is 1, not 2
-        ranks = np.ceil(n * th).astype(int) - 1
-        weights[:, d] = np.sort(y, axis=1)[np.arange(k), ranks]
+    cols = [d] if n < d + 1 or passed.all() else _independent_columns(x1.T @ x1, [d, *range(d)])
+    refused = np.flatnonzero(~passed[:, cols[:-1]].all(axis=1))
+    if refused.size == 0:
         return weights
     if len(cols) <= d:
         x1 = x1[:, cols]
     slopes = len(cols) - 1
-    up = np.repeat(th[:, None], n, axis=1)
+    y, up = y[refused], np.repeat(th[refused, None], n, axis=1)
     down = 1.0 - up
-    if penalty and slopes:
+    if penalty:
         x1 = np.vstack([x1, penalty * np.eye(slopes, slopes + 1)])
-        y = np.column_stack([y, np.zeros((k, slopes))])
-        up, down = (np.column_stack([u, np.ones((k, slopes))]) for u in (up, down))
-    weights[:, cols] = _crossover(x1, y, up, down, _frisch_newton(x1, y, up, down, epochs))
+        y = np.column_stack([y, np.zeros((len(y), slopes))])
+        up, down = (np.column_stack([u, np.ones((len(y), slopes))]) for u in (up, down))
+    fit = _frisch_newton(x1, y, up, down, epochs)
+    weights[np.ix_(refused, cols)] = _crossover(x1, y, up, down, fit)
     return weights
 
 
 def train_quantile_model(
     features, labels, theta: float, epochs: int = EPOCHS, penalty: float = 0.0
 ) -> np.ndarray:
-    """One linear quantile predictor: :func:`train_quantile_models` with k = 1.
-
-    Returns weights with the intercept last.
-    """
+    """One linear quantile predictor, intercept last: :func:`train_quantile_models` with k = 1."""
     labels = np.asarray(labels, dtype=float)[None]
     return train_quantile_models(features, labels, [theta], epochs, penalty)[0]
 
@@ -648,16 +651,15 @@ def fit_conformal_models(
     ``x_train``, ``y_train`` and ``x_cal``, ``y_cal`` are the train and the
     calibration days as :func:`label_days` gives them for a sweep of
     batteries that differ only in ``e0``: one label row per battery.  Day
-    features do not depend on the battery, so the scaler is fit once (its
-    zero-variance warning logs once per sweep, not once per battery).  The
-    2 × len(y_train) quantile predictors train in one
-    :func:`train_quantile_models` call at levels epsilon / 2 and
-    1 - epsilon / 2, their slopes held back by the :func:`l1_penalty` of
-    the train days, and each model is set by :func:`calibrate`.  The
-    penalty reads only the train days' shape, so the calibration days stay
-    unseen until calibration, as split conformal needs.  Each model equals
-    bit for bit what :func:`train_quantile_model` with that penalty and
-    :func:`calibrate` give for its battery alone.
+    features do not depend on the battery, so the scaler is fit once and
+    its zero-variance warning logs once per sweep.  The 2 × len(y_train)
+    quantile predictors, at levels epsilon / 2 and 1 - epsilon / 2, train in
+    one :func:`train_quantile_models` call, their slopes held back by the
+    :func:`l1_penalty` of the train days' shape alone, so the calibration
+    days stay unseen until :func:`calibrate`, as split conformal needs.
+    Most have zero slopes, which the KKT screen proves without the solver.
+    Each model, screened or solved, equals bit for bit what
+    :func:`train_quantile_model` and :func:`calibrate` give for it alone.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -701,9 +703,7 @@ def fit_conformal(
     return fit_conformal_models(x_train, y_train, x_cal, y_cal, epsilon, epochs)[0]
 
 
-def predict_intervals(
-    model: ConformalModel, features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_intervals(model: ConformalModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conformalized intervals [q_low - delta_hat, q_high + delta_hat], one per row.
 
     Returns the lower and upper edges.  Crossed raw quantiles are swapped

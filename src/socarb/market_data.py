@@ -96,7 +96,8 @@ class DayMatrix:
     ``day_ids[i]`` names row i.  The matrix copies what it is given and checks
     it once: every row has the same T >= 1 finite prices, as a
     :class:`DayPrices` would.  A slice (``days[a:b]``, the days a..b-1) and
-    :meth:`last` are read-only views of the same array and skip the checks.
+    :meth:`last` are read-only views of the same array and skip the checks,
+    as does the matrix :func:`load_day_matrix` builds from its checked rows.
     An integer index and iteration give the days as :class:`DayPrices`.
     Matrices of equal day ids and prices compare and hash equal, whatever
     their memory layout.
@@ -130,7 +131,8 @@ class DayMatrix:
     def from_days(cls, days) -> "DayMatrix":
         return cls(tuple(day.day_id for day in days), [day.values for day in days])
 
-    def _view(self, day_ids, prices) -> "DayMatrix":
+    @staticmethod
+    def _view(day_ids, prices) -> "DayMatrix":
         view = object.__new__(DayMatrix)
         object.__setattr__(view, "day_ids", day_ids)
         object.__setattr__(view, "prices", prices)
@@ -615,4 +617,7 @@ def load_day_matrix(path) -> DayMatrix:
             ids, prices = _checked_days(path, header, reader)
     if not ids:
         raise ValueError(f"{path}: no day rows")
-    return DayMatrix(tuple(ids), prices)
+    # every row was checked above: no copy and no second scan for finite prices
+    prices = np.asarray(prices, dtype=float)
+    prices.flags.writeable = False
+    return DayMatrix._view(tuple(ids), prices)

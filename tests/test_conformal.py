@@ -355,7 +355,85 @@ class TestQuantileRegressionEquivariance:
         assert moved == pytest.approx(base, rel=1e-10)
 
 
+def solver_rows(monkeypatch):
+    """The labels (penalty rows included) of every batch that reaches the interior point."""
+    calls = []
+    solve = conformal._frisch_newton
+
+    def spy(x1, y, up, down, iterations):
+        calls.append(y)
+        return solve(x1, y, up, down, iterations)
+
+    monkeypatch.setattr(conformal, "_frisch_newton", spy)
+    return calls
+
+
+class TestZeroSlopeScreen:
+    """The KKT screen of train_quantile_models: zero slopes proven without the solver."""
+
+    @pytest.mark.parametrize("penalty", [0.3, 2.0, 10.0])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 0.95])
+    def test_certified_models_are_exact_optima(self, monkeypatch, theta, penalty):
+        calls = solver_rows(monkeypatch)
+        with_slopes = 0
+        for seed in range(2):
+            for x, y in small_lp_cases(seed):
+                calls.clear()
+                w = train_quantile_model(x, y, theta, penalty=penalty)
+                if calls:
+                    continue
+                with_slopes += 0 < x.shape[1] < len(y)
+                assert w[:-1].tolist() == [0.0] * x.shape[1]
+                want = reference_quantile_loss(x, y, theta, penalty)
+                got = fitted_loss(x, y, theta, w)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (x, y)
+        # not only the intercept-only cases: 66 to 186 of them have slope columns
+        assert with_slopes > 50
+
+    def test_unpenalised_slopes_never_certify(self):
+        # constant labels: every row is tied, g is 0 and so is every x_j·g,
+        # which is not below a penalty of 0
+        x = np.random.default_rng(2).normal(size=(12, 2))
+        _, passed = conformal._zero_slopes(x, np.full((1, 12), 3.0), np.array([0.3]), 0.0)
+        assert passed.tolist() == [[False, False]]
+
+    def test_equal_tie_split_refused_but_lp_optimum_has_zero_slopes(self, monkeypatch):
+        # q = 1 with three tied rows: an equal share 1/6 each gives x·g = 0.5
+        # above the penalty 0.3, but shares 0, 1/4, 1/4 give 0, so the LP
+        # optimum has zero slopes; the screen refuses it and the solver finds it
+        x, y = np.array([[0.0], [3.0], [0.0], [0.0]]), np.array([0.0, 1.0, 1.0, 1.0])
+        _, passed = conformal._zero_slopes(x, y[None], np.array([0.5]), 0.3)
+        assert passed.tolist() == [[False]]
+        calls = solver_rows(monkeypatch)
+        w = train_quantile_model(x, y, 0.5, penalty=0.3)
+        assert len(calls) == 1
+        assert w.tolist() == [0.0, 1.0]
+        assert fitted_loss(x, y, 0.5, w) == reference_quantile_loss(x, y, 0.5, 0.3) == 0.5
+
+
 class TestTrainQuantileModels:
+    def test_screened_and_solved_models_in_one_batch(self, monkeypatch):
+        # desk-grid shape at the report's penalty: noise-only label rows pass
+        # the screen, rows that follow feature 0 go to the solver; each model
+        # equals its own fit bit for bit either way
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(219, 24))
+        noise = rng.integers(0, 6, size=(3, 219)) * 2.0
+        follow = np.round(3.0 * x[:, 0] + 0.3 * rng.normal(size=(2, 219))) * 2.0
+        labels = np.vstack([noise[:2], follow[:1], noise[2:], follow[1:]])
+        thetas = [0.05, 0.95, 0.05, 0.5, 0.95]
+        penalty = conformal.l1_penalty(219, 24, 0.05)
+        calls = solver_rows(monkeypatch)
+        weights = train_quantile_models(x, labels, thetas, penalty=penalty)
+        [solved] = calls
+        assert solved[:, :219].tolist() == labels[[2, 4]].tolist()
+        for i in (0, 1, 3):
+            assert not np.any(weights[i, :-1])
+            assert weights[i, -1] == np.sort(labels[i])[math.ceil(219 * thetas[i]) - 1]
+        assert np.all(weights[[2, 4], 0] > 0.0)
+        for row, y, theta in zip(weights, labels, thetas):
+            assert np.array_equal(row, train_quantile_model(x, y, theta, penalty=penalty))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n, d", [(1, 0), (2, 1), (5, 2), (27, 24), (27, 48), (219, 24)])
     def test_every_row_equals_its_own_fit(self, n, d, order):
